@@ -7,7 +7,9 @@ canonical form).
 
 Exit codes are the machine contract: 0 conforms or success, 1 does not
 conform, 2 usage, I/O, or parse errors (including instances over the
-brute-force cap), 3 search budget exhausted.
+brute-force cap), 3 search budget exhausted, 4 internal error: any other
+exception, reported as one `error: internal: <type>: <message>` line on
+standard error, so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -280,6 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PgShapesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -48,14 +48,17 @@ def _ident(raw: object) -> str:
 class PropertyGraph:
     """Validated immutable graph.  Construct through build_graph()."""
 
-    __slots__ = ("_nodes", "_edges", "_endpoints", "_labels", "_props", "_out", "_in")
+    __slots__ = (
+        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_keys", "_out", "_in"
+    )
 
-    def __init__(self, nodes, edges, endpoints, labels, props, out, in_):
+    def __init__(self, nodes, edges, endpoints, labels, props, keys, out, in_):
         self._nodes = nodes
         self._edges = edges
         self._endpoints = endpoints
         self._labels = labels
         self._props = props
+        self._keys = keys
         self._out = out
         self._in = in_
 
@@ -102,9 +105,10 @@ class PropertyGraph:
         return self._props.get((x, key), frozenset())
 
     def property_keys(self, x: str) -> tuple[str, ...]:
+        """The keys x has values under, sorted (indexed once at build)."""
         if x not in self:
             raise UnknownElement(f"no such element: {x!r}")
-        return tuple(sorted(k for (y, k) in self._props if y == x))
+        return self._keys.get(x, ())
 
     def adjacent_edges(self, n: str, direction: str) -> tuple[tuple[str, str], ...]:
         """(edge, other endpoint) pairs at node n, in the given direction.
@@ -213,6 +217,10 @@ def build_graph(
             raise ValueError(f"empty value set for ({xid!r}, {key!r})")
         prop_map[(xid, key)] = vals
 
+    keys: dict[str, list[str]] = {}
+    for xid, key in prop_map:
+        keys.setdefault(xid, []).append(key)
+
     out: dict[str, list[tuple[str, str]]] = {n: [] for n in node_set}
     in_: dict[str, list[tuple[str, str]]] = {n: [] for n in node_set}
     for e, (src, dst) in endpoint_map.items():
@@ -225,6 +233,7 @@ def build_graph(
         endpoint_map,
         label_map,
         prop_map,
+        {x: tuple(sorted(ks)) for x, ks in keys.items()},
         {n: tuple(sorted(pairs)) for n, pairs in out.items()},
         {n: tuple(sorted(pairs)) for n, pairs in in_.items()},
     )

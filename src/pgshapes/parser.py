@@ -4,12 +4,15 @@ One shape per declaration: ``NODE name [target] { constraint };`` or EDGE.
 Constraint operators bind ! over & over |; counting bodies after ``.`` and
 the src/dst operands take a single unary constraint, so conjunctions there
 need parentheses.  parse_shapes desugars and links, so its output contains
-core constraints and plain targets only.
+core constraints and plain targets only.  Brackets and unary operators nest
+at most MAX_NESTING deep, which keeps the parser and every recursive pass
+over the tree inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ShapeSyntaxError
@@ -96,6 +99,8 @@ _DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
 _INT = re.compile(r"-?\d+")
 
 _PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -243,6 +249,15 @@ class _Parser:
 
     def fail(self, message: str, token: Token):
         raise ShapeSyntaxError(message, span=token.span)
+
+    @contextmanager
+    def nested(self, token: Token):
+        """One nesting level, opened at `token`, around the parse inside."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", token)
+        yield
+        self.depth -= 1
 
     def span_from(self, start: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
@@ -341,17 +356,23 @@ class _Parser:
     def unary_constraint(self) -> Constraint:
         start = self.peek()
         if self.at("!"):
-            self.next()
-            inner = self.unary_constraint()
+            with self.nested(start):
+                self.next()
+                inner = self.unary_constraint()
             return Not(inner, span=self.span_from(start))
         if self.at(">=") or self.at("<=") or self.at("="):
-            return self.counting(start)
+            with self.nested(start):
+                return self.counting(start)
         if self.at("KW", "src"):
-            self.next()
-            return Src(self.unary_constraint(), span=self.span_from(start))
+            with self.nested(start):
+                self.next()
+                inner = self.unary_constraint()
+            return Src(inner, span=self.span_from(start))
         if self.at("KW", "dst"):
-            self.next()
-            return Dst(self.unary_constraint(), span=self.span_from(start))
+            with self.nested(start):
+                self.next()
+                inner = self.unary_constraint()
+            return Dst(inner, span=self.span_from(start))
         return self.primary_constraint()
 
     def counting(self, start: Token) -> Constraint:
@@ -391,9 +412,10 @@ class _Parser:
     def primary_constraint(self) -> Constraint:
         start = self.peek()
         if self.at("("):
-            self.next()
-            inner = self.or_constraint()
-            self.expect(")")
+            with self.nested(start):
+                self.next()
+                inner = self.or_constraint()
+                self.expect(")")
             return inner
         if self.at("KW", "true"):
             self.next()
@@ -477,28 +499,39 @@ class _Parser:
     def path_prefix(self) -> PathExpr:
         start = self.peek()
         if self.at("^"):
-            self.next()
-            return Inverse(self.path_prefix(), span=self.span_from(start))
+            with self.nested(start):
+                self.next()
+                inner = self.path_prefix()
+            return Inverse(inner, span=self.span_from(start))
         if self.at("?"):
-            self.next()
-            return Opt(self.path_prefix(), span=self.span_from(start))
+            with self.nested(start):
+                self.next()
+                inner = self.path_prefix()
+            return Opt(inner, span=self.span_from(start))
         return self.path_postfix()
 
     def path_postfix(self) -> PathExpr:
         start = self.peek()
         p = self.path_primary()
+        depth = self.depth
         while self.at("*") or self.at("+"):
+            # Each repetition wraps the tree once more without recursing.
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(f"nesting deeper than {MAX_NESTING} levels", self.peek())
             op = self.next()
             cls = Star if op.kind == "*" else Plus
             p = cls(p, span=self.span_from(start))
+        self.depth = depth
         return p
 
     def path_primary(self) -> PathExpr:
         start = self.peek()
         if self.at("("):
-            self.next()
-            inner = self.path()
-            self.expect(")")
+            with self.nested(start):
+                self.next()
+                inner = self.path()
+                self.expect(")")
             return inner
         if self.at(":"):
             self.next()
@@ -511,12 +544,15 @@ class _Parser:
     def predicate_atom(self) -> ValuePredicate:
         start = self.peek()
         if self.at("!"):
-            self.next()
-            return PredNot(self.predicate_atom(), span=self.span_from(start))
+            with self.nested(start):
+                self.next()
+                inner = self.predicate_atom()
+            return PredNot(inner, span=self.span_from(start))
         if self.at("("):
-            self.next()
-            inner = self.predicate_and()
-            self.expect(")")
+            with self.nested(start):
+                self.next()
+                inner = self.predicate_and()
+                self.expect(")")
             return inner
         if self.at("KW", "any"):
             self.next()

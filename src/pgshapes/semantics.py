@@ -186,6 +186,14 @@ def target_elements(g: PropertyGraph, shape: Shape) -> frozenset[str]:
     return eval_target_edges(g, shape.target)
 
 
+def target_atoms(g: PropertyGraph, shapes: ShapeSet) -> tuple[Atom, ...]:
+    """Every target atom, in canonical order."""
+    return tuple(sorted(
+        (Atom(s.name, x, s.kind) for s in shapes for x in target_elements(g, s)),
+        key=Atom.sort_key,
+    ))
+
+
 # ---------------------------------------------------------------------------
 # Paths
 
@@ -410,19 +418,10 @@ class FaithfulnessChecker:
         self.atoms = sorted_atoms(g, shapes)
         self.atom_set = frozenset(self.atoms)
         self._path_cache: dict = {}
-        self.node_targets: list[Atom] = []
-        self.edge_targets: list[Atom] = []
-        for s in shapes:
-            for x in sorted(target_elements(g, s)):
-                atom = Atom(s.name, x, s.kind)
-                (self.node_targets if s.kind == NODE else self.edge_targets).append(
-                    atom
-                )
-        self.node_targets.sort(key=Atom.sort_key)
-        self.edge_targets.sort(key=Atom.sort_key)
-        self.target_atoms = frozenset(self.node_targets) | frozenset(
-            self.edge_targets
-        )
+        targets = target_atoms(g, shapes)
+        self.node_targets = [a for a in targets if a.kind == NODE]
+        self.edge_targets = [a for a in targets if a.kind == EDGE]
+        self.target_atoms = frozenset(targets)
 
     def evaluate(self, sigma: Mapping[Atom, TruthValue], atom: Atom) -> TruthValue:
         shape = self.shapes.get(atom.shape)
@@ -496,19 +495,179 @@ def is_strictly_faithful(
     return checker.verdict(sigma)
 
 
+# ---------------------------------------------------------------------------
+# Grounding
+#
+# A grounded equation is a tree of five node kinds over atom ids:
+# (CONST, value), (REF, id), (NOT, child), (MIN, children) and
+# (ATLEAST, k, children).  Every subterm that reads no atom is folded to a
+# constant at build time, so paths, labels, keys and value predicates are
+# evaluated once per instance, never again per assignment.
+
+CONST, REF, NOT, MIN, ATLEAST = range(5)
+
+_NEGATED = (TRUE, UNKNOWN, FALSE)
+_TRUE_NODE = (CONST, TRUE)
+_FALSE_NODE = (CONST, FALSE)
+
+
+def _negation(child: tuple) -> tuple:
+    if child[0] == CONST:
+        return (CONST, _NEGATED[child[1]])
+    if child[0] == NOT:
+        return child[1]
+    return (NOT, child)
+
+
+def _at_least(count: int, children: list[tuple]) -> tuple:
+    """At least `count` of the children hold, constant children folded in.
+
+    Constants are always yes or no (every leaf is two-valued).  A yes child
+    lowers the count and a no child leaves the pool, which keeps both
+    tallies of _counted; MIN is the case where every child must hold.
+    """
+    pending = []
+    for c in children:
+        if c[0] != CONST:
+            pending.append(c)
+        elif c[1] is TRUE:
+            count -= 1
+    if count <= 0:
+        return _TRUE_NODE
+    if len(pending) < count:
+        return _FALSE_NODE
+    if count == 1 and len(pending) == 1:
+        return pending[0]
+    if count == len(pending):
+        flat: list[tuple] = []
+        for c in pending:
+            flat.extend(c[1] if c[0] == MIN else (c,))
+        return (MIN, tuple(flat))
+    return (ATLEAST, count, tuple(pending))
+
+
+def _references(node: tuple, out: set[int]) -> set[int]:
+    """The atom ids a grounded node reads."""
+    op = node[0]
+    if op == REF:
+        out.add(node[1])
+    elif op == NOT:
+        _references(node[1], out)
+    elif op != CONST:
+        for c in node[-1]:
+            _references(c, out)
+    return out
+
+
+def _value(node: tuple, values) -> TruthValue:
+    op = node[0]
+    if op == REF:
+        return values[node[1]]
+    if op == CONST:
+        return node[1]
+    if op == NOT:
+        return _NEGATED[_value(node[1], values)]
+    if op == MIN:
+        return min(_value(c, values) for c in node[1])
+    children = node[2]
+    return _counted(node[1], [_value(c, values) for c in children], len(children))
+
+
+class GroundInstance:
+    """One (graph, shapes) pair compiled into a flat equation per atom.
+
+    Atoms are dense ids in canonical (shape, element) order.  `deps[i]` and
+    `dependents[i]` are sorted id tuples: the atoms equation i reads, and
+    the atoms whose equations read atom i.  `targets` holds the sorted ids
+    of the target atoms.  Paths are evaluated through one shared cache.
+    """
+
+    def __init__(self, g: PropertyGraph, shapes: ShapeSet):
+        self.atoms = sorted_atoms(g, shapes)
+        self.index = index = {a: i for i, a in enumerate(self.atoms)}
+        self.targets = tuple(index[a] for a in target_atoms(g, shapes))
+        cache: dict = {}
+
+        def ground(c: Constraint, x: str, kind: str) -> tuple:
+            if isinstance(c, ShapeRef):
+                atom = Atom(c.name, x, kind)
+                if atom not in index:
+                    raise DomainMismatch(f"assignment has no value for {atom}")
+                return (REF, index[atom])
+            if isinstance(c, Not):
+                return _negation(ground(c.inner, x, kind))
+            if isinstance(c, And):
+                # Both operands are grounded before folding, so a reference
+                # outside the atom set raises even beside a false operand.
+                return _at_least(2, [ground(c.first, x, kind),
+                                     ground(c.second, x, kind)])
+            if isinstance(c, QualPath):
+                reached = sorted(_path(g, x, c.path, cache))
+                return _at_least(c.count, [ground(c.inner, m, NODE) for m in reached])
+            if isinstance(c, (QualIncoming, QualOutgoing)):
+                direction = INCOMING if isinstance(c, QualIncoming) else OUTGOING
+                pool = g.adjacent_edges(x, direction)
+                return _at_least(c.count, [ground(c.inner, e, EDGE) for e, _ in pool])
+            if isinstance(c, (Src, Dst)):
+                end = g.endpoints(x)[0 if isinstance(c, Src) else 1]
+                return ground(c.inner, end, NODE)
+            # Every other core form reads no assignment: fold it to its value.
+            return (CONST, _eval(g, {}, x, c, kind, cache))
+
+        self.equations = [
+            ground(shapes.get(a.shape).constraint, a.element, a.kind)
+            for a in self.atoms
+        ]
+        self.deps = [tuple(sorted(_references(eq, set()))) for eq in self.equations]
+        dependents: list[list[int]] = [[] for _ in self.atoms]
+        for i, ds in enumerate(self.deps):
+            for d in ds:
+                dependents[d].append(i)
+        self.dependents = [tuple(ds) for ds in dependents]
+
+    def evaluate(self, i: int, values) -> TruthValue:
+        """Equation i under `values`, a sequence indexed by atom id."""
+        return _value(self.equations[i], values)
+
+    def holds(self, values) -> bool:
+        """Every equation and every target holds under a total `values`."""
+        for i, eq in enumerate(self.equations):
+            if _value(eq, values) is not values[i]:
+                return False
+        return all(values[i] is TRUE for i in self.targets)
+
+    def least_fixed_point(self) -> list[TruthValue]:
+        """The least solution of the equations in the knowledge order.
+
+        Worklist evaluation from all-unknown: an atom is re-evaluated only
+        when an atom it reads changes.  Every connective is monotone in the
+        knowledge order, so each atom changes at most once, from unknown to
+        its final value, and the run makes at most |atoms| + |dep edges|
+        evaluations.
+        """
+        values = [UNKNOWN] * len(self.atoms)
+        queued = [True] * len(self.atoms)
+        pending = list(range(len(self.atoms) - 1, -1, -1))
+        equations, dependents = self.equations, self.dependents
+        while pending:
+            i = pending.pop()
+            queued[i] = False
+            v = _value(equations[i], values)
+            if v is not values[i]:
+                values[i] = v
+                for d in dependents[i]:
+                    if not queued[d]:
+                        queued[d] = True
+                        pending.append(d)
+        return values
+
+
 def least_fixed_point(g: PropertyGraph, shapes: ShapeSet) -> Assignment:
     """The minimal-information solution of the evaluation equations.
 
-    Iterated evaluation from all-unknown.  Every connective is monotone in
-    the knowledge order (unknown below both false and true), so the sweep
-    converges in at most one pass per atom.  The result satisfies the two
-    equation conditions; targets may still sit at unknown or false.
+    Grounds the instance once, then runs GroundInstance.least_fixed_point.
+    The result satisfies the two equation conditions; targets may still sit
+    at unknown or false.
     """
-    checker = FaithfulnessChecker(g, shapes)
-    current: dict[Atom, TruthValue] = {a: UNKNOWN for a in checker.atoms}
-    for _ in range(len(checker.atoms) + 1):
-        updated = {a: checker.evaluate(current, a) for a in checker.atoms}
-        if updated == current:
-            break
-        current = updated
-    return Assignment(current)
+    ground = GroundInstance(g, shapes)
+    return Assignment(dict(zip(ground.atoms, ground.least_fixed_point())))

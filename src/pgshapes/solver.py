@@ -7,12 +7,20 @@ enumerate_faithful_assignments, and brute_force_conformance all produce the
 same witness, so the backtracking engine can be cross-checked against plain
 enumeration.
 
-Soundness of the two shortcuts both engines use:
+Each instance is grounded once (semantics.GroundInstance): the search, its
+dependency sets and the least fixed point all read the grounded equations
+by atom id.  Brute force takes only its pinned atoms from the grounding and
+checks every leaf with the AST evaluator.
+
+Soundness of the pinning shortcuts:
  - every target atom is pinned to yes (faithfulness demands it);
+ - an atom whose equation reads no atom has one possible value (both
+   engines);
  - the least fixed point of the evaluation equations bounds every solution
    from below in the knowledge order, so an atom decided there carries that
    value in every solution, and an undecided target can only come true in
-   some solution, never in the fixed point itself.
+   some solution, never in the fixed point itself (search only, unless
+   use_fixed_point is off).
 Pinned atoms take forced values, so the set of faithful assignments and
 their lexicographic order are unchanged.
 """
@@ -20,12 +28,12 @@ their lexicographic order are unchanged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import count, product
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceeded, TooLarge
-from .graph import EDGE, NODE, PropertyGraph
+from .graph import PropertyGraph
 from .semantics import (
     FALSE,
     TRUE,
@@ -33,21 +41,10 @@ from .semantics import (
     Assignment,
     Atom,
     FaithfulnessChecker,
+    GroundInstance,
     TruthValue,
-    eval_path,
-    least_fixed_point,
 )
-from .shapes import (
-    And,
-    Dst,
-    Not,
-    QualIncoming,
-    QualOutgoing,
-    QualPath,
-    ShapeRef,
-    ShapeSet,
-    Src,
-)
+from .shapes import ShapeSet
 
 VALUE_ORDER = (TRUE, FALSE, UNKNOWN)
 
@@ -88,81 +85,49 @@ class ValidationReport:
         return self.conforms
 
 
-def atom_dependencies(
-    g: PropertyGraph, shapes: ShapeSet, atom: Atom
-) -> frozenset[Atom]:
-    """The atoms whose assigned values the evaluation of `atom` reads."""
-    shape = shapes.get(atom.shape)
-    out: set[Atom] = set()
-    cache: dict = {}
+def _dependency_order(deps: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Atom ids with dependencies before their dependents (Tarjan emit order),
+    canonical order inside a component and between ties.  The depth-first
+    walk keeps its own stack, so a dependency chain of any length fits."""
+    index = [-1] * len(deps)
+    low = [0] * len(deps)
+    on_stack = [False] * len(deps)
+    stack: list[int] = []
+    emitted: list[int] = []
+    walk: list[tuple[int, Iterator[int]]] = []  # open atoms, next dependency
+    visits = count()
 
-    def walk(c, x: str, kind: str):
-        if isinstance(c, ShapeRef):
-            out.add(Atom(c.name, x, kind))
-        elif isinstance(c, Not):
-            walk(c.inner, x, kind)
-        elif isinstance(c, And):
-            walk(c.first, x, kind)
-            walk(c.second, x, kind)
-        elif isinstance(c, QualPath):
-            for m in eval_path(g, x, c.path, cache):
-                walk(c.inner, m, NODE)
-        elif isinstance(c, QualIncoming):
-            for e in g.edges:
-                if g.endpoints(e)[1] == x:
-                    walk(c.inner, e, EDGE)
-        elif isinstance(c, QualOutgoing):
-            for e in g.edges:
-                if g.endpoints(e)[0] == x:
-                    walk(c.inner, e, EDGE)
-        elif isinstance(c, Src):
-            walk(c.inner, g.endpoints(x)[0], NODE)
-        elif isinstance(c, Dst):
-            walk(c.inner, g.endpoints(x)[1], NODE)
-        # Leaves never read the assignment.
-
-    walk(shape.constraint, atom.element, shape.kind)
-    return frozenset(out)
-
-
-def _dependency_order(
-    ordered: tuple[Atom, ...], deps: Mapping[Atom, frozenset[Atom]]
-) -> tuple[Atom, ...]:
-    """Atoms with dependencies before their dependents (Tarjan emit order),
-    canonical order inside a component and between ties."""
-    index: dict[Atom, int] = {}
-    low: dict[Atom, int] = {}
-    on_stack: set[Atom] = set()
-    stack: list[Atom] = []
-    emitted: list[Atom] = []
-    counter = [0]
-
-    def connect(v: Atom):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v: int):
+        index[v] = low[v] = next(visits)
         stack.append(v)
-        on_stack.add(v)
-        for w in sorted(deps[v], key=Atom.sort_key):
-            if w not in deps:
-                continue
-            if w not in index:
-                connect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            emitted.extend(sorted(component, key=Atom.sort_key))
+        on_stack[v] = True
+        walk.append((v, iter(deps[v])))
 
-    for v in ordered:
-        if v not in index:
-            connect(v)
+    for root in range(len(deps)):
+        if index[root] < 0:
+            visit(root)
+        while walk:
+            v, successors = walk[-1]
+            for w in successors:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    emitted.extend(sorted(component))
     return tuple(emitted)
 
 
@@ -194,96 +159,85 @@ class _Budget:
 
 
 class _Instance:
-    """Shared precomputation for one (graph, shapes) pair."""
+    """Shared precomputation for one (graph, shapes) pair: one grounding,
+    its fixed point, and the search order over atom ids."""
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet, config: SolverConfig):
-        self.checker = FaithfulnessChecker(g, shapes)
+        self.ground = GroundInstance(g, shapes)
         self.config = config
-        self.atoms = self.checker.atoms
-        self.deps = {a: atom_dependencies(g, shapes, a) for a in self.atoms}
-        self.dependents: dict[Atom, set[Atom]] = {a: set() for a in self.atoms}
-        for a, ds in self.deps.items():
-            for d in ds:
-                self.dependents[d].add(a)
+        self.atoms = self.ground.atoms
+        self.targets = self.ground.targets
         if config.atom_order == "dependency":
-            self.order = _dependency_order(self.atoms, self.deps)
+            self.order = _dependency_order(self.ground.deps)
         else:
-            self.order = self.atoms
-        self.targets = self.checker.target_atoms
-        self.lfp = least_fixed_point(g, shapes)
+            self.order = tuple(range(len(self.atoms)))
+        self.lfp = self.ground.least_fixed_point()
+        self.fixed_point = Assignment(dict(zip(self.atoms, self.lfp)))
 
-    def pinned_values(self) -> dict[Atom, TruthValue] | None:
-        """Forced values (targets and fixed-point decisions), or None when
-        the fixed point already refutes a target."""
-        pinned: dict[Atom, TruthValue] = {}
-        for a in self.targets:
-            pinned[a] = TRUE
+    def pinned_values(self) -> tuple[dict[int, TruthValue], bool]:
+        """Forced values by atom id (targets and fixed-point decisions), and
+        whether the fixed point refutes a target."""
+        pinned = dict.fromkeys(self.targets, TRUE)
+        refuted = False
         if self.config.use_fixed_point:
-            for a, v in self.lfp.items():
-                if v is UNKNOWN:
-                    continue
-                if pinned.get(a, v) is not v:
-                    return None  # target pinned yes, fixed point says no
-                pinned[a] = v
+            forced = enumerate(self.lfp)
         else:
             # Assignment-independent atoms are still forced to their value.
-            for a in self.atoms:
-                if not self.deps[a]:
-                    v = self.checker.evaluate({}, a)
-                    if pinned.get(a, v) is not v:
-                        return None
-                    pinned[a] = v
-        return pinned
+            forced = (
+                (i, self.ground.evaluate(i, ()))
+                for i, ds in enumerate(self.ground.deps) if not ds
+            )
+        for i, v in forced:
+            if v is UNKNOWN:
+                continue
+            if pinned.get(i, v) is not v:
+                refuted = True  # target pinned yes, its equation says no
+            else:
+                pinned[i] = v
+        return pinned, refuted
 
     def violated_targets(self) -> tuple[Atom, ...]:
-        return tuple(
-            a
-            for a in sorted(self.targets, key=Atom.sort_key)
-            if self.lfp[a] is not TRUE
-        )
+        return tuple(self.atoms[i] for i in self.targets if self.lfp[i] is not TRUE)
 
 
-def _search(inst: _Instance, budget: _Budget) -> Iterator[dict[Atom, TruthValue]]:
+def _search(
+    inst: _Instance, pinned: Mapping[int, TruthValue], budget: _Budget
+) -> Iterator[dict[Atom, TruthValue]]:
     """All strictly faithful assignments, lexicographically by atom order.
 
     Chronological backtracking with forced-value propagation.  An unassigned
     atom whose dependencies are all decided is pinned by its equation; an
     assigned atom whose dependencies complete later is re-checked against
-    its equation, so dead branches fall off as early as possible.
+    its equation, so dead branches fall off as early as possible.  Branch
+    points live on an explicit stack, so the depth is not bounded by the
+    interpreter's recursion limit.
     """
-    checker = inst.checker
+    ground = inst.ground
+    deps, dependents, evaluate = ground.deps, ground.dependents, ground.evaluate
+    order = inst.order
     stats = budget.stats
-    pinned = inst.pinned_values()
-    if pinned is None:
-        return
-    if not inst.atoms:
-        stats.leaf_checks += 1
-        yield {}
-        return
+    sigma: list[TruthValue | None] = [None] * len(inst.atoms)
+    trail: list[int] = []
 
-    sigma: dict[Atom, TruthValue] = {}
-    trail: list[Atom] = []
-
-    def assign(atom: Atom, value: TruthValue):
-        sigma[atom] = value
-        trail.append(atom)
+    def assign(i: int, value: TruthValue):
+        sigma[i] = value
+        trail.append(i)
 
     def undo(mark: int):
         while len(trail) > mark:
-            del sigma[trail.pop()]
+            sigma[trail.pop()] = None
 
-    def ready(atom: Atom) -> bool:
-        return all(d in sigma for d in inst.deps[atom])
+    def ready(i: int) -> bool:
+        return all(sigma[d] is not None for d in deps[i])
 
-    def settle(queue: list[Atom]) -> bool:
+    def settle(queue: list[int]) -> bool:
         """Propagate consequences of freshly assigned atoms."""
         while queue:
-            a = queue.pop()
-            for d in sorted(inst.dependents[a], key=Atom.sort_key):
+            for d in dependents[queue.pop()]:
                 if not ready(d):
                     continue
-                value = checker.evaluate(sigma, d)
-                if d in sigma:
+                value = evaluate(d, sigma)
+                if sigma[d] is not None:
                     if sigma[d] is not value:
                         return False
                     continue
@@ -296,50 +250,77 @@ def _search(inst: _Instance, budget: _Budget) -> Iterator[dict[Atom, TruthValue]
         return True
 
     def seed() -> bool:
-        queue: list[Atom] = []
-        for atom, value in pinned.items():
-            assign(atom, value)
-            queue.append(atom)
-        for atom in inst.order:
-            if atom not in sigma and ready(atom):
-                value = checker.evaluate(sigma, atom)
+        queue: list[int] = []
+        for i, value in pinned.items():
+            assign(i, value)
+            queue.append(i)
+        for i in order:
+            if sigma[i] is None and ready(i):
                 stats.propagations += 1
-                assign(atom, value)
-                queue.append(atom)
+                assign(i, evaluate(i, sigma))
+                queue.append(i)
         if not settle(queue):
             return False
         # Equations of pre-assigned atoms with no open dependencies never
         # surface in the dependent walk; verify them once up front.
-        for atom in inst.order:
-            if atom in sigma and ready(atom):
-                if checker.evaluate(sigma, atom) is not sigma[atom]:
-                    return False
-        return True
+        return all(
+            evaluate(i, sigma) is sigma[i]
+            for i in order if sigma[i] is not None and ready(i)
+        )
 
-    def descend(position: int) -> Iterator[dict[Atom, TruthValue]]:
-        while position < len(inst.order) and inst.order[position] in sigma:
+    def skip(position: int) -> int:
+        while position < len(order) and sigma[order[position]] is not None:
             position += 1
-        if position == len(inst.order):
-            stats.leaf_checks += 1
-            if checker.holds(sigma):
-                yield dict(sigma)
-            return
-        atom = inst.order[position]
-        required = pinned.get(atom)
-        for value in VALUE_ORDER:
-            if required is not None and value is not required:
-                continue
-            budget.spend_branch()
-            mark = len(trail)
-            assign(atom, value)
-            if settle([atom]):
-                yield from descend(position + 1)
-            undo(mark)
+        return position
 
-    mark = len(trail)
-    if seed():
-        yield from descend(0)
-    undo(mark)
+    # One [position, next value index, trail mark] per open branch point.
+    frames: list[list[int]] = []
+
+    def advance() -> int | None:
+        """Take the next value at the innermost open branch point; the
+        position to continue from, or None once every point is exhausted."""
+        while frames:
+            frame = frames[-1]
+            atom, mark = order[frame[0]], frame[2]
+            required = pinned.get(atom)
+            while frame[1] < len(VALUE_ORDER):
+                value = VALUE_ORDER[frame[1]]
+                frame[1] += 1
+                if required is not None and value is not required:
+                    continue
+                budget.spend_branch()
+                undo(mark)
+                assign(atom, value)
+                if settle([atom]):
+                    return skip(frame[0] + 1)
+            undo(mark)
+            frames.pop()
+        return None
+
+    if not seed():
+        return
+    position = skip(0)
+    while position is not None:
+        if position == len(order):
+            stats.leaf_checks += 1
+            if ground.holds(sigma):
+                yield dict(zip(inst.atoms, sigma))
+        else:
+            frames.append([position, 0, len(trail)])
+        position = advance()
+
+
+def _start(
+    g: PropertyGraph, shapes: ShapeSet, config: SolverConfig
+) -> tuple[_Instance, dict[int, TruthValue], bool, _Budget]:
+    """The setup find and enumerate share: the instance, its pinned values,
+    whether a target is refuted, and a budget whose stats are filled in."""
+    inst = _Instance(g, shapes, config)
+    pinned, refuted = inst.pinned_values()
+    stats = SolverStats(
+        atoms=len(inst.atoms), targets=len(inst.targets), pinned=len(pinned)
+    )
+    return inst, pinned, refuted, _Budget(config, stats)
 
 
 def enumerate_faithful_assignments(
@@ -349,18 +330,14 @@ def enumerate_faithful_assignments(
     config: SolverConfig | None = None,
 ) -> list[Assignment]:
     """Faithful assignments in canonical order, up to limit."""
-    config = config or SolverConfig()
-    stats = SolverStats()
-    inst = _Instance(g, shapes, config)
-    stats.atoms = len(inst.atoms)
-    stats.targets = len(inst.targets)
-    budget = _Budget(config, stats)
+    inst, pinned, refuted, budget = _start(g, shapes, config or SolverConfig())
     found: list[Assignment] = []
     try:
-        for sigma in _search(inst, budget):
-            found.append(Assignment(sigma))
-            if limit is not None and len(found) >= limit:
-                break
+        if not refuted:
+            for sigma in _search(inst, pinned, budget):
+                found.append(Assignment(sigma))
+                if limit is not None and len(found) >= limit:
+                    break
     finally:
         budget.finish()
     return found
@@ -373,23 +350,19 @@ def find_faithful_assignment(
 ) -> ValidationReport:
     """Decide conformance; on success the witness is the canonically first
     faithful assignment (under the default configuration)."""
-    config = config or SolverConfig()
-    stats = SolverStats()
-    inst = _Instance(g, shapes, config)
-    stats.atoms = len(inst.atoms)
-    stats.targets = len(inst.targets)
-    stats.pinned = len(inst.pinned_values() or ())
-    budget = _Budget(config, stats)
+    inst, pinned, refuted, budget = _start(g, shapes, config or SolverConfig())
     witness = None
     try:
-        for sigma in _search(inst, budget):
-            witness = Assignment(sigma)
-            break
+        if not refuted:
+            sigma = next(_search(inst, pinned, budget), None)
+            witness = None if sigma is None else Assignment(sigma)
     finally:
         budget.finish()
     if witness is not None:
-        return ValidationReport(True, witness, (), inst.lfp, stats)
-    return ValidationReport(False, None, inst.violated_targets(), inst.lfp, stats)
+        return ValidationReport(True, witness, (), inst.fixed_point, budget.stats)
+    return ValidationReport(
+        False, None, inst.violated_targets(), inst.fixed_point, budget.stats
+    )
 
 
 def conforms(
@@ -420,40 +393,23 @@ def brute_force_conformance(
         raise TooLarge(
             f"{len(ordered)} atoms exceed the brute-force cap {config.max_atoms}"
         )
-    lfp = least_fixed_point(g, shapes)
-
-    deps = {a: atom_dependencies(g, shapes, a) for a in ordered}
-    pinned: dict[Atom, TruthValue] = {}
-    for a in checker.target_atoms:
-        pinned[a] = TRUE
-    for a in ordered:
-        if not deps[a]:
-            value = checker.evaluate({}, a)
-            if pinned.get(a, value) is not value:
-                stats.elapsed = time.monotonic() - start
-                return ValidationReport(
-                    False, None,
-                    tuple(a for a in sorted(checker.target_atoms,
-                                            key=Atom.sort_key)
-                          if lfp[a] is not TRUE),
-                    lfp, stats,
-                )
-            pinned[a] = value
+    inst = _Instance(g, shapes, replace(config, use_fixed_point=False))
+    pinned, refuted = inst.pinned_values()
     stats.pinned = len(pinned)
-    free = [a for a in ordered if a not in pinned]
     witness = None
-    for combo in product(VALUE_ORDER, repeat=len(free)):
-        stats.leaf_checks += 1
-        sigma = dict(pinned)
-        sigma.update(zip(free, combo))
-        if checker.holds(sigma):
-            witness = Assignment(sigma)
-            break
+    if not refuted:
+        forced = {ordered[i]: v for i, v in pinned.items()}
+        free = [a for a in ordered if a not in forced]
+        for combo in product(VALUE_ORDER, repeat=len(free)):
+            stats.leaf_checks += 1
+            sigma = dict(forced)
+            sigma.update(zip(free, combo))
+            if checker.holds(sigma):
+                witness = Assignment(sigma)
+                break
     stats.elapsed = time.monotonic() - start
     if witness is not None:
-        return ValidationReport(True, witness, (), lfp, stats)
-    violated = tuple(
-        a for a in sorted(checker.target_atoms, key=Atom.sort_key)
-        if lfp[a] is not TRUE
+        return ValidationReport(True, witness, (), inst.fixed_point, stats)
+    return ValidationReport(
+        False, None, inst.violated_targets(), inst.fixed_point, stats
     )
-    return ValidationReport(False, None, violated, lfp, stats)

@@ -6,9 +6,10 @@ import pytest
 
 from pgshapes.asp import export_asp
 from pgshapes.cli import main
+from pgshapes.errors import ShapeSyntaxError
 from pgshapes.fixtures import office_graph, role_pair_shapes
 from pgshapes.jsonio import export_graph_json
-from pgshapes.parser import parse_shapes
+from pgshapes.parser import MAX_NESTING, parse_shapes
 
 S1_LINE = "NODE s1 [:Employee] { >= 1 :colleagueOf . :Person };"
 S2_TEXT = (
@@ -268,3 +269,48 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+def test_deep_nesting_is_a_syntax_error(capsys, tmp_path, office_json):
+    progs = tmp_path / "deep.progs"
+    progs.write_text("NODE s [:Person] { " + "! " * 1000 + ":Person };\n")
+    for argv in (
+        ("check", str(progs)),
+        ("validate", office_json, str(progs)),
+        ("convert", str(progs)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: nesting deeper than {MAX_NESTING} levels\n"
+
+
+def test_nesting_limit_names_the_crossing_token():
+    prefix = "NODE s [] { "
+    text = prefix + "! " * 1000 + "true };"
+    with pytest.raises(ShapeSyntaxError) as info:
+        parse_shapes(text)
+    # The first `!` past the limit, two characters per level.
+    assert info.value.span.start == len(prefix) + 2 * MAX_NESTING
+    assert text[info.value.span.start] == "!"
+    for deep in (
+        "(" * MAX_NESTING + "true" + ")" * MAX_NESTING,
+        ">= 1 " + "^" * (MAX_NESTING - 1) + ":r . true",
+        ">= 1 key k . " + "!" * (MAX_NESTING - 1) + "any",
+    ):
+        assert len(parse_shapes(prefix + deep + " };")) == 1
+        with pytest.raises(ShapeSyntaxError):
+            parse_shapes(prefix + "(" + deep + ") };")
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("lost\nits way"), RecursionError("too deep")]
+)
+def test_internal_error_exits_four(capsys, monkeypatch, office_json, s2_progs, exc):
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("pgshapes.cli.find_faithful_assignment", crash)
+    code, out, err = run(capsys, "validate", office_json, s2_progs)
+    assert (code, out) == (4, "")
+    words = " ".join(str(exc).split())
+    assert err == f"error: internal: {type(exc).__name__}: {words}\n"

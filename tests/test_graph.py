@@ -139,3 +139,13 @@ def test_equality_is_structural():
 
     assert make() == make()
     assert make() != build_graph(["a", "b"])
+
+
+def test_property_keys_index_matches_a_full_scan():
+    rng = random.Random(1107)
+    for _ in range(100):
+        g = gen_graph(rng, max_nodes=8, max_edges=12)
+        for x in g.nodes + g.edges:
+            assert g.property_keys(x) == tuple(
+                sorted(k for (y, k) in g._props if y == x)
+            )

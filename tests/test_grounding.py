@@ -1,0 +1,310 @@
+"""The grounded instance: its fixed point against the reference oracle, and
+metamorphic checks far above the oracle's 12-atom cap."""
+
+import dataclasses
+import random
+
+import pytest
+
+import oracle
+from pgshapes import shapes as S
+from pgshapes.errors import BudgetExceeded, DomainMismatch
+from pgshapes.fixtures import office_graph
+from pgshapes.graph import NODE, build_graph
+from pgshapes.semantics import (
+    CONST,
+    FALSE,
+    TRUE,
+    UNKNOWN,
+    Atom,
+    FaithfulnessChecker,
+    GroundInstance,
+    is_strictly_faithful,
+    least_fixed_point,
+)
+from pgshapes.shapes import Shape, ShapeSet, link_shapes
+from pgshapes.solver import SolverConfig, find_faithful_assignment
+from pgshapes.sugar import desugar_shapes
+
+from oracle import HALF, ref_eval, sigma_from_assignment
+from randgen import NODE_LABELS, gen_constraint, gen_graph, gen_shapes
+
+BUDGET = SolverConfig(max_branches=5_000)
+ORACLE_PATH_NODES = oracle.path_nodes
+
+
+def large_instance(rng, nodes=30, edges=60, shapes=5, sugar=False):
+    """A random instance of up to a few hundred atoms."""
+    g = gen_graph(rng, max_nodes=nodes, max_edges=edges)
+    return g, link_shapes(gen_shapes(rng, g, max_shapes=shapes, sugar=sugar))
+
+
+def recursive_instance(rng, nodes=40, edges=80, sugar=False):
+    """Up to 280 atoms, many left open by the fixed point: a and b
+    negate each other where c holds, the targeted t needs one of them, and
+    three random shapes read them all (and are sometimes targeted)."""
+    g = gen_graph(rng, max_nodes=nodes, max_edges=edges)
+    names = ("a", "b", "c", "s0", "s1", "s2", "t")
+
+    def random_constraint():
+        return gen_constraint(rng, NODE, 2, names, (), g.nodes, sugar)
+
+    def random_target():
+        return S.TargetLabel(rng.choice(NODE_LABELS)) if rng.random() < 0.3 else S.Nothing()
+
+    built = [
+        Shape("a", NODE, S.Not(S.ShapeRef("b")), S.Nothing()),
+        Shape("b", NODE, S.And(S.Not(S.ShapeRef("a")), S.ShapeRef("c")), S.Nothing()),
+        Shape("c", NODE, gen_constraint(rng, NODE, 2, (), (), g.nodes, sugar),
+              S.Nothing()),
+        *(Shape(f"s{i}", NODE, random_constraint(), random_target()) for i in range(3)),
+        Shape("t", NODE, S.Not(S.And(S.Not(S.ShapeRef("a")), S.Not(S.ShapeRef("b")))),
+              S.TargetLabel(rng.choice(NODE_LABELS))),
+    ]
+    return g, link_shapes(built)
+
+
+def jacobi_reference(g, shapes, monkeypatch):
+    """The oracle's equations iterated in full sweeps from all-1/2, with
+    path sets memoized per (node, path) so large graphs stay affordable."""
+    memo = {}
+
+    def path_nodes(_g, n, p):
+        if (n, p) not in memo:
+            memo[(n, p)] = ORACLE_PATH_NODES(g, n, p)
+        return memo[(n, p)]
+
+    monkeypatch.setattr(oracle, "path_nodes", path_nodes)
+    keys = [
+        (sh, x) for sh in shapes for x in (g.nodes if sh.kind == NODE else g.edges)
+    ]
+    sigma = {(sh.name, x): HALF for sh, x in keys}
+    for _ in range(len(keys) + 1):
+        updated = {
+            (sh.name, x): ref_eval(g, sigma, x, sh.constraint, sh.kind)
+            for sh, x in keys
+        }
+        if updated == sigma:
+            break
+        sigma = updated
+    return sigma
+
+
+# ---------------------------------------------------------------------------
+# The worklist fixed point against the oracle
+
+
+@pytest.mark.parametrize(
+    "generate, rounds, nodes, edges",
+    [
+        (large_instance, 60, 4, 6),
+        (large_instance, 20, 40, 90),
+        (recursive_instance, 10, 40, 90),
+    ],
+    ids=["small", "large", "recursive"],
+)
+def test_worklist_fixed_point_matches_oracle_sweeps(
+    generate, rounds, nodes, edges, monkeypatch
+):
+    rng = random.Random(7301 + rounds + nodes)
+    sizes = []
+    for _ in range(rounds):
+        g, sugared = generate(rng, nodes=nodes, edges=edges, sugar=True)
+        lfp = least_fixed_point(g, desugar_shapes(sugared))
+        sizes.append(len(lfp))
+        expected = jacobi_reference(g, list(sugared), monkeypatch)
+        assert sigma_from_assignment(lfp) == expected
+    if nodes > 12:
+        assert sum(n >= 100 for n in sizes) >= 5
+
+
+def test_fixed_point_decides_a_long_chain():
+    # Full sweeps would decide one atom of this 400-node next chain each.
+    n = 400
+    ids = [f"n{i:03d}" for i in range(n)]
+    g = build_graph(
+        ids, [f"e{i:03d}" for i in range(n - 1)],
+        endpoints={f"e{i:03d}": (ids[i], ids[i + 1]) for i in range(n - 1)},
+        labelings={f"e{i:03d}": ["next"] for i in range(n - 1)} | {ids[-1]: ["Seed"]},
+    )
+    chain = Shape(
+        "Chain", NODE,
+        S.Not(S.And(S.Not(S.HasLabel("Seed")),
+                    S.Not(S.QualPath(1, S.EdgeLabel("next"), S.ShapeRef("Chain"))))),
+        S.Nothing(),
+    )
+    lfp = least_fixed_point(g, link_shapes([chain]))
+    assert all(v.word == "yes" for v in lfp.values())
+
+
+# ---------------------------------------------------------------------------
+# Grounding
+
+
+def test_grounding_folds_reference_free_subterms():
+    g = office_graph()
+    shapes = link_shapes([
+        Shape("sA", NODE, S.And(S.HasLabel("Person"), S.ShapeRef("sB")), S.Nothing()),
+        Shape("sB", NODE, S.QualPath(1, S.EdgeLabel("worksFor"), S.Top()), S.Nothing()),
+    ])
+    ground = GroundInstance(g, shapes)
+    for atom, ds, eq in zip(ground.atoms, ground.deps, ground.equations):
+        if atom.shape == "sB":
+            assert not ds and eq[0] == CONST
+    # Where the label is missing the conjunction folds to no and reads nothing.
+    no_person = [x for x in g.nodes if "Person" not in g.labels_of(x)]
+    for x in no_person:
+        assert ground.deps[ground.index[Atom("sA", x, NODE)]] == ()
+
+
+def test_grounding_rejects_references_outside_the_atom_set():
+    # An unlinked set may name a shape that does not exist; the reference is
+    # grounded even beside a false operand, as the evaluator reads both.
+    g = office_graph()
+    bad = ShapeSet([
+        Shape("s", NODE, S.And(S.Not(S.Top()), S.ShapeRef("missing")), S.Nothing()),
+    ])
+    with pytest.raises(DomainMismatch):
+        GroundInstance(g, bad)
+
+
+def test_grounded_equations_agree_with_the_ast_evaluator():
+    rng = random.Random(7303)
+    for _ in range(20):
+        g, shapes = large_instance(rng)
+        ground = GroundInstance(g, shapes)
+        checker = FaithfulnessChecker(g, shapes)
+        assert ground.atoms == checker.atoms
+        assert {ground.atoms[i] for i in ground.targets} == checker.target_atoms
+        values = [rng.choice((FALSE, UNKNOWN, TRUE)) for _ in ground.atoms]
+        sigma = dict(zip(ground.atoms, values))
+        for i, atom in enumerate(ground.atoms):
+            assert ground.evaluate(i, values) is checker.evaluate(sigma, atom)
+        assert ground.holds(values) == checker.holds(sigma)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic checks above the oracle's cap
+
+
+def rename_tree(node, shape_name, element):
+    """Rename shape references and element ids inside a constraint or target."""
+    if isinstance(node, S.ShapeRef):
+        return S.ShapeRef(shape_name(node.name))
+    if isinstance(node, (S.Exact, S.TargetExact)):
+        return dataclasses.replace(node, element=element(node.element))
+    changes = {
+        f.name: rename_tree(getattr(node, f.name), shape_name, element)
+        for f in dataclasses.fields(node)
+        if isinstance(getattr(node, f.name), (S.Constraint, S.Target))
+    }
+    return dataclasses.replace(node, **changes)
+
+
+def rebuild(g, element=str, shuffle=None, extra=False):
+    """The graph with ids renamed, input order shuffled, or an isolated
+    unlabelled pair of nodes and an edge between them added."""
+    nodes, edges = list(g.nodes), list(g.edges)
+    if shuffle:
+        shuffle(nodes)
+        shuffle(edges)
+    endpoints = {
+        element(e): tuple(element(x) for x in g.endpoints(e)) for e in edges
+    }
+    labelings = {element(x): sorted(g.labels_of(x)) for x in nodes + edges}
+    properties = {
+        (element(x), k): sorted(g.property_values(x, k), key=repr)
+        for x in nodes + edges for k in g.property_keys(x)
+    }
+    nodes, edges = [element(n) for n in nodes], [element(e) for e in edges]
+    if extra:
+        nodes += ["zz0", "zz1"]
+        edges.append("zz2")
+        endpoints["zz2"] = ("zz0", "zz1")
+    return build_graph(nodes, edges, endpoints=endpoints, labelings=labelings,
+                       properties=properties)
+
+
+def decided(g, shapes):
+    try:
+        return find_faithful_assignment(g, shapes, BUDGET)
+    except BudgetExceeded:
+        return None
+
+
+def metamorphic_cases(seed, rounds):
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(rounds):
+        g, shapes = recursive_instance(rng)
+        report = decided(g, shapes)
+        if report is None:
+            continue
+        checked += 1
+        yield rng, g, shapes, report
+    assert checked >= rounds // 2
+
+
+def test_renaming_keeps_verdict_and_renamed_witness():
+    # Prefixes keep the canonical order, so the first witness maps across.
+    def shape_name(name):
+        return "q" + name
+
+    def element(x):
+        return "x" + x
+
+    for _rng, g, shapes, report in metamorphic_cases(7311, 16):
+        renamed = link_shapes([
+            Shape(shape_name(sh.name), sh.kind,
+                  rename_tree(sh.constraint, shape_name, element),
+                  rename_tree(sh.target, shape_name, element))
+            for sh in shapes
+        ])
+        other = find_faithful_assignment(rebuild(g, element=element), renamed)
+        assert other.conforms == report.conforms
+        if report.conforms:
+            assert dict(other.witness) == {
+                Atom(shape_name(a.shape), element(a.element), a.kind): v
+                for a, v in report.witness.items()
+            }
+        else:
+            assert other.violated_targets == tuple(
+                Atom(shape_name(a.shape), element(a.element), a.kind)
+                for a in report.violated_targets
+            )
+
+
+def test_shuffled_input_keeps_verdict_and_witness():
+    for rng, g, shapes, report in metamorphic_cases(7312, 16):
+        listed = list(shapes)
+        rng.shuffle(listed)
+        other = find_faithful_assignment(rebuild(g, shuffle=rng.shuffle),
+                                         link_shapes(listed))
+        assert other.conforms == report.conforms
+        assert other.witness == report.witness
+        assert other.violated_targets == report.violated_targets
+
+
+def test_unreferenced_additions_keep_verdict_and_witness():
+    # An untargeted shape that sorts last, and elements no path reaches, add
+    # atoms whose equations always have a solution and never feed back.
+    for rng, g, shapes, report in metamorphic_cases(7313, 16):
+        names = tuple(sh.name for sh in shapes if sh.kind == NODE)
+        extra = Shape(
+            "zz", NODE,
+            gen_constraint(rng, NODE, 3, names + ("zz",), (), g.nodes, False),
+            S.Nothing(),
+        )
+        for g2, shapes2 in (
+            (g, link_shapes([*shapes, extra])),
+            (rebuild(g, extra=True), shapes),
+        ):
+            other = find_faithful_assignment(g2, shapes2)
+            assert other.conforms == report.conforms
+            if report.conforms:
+                assert is_strictly_faithful(g2, shapes2, other.witness).ok
+                assert {a: other.witness[a] for a in report.witness} == dict(
+                    report.witness
+                )
+            else:
+                assert other.violated_targets == report.violated_targets

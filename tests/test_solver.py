@@ -14,6 +14,7 @@ from pgshapes.fixtures import (
     works_since_shape,
 )
 from pgshapes.graph import EDGE, NODE, build_graph
+from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
     FALSE,
     TRUE,
@@ -21,6 +22,7 @@ from pgshapes.semantics import (
     Assignment,
     Atom,
     FaithfulnessChecker,
+    GroundInstance,
     is_strictly_faithful,
     least_fixed_point,
 )
@@ -38,7 +40,6 @@ from pgshapes.shapes import EdgeLabel as PathLabel
 from pgshapes.solver import (
     VALUE_ORDER,
     SolverConfig,
-    atom_dependencies,
     brute_force_conformance,
     conforms,
     enumerate_faithful_assignments,
@@ -181,17 +182,26 @@ def test_negated_self_reference_only_unknown():
 # --- dependency analysis ----------------------------------------------------
 
 
+def grounded_dependencies(g, shapes):
+    """Atom -> the atoms its grounded equation reads."""
+    ground = GroundInstance(g, shapes)
+    return {
+        a: frozenset(ground.atoms[d] for d in ds)
+        for a, ds in zip(ground.atoms, ground.deps)
+    }
+
+
 def test_atom_dependencies_follow_reachability():
     g = office_graph()
     sA = Shape("sA", NODE, QualPath(1, PathLabel("worksFor"), ShapeRef("sB")),
                Nothing())
     sB = Shape("sB", NODE, HasLabel("Company"), Nothing())
     shapes = link_shapes([sA, sB])
-    deps_100 = atom_dependencies(g, shapes, Atom("sA", "100", NODE))
-    assert deps_100 == {Atom("sB", "101", NODE)}
+    deps = grounded_dependencies(g, shapes)
+    assert deps[Atom("sA", "100", NODE)] == {Atom("sB", "101", NODE)}
     # 101 has no outgoing worksFor edge, so its constraint reads nothing.
-    assert atom_dependencies(g, shapes, Atom("sA", "101", NODE)) == frozenset()
-    assert atom_dependencies(g, shapes, Atom("sB", "100", NODE)) == frozenset()
+    assert deps[Atom("sA", "101", NODE)] == frozenset()
+    assert deps[Atom("sB", "100", NODE)] == frozenset()
 
 
 def test_atom_dependencies_through_edges():
@@ -201,10 +211,9 @@ def test_atom_dependencies_through_edges():
     sE = Shape("sE", EDGE, Src(ShapeRef("sN")), Nothing())
     sN = Shape("sN", NODE, QualOutgoing(1, ShapeRef("sE")), Nothing())
     shapes = link_shapes([sE, sN])
-    assert atom_dependencies(g, shapes, Atom("sE", "200", EDGE)) == {
-        Atom("sN", "100", NODE)
-    }
-    assert atom_dependencies(g, shapes, Atom("sN", "102", NODE)) == {
+    deps = grounded_dependencies(g, shapes)
+    assert deps[Atom("sE", "200", EDGE)] == {Atom("sN", "100", NODE)}
+    assert deps[Atom("sN", "102", NODE)] == {
         Atom("sE", "202", EDGE),
         Atom("sE", "203", EDGE),
     }
@@ -328,3 +337,63 @@ def test_solver_stats_populated():
     assert report.stats.atoms == 6
     assert report.stats.targets == 1
     assert report.stats.elapsed >= 0.0
+
+
+def test_refuted_target_still_reports_pinned_atoms():
+    # The fixed point decides all three atoms and refutes the target at 102;
+    # the report still counts what it pinned.
+    g = office_graph()
+    shapes = link_shapes([person_label_shape()])
+    report = find_faithful_assignment(g, shapes)
+    assert not report.conforms
+    assert report.stats.pinned == report.stats.atoms == 3
+    assert brute_force_conformance(g, shapes).stats.pinned == 3
+
+
+# --- depth ------------------------------------------------------------------
+
+
+def test_wide_free_instance_searches_past_the_recursion_limit():
+    # Every r/u pair is a free choice, so the search opens one branch point
+    # per node: 1,200 levels, above the interpreter's default recursion limit.
+    n = 1200
+    g = build_graph(
+        [f"p{i:04d}" for i in range(n)],
+        labelings={f"p{i:04d}": ["Person"] for i in range(n)},
+    )
+    shapes = parse_shapes(
+        "NODE t [:Person] { r | u };\n"
+        "NODE r [] { ! u };\n"
+        "NODE u [] { ! r };\n"
+    )
+    report = find_faithful_assignment(g, shapes)
+    assert report.conforms
+    assert report.stats.branches == n
+    assert is_strictly_faithful(g, shapes, report.witness).ok
+    assert enumerate_faithful_assignments(g, shapes, limit=1)[0] == report.witness
+    assert all(
+        report.witness[Atom(name, x, NODE)] is value
+        for x in g.nodes
+        for name, value in (("r", TRUE), ("u", FALSE), ("t", TRUE))
+    )
+
+
+def test_dependency_order_on_a_long_chain():
+    # Each atom reads the next one along a 2,000-node chain: one long path in
+    # the dependency graph that the component pass has to walk.
+    n = 2000
+    ids = [f"n{i:04d}" for i in range(n)]
+    g = build_graph(
+        ids, [f"e{i:04d}" for i in range(n - 1)],
+        endpoints={f"e{i:04d}": (ids[i], ids[i + 1]) for i in range(n - 1)},
+        labelings={ids[-1]: ["Seed"]},
+    )
+    shapes = parse_shapes(
+        "NODE c [] { :Seed | >= 1 ->[ dst c ] };\n"
+        "NODE loop [] { loop & c };\n"
+    )
+    default = find_faithful_assignment(g, shapes)
+    ordered = find_faithful_assignment(g, shapes, SolverConfig(atom_order="dependency"))
+    assert default.conforms and ordered.conforms
+    assert is_strictly_faithful(g, shapes, ordered.witness).ok
+    assert default.witness == ordered.witness
