@@ -59,6 +59,7 @@ from .shapes import (
     constraint_paths,
     iter_constraints,
     iter_paths,
+    mentioned_names,
 )
 from .sugar import desugar_shapes
 from .values import DateValue, IntValue, StrValue, Value, quote_string, value_sort_key
@@ -198,30 +199,6 @@ class _Renderer:
         raise UnencodableValue(f"no fact form for {type(t).__name__}")
 
 
-def _mentioned(core: ShapeSet) -> tuple[set[str], set[str]]:
-    labels: set[str] = set()
-    keys: set[str] = set()
-    for sh in core:
-        if isinstance(sh.target, TargetLabel):
-            labels.add(sh.target.label)
-        elif isinstance(sh.target, (TargetKey, TargetKeyValue)):
-            keys.add(sh.target.key)
-        for c in iter_constraints(sh.constraint):
-            if isinstance(c, HasLabel):
-                labels.add(c.label)
-            elif isinstance(c, QualKey):
-                keys.add(c.key)
-            elif isinstance(c, PathKeyCmp):
-                keys.update((c.first_key, c.second_key))
-            elif isinstance(c, KeyCmp):
-                keys.update((c.first_key, c.second_key))
-        for p in constraint_paths(sh.constraint):
-            labels.update(
-                q.name for q in iter_paths(p) if isinstance(q, EdgeLabel)
-            )
-    return labels, keys
-
-
 def _arg_key(token: str) -> tuple:
     return (0, int(token)) if _DIGITS.match(token) else (1, token)
 
@@ -236,7 +213,7 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
     for x in (*g.nodes, *g.edges):
         labels.update(g.labels_of(x))
         keys.update(g.property_keys(x))
-    shape_labels, shape_keys = _mentioned(core)
+    shape_labels, shape_keys = mentioned_names(core)
     label_map = _rename_map(labels | shape_labels, "labels")
     key_map = _rename_map(keys | shape_keys, "property keys")
     shape_map = _rename_map({sh.name for sh in core}, "shape names")

@@ -9,7 +9,8 @@ Exit codes are the machine contract: 0 conforms or success, 1 does not
 conform, 2 usage, I/O, or parse errors (including instances over the
 brute-force cap), 3 search budget exhausted, 4 internal error: any other
 exception, reported as one `error: internal: <type>: <message>` line on
-standard error, so a crash never reads as a verdict.
+standard error, so a crash never reads as a verdict.  A syntax error in a
+shape file names where it starts: `error: line L, column C: <message>`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .asp import export_asp
-from .errors import BudgetExceeded, PgShapesError
+from .errors import BudgetExceeded, PgShapesError, ShapeSyntaxError
 from .jsonio import export_graph_json, import_graph_json
 from .parser import parse_shape_document, parse_shapes
 from .printer import render_shapes
@@ -280,7 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PgShapesError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        span = exc.span if isinstance(exc, ShapeSyntaxError) else None
+        where = "" if span is None else f"line {span.line}, column {span.column}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         message = " ".join(str(exc).split())

@@ -148,34 +148,28 @@ def sorted_atoms(g: PropertyGraph, shapes: ShapeSet) -> tuple[Atom, ...]:
 
 
 def eval_target_nodes(g: PropertyGraph, q: Target) -> frozenset[str]:
-    if isinstance(q, Nothing):
-        return frozenset()
-    if isinstance(q, TargetExact):
-        # An id that is not in the graph yields no targets.
-        return frozenset({q.element}) if g.has_node(q.element) else frozenset()
-    if isinstance(q, TargetLabel):
-        return frozenset(n for n in g.nodes if q.label in g.labels_of(n))
-    if isinstance(q, TargetKey):
-        return frozenset(n for n in g.nodes if g.property_values(n, q.key))
-    if isinstance(q, TargetKeyValue):
-        return frozenset(
-            n for n in g.nodes if q.value in g.property_values(n, q.key)
-        )
-    raise TypeError(f"cannot evaluate target {type(q).__name__} (desugar first)")
+    return _eval_target(g, q, g.nodes, g.has_node)
 
 
 def eval_target_edges(g: PropertyGraph, q: Target) -> frozenset[str]:
+    return _eval_target(g, q, g.edges, g.has_edge)
+
+
+def _eval_target(g, q, elements, contains) -> frozenset[str]:
+    """The members of `elements` that target q selects; `contains` tests
+    membership of an exact id."""
     if isinstance(q, Nothing):
         return frozenset()
     if isinstance(q, TargetExact):
-        return frozenset({q.element}) if g.has_edge(q.element) else frozenset()
+        # An id that is not an element of this kind yields no targets.
+        return frozenset({q.element}) if contains(q.element) else frozenset()
     if isinstance(q, TargetLabel):
-        return frozenset(e for e in g.edges if q.label in g.labels_of(e))
+        return frozenset(x for x in elements if q.label in g.labels_of(x))
     if isinstance(q, TargetKey):
-        return frozenset(e for e in g.edges if g.property_values(e, q.key))
+        return frozenset(x for x in elements if g.property_values(x, q.key))
     if isinstance(q, TargetKeyValue):
         return frozenset(
-            e for e in g.edges if q.value in g.property_values(e, q.key)
+            x for x in elements if q.value in g.property_values(x, q.key)
         )
     raise TypeError(f"cannot evaluate target {type(q).__name__} (desugar first)")
 

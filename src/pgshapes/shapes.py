@@ -10,7 +10,8 @@ equality, so structural comparison survives reformatting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 from .errors import KindMismatch, UnknownShapeName
 from .graph import EDGE, NODE
@@ -508,6 +509,30 @@ def is_sugar_free(c: Constraint) -> bool:
     return all(isinstance(sub, CORE_CONSTRAINTS) for sub in iter_constraints(c))
 
 
+def mentioned_names(core: Iterable[Shape]) -> tuple[set[str], set[str]]:
+    """The labels and the property keys that desugared shapes mention in
+    their targets, constraints and paths."""
+    labels: set[str] = set()
+    keys: set[str] = set()
+    for sh in core:
+        if isinstance(sh.target, TargetLabel):
+            labels.add(sh.target.label)
+        elif isinstance(sh.target, (TargetKey, TargetKeyValue)):
+            keys.add(sh.target.key)
+        for c in iter_constraints(sh.constraint):
+            if isinstance(c, HasLabel):
+                labels.add(c.label)
+            elif isinstance(c, QualKey):
+                keys.add(c.key)
+            elif isinstance(c, (PathKeyCmp, KeyCmp)):
+                keys.update((c.first_key, c.second_key))
+        for p in constraint_paths(sh.constraint):
+            labels.update(
+                q.name for q in iter_paths(p) if isinstance(q, EdgeLabel)
+            )
+    return labels, keys
+
+
 # ---------------------------------------------------------------------------
 # Shapes and shape sets
 
@@ -693,39 +718,63 @@ def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
 
 
 def _count_cyclic_components(references: dict[str, frozenset[str]]) -> int:
-    """Tarjan over the reference graph; count SCCs that contain a cycle."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    cycles = [0]
+    """Strongly connected reference components that contain a cycle: more
+    than one shape, or one shape that references itself."""
+    names = sorted(references)
+    index = {name: i for i, name in enumerate(names)}
+    succ = [[index[w] for w in references[v] if w in index] for v in names]
+    return sum(
+        1 for component in strongly_connected(succ)
+        if len(component) > 1 or component[0] in succ[component[0]]
+    )
 
-    def strongconnect(v: str):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+
+def strongly_connected(succ: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Tarjan's strongly connected components of the graph on vertices
+    0 .. len(succ) - 1 with an edge v -> w for every w in succ[v].
+
+    Components come in emit order: each one after every component it
+    reaches.  Roots are tried in ascending order and successors in the order
+    succ lists them.  The depth-first walk keeps its own stack, so a chain of
+    any length fits.
+    """
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    walk: list[tuple[int, Iterator[int]]] = []  # open vertices, next successor
+    visits = count()
+
+    def visit(v: int):
+        index[v] = low[v] = next(visits)
         stack.append(v)
-        on_stack.add(v)
-        for w in sorted(references.get(v, ())):
-            if w not in references:
-                continue
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            if len(component) > 1 or v in references.get(v, ()):
-                cycles[0] += 1
+        on_stack[v] = True
+        walk.append((v, iter(succ[v])))
 
-    for v in sorted(references):
-        if v not in index:
-            strongconnect(v)
-    return cycles[0]
+    for root in range(len(succ)):
+        if index[root] < 0:
+            visit(root)
+        while walk:
+            v, successors = walk[-1]
+            for w in successors:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import count, product
+from itertools import product
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceeded, TooLarge
@@ -44,7 +44,7 @@ from .semantics import (
     GroundInstance,
     TruthValue,
 )
-from .shapes import ShapeSet
+from .shapes import ShapeSet, strongly_connected
 
 VALUE_ORDER = (TRUE, FALSE, UNKNOWN)
 
@@ -86,49 +86,12 @@ class ValidationReport:
 
 
 def _dependency_order(deps: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Atom ids with dependencies before their dependents (Tarjan emit order),
-    canonical order inside a component and between ties.  The depth-first
-    walk keeps its own stack, so a dependency chain of any length fits."""
-    index = [-1] * len(deps)
-    low = [0] * len(deps)
-    on_stack = [False] * len(deps)
-    stack: list[int] = []
-    emitted: list[int] = []
-    walk: list[tuple[int, Iterator[int]]] = []  # open atoms, next dependency
-    visits = count()
-
-    def visit(v: int):
-        index[v] = low[v] = next(visits)
-        stack.append(v)
-        on_stack[v] = True
-        walk.append((v, iter(deps[v])))
-
-    for root in range(len(deps)):
-        if index[root] < 0:
-            visit(root)
-        while walk:
-            v, successors = walk[-1]
-            for w in successors:
-                if index[w] < 0:
-                    visit(w)
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                walk.pop()
-                if walk:
-                    parent = walk[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    emitted.extend(sorted(component))
-    return tuple(emitted)
+    """Atom ids with dependencies before their dependents: the strongly
+    connected components of the dependency graph in Tarjan's emit order,
+    canonical order inside each component."""
+    return tuple(
+        i for component in strongly_connected(deps) for i in sorted(component)
+    )
 
 
 class _Budget:

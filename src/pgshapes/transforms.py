@@ -6,6 +6,11 @@ fresh edge labels over materialized reachability edges), operator folding
 into fresh untargeted shapes), and single-target reduction (one fresh root
 shape targeting one fresh node stands in for every original target).
 
+verify_normalized checks that a shape set is in the normal form these
+rewrites produce and then applies the one evaluator, is_strictly_faithful;
+on a normalized set every constraint is a single operator over atomic
+operands, so each atom's check is one case of that evaluator.
+
 Two rules keep the rewrites honest.  Fresh names never collide with any
 name already in use, per namespace.  And whenever a transform adds edges to
 the graph, those edges carry a fresh marker label and every incoming or
@@ -19,17 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotNormalized, PathsPresent
-from .graph import EDGE, INCOMING, NODE, OUTGOING, PropertyGraph, build_graph
+from .graph import EDGE, NODE, PropertyGraph, build_graph
 from .printer import render_path
 from .semantics import (
     Assignment,
     Atom,
-    FaithfulnessChecker,
     FaithfulnessVerdict,
-    _counted,
-    _eval,
     eval_path,
-    target_elements,
+    is_strictly_faithful,
+    target_atoms,
 )
 from .shapes import (
     And,
@@ -37,14 +40,12 @@ from .shapes import (
     EdgeLabel,
     Exact,
     HasLabel,
-    KeyCmp,
     Not,
     Nothing,
     PathCmp,
     PathExpr,
     PathKeyCmp,
     QualIncoming,
-    QualKey,
     QualOutgoing,
     QualPath,
     Shape,
@@ -56,9 +57,11 @@ from .shapes import (
     TargetKeyValue,
     TargetLabel,
     Top,
+    _children,
     constraint_paths,
     is_sugar_free,
     link_shapes,
+    mentioned_names,
 )
 from .sugar import desugar_shapes
 
@@ -100,56 +103,11 @@ class _Fresh:
         return out
 
 
-def _mentioned_labels(shapes: ShapeSet) -> set[str]:
-    out: set[str] = set()
-    for sh in shapes:
-        if isinstance(sh.target, TargetLabel):
-            out.add(sh.target.label)
-        stack = [sh.constraint]
-        while stack:
-            c = stack.pop()
-            if isinstance(c, HasLabel):
-                out.add(c.label)
-            for p in _own_paths(c):
-                out.update(
-                    q.name for q in _iter_paths(p) if isinstance(q, EdgeLabel)
-                )
-            stack.extend(_operands(c))
-    return out
-
-
 def _graph_labels(g: PropertyGraph) -> set[str]:
     out: set[str] = set()
     for x in (*g.nodes, *g.edges):
         out.update(g.labels_of(x))
     return out
-
-
-def _iter_paths(p: PathExpr):
-    yield p
-    for child in getattr(p, "__dict__", {}).values():
-        if isinstance(child, PathExpr):
-            yield from _iter_paths(child)
-
-
-def _operands(c) -> tuple:
-    """Constraint children of a core constraint."""
-    if isinstance(c, (Not, Src, Dst, QualPath, QualIncoming, QualOutgoing)):
-        return (c.inner,)
-    if isinstance(c, And):
-        return (c.first, c.second)
-    return ()
-
-
-def _own_paths(c) -> tuple[PathExpr, ...]:
-    """Paths held directly by this constraint node."""
-    if isinstance(c, QualPath):
-        return (c.path,)
-    if isinstance(c, PathCmp):
-        return (c.first, c.second)
-    if isinstance(c, PathKeyCmp):
-        return (c.first_path, c.second_path)
-    return ()
 
 
 def _graph_parts(g: PropertyGraph):
@@ -246,7 +204,7 @@ def eliminate_paths(
     if not composite:
         return g, core, TransformTrace()
 
-    labels = _Fresh(_graph_labels(g) | _mentioned_labels(core))
+    labels = _Fresh(_graph_labels(g) | mentioned_names(core)[0])
     ids = _Fresh({*g.nodes, *g.edges})
     path_map = {p: labels.name("__p") for p in composite}
     marker = labels.name("__m")
@@ -282,7 +240,7 @@ def eliminate_paths(
 def _is_normal(c) -> bool:
     if isinstance(c, ATOMIC_CONSTRAINTS):
         return True
-    return all(isinstance(k, ATOMIC_CONSTRAINTS) for k in _operands(c))
+    return all(isinstance(k, ATOMIC_CONSTRAINTS) for k in _children(c))
 
 
 def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
@@ -362,24 +320,17 @@ def reduce_to_single_target(
     nothing; conformance is unchanged and hinges on the returned root atom.
     """
     core = desugar_shapes(shapes)
-    labels = _Fresh(_graph_labels(g) | _mentioned_labels(core))
+    labels = _Fresh(_graph_labels(g) | mentioned_names(core)[0])
     ids = _Fresh({*g.nodes, *g.edges})
     snames = _Fresh(core.names)
 
     n0 = ids.name("__n")
-    target_atoms = sorted(
-        (
-            Atom(sh.name, x, sh.kind)
-            for sh in core
-            for x in target_elements(g, sh)
-        ),
-        key=Atom.sort_key,
-    )
+    targets = target_atoms(g, core)
     new_edges = []
     conjuncts = []
     rows = []
-    marker = labels.name("__m") if target_atoms else None
-    for atom in target_atoms:
+    marker = labels.name("__m") if targets else None
+    for atom in targets:
         label = labels.name("__t")
         eid = ids.name("__e")
         if atom.kind == NODE:
@@ -401,11 +352,7 @@ def reduce_to_single_target(
         new_edges.append((eid, n0, reach, (label, marker)))
         rows.append((atom.shape, atom.element, eid, label))
 
-    root_constraint = Top()
-    for c in conjuncts:
-        root_constraint = c if isinstance(root_constraint, Top) else And(
-            root_constraint, c
-        )
+    root_constraint = _conjunction(conjuncts) if conjuncts else Top()
     root_name = snames.name("__s")
     rebuilt = [
         Shape(sh.name, sh.kind,
@@ -425,6 +372,14 @@ def reduce_to_single_target(
     return g2, link_shapes(rebuilt), Atom(root_name, n0, NODE), trace
 
 
+def _conjunction(conjuncts: list):
+    """A balanced And over a non-empty list, so depth grows with log n."""
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    half = len(conjuncts) // 2
+    return And(_conjunction(conjuncts[:half]), _conjunction(conjuncts[half:]))
+
+
 def normalize_instance(g: PropertyGraph, shapes: ShapeSet):
     """Pipeline: eliminate paths, fold operators, reduce to one target."""
     g1, s1, t1 = eliminate_paths(g, shapes)
@@ -434,7 +389,7 @@ def normalize_instance(g: PropertyGraph, shapes: ShapeSet):
 
 
 # ---------------------------------------------------------------------------
-# Flat verification of normalized instances
+# Verification of normalized instances
 
 
 def _check_normalized(shapes: ShapeSet):
@@ -462,60 +417,15 @@ def is_normalized(shapes: ShapeSet) -> bool:
     return True
 
 
-def _flat_atomic(g, sigma, x, c, kind, cache):
-    if not isinstance(c, ATOMIC_CONSTRAINTS):
-        raise NotNormalized(f"operand {type(c).__name__} is not atomic")
-    return _eval(g, sigma, x, c, kind, cache)
-
-
-def _flat_eval(g, sigma, x, c, kind, cache):
-    """Single-case evaluation: never recurses through an operator chain."""
-    if isinstance(c, (*ATOMIC_CONSTRAINTS, QualKey, KeyCmp, PathCmp, PathKeyCmp)):
-        return _eval(g, sigma, x, c, kind, cache)
-    if isinstance(c, Not):
-        return _flat_atomic(g, sigma, x, c.inner, kind, cache).negate()
-    if isinstance(c, And):
-        return min(
-            _flat_atomic(g, sigma, x, c.first, kind, cache),
-            _flat_atomic(g, sigma, x, c.second, kind, cache),
-        )
-    if isinstance(c, QualPath):
-        reached = sorted(eval_path(g, x, c.path, cache))
-        vals = [_flat_atomic(g, sigma, m, c.inner, NODE, cache) for m in reached]
-        return _counted(c.count, vals, len(reached))
-    if isinstance(c, QualIncoming):
-        pool = g.adjacent_edges(x, INCOMING)
-        vals = [_flat_atomic(g, sigma, e, c.inner, EDGE, cache) for e, _ in pool]
-        return _counted(c.count, vals, len(pool))
-    if isinstance(c, QualOutgoing):
-        pool = g.adjacent_edges(x, OUTGOING)
-        vals = [_flat_atomic(g, sigma, e, c.inner, EDGE, cache) for e, _ in pool]
-        return _counted(c.count, vals, len(pool))
-    if isinstance(c, Src):
-        return _flat_atomic(g, sigma, g.endpoints(x)[0], c.inner, NODE, cache)
-    if isinstance(c, Dst):
-        return _flat_atomic(g, sigma, g.endpoints(x)[1], c.inner, NODE, cache)
-    raise NotNormalized(f"cannot flat-evaluate {type(c).__name__}")
-
-
-class _FlatChecker(FaithfulnessChecker):
-    def evaluate(self, sigma, atom):
-        shape = self.shapes.get(atom.shape)
-        return _flat_eval(
-            self.graph, sigma, atom.element, shape.constraint, shape.kind,
-            self._path_cache,
-        )
-
-
 def verify_normalized(
     g: PropertyGraph, shapes: ShapeSet, sigma: Assignment
 ) -> FaithfulnessVerdict:
-    """Strict-faithfulness verdict using only per-case checks.
+    """The strict-faithfulness verdict of a normalized instance.
 
-    Requires a normalized shape set (label-only paths, one operator per
-    constraint); agrees with is_strictly_faithful wherever both apply.
+    Checks that the shape set is normalized (label-only paths, sugar-free,
+    one operator over atomic operands, plain targets), then evaluates it
+    with is_strictly_faithful: on such a set each constraint is one case of
+    the evaluator over atomic operands, so no check recurses further.
     """
     _check_normalized(shapes)
-    checker = _FlatChecker(g, shapes)
-    checker.check_domain(sigma)
-    return checker.verdict(sigma)
+    return is_strictly_faithful(g, shapes, sigma)

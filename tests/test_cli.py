@@ -183,6 +183,28 @@ def test_check_syntax_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_check_syntax_error_names_line_and_column(capsys, tmp_path):
+    progs = tmp_path / "shapes.progs"
+    progs.write_text("NODE a [] { true };\nNODE b [] { (a & true };\n")
+    assert run(capsys, "check", str(progs)) == (
+        2, "", "error: line 2, column 23: expected ')', found '}'\n"
+    )
+
+
+def test_check_long_reference_chain(capsys, tmp_path):
+    # Each shape references the next; the cycle count walks the whole chain.
+    chain = [f"NODE s{i} [] {{ s{i + 1} }};\n" for i in range(1199)]
+    open_text = "".join(chain) + "NODE s1199 [] { true };\n"
+    closed_text = "".join(chain) + "NODE s1199 [] { s0 };\n"
+    assert parse_shapes(open_text).cycle_count == 0
+    assert parse_shapes(closed_text).cycle_count == 1
+    progs = tmp_path / "chain.progs"
+    progs.write_text(open_text)
+    assert run(capsys, "check", str(progs)) == (0, "1200 shapes, 0 cycles\n", "")
+    progs.write_text(closed_text)
+    assert run(capsys, "check", str(progs)) == (0, "1200 shapes, 1 cycle\n", "")
+
+
 def test_export_asp_writes_file(capsys, tmp_path, office_json):
     progs = tmp_path / "s1.progs"
     progs.write_text(S1_LINE + "\n")
@@ -272,8 +294,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_deep_nesting_is_a_syntax_error(capsys, tmp_path, office_json):
+    prefix = "NODE s [:Person] { "
     progs = tmp_path / "deep.progs"
-    progs.write_text("NODE s [:Person] { " + "! " * 1000 + ":Person };\n")
+    progs.write_text(prefix + "! " * 1000 + ":Person };\n")
+    # The first `!` past the limit, two characters per level, 1-based.
+    column = len(prefix) + 2 * MAX_NESTING + 1
     for argv in (
         ("check", str(progs)),
         ("validate", office_json, str(progs)),
@@ -281,7 +306,10 @@ def test_deep_nesting_is_a_syntax_error(capsys, tmp_path, office_json):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: nesting deeper than {MAX_NESTING} levels\n"
+        assert err == (
+            f"error: line 1, column {column}: "
+            f"nesting deeper than {MAX_NESTING} levels\n"
+        )
 
 
 def test_nesting_limit_names_the_crossing_token():

@@ -25,6 +25,7 @@ from pgshapes.semantics import (
 from pgshapes.shapes import Shape, ShapeSet, link_shapes
 from pgshapes.solver import SolverConfig, find_faithful_assignment
 from pgshapes.sugar import desugar_shapes
+from pgshapes.transforms import normalize_instance
 
 from oracle import HALF, ref_eval, sigma_from_assignment
 from randgen import NODE_LABELS, gen_constraint, gen_graph, gen_shapes
@@ -308,3 +309,32 @@ def test_unreferenced_additions_keep_verdict_and_witness():
                 )
             else:
                 assert other.violated_targets == report.violated_targets
+
+
+def test_normalizing_keeps_the_verdict_far_above_the_oracle_cap():
+    # Pairs where either side exhausts the budget decide nothing; they are
+    # counted, not dropped silently, and enough pairs must still decide.
+    rng = random.Random(7314)
+    deep_budget = dataclasses.replace(BUDGET, atom_order="dependency")
+    verdicts = []
+    exhausted = 0
+    for round_ in range(40):
+        g, sugared = recursive_instance(rng, sugar=round_ % 2 == 1)
+        shapes = desugar_shapes(sugared)
+        if not 100 <= len(FaithfulnessChecker(g, shapes).atoms) <= 300:
+            continue
+        report = decided(g, shapes)
+        g2, shapes2, root, _ = normalize_instance(g, sugared)
+        try:
+            normalized = find_faithful_assignment(g2, shapes2, deep_budget)
+        except BudgetExceeded:
+            normalized = None
+        if report is None or normalized is None:
+            exhausted += 1
+            continue
+        assert normalized.conforms == report.conforms
+        if normalized.conforms:
+            assert normalized.witness[root] is TRUE
+        verdicts.append(report.conforms)
+    assert len(verdicts) >= 20, f"{len(verdicts)} decided, {exhausted} exhausted"
+    assert set(verdicts) == {True, False}

@@ -313,6 +313,23 @@ def test_reduce_exactly_one_target_random():
         done += 1
 
 
+def test_normalize_many_targets_builds_a_balanced_root():
+    # A left-deep chain of 1,200 conjuncts would overflow the recursion
+    # limit in the passes that walk the root constraint.
+    people = [f"p{i}" for i in range(1200)]
+    g = build_graph(people, labelings={n: ["Person"] for n in people})
+    shapes = link_shapes([Shape("t", NODE, HasLabel("Person"), TargetLabel("Person"))])
+    g2, s2, root, traces = normalize_instance(g, shapes)
+    assert len(traces[2].target_edges) == 1200
+
+    def and_depth(c):
+        if not isinstance(c, And):
+            return 0
+        return 1 + max(and_depth(c.first), and_depth(c.second))
+
+    assert and_depth(s2.get(root.shape).constraint) <= 12
+
+
 def test_normalize_instance_pipeline_random():
     rng = random.Random(5104)
     done = 0
