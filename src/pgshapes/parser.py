@@ -68,9 +68,8 @@ from .shapes import (
     TypeIs,
     ValuePredicate,
     KeyCmp,
-    link_shapes,
 )
-from .sugar import desugar_constraint, desugar_targets
+from .sugar import desugar_shapes
 from .values import (
     DateValue,
     EQ,
@@ -603,13 +602,4 @@ def parse_shape_document(text: str) -> tuple[Shape, ...]:
 
 def parse_shapes(text: str) -> ShapeSet:
     """Parse .progs text into a desugared, linked shape set."""
-    parsed = parse_shape_document(text)
-    flattened: list[Shape] = []
-    for shape in parsed:
-        flattened.extend(desugar_targets(shape))
-    cored = [
-        Shape(s.name, s.kind, desugar_constraint(s.constraint), s.target,
-              span=s.span)
-        for s in flattened
-    ]
-    return link_shapes(cored)
+    return desugar_shapes(parse_shape_document(text))

@@ -5,13 +5,23 @@ Node and edge constraints share one class hierarchy; which forms are legal
 where is a linking check (see link_shapes), keyed off the owning shape's
 kind.  Source spans ride along on every node but never participate in
 equality, so structural comparison survives reformatting.
+
+The tree structure is read off each class's declared field types, so a
+walk never lists classes: a field typed `Constraint` is an operand, a field
+typed `PathExpr` is a path (a sub-path inside a path expression), and any
+other field is data.  A form that moves evaluation from one kind of element
+to the other says so in its `operand_kind` (edges for the incoming and
+outgoing forms, nodes for src and dst); a form that holds a path evaluates
+its operand at nodes.  iter_constraints, iter_paths, constraint_paths,
+map_children, rewrite and child_kind are built on that rule alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from itertools import count
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import KindMismatch, UnknownShapeName
 from .graph import EDGE, NODE
@@ -78,14 +88,27 @@ class Opt(PathExpr):
     inner: PathExpr
 
 
+@cache
+def _typed_fields(cls: type, type_name: str) -> tuple[str, ...]:
+    """The fields of cls declared with type `type_name`, in order."""
+    return tuple(f.name for f in fields(cls) if f.type == type_name)
+
+
+def _walk(root, type_name: str) -> Iterator:
+    """Pre-order, first field first, through the fields typed `type_name`;
+    an explicit stack, so a chain of any length fits."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        names = _typed_fields(type(node), type_name)
+        if names:
+            stack.extend(map(node.__getattribute__, reversed(names)))
+
+
 def iter_paths(p: PathExpr) -> Iterator[PathExpr]:
     """Pre-order walk over a path expression."""
-    yield p
-    if isinstance(p, (Inverse, Star, Plus, Opt)):
-        yield from iter_paths(p.inner)
-    elif isinstance(p, (Seq, Alt)):
-        yield from iter_paths(p.first)
-        yield from iter_paths(p.second)
+    return _walk(p, "PathExpr")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +213,9 @@ class TargetOr(Target):
 @dataclass(frozen=True)
 class Constraint:
     span: Span | None = _span_field()
+    # The kind of element the operands are evaluated at, for the forms that
+    # move from one kind to the other; None keeps the context's kind.
+    operand_kind: ClassVar[str | None] = None
 
 
 @dataclass(frozen=True)
@@ -238,12 +264,14 @@ class QualPath(Constraint):
 class QualIncoming(Constraint):
     """At least `count` incoming edges satisfy `inner` (edges counted)."""
 
+    operand_kind = EDGE
     count: int
     inner: Constraint
 
 
 @dataclass(frozen=True)
 class QualOutgoing(Constraint):
+    operand_kind = EDGE
     count: int
     inner: Constraint
 
@@ -302,6 +330,7 @@ class KeyCmp(Constraint):
 class Src(Constraint):
     """The edge's source node satisfies `inner`."""
 
+    operand_kind = NODE
     inner: Constraint
 
 
@@ -309,6 +338,7 @@ class Src(Constraint):
 class Dst(Constraint):
     """The edge's destination node satisfies `inner`."""
 
+    operand_kind = NODE
     inner: Constraint
 
 
@@ -335,12 +365,14 @@ class AtMostPath(Constraint):
 
 @dataclass(frozen=True)
 class AtMostIncoming(Constraint):
+    operand_kind = EDGE
     count: int
     inner: Constraint
 
 
 @dataclass(frozen=True)
 class AtMostOutgoing(Constraint):
+    operand_kind = EDGE
     count: int
     inner: Constraint
 
@@ -361,12 +393,14 @@ class ExactlyPath(Constraint):
 
 @dataclass(frozen=True)
 class ExactlyIncoming(Constraint):
+    operand_kind = EDGE
     count: int
     inner: Constraint
 
 
 @dataclass(frozen=True)
 class ExactlyOutgoing(Constraint):
+    operand_kind = EDGE
     count: int
     inner: Constraint
 
@@ -386,11 +420,13 @@ class ExistsPath(Constraint):
 
 @dataclass(frozen=True)
 class ExistsIncoming(Constraint):
+    operand_kind = EDGE
     inner: Constraint
 
 
 @dataclass(frozen=True)
 class ExistsOutgoing(Constraint):
+    operand_kind = EDGE
     inner: Constraint
 
 
@@ -408,11 +444,13 @@ class ForallPath(Constraint):
 
 @dataclass(frozen=True)
 class ForallIncoming(Constraint):
+    operand_kind = EDGE
     inner: Constraint
 
 
 @dataclass(frozen=True)
 class ForallOutgoing(Constraint):
+    operand_kind = EDGE
     inner: Constraint
 
 
@@ -440,57 +478,61 @@ CORE_CONSTRAINTS = (
     Dst,
 )
 
-# Operator forms for normalization purposes.  Everything else is a leaf.
-OPERATOR_CONSTRAINTS = (Not, And, QualPath, QualIncoming, QualOutgoing, Src, Dst)
-
 
 def iter_constraints(c: Constraint) -> Iterator[Constraint]:
     """Pre-order walk over a constraint tree (core forms and sugar)."""
-    yield c
-    for child in _children(c):
-        yield from iter_constraints(child)
+    return _walk(c, "Constraint")
 
 
 def _children(c: Constraint) -> tuple[Constraint, ...]:
-    if isinstance(c, (Not, Src, Dst)):
-        return (c.inner,)
-    if isinstance(c, (And, Or)):
-        return (c.first, c.second)
-    if isinstance(
-        c,
-        (
-            QualPath,
-            QualIncoming,
-            QualOutgoing,
-            AtMostPath,
-            AtMostIncoming,
-            AtMostOutgoing,
-            ExactlyPath,
-            ExactlyIncoming,
-            ExactlyOutgoing,
-            ExistsPath,
-            ExistsIncoming,
-            ExistsOutgoing,
-            ForallPath,
-            ForallIncoming,
-            ForallOutgoing,
-        ),
-    ):
-        return (c.inner,)
-    return ()
+    return tuple(map(c.__getattribute__, _typed_fields(type(c), "Constraint")))
 
 
 def constraint_paths(c: Constraint) -> Iterator[PathExpr]:
     """All path expressions syntactically inside a constraint."""
     for sub in iter_constraints(c):
-        if isinstance(sub, (QualPath, AtMostPath, ExactlyPath, ExistsPath, ForallPath)):
-            yield sub.path
-        elif isinstance(sub, PathCmp):
-            yield sub.first
-            yield sub.second
-        elif isinstance(sub, PathKeyCmp):
-            yield sub.first_path
-            yield sub.second_path
+        for name in _typed_fields(type(sub), "PathExpr"):
+            yield getattr(sub, name)
+
+
+def map_children(c: Constraint, f: Callable, field_type: str = "Constraint"):
+    """c rebuilt with f applied to each operand (each field typed
+    `field_type`); c itself when f returns every one unchanged."""
+    changed = {}
+    for name in _typed_fields(type(c), field_type):
+        old = getattr(c, name)
+        new = f(old)
+        if new is not old:
+            changed[name] = new
+    return replace(c, **changed) if changed else c
+
+
+def map_paths(c: Constraint, f: Callable[[PathExpr], PathExpr]) -> Constraint:
+    """c rebuilt with f applied to each path it holds directly."""
+    return map_children(c, f, "PathExpr")
+
+
+def rewrite(c: Constraint, rule: Callable[[Constraint], Constraint]) -> Constraint:
+    """c rebuilt bottom-up: each node's operands are rewritten first, then
+    rule maps the node with its new operands (map_children).  Reverse
+    pre-order puts every node after its operands, so no recursion is
+    needed and a chain of any length fits."""
+    done: dict[int, Constraint] = {}
+
+    def rewritten(k: Constraint) -> Constraint:
+        return done[id(k)]
+
+    for node in reversed(list(iter_constraints(c))):
+        done[id(node)] = rule(map_children(node, rewritten))
+    return done[id(c)]
+
+
+def child_kind(c: Constraint, kind: str) -> str:
+    """The kind of element c's operands are evaluated at, when c itself is
+    evaluated at an element of `kind`."""
+    if c.operand_kind is not None:
+        return c.operand_kind
+    return NODE if _typed_fields(type(c), "PathExpr") else kind
 
 
 def constraint_references(c: Constraint) -> frozenset[str]:
@@ -500,8 +542,10 @@ def constraint_references(c: Constraint) -> frozenset[str]:
 
 
 def operator_count(c: Constraint) -> int:
+    """The core forms in c that have operands."""
     return sum(
-        1 for sub in iter_constraints(c) if isinstance(sub, OPERATOR_CONSTRAINTS)
+        1 for sub in iter_constraints(c)
+        if isinstance(sub, CORE_CONSTRAINTS) and _children(sub)
     )
 
 
@@ -619,87 +663,39 @@ class ShapeSet:
         return f"ShapeSet({', '.join(self.names)})"
 
 
-def _check_kinds(shape: Shape, c: Constraint, ctx: str, by_name: dict[str, Shape]):
-    node_only = (
-        QualPath,
-        QualIncoming,
-        QualOutgoing,
-        PathCmp,
-        PathKeyCmp,
-        AtMostPath,
-        AtMostIncoming,
-        AtMostOutgoing,
-        ExactlyPath,
-        ExactlyIncoming,
-        ExactlyOutgoing,
-        ExistsPath,
-        ExistsIncoming,
-        ExistsOutgoing,
-        ForallPath,
-        ForallIncoming,
-        ForallOutgoing,
-    )
-    edge_only = (Src, Dst)
-    if isinstance(c, node_only) and ctx != NODE:
-        raise KindMismatch(
-            f"shape {shape.name!r}: {type(c).__name__} in an edge constraint"
-        )
-    if isinstance(c, edge_only) and ctx != EDGE:
-        raise KindMismatch(
-            f"shape {shape.name!r}: {type(c).__name__} in a node constraint"
-        )
-    if isinstance(c, ShapeRef):
-        ref = by_name.get(c.name)
-        if ref is None:
-            raise UnknownShapeName(
-                f"shape {shape.name!r} references unknown shape {c.name!r}"
-            )
-        if ref.kind != ctx:
+def _check_kinds(shape: Shape, by_name: dict[str, Shape]):
+    """Node-only forms (those that hold a path or count edges) sit at
+    nodes, src and dst at edges, each reference names a shape of its
+    position's kind, and no count is negative."""
+    stack = [(shape.constraint, shape.kind)]
+    while stack:
+        c, ctx = stack.pop()
+        # A form that moves its operands to one kind starts from the other;
+        # a path runs between nodes.
+        if c.operand_kind == ctx or (
+            ctx == EDGE and _typed_fields(type(c), "PathExpr")
+        ):
+            where = "an edge" if ctx == EDGE else "a node"
             raise KindMismatch(
-                f"shape {shape.name!r} references {ref.kind} shape {c.name!r} "
-                f"in a {ctx} position"
+                f"shape {shape.name!r}: {type(c).__name__} in {where} constraint"
             )
-    counted = (
-        QualPath,
-        QualIncoming,
-        QualOutgoing,
-        QualKey,
-        AtMostPath,
-        AtMostIncoming,
-        AtMostOutgoing,
-        AtMostKey,
-        ExactlyPath,
-        ExactlyIncoming,
-        ExactlyOutgoing,
-        ExactlyKey,
-    )
-    if isinstance(c, counted) and c.count < 0:
-        raise ValueError(f"shape {shape.name!r}: negative count {c.count}")
-
-    # Incoming/outgoing restrictions carry edge constraints; endpoint
-    # restrictions carry node constraints; everything else keeps its context.
-    if isinstance(
-        c,
-        (
-            QualIncoming,
-            QualOutgoing,
-            AtMostIncoming,
-            AtMostOutgoing,
-            ExactlyIncoming,
-            ExactlyOutgoing,
-            ExistsIncoming,
-            ExistsOutgoing,
-            ForallIncoming,
-            ForallOutgoing,
-        ),
-    ):
-        child_ctx = EDGE
-    elif isinstance(c, (Src, Dst)):
-        child_ctx = NODE
-    else:
-        child_ctx = ctx
-    for child in _children(c):
-        _check_kinds(shape, child, child_ctx, by_name)
+        if isinstance(c, ShapeRef):
+            ref = by_name.get(c.name)
+            if ref is None:
+                raise UnknownShapeName(
+                    f"shape {shape.name!r} references unknown shape {c.name!r}"
+                )
+            if ref.kind != ctx:
+                raise KindMismatch(
+                    f"shape {shape.name!r} references {ref.kind} shape {c.name!r} "
+                    f"in a {ctx} position"
+                )
+        if vars(c).get("count", 0) < 0:
+            raise ValueError(f"shape {shape.name!r}: negative count {c.count}")
+        operands = _children(c)
+        if operands:
+            inner = child_kind(c, ctx)
+            stack.extend([(k, inner) for k in reversed(operands)])
 
 
 def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
@@ -708,7 +704,7 @@ def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
     by_name = {s.name: s for s in result}
     references: dict[str, frozenset[str]] = {}
     for s in result:
-        _check_kinds(s, s.constraint, s.kind, by_name)
+        _check_kinds(s, by_name)
         references[s.name] = constraint_references(s.constraint)
     linked = ShapeSet(result.shapes)
     linked._linked = True

@@ -19,8 +19,7 @@ Soundness of the pinning shortcuts:
  - the least fixed point of the evaluation equations bounds every solution
    from below in the knowledge order, so an atom decided there carries that
    value in every solution, and an undecided target can only come true in
-   some solution, never in the fixed point itself (search only, unless
-   use_fixed_point is off).
+   some solution, never in the fixed point itself (search only).
 Pinned atoms take forced values, so the set of faithful assignments and
 their lexicographic order are unchanged.
 """
@@ -28,7 +27,7 @@ their lexicographic order are unchanged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
@@ -54,8 +53,6 @@ class SolverConfig:
     atom_order: str = "default"        # "default" (canonical) or "dependency"
     max_atoms: int = 12                # brute-force size cap
     max_branches: int | None = None
-    time_budget: float | None = None   # seconds
-    use_fixed_point: bool = True       # pin atoms the fixed point decides
 
     def __post_init__(self):
         if self.atom_order not in ("default", "dependency"):
@@ -107,15 +104,6 @@ class _Budget:
             raise BudgetExceeded(
                 f"branch limit {limit} exhausted", stats=self.stats
             )
-        if (
-            self.config.time_budget is not None
-            and self.stats.branches % 64 == 0
-            and time.monotonic() - self.started > self.config.time_budget
-        ):
-            raise BudgetExceeded(
-                f"time budget {self.config.time_budget}s exhausted",
-                stats=self.stats,
-            )
 
     def finish(self):
         self.stats.elapsed = time.monotonic() - self.started
@@ -127,7 +115,6 @@ class _Instance:
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet, config: SolverConfig):
         self.ground = GroundInstance(g, shapes)
-        self.config = config
         self.atoms = self.ground.atoms
         self.targets = self.ground.targets
         if config.atom_order == "dependency":
@@ -137,12 +124,15 @@ class _Instance:
         self.lfp = self.ground.least_fixed_point()
         self.fixed_point = Assignment(dict(zip(self.atoms, self.lfp)))
 
-    def pinned_values(self) -> tuple[dict[int, TruthValue], bool]:
+    def pinned_values(
+        self, use_fixed_point: bool = True
+    ) -> tuple[dict[int, TruthValue], bool]:
         """Forced values by atom id (targets and fixed-point decisions), and
-        whether the fixed point refutes a target."""
+        whether the fixed point refutes a target.  Without use_fixed_point
+        only atoms whose equation reads no atom are forced."""
         pinned = dict.fromkeys(self.targets, TRUE)
         refuted = False
-        if self.config.use_fixed_point:
+        if use_fixed_point:
             forced = enumerate(self.lfp)
         else:
             # Assignment-independent atoms are still forced to their value.
@@ -356,8 +346,8 @@ def brute_force_conformance(
         raise TooLarge(
             f"{len(ordered)} atoms exceed the brute-force cap {config.max_atoms}"
         )
-    inst = _Instance(g, shapes, replace(config, use_fixed_point=False))
-    pinned, refuted = inst.pinned_values()
+    inst = _Instance(g, shapes, config)
+    pinned, refuted = inst.pinned_values(use_fixed_point=False)
     stats.pinned = len(pinned)
     witness = None
     if not refuted:

@@ -2,8 +2,9 @@
 
 Constraint sugar reduces to negation, conjunction, and at-least counting;
 target combinators reduce to plain targets plus constraint surgery or
-utility shapes.  Desugaring is idempotent: core input comes back unchanged
-(up to reconstruction).
+utility shapes.  Constraint desugaring rewrites operands first and then
+the form itself, so idempotence is identity: a sugar-free constraint comes
+back as the very same object.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .shapes import (
     AtMostPath,
     Bottom,
     Cmp,
+    CORE_CONSTRAINTS,
     Constraint,
-    Dst,
     ExactlyIncoming,
     ExactlyKey,
     ExactlyOutgoing,
@@ -45,7 +46,6 @@ from .shapes import (
     Shape,
     ShapeRef,
     ShapeSet,
-    Src,
     Target,
     TargetAnd,
     TargetExact,
@@ -55,41 +55,44 @@ from .shapes import (
     TargetOr,
     Top,
     link_shapes,
+    rewrite,
 )
 from .values import EQ
 
 
 def desugar_constraint(c: Constraint) -> Constraint:
     """Rewrite every sugared form into core connectives."""
+    return rewrite(c, _desugar_form)
+
+
+def _desugar_form(c: Constraint) -> Constraint:
+    """One sugared form in core connectives; its operands are core already."""
+    if isinstance(c, CORE_CONSTRAINTS):
+        return c
     if isinstance(c, Bottom):
         return Not(Top())
     if isinstance(c, Or):
-        return Not(
-            And(Not(desugar_constraint(c.first)), Not(desugar_constraint(c.second)))
-        )
+        return Not(And(Not(c.first), Not(c.second)))
     if isinstance(c, AtMostPath):
-        return Not(QualPath(c.count + 1, c.path, desugar_constraint(c.inner)))
+        return Not(QualPath(c.count + 1, c.path, c.inner))
     if isinstance(c, AtMostIncoming):
-        return Not(QualIncoming(c.count + 1, desugar_constraint(c.inner)))
+        return Not(QualIncoming(c.count + 1, c.inner))
     if isinstance(c, AtMostOutgoing):
-        return Not(QualOutgoing(c.count + 1, desugar_constraint(c.inner)))
+        return Not(QualOutgoing(c.count + 1, c.inner))
     if isinstance(c, AtMostKey):
         return Not(QualKey(c.count + 1, c.key, c.predicate))
     if isinstance(c, ExactlyPath):
-        inner = desugar_constraint(c.inner)
         return And(
-            QualPath(c.count, c.path, inner),
-            Not(QualPath(c.count + 1, c.path, inner)),
+            QualPath(c.count, c.path, c.inner),
+            Not(QualPath(c.count + 1, c.path, c.inner)),
         )
     if isinstance(c, ExactlyIncoming):
-        inner = desugar_constraint(c.inner)
         return And(
-            QualIncoming(c.count, inner), Not(QualIncoming(c.count + 1, inner))
+            QualIncoming(c.count, c.inner), Not(QualIncoming(c.count + 1, c.inner))
         )
     if isinstance(c, ExactlyOutgoing):
-        inner = desugar_constraint(c.inner)
         return And(
-            QualOutgoing(c.count, inner), Not(QualOutgoing(c.count + 1, inner))
+            QualOutgoing(c.count, c.inner), Not(QualOutgoing(c.count + 1, c.inner))
         )
     if isinstance(c, ExactlyKey):
         return And(
@@ -97,37 +100,22 @@ def desugar_constraint(c: Constraint) -> Constraint:
             Not(QualKey(c.count + 1, c.key, c.predicate)),
         )
     if isinstance(c, ExistsPath):
-        return QualPath(1, c.path, desugar_constraint(c.inner))
+        return QualPath(1, c.path, c.inner)
     if isinstance(c, ExistsIncoming):
-        return QualIncoming(1, desugar_constraint(c.inner))
+        return QualIncoming(1, c.inner)
     if isinstance(c, ExistsOutgoing):
-        return QualOutgoing(1, desugar_constraint(c.inner))
+        return QualOutgoing(1, c.inner)
     if isinstance(c, ExistsKey):
         return QualKey(1, c.key, c.predicate)
     # Universal restriction: no witness against the body.
     if isinstance(c, ForallPath):
-        return Not(QualPath(1, c.path, Not(desugar_constraint(c.inner))))
+        return Not(QualPath(1, c.path, Not(c.inner)))
     if isinstance(c, ForallIncoming):
-        return Not(QualIncoming(1, Not(desugar_constraint(c.inner))))
+        return Not(QualIncoming(1, Not(c.inner)))
     if isinstance(c, ForallOutgoing):
-        return Not(QualOutgoing(1, Not(desugar_constraint(c.inner))))
+        return Not(QualOutgoing(1, Not(c.inner)))
     if isinstance(c, ForallKey):
         return Not(QualKey(1, c.key, PredNot(c.predicate)))
-
-    if isinstance(c, Not):
-        return Not(desugar_constraint(c.inner))
-    if isinstance(c, And):
-        return And(desugar_constraint(c.first), desugar_constraint(c.second))
-    if isinstance(c, QualPath):
-        return QualPath(c.count, c.path, desugar_constraint(c.inner))
-    if isinstance(c, QualIncoming):
-        return QualIncoming(c.count, desugar_constraint(c.inner))
-    if isinstance(c, QualOutgoing):
-        return QualOutgoing(c.count, desugar_constraint(c.inner))
-    if isinstance(c, Src):
-        return Src(desugar_constraint(c.inner))
-    if isinstance(c, Dst):
-        return Dst(desugar_constraint(c.inner))
     return c
 
 

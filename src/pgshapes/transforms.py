@@ -22,6 +22,7 @@ counts and flip verdicts on shapes that bound them from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import NotNormalized, PathsPresent
 from .graph import EDGE, NODE, PropertyGraph, build_graph
@@ -36,32 +37,31 @@ from .semantics import (
 )
 from .shapes import (
     And,
-    Dst,
     EdgeLabel,
     Exact,
     HasLabel,
     Not,
     Nothing,
-    PathCmp,
     PathExpr,
-    PathKeyCmp,
-    QualIncoming,
     QualOutgoing,
     QualPath,
     Shape,
     ShapeRef,
     ShapeSet,
-    Src,
     TargetExact,
     TargetKey,
     TargetKeyValue,
     TargetLabel,
     Top,
     _children,
+    child_kind,
     constraint_paths,
     is_sugar_free,
     link_shapes,
+    map_children,
+    map_paths,
     mentioned_names,
+    rewrite,
 )
 from .sugar import desugar_shapes
 
@@ -144,41 +144,19 @@ def _rewrite(c, path_map, marker):
     """Swap composite paths for their labels; guard edge-counting bodies."""
 
     def swap(p: PathExpr) -> PathExpr:
-        if isinstance(p, EdgeLabel) or p not in path_map:
-            return p
-        return EdgeLabel(path_map[p])
+        return EdgeLabel(path_map[p]) if p in path_map else p
 
-    def walk(c):
-        if isinstance(c, Not):
-            return Not(walk(c.inner))
-        if isinstance(c, And):
-            return And(walk(c.first), walk(c.second))
-        if isinstance(c, Src):
-            return Src(walk(c.inner))
-        if isinstance(c, Dst):
-            return Dst(walk(c.inner))
-        if isinstance(c, QualPath):
-            return QualPath(c.count, swap(c.path), walk(c.inner))
-        if isinstance(c, QualIncoming):
-            return QualIncoming(c.count, _guard(walk(c.inner), marker))
-        if isinstance(c, QualOutgoing):
-            return QualOutgoing(c.count, _guard(walk(c.inner), marker))
-        if isinstance(c, PathCmp):
-            return PathCmp(c.op, swap(c.first), swap(c.second))
-        if isinstance(c, PathKeyCmp):
-            return PathKeyCmp(
-                c.op, swap(c.first_path), c.first_key,
-                swap(c.second_path), c.second_key,
-            )
+    def guard(body):
+        return And(body, Not(HasLabel(marker)))
+
+    def step(c):
+        if path_map:
+            c = map_paths(c, swap)
+        if marker is not None and c.operand_kind == EDGE:
+            c = map_children(c, guard)
         return c
 
-    return walk(c)
-
-
-def _guard(body, marker):
-    if marker is None:
-        return body
-    return And(body, Not(HasLabel(marker)))
+    return rewrite(c, step)
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +240,21 @@ def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
     fresh: list[Shape] = []
     sources: list[tuple[str, str]] = []
 
-    def extract(c, kind: str, origin: str) -> ShapeRef:
+    def extract(kind: str, origin: str, c) -> ShapeRef:
         name = names.name("__f")
         sources.append((name, origin))
-        body = c if _is_normal(c) else flatten(c, kind, origin)
-        fresh.append(Shape(name, kind, body, Nothing()))
+        if not _is_normal(c):
+            c = map_children(c, partial(extract, child_kind(c, kind), origin))
+        fresh.append(Shape(name, kind, c, Nothing()))
         return ShapeRef(name)
-
-    def flatten(c, kind: str, origin: str):
-        # One level of the constraint stays; operands leave, even atomic
-        # ones, so the result depends only on the top operator.
-        if isinstance(c, Not):
-            return Not(extract(c.inner, kind, origin))
-        if isinstance(c, And):
-            return And(
-                extract(c.first, kind, origin),
-                extract(c.second, kind, origin),
-            )
-        if isinstance(c, QualPath):
-            return QualPath(c.count, c.path, extract(c.inner, NODE, origin))
-        if isinstance(c, QualIncoming):
-            return QualIncoming(c.count, extract(c.inner, EDGE, origin))
-        if isinstance(c, QualOutgoing):
-            return QualOutgoing(c.count, extract(c.inner, EDGE, origin))
-        if isinstance(c, Src):
-            return Src(extract(c.inner, NODE, origin))
-        if isinstance(c, Dst):
-            return Dst(extract(c.inner, NODE, origin))
-        raise AssertionError(f"operand-free form {type(c).__name__}")
 
     rebuilt = []
     for sh in core:
         c = sh.constraint
+        # One level of the constraint stays; operands leave, even atomic
+        # ones, so the result depends only on the top operator.
         if not _is_normal(c):
-            c = flatten(c, sh.kind, sh.name)
+            c = map_children(c, partial(extract, child_kind(c, sh.kind), sh.name))
         rebuilt.append(Shape(sh.name, sh.kind, c, sh.target, span=sh.span))
     trace = TransformTrace(
         fresh_shapes=tuple(name for name, _ in sources),

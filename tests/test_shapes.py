@@ -126,6 +126,115 @@ def test_link_rejects_negative_counts():
     link_shapes([node_shape("n", S.QualKey(0, "k", S.AnyValue()))])
 
 
+P = S.EdgeLabel("r")
+NODE_ONLY = (
+    "QualPath", "QualIncoming", "QualOutgoing", "PathCmp", "PathKeyCmp",
+    "AtMostPath", "AtMostIncoming", "AtMostOutgoing",
+    "ExactlyPath", "ExactlyIncoming", "ExactlyOutgoing",
+    "ExistsPath", "ExistsIncoming", "ExistsOutgoing",
+    "ForallPath", "ForallIncoming", "ForallOutgoing",
+)
+EDGE_ONLY = ("Src", "Dst")
+EDGE_BODIED = tuple(
+    name for name in NODE_ONLY if name.endswith(("Incoming", "Outgoing"))
+)
+COUNTED = (
+    "QualPath", "QualIncoming", "QualOutgoing", "QualKey",
+    "AtMostPath", "AtMostIncoming", "AtMostOutgoing", "AtMostKey",
+    "ExactlyPath", "ExactlyIncoming", "ExactlyOutgoing", "ExactlyKey",
+)
+
+
+def every_form(inner=S.Top(), count=1, ref="s"):
+    """One instance of each constraint class, by class name."""
+    key = S.AnyValue()
+    forms = [
+        S.Top(), S.ShapeRef(ref), S.Exact("100"), S.HasLabel("A"),
+        S.Not(inner), S.And(inner, S.Top()),
+        S.QualPath(count, P, inner), S.QualIncoming(count, inner),
+        S.QualOutgoing(count, inner), S.QualKey(count, "k", key),
+        S.PathCmp("eq", P, P), S.PathKeyCmp("eq", P, "k", P, "k"),
+        S.KeyCmp("eq", "k", "k"), S.Src(inner), S.Dst(inner),
+        S.Bottom(), S.Or(S.Top(), inner),
+        S.AtMostPath(count, P, inner), S.AtMostIncoming(count, inner),
+        S.AtMostOutgoing(count, inner), S.AtMostKey(count, "k", key),
+        S.ExactlyPath(count, P, inner), S.ExactlyIncoming(count, inner),
+        S.ExactlyOutgoing(count, inner), S.ExactlyKey(count, "k", key),
+        S.ExistsPath(P, inner), S.ExistsIncoming(inner),
+        S.ExistsOutgoing(inner), S.ExistsKey("k", key),
+        S.ForallPath(P, inner), S.ForallIncoming(inner),
+        S.ForallOutgoing(inner), S.ForallKey("k", key),
+    ]
+    return {type(c).__name__: c for c in forms}
+
+
+FORMS = sorted(every_form())
+
+
+def test_every_form_covers_every_constraint_class():
+    assert set(FORMS) == {cls.__name__ for cls in S.Constraint.__subclasses__()}
+    assert set(NODE_ONLY + EDGE_ONLY + COUNTED) <= set(FORMS)
+    assert (len(NODE_ONLY), len(EDGE_BODIED), len(COUNTED)) == (17, 10, 12)
+
+
+@pytest.mark.parametrize("name", FORMS)
+@pytest.mark.parametrize("kind", [NODE, EDGE])
+def test_form_placement(name, kind):
+    misplaced = name in (NODE_ONLY if kind == EDGE else EDGE_ONLY)
+    shape = node_shape("s", every_form()[name], kind=kind)
+    if misplaced:
+        with pytest.raises(KindMismatch):
+            link_shapes([shape])
+    else:
+        link_shapes([shape])
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in FORMS if S._children(every_form()[n])]
+)
+def test_operands_are_checked_at_their_kind(name):
+    # Each form sits in a shape of a kind where it is legal; its operand
+    # must be a constraint of the kind the form evaluates operands at.
+    kind = EDGE if name in EDGE_ONLY else NODE
+    if name in EDGE_BODIED:
+        operand_kind = EDGE
+    elif name in EDGE_ONLY or name in NODE_ONLY:
+        operand_kind = NODE
+    else:
+        operand_kind = kind
+    assert S.child_kind(every_form()[name], kind) == operand_kind
+    legal = S.Src(S.Top()) if operand_kind == EDGE else S.QualPath(1, P, S.Top())
+    illegal = S.QualPath(1, P, S.Top()) if operand_kind == EDGE else S.Src(S.Top())
+    link_shapes([node_shape("s", every_form(inner=legal)[name], kind=kind)])
+    with pytest.raises(KindMismatch):
+        link_shapes([node_shape("s", every_form(inner=illegal)[name], kind=kind)])
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_counted_forms_reject_negative_counts(name):
+    link_shapes([node_shape("s", every_form(count=0)[name])])
+    with pytest.raises(ValueError, match="negative count -1"):
+        link_shapes([node_shape("s", every_form(count=-1)[name])])
+
+
+def test_map_children_rebuilds_only_on_change():
+    c = S.QualPath(2, P, S.HasLabel("A"), span=Span(0, 5, 1, 1))
+    assert S.map_children(c, lambda k: k) is c
+    out = S.map_children(c, S.Not)
+    assert out == S.QualPath(2, P, S.Not(S.HasLabel("A")))
+    assert out.span == c.span
+    assert S.map_children(S.Top(), S.Not) == S.Top()
+
+
+def test_walks_take_long_chains():
+    c = S.Top()
+    for i in range(5000):
+        c = S.And(c, S.HasLabel(f"l{i}"))
+    assert sum(1 for _ in S.iter_constraints(c)) == 10001
+    assert S.rewrite(c, lambda k: k) is c
+    link_shapes([node_shape("s", c)])
+
+
 def test_cycle_count():
     top = S.Top()
 

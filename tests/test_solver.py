@@ -252,15 +252,6 @@ def test_branch_budget():
     assert info.value.stats.branches == 2
 
 
-def test_time_budget():
-    g = build_graph([str(100 + i) for i in range(4)])
-    shapes = link_shapes([Shape("loop", NODE, ShapeRef("loop"), Nothing())])
-    with pytest.raises(BudgetExceeded):
-        enumerate_faithful_assignments(
-            g, shapes, config=SolverConfig(time_budget=0.0)
-        )
-
-
 # --- cross checks -----------------------------------------------------------
 
 
@@ -293,9 +284,8 @@ def test_brute_force_matches_reference_oracle():
     [
         SolverConfig(),
         SolverConfig(atom_order="dependency"),
-        SolverConfig(use_fixed_point=False),
     ],
-    ids=["default", "dependency", "no-fixed-point"],
+    ids=["default", "dependency"],
 )
 def test_solver_matches_brute_force(config):
     rng = random.Random(4103)

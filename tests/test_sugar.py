@@ -69,7 +69,7 @@ def test_desugar_idempotent():
                            ("e0",) if kind == EDGE else (), ("100",), sugar=True)
         once = desugar_constraint(c)
         assert is_sugar_free(once)
-        assert desugar_constraint(once) == once
+        assert desugar_constraint(once) is once
 
 
 def test_desugar_preserves_meaning():
