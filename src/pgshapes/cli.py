@@ -7,10 +7,12 @@ canonical form).
 
 Exit codes are the machine contract: 0 conforms or success, 1 does not
 conform, 2 usage, I/O, or parse errors (including instances over the
-brute-force cap), 3 search budget exhausted, 4 internal error: any other
-exception, reported as one `error: internal: <type>: <message>` line on
-standard error, so a crash never reads as a verdict.  A syntax error in a
-shape file names where it starts: `error: line L, column C: <message>`.
+brute-force cap), 3 search budget exhausted (followed by a `progress:` line
+on standard error: branches, propagations and leaf checks so far), 4
+internal error: any other exception, reported as one
+`error: internal: <type>: <message>` line on standard error, so a crash
+never reads as a verdict.  A syntax error in a shape file names where it
+starts: `error: line L, column C: <message>`.
 """
 
 from __future__ import annotations
@@ -279,6 +281,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.stats is not None:
+            stats = exc.stats
+            print(
+                f"progress: branches {stats.branches}, propagations "
+                f"{stats.propagations}, leaf checks {stats.leaf_checks}",
+                file=sys.stderr,
+            )
         return 3
     except (PgShapesError, OSError) as exc:
         span = exc.span if isinstance(exc, ShapeSyntaxError) else None

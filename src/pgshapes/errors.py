@@ -64,9 +64,10 @@ class TooLarge(PgShapesError):
 
 
 class BudgetExceeded(PgShapesError):
-    """The search ran out of its branch or time budget before finishing.
+    """The search ran out of its branch budget before finishing.
 
-    Distinct from a non-conformance verdict: nothing was decided.
+    Distinct from a non-conformance verdict: nothing was decided.  `stats`
+    is the search's SolverStats at the point it stopped.
     """
 
     def __init__(self, message: str, stats: object | None = None):

@@ -465,7 +465,8 @@ class FaithfulnessChecker:
         return FaithfulnessVerdict(True)
 
     def holds(self, sigma: Mapping[Atom, TruthValue]) -> bool:
-        """Fast verdict-free variant for inner search loops."""
+        """Verdict-free variant of verdict; brute force checks each of its
+        candidate assignments with it."""
         for atom in self.atoms:
             if sigma[atom] is not self.evaluate(sigma, atom):
                 return False

@@ -12,6 +12,14 @@ dependency sets and the least fixed point all read the grounded equations
 by atom id.  Brute force takes only its pinned atoms from the grounding and
 checks every leaf with the AST evaluator.
 
+The search writes each three-valued atom as two bits and the grounded
+equations as at-least constraints over them (_Network), propagates them in
+both directions and learns clauses from conflicts, as a CDCL SAT solver
+does, but decides atoms in the canonical order and values in the canonical
+order and never restarts.  Propagation and learning remove only values that
+no strictly faithful assignment takes, so the witness is the one plain
+enumeration finds (see _search).
+
 Soundness of the pinning shortcuts:
  - every target atom is pinned to yes (faithfulness demands it);
  - an atom whose equation reads no atom has one possible value (both
@@ -35,6 +43,9 @@ from .errors import BudgetExceeded, TooLarge
 from .graph import PropertyGraph
 from .semantics import (
     FALSE,
+    MIN,
+    NOT,
+    REF,
     TRUE,
     UNKNOWN,
     Assignment,
@@ -61,6 +72,14 @@ class SolverConfig:
 
 @dataclass
 class SolverStats:
+    """Counters of one run.  `branches` counts values tried at branch points
+    (what the budget limits), `propagations` counts atom bits set by
+    propagation or by a learned clause (an atom merged into another one's
+    bits counts once, under that one), `leaf_checks` counts total
+    assignments checked against the equations, and `elapsed` is the run's
+    wall time in seconds.
+    """
+
     atoms: int = 0
     targets: int = 0
     pinned: int = 0
@@ -153,114 +172,614 @@ class _Instance:
         return tuple(self.atoms[i] for i in self.targets if self.lfp[i] is not TRUE)
 
 
+# Truth values by their int codes (false 0, unknown 1, true 2).
+_TRUTH = (FALSE, UNKNOWN, TRUE)
+
+
+def _unwrap(node: tuple, negated: bool) -> tuple[tuple, bool]:
+    """A grounded node with its leading negations moved into the sign."""
+    while node[0] == NOT:
+        node, negated = node[1], not negated
+    return node, negated
+
+
+def _threshold(node: tuple, negated: bool) -> tuple[int, tuple]:
+    """(k, operands): the node, negated if asked, is "at least k of the
+    operands" with every operand read under the same sign.
+
+    Not(at least k of m) is at least m - k + 1 of the negated operands, and
+    MIN is at least m.  A reference is at least 1 of itself.  Constants never
+    get here: grounding folds every nested constant, and the fixed point
+    decides every atom whose equation is one.
+    """
+    if node[0] == REF:
+        return 1, (node,)
+    operands = node[-1]
+    k = len(operands) if node[0] == MIN else node[1]
+    return (len(operands) - k + 1 if negated else k), operands
+
+
+def _bounds(v: int, low: int, high: int) -> tuple[int, ...]:
+    """The literals that confine variable v to [low, high], both bits of
+    each bound that a bound fixes."""
+    lits = ()
+    if low:
+        lits += (4 * v,) if low == 1 else (4 * v, 4 * v + 2)
+    if high < 2:
+        lits += (4 * v + 3,) if high == 1 else (4 * v + 3, 4 * v + 1)
+    return lits
+
+
+class _Network:
+    """The grounded equations of one search as at-least constraints over
+    pairs of bits, propagated and learned from as in a CDCL SAT solver.
+
+    Every atom, and every grounded node nested in an equation, is a
+    three-valued variable.  Variables 0 .. atoms - 1 are the atoms; the rest
+    stand for nested nodes.  Negation is pushed into signed operands, so
+    each entry of `constraints` is (out, k, pos, neg): out is the verdict
+    "at least k of the operands hold", pos lists the variables read as they
+    are and neg those read negated.  An operand of the same form (any-of in
+    any-of, all-of in all-of) is inlined into its parent instead of getting
+    a variable.  Only atoms the least fixed point leaves unknown get a
+    constraint: a decided atom keeps its value in every total extension of
+    the fixed point (the connectives are monotone in the knowledge order),
+    so its equation holds whatever the open atoms take.
+
+    Bits.  Variable v is two bits, "v is at least unknown" (bit 2v) and "v
+    is true" (bit 2v + 1), the second implying the first: false is (0, 0),
+    unknown (1, 0), true (1, 1).  Literal 2b is bit b and 2b + 1 its
+    negation, so 4v, 4v + 1, 4v + 2, 4v + 3 read "v >= unknown", "v is
+    false", "v is true", "v <= unknown".  In Kleene logic "at least k of the
+    operands" is true iff at least k operands are true, and at least unknown
+    iff at least k are at least unknown, while not-x is true iff x is
+    false and at least unknown iff x is not true.  So each constraint splits
+    into two Boolean ones, out's bit <-> at least k of the operands' bits
+    of the same layer, a negated operand contributing the negation of its
+    bit of the other layer.
+
+    Two shortcuts keep the Boolean form small.  A constraint "at least 1 of
+    one operand" makes out equal to the operand or to its negation, so the
+    two share the bits of one representative variable (root, negated).
+    And a target is pinned true, whose true layer implies the other one,
+    so it keeps only the true layer, which is a clause when k is 1.
+
+    Propagation counts, per Boolean constraint, the operands known true and
+    known false when their literals are taken off the trail, and fires:
+     - at least k known true: out is true; out false: conflict;
+     - more than m - k known false: out is false; out true: conflict;
+     - out true and exactly m - k known false: the open operands are true;
+     - out false and exactly k - 1 known true: the open operands are false;
+    together with "v is true" -> "v >= unknown" on every variable, and unit
+    propagation over the clauses (two watched literals each).  Each implied
+    literal keeps as its reason the other literals of a clause the
+    constraints entail, all of them false when it fires, and a conflict
+    yields an entailed clause with every literal false; learn() resolves it
+    to the first unique implication point.
+    """
+
+    def __init__(
+        self,
+        ground: GroundInstance,
+        lfp: list[TruthValue],
+        pinned: Mapping[int, TruthValue],
+        stats: SolverStats,
+    ):
+        self.atom_count = len(ground.atoms)
+        self.atom_lits = 4 * self.atom_count
+        self.stats = stats
+        nvars = len(ground.atoms)
+        self.constraints = constraints = []
+        work = [
+            (i, eq, False)
+            for i, eq in enumerate(ground.equations) if lfp[i] is UNKNOWN
+        ]
+        while work:
+            out, node, negated = work.pop()
+            node, negated = _unwrap(node, negated)
+            k, operands = _threshold(node, negated)
+            any_of, all_of = k == 1, k == len(operands)
+            pos: list[int] = []
+            neg: list[int] = []
+            stack = [(c, negated) for c in reversed(operands)]
+            while stack:
+                c, sign = _unwrap(*stack.pop())
+                if c[0] == REF:
+                    (neg if sign else pos).append(c[1])
+                    continue
+                ck, inner = _threshold(c, sign)
+                if any_of and ck == 1:
+                    stack.extend((x, sign) for x in reversed(inner))
+                elif all_of and ck == len(inner):
+                    k += len(inner) - 1
+                    stack.extend((x, sign) for x in reversed(inner))
+                else:
+                    pos.append(nvars)
+                    work.append((nvars, c, sign))
+                    nvars += 1
+            constraints.append((out, k, tuple(pos), tuple(neg)))
+
+        # A constraint "out = at least 1 of one operand" makes out equal to
+        # the operand or to its negation: both become one representative
+        # variable, root[v] read under negated[v].  A variable equal to its
+        # own negation is unknown.
+        root = list(range(nvars))
+        negated = [0] * nvars
+
+        def find(v: int) -> tuple[int, int]:
+            flip = 0
+            while root[v] != v:
+                up = root[v]
+                if root[up] != up:      # path halving
+                    root[v], negated[v] = root[up], negated[v] ^ negated[up]
+                flip ^= negated[v]
+                v = root[v]
+            return v, flip
+
+        unknown = []
+        for out, k, pos, neg in constraints:
+            if k == 1 and len(pos) + len(neg) == 1:
+                (x,) = pos or neg
+                (r, fr), (q, fq) = find(out), find(x)
+                if r != q:
+                    root[q], negated[q] = r, fr ^ fq ^ bool(neg)
+                elif fr ^ fq != bool(neg):
+                    unknown.append(r)
+        # used[w]: representative w carries bits (it is merged or occurs in
+        # a constraint); a pinned atom that is not read keeps no bits.
+        used = bytearray(nvars)
+        for v in range(nvars):
+            if root[v] != v:
+                root[v], negated[v] = find(v)
+                used[root[v]] = 1
+        self.root, self.negated = root, negated
+
+        # Two Boolean constraints per remaining constraint, over literals of
+        # representatives: the "true" layer, then the "at least unknown"
+        # layer.  Negating a variable swaps its layers and negates its bits,
+        # which is literal ^ 3.  A target's out is pinned true, and operand
+        # bits of the true layer imply those of the other, so a target needs
+        # only the true layer, and when one operand is needed that is a
+        # clause.
+        self.lits: list[tuple[int, ...]] = []
+        self.out: list[int] = []
+        self.need: list[int] = []
+        # Constraints by operand literal and by out bit; () where none.
+        self.occurs: list = [()] * (4 * nvars)
+        self.outs: list = [()] * (2 * nvars)
+        occurs, outs = self.occurs, self.outs
+        clauses = []
+        for out, k, pos, neg in constraints:
+            if k == 1 and len(pos) + len(neg) == 1:
+                continue
+            target = pinned.get(out) is TRUE
+            for layer, plain, inverted in ((1, 2, 1), (0, 0, 3))[:2 - target]:
+                lits = tuple(
+                    [4 * root[x] + (plain ^ 3 * negated[x]) for x in pos]
+                    + [4 * root[x] + (inverted ^ 3 * negated[x]) for x in neg]
+                )
+                for lit in lits:
+                    used[lit >> 2] = 1
+                if target and k == 1:
+                    clauses.append(lits)
+                    continue
+                o = 4 * root[out] + (2 * layer ^ 3 * negated[out])
+                used[o >> 2] = 1
+                c = len(self.lits)
+                self.lits.append(lits)
+                self.out.append(o)
+                self.need.append(k)
+                for lit in lits:
+                    if occurs[lit]:
+                        occurs[lit].append(c)
+                    else:
+                        occurs[lit] = [c]
+                if outs[o >> 1]:
+                    outs[o >> 1].append(c)
+                else:
+                    outs[o >> 1] = [c]
+        self.slack = [len(lits) - k for lits, k in zip(self.lits, self.need)]
+        self.true_count = [0] * len(self.lits)
+        self.false_count = [0] * len(self.lits)
+
+        self.value = [-1] * (4 * nvars)       # per literal: 1, 0 or -1 (open)
+        self.level = [0] * (2 * nvars)        # per bit
+        self.reason: list = [None] * (2 * nvars)
+        self.trail: list[int] = []
+        self.head = 0                         # trail literals propagated
+        self.levels: list[int] = []           # trail length at each decision
+        self.clauses: list[list[int]] = []
+        self.watches: dict[int, list[int]] = {}
+        self.seen: list[bool] | None = None
+        self.conflict = None
+        self.pinned = pinned
+        # Clauses are watched while every literal is open, then the known
+        # bits are set and wait on the trail for propagate().
+        units = []
+        for lits in clauses:
+            clause = list(dict.fromkeys(lits))
+            if len(clause) == 1:
+                units.append(clause)
+            elif not any(lit ^ 1 in lits for lit in clause):
+                self.add_clause(clause)
+        bounds = [(v, 1, 1) for v in unknown]
+        bounds += (
+            (i, int(value), int(value)) for i, value in pinned.items() if used[root[i]]
+        )
+        for v, low, high in bounds:
+            if not self.narrow(v, low, high):
+                self.conflict = []
+                return
+        value, need, slack, out = self.value, self.need, self.slack, self.out
+        for clause in units:
+            if value[clause[0]] == 0:
+                self.conflict = clause
+                return
+            if value[clause[0]] < 0:
+                self._set(clause[0], clause)
+        for c in range(len(self.lits)):
+            # Counts are 0: only a bound of 0 or an out already decided at
+            # a bound of the count can fire.
+            known = value[out[c]]
+            if (need[c] <= 0 or slack[c] < 0 or (known == 1 and not slack[c])
+                    or (known == 0 and need[c] == 1)):
+                self.conflict = self._revise(c)
+                if self.conflict is not None:
+                    return
+
+    def literal(self, v: int, lit: int) -> int:
+        """Literal lit of variable v (4v .. 4v + 3) as a representative's."""
+        return 4 * self.root[v] + ((lit & 3) ^ 3 * self.negated[v])
+
+    def domain(self, v: int) -> tuple[int, int]:
+        """The interval [low, high] of truth codes variable v can still take."""
+        value = self.value
+        w = 4 * self.root[v]
+        low = 2 if value[w + 2] == 1 else 1 if value[w] == 1 else 0
+        high = 0 if value[w] == 0 else 1 if value[w + 2] == 0 else 2
+        return (2 - high, 2 - low) if self.negated[v] else (low, high)
+
+    def values(self) -> list[TruthValue]:
+        """The atoms' values once every atom is decided."""
+        value, root, negated, pinned = self.value, self.root, self.negated, self.pinned
+        out = []
+        for a in range(self.atom_count):
+            if a in pinned:
+                out.append(pinned[a])
+            else:
+                code = value[4 * root[a]] + value[4 * root[a] + 2]
+                out.append(_TRUTH[2 - code if negated[a] else code])
+        return out
+
+    def _set(self, lit: int, why) -> None:
+        """Set an open literal true at the current level with a reason."""
+        value = self.value
+        value[lit] = 1
+        value[lit ^ 1] = 0
+        self.level[lit >> 1] = len(self.levels)
+        self.reason[lit >> 1] = why
+        self.trail.append(lit)
+
+    def _imply(self, lit: int, why) -> None:
+        """_set for a literal that propagation derived."""
+        self._set(lit, why)
+        if lit < self.atom_lits:
+            self.stats.propagations += 1
+
+    def _force(self, c: int, truth: int) -> None:
+        """Out of constraint c is decided and its count sits at the bound:
+        every open operand takes the value `truth` (1 true, 0 false)."""
+        value, lits, out, imply = self.value, self.lits[c], self.out[c], self._imply
+        if truth:
+            why = [out ^ 1] + [lit for lit in lits if not value[lit]]
+            for lit in lits:
+                if value[lit] < 0:
+                    imply(lit, why)
+        else:
+            why = [out] + [lit ^ 1 for lit in lits if value[lit] == 1]
+            for lit in lits:
+                if value[lit] < 0:
+                    imply(lit ^ 1, why)
+
+    def _revise(self, c: int) -> list[int] | None:
+        """Apply the firing rules of constraint c to its present counts; the
+        conflict clause if one breaks."""
+        value, lits, out = self.value, self.lits[c], self.out[c]
+        known = value[out]
+        if self.true_count[c] >= self.need[c]:
+            if known < 1:
+                why = [lit ^ 1 for lit in lits if value[lit] == 1]
+                if known == 0:
+                    return why + [out]
+                self._imply(out, why)
+        elif self.false_count[c] > self.slack[c]:
+            if known != 0:
+                why = [lit for lit in lits if value[lit] == 0]
+                if known == 1:
+                    return why + [out ^ 1]
+                self._imply(out ^ 1, why)
+        elif known == 1 and self.false_count[c] == self.slack[c]:
+            self._force(c, 1)
+        elif known == 0 and self.true_count[c] == self.need[c] - 1:
+            self._force(c, 0)
+        return None
+
+    def open_level(self) -> None:
+        self.levels.append(len(self.trail))
+
+    def decide(self, lit: int) -> None:
+        """Open a level and set lit; a "true" or "false" literal comes with
+        its companion bit, so that the variable's value is fixed."""
+        self.open_level()
+        self._set(lit, None)
+        if 0 < lit & 3 < 3:
+            companion = lit - 2 if lit & 2 else lit + 2
+            if self.value[companion] < 0:
+                self._set(companion, (lit ^ 1,))
+
+    def narrow(self, v: int, low: int, high: int) -> bool:
+        """Confine variable v to [low, high] at the current level; False if
+        that contradicts what is already known."""
+        for lit in _bounds(v, low, high):
+            lit = self.literal(v, lit)
+            if self.value[lit] == 0:
+                return False
+            if self.value[lit] < 0:
+                self._set(lit, ())
+        return True
+
+    def propagate(self) -> list[int] | None:
+        """Propagate every literal on the trail; a conflict clause (every
+        literal false) or None once nothing more follows."""
+        if self.conflict is not None:
+            conflict, self.conflict = self.conflict, None
+            return conflict
+        value, trail, watches, clauses = self.value, self.trail, self.watches, self.clauses
+        occurs, outs, out_of = self.occurs, self.outs, self.out
+        need, slack, true_count, false_count = (
+            self.need, self.slack, self.true_count, self.false_count
+        )
+        imply, revise = self._imply, self._revise
+        while self.head < len(trail):
+            lit = trail[self.head]
+            self.head += 1
+            false = lit ^ 1
+            # Counts first, all of them, so that backtracking can undo a
+            # propagated literal whole; a conflict found here waits.
+            conflict = None
+            for c in occurs[lit]:
+                t = true_count[c] + 1
+                true_count[c] = t
+                if conflict is None:
+                    if t == need[c]:
+                        if value[out_of[c]] != 1:
+                            conflict = revise(c)
+                    elif t == need[c] - 1 and not value[out_of[c]]:
+                        conflict = revise(c)
+            for c in occurs[false]:
+                f = false_count[c] + 1
+                false_count[c] = f
+                if conflict is None:
+                    if f > slack[c]:
+                        if f == slack[c] + 1 and value[out_of[c]]:
+                            conflict = revise(c)
+                    elif f == slack[c] and value[out_of[c]] == 1:
+                        conflict = revise(c)
+            if conflict is not None:
+                return conflict
+            # "v is true" implies "v >= unknown".
+            if 0 < lit & 3 < 3:
+                other = lit - 2 if lit & 2 else lit + 2
+                known = value[other]
+                if known < 0:
+                    imply(other, (false,))
+                elif not known:
+                    return [false, other]
+            for c in outs[lit >> 1]:
+                conflict = revise(c)
+                if conflict is not None:
+                    return conflict
+            # Clauses watching the literal that just became false.
+            watching = watches.get(false)
+            if not watching:
+                continue
+            watches[false] = keep = []
+            for n, ci in enumerate(watching):
+                clause = clauses[ci]
+                if clause[0] == false:
+                    clause[0], clause[1] = clause[1], false
+                first = clause[0]
+                if value[first] == 1:
+                    keep.append(ci)
+                    continue
+                for j in range(2, len(clause)):
+                    if value[clause[j]] != 0:
+                        clause[1], clause[j] = clause[j], false
+                        watches.setdefault(clause[1], []).append(ci)
+                        break
+                else:
+                    keep.append(ci)
+                    if value[first] == 0:
+                        keep.extend(watching[n + 1:])
+                        return clause
+                    imply(first, clause)
+        return None
+
+    def backtrack(self, depth: int) -> None:
+        """Undo every level above depth."""
+        if len(self.levels) <= depth:
+            return
+        start = self.levels[depth]
+        value, trail, occurs = self.value, self.trail, self.occurs
+        true_count, false_count = self.true_count, self.false_count
+        for at in range(len(trail) - 1, start - 1, -1):
+            lit = trail[at]
+            if at < self.head:
+                for c in occurs[lit]:
+                    true_count[c] -= 1
+                for c in occurs[lit ^ 1]:
+                    false_count[c] -= 1
+            value[lit] = value[lit ^ 1] = -1
+        del trail[start:]
+        del self.levels[depth:]
+        self.head = min(self.head, start)
+
+    def learn(self, conflict: list[int]) -> int:
+        """Resolve a conflict at a level above 0 into a clause with one
+        literal of the current level (the first unique implication point),
+        backtrack to the highest level among its other literals, add it,
+        and set its asserted literal; the level backtracked to."""
+        level, reason, trail = self.level, self.reason, self.trail
+        if self.seen is None:
+            self.seen = [False] * len(level)
+        seen = self.seen
+        depth = len(self.levels)
+        learned = [0]
+        marked = []
+        pending = 0
+        at = len(trail) - 1
+        clause, skip = conflict, -1
+        while True:
+            for q in clause:
+                b = q >> 1
+                if b == skip or seen[b] or not level[b]:
+                    continue
+                seen[b] = True
+                marked.append(b)
+                if level[b] == depth:
+                    pending += 1
+                else:
+                    learned.append(q)
+            while not seen[trail[at] >> 1]:
+                at -= 1
+            lit = trail[at]
+            at -= 1
+            pending -= 1
+            if not pending:
+                break
+            skip = lit >> 1
+            clause = reason[skip]
+        for b in marked:
+            seen[b] = False
+        learned[0] = lit ^ 1
+        back = 0
+        if len(learned) > 1:
+            top = max(range(1, len(learned)), key=lambda j: level[learned[j] >> 1])
+            learned[1], learned[top] = learned[top], learned[1]
+            back = level[learned[1] >> 1]
+        self.backtrack(back)
+        self.add_clause(learned)
+        return back
+
+    def add_clause(self, clause: list[int]) -> None:
+        """Add a clause whose first literal is open and whose second is
+        open too, or false like every later one, in which case the first
+        is set."""
+        if len(clause) > 1:
+            self.clauses.append(clause)
+            for lit in clause[:2]:
+                self.watches.setdefault(lit, []).append(len(self.clauses) - 1)
+        if len(clause) == 1 or self.value[clause[1]] == 0:
+            self._imply(clause[0], clause)
+
+
 def _search(
     inst: _Instance, pinned: Mapping[int, TruthValue], budget: _Budget
 ) -> Iterator[dict[Atom, TruthValue]]:
     """All strictly faithful assignments, lexicographically by atom order.
 
-    Chronological backtracking with forced-value propagation.  An unassigned
-    atom whose dependencies are all decided is pinned by its equation; an
-    assigned atom whose dependencies complete later is re-checked against
-    its equation, so dead branches fall off as early as possible.  Branch
-    points live on an explicit stack, so the depth is not bounded by the
-    interpreter's recursion limit.
+    Each open atom in the search order is two choices over the bits of
+    _Network: its "true" literal, else "not true"; then its "false"
+    literal, else "unknown", so its values come in the order yes, no,
+    maybe.  Each value tried spends one branch of the budget, and a choice
+    whose literal is already set is skipped.
+
+    Up to the first leaf the search is conflict-driven clause learning
+    without restarts: a conflict adds a learned clause and goes back to
+    the level where that clause sets its literal.  After a leaf it is
+    depth first: a conflict or a leaf takes the other side of the newest
+    choice not yet flipped.  Every leaf is checked against the grounded
+    equations.  Choices and the trail live in lists, so the depth is not
+    bounded by the interpreter's recursion limit.
+
+    Why the witness does not change: a strictly faithful assignment, with
+    each nested variable taking its node's value, satisfies every
+    constraint and every learned clause, which the constraints entail.
+    Let S be the first faithful assignment in atom and value order, the
+    one plain enumeration meets first.  While every decision agrees with
+    S, so does every implied literal, its reason being a clause that S
+    satisfies with all other literals false.  A decision that disagrees
+    with S gives its atom an earlier value than S while every earlier atom
+    agrees with S, so no faithful assignment lies below it, and the search
+    (which terminates) leaves it only through a conflict.  So the first
+    leaf is S.  From there every choice open on the stack has had only its
+    first side explored, and the depth-first walk, which learning no longer
+    reorders, meets the remaining assignments in order.
     """
-    ground = inst.ground
-    deps, dependents, evaluate = ground.deps, ground.dependents, ground.evaluate
-    order = inst.order
-    stats = budget.stats
-    sigma: list[TruthValue | None] = [None] * len(inst.atoms)
-    trail: list[int] = []
+    ground, stats = inst.ground, budget.stats
+    net = _Network(ground, inst.lfp, pinned, stats)
+    value = net.value
+    # Even positions hold an atom's "true" literal, odd ones its "false".
+    choices = [
+        net.literal(a, lit) for a in inst.order if a not in pinned for lit in (2, 1)
+    ]
+    frames: list[int] = []      # choice position of each level's decision
+    flipped: list[bool] = []    # whether that decision is a choice's other side
+    position = 0
+    turn = None                 # choice to flip once the trail is propagated
+    learning = True
 
-    def assign(i: int, value: TruthValue):
-        sigma[i] = value
-        trail.append(i)
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            sigma[trail.pop()] = None
-
-    def ready(i: int) -> bool:
-        return all(sigma[d] is not None for d in deps[i])
-
-    def settle(queue: list[int]) -> bool:
-        """Propagate consequences of freshly assigned atoms."""
-        while queue:
-            for d in dependents[queue.pop()]:
-                if not ready(d):
-                    continue
-                value = evaluate(d, sigma)
-                if sigma[d] is not None:
-                    if sigma[d] is not value:
-                        return False
-                    continue
-                required = pinned.get(d)
-                if required is not None and required is not value:
-                    return False
-                stats.propagations += 1
-                assign(d, value)
-                queue.append(d)
+    def retreat() -> bool:
+        """Back up to the newest choice not yet flipped and have it flipped;
+        False once none is left."""
+        nonlocal position, turn
+        while flipped and flipped[-1]:
+            frames.pop()
+            flipped.pop()
+        if not frames:
+            return False
+        turn = position = frames.pop()
+        flipped.pop()
+        net.backtrack(len(frames))
         return True
 
-    def seed() -> bool:
-        queue: list[int] = []
-        for i, value in pinned.items():
-            assign(i, value)
-            queue.append(i)
-        for i in order:
-            if sigma[i] is None and ready(i):
-                stats.propagations += 1
-                assign(i, evaluate(i, sigma))
-                queue.append(i)
-        if not settle(queue):
-            return False
-        # Equations of pre-assigned atoms with no open dependencies never
-        # surface in the dependent walk; verify them once up front.
-        return all(
-            evaluate(i, sigma) is sigma[i]
-            for i in order if sigma[i] is not None and ready(i)
-        )
-
-    def skip(position: int) -> int:
-        while position < len(order) and sigma[order[position]] is not None:
+    while True:
+        conflict = net.propagate()
+        if conflict is not None:
+            if not frames:
+                return
+            if learning:
+                back = net.learn(conflict)
+                position = frames[back]
+                del frames[back:], flipped[back:]
+            elif not retreat():
+                return
+            continue
+        if turn is not None:
+            # Nothing is learned after the first leaf, so the other side
+            # of a choice is open again once its level is undone.
+            if turn & 1:
+                budget.spend_branch()   # "unknown" is tried
+            frames.append(turn)
+            flipped.append(True)
+            net.decide(choices[turn] ^ 1)
+            turn = None
+            continue
+        while position < len(choices) and value[choices[position]] >= 0:
             position += 1
-        return position
-
-    # One [position, next value index, trail mark] per open branch point.
-    frames: list[list[int]] = []
-
-    def advance() -> int | None:
-        """Take the next value at the innermost open branch point; the
-        position to continue from, or None once every point is exhausted."""
-        while frames:
-            frame = frames[-1]
-            atom, mark = order[frame[0]], frame[2]
-            required = pinned.get(atom)
-            while frame[1] < len(VALUE_ORDER):
-                value = VALUE_ORDER[frame[1]]
-                frame[1] += 1
-                if required is not None and value is not required:
-                    continue
-                budget.spend_branch()
-                undo(mark)
-                assign(atom, value)
-                if settle([atom]):
-                    return skip(frame[0] + 1)
-            undo(mark)
-            frames.pop()
-        return None
-
-    if not seed():
-        return
-    position = skip(0)
-    while position is not None:
-        if position == len(order):
-            stats.leaf_checks += 1
-            if ground.holds(sigma):
-                yield dict(zip(inst.atoms, sigma))
-        else:
-            frames.append([position, 0, len(trail)])
-        position = advance()
+        if position < len(choices):
+            budget.spend_branch()
+            frames.append(position)
+            flipped.append(False)
+            net.decide(choices[position])
+            continue
+        stats.leaf_checks += 1
+        values = net.values()
+        if ground.holds(values):
+            yield dict(zip(inst.atoms, values))
+        learning = False
+        if not retreat():
+            return
 
 
 def _start(

@@ -19,7 +19,7 @@ from pgshapes.fixtures import (
     works_since_shape,
 )
 from pgshapes.graph import EDGE, NODE, build_graph
-from pgshapes.parser import parse_shape_document
+from pgshapes.parser import parse_shape_document, parse_shapes
 from pgshapes.printer import render_shapes
 from pgshapes.semantics import (
     FALSE,
@@ -359,8 +359,114 @@ def test_criterion_12_parser_round_trip():
 def test_criterion_13_hardness_note():
     print(
         "criterion 13 note: worst-case hardness of conformance is proof "
-        "content with no runnable artifact; the constructions behind it "
-        "(single-target reduction, flat verification) are exercised by "
-        "criteria 8 and 9."
+        "content; the constructions behind it (single-target reduction, "
+        "flat verification) are exercised by criteria 8 and 9, and the two "
+        "reductions below (cycle 2-colouring, 3-CNF) are decided by the search."
     )
     assert True
+
+
+CYCLE_SHAPES = """\
+NODE Red [] { ! Blue & ! >= 1 :e . Red };
+NODE Blue [] { ! Red & ! >= 1 :e . Blue };
+NODE Col [:V] { Red | Blue };
+"""
+
+# Variable nodes carry mutually negated tv/fv shapes; every targeted clause
+# node needs a positive literal's variable true or a negative one's false.
+CNF_SHAPES = """\
+NODE tv [] { :Var & ! fv };
+NODE fv [] { :Var & ! tv };
+NODE C [:Clause] { >= 1 :pos . tv | >= 1 :neg . fv };
+"""
+
+
+def dpll(clauses: list[set[int]]) -> bool:
+    """Satisfiability of clauses of nonzero ints: unit propagation, then a
+    split on the first literal of the first clause."""
+    while clauses:
+        if not all(clauses):
+            return False
+        unit = next((c for c in clauses if len(c) == 1), None)
+        lit = next(iter(unit or clauses[0]))
+        if unit is None:
+            return dpll(assume(clauses, lit)) or dpll(assume(clauses, -lit))
+        clauses = assume(clauses, lit)
+    return True
+
+
+def assume(clauses: list[set[int]], lit: int) -> list[set[int]]:
+    return [c - {-lit} for c in clauses if lit not in c]
+
+
+def test_criterion_13_cycle_colouring_in_at_most_three_branches():
+    shapes = parse_shapes(CYCLE_SHAPES)
+    for n in [*range(3, 42), 101]:
+        nodes = [f"v{i}" for i in range(n)]
+        edges = [f"e{i}" for i in range(n)]
+        g = build_graph(
+            nodes, edges,
+            endpoints={f"e{i}": (f"v{i}", f"v{(i + 1) % n}") for i in range(n)},
+            labelings={**{x: ["V"] for x in nodes}, **{e: ["e"] for e in edges}},
+        )
+        report = find_faithful_assignment(g, shapes, SolverConfig(max_branches=20_000))
+        assert report.conforms == (n % 2 == 0), n
+        assert report.stats.branches <= 3, (n, report.stats.branches)
+        if report.conforms:
+            assert is_strictly_faithful(g, shapes, report.witness).ok
+    done(13, "directed n-cycles for n = 3..41, 101: 2-colourable iff n is even")
+
+
+def random_3cnf(rng: random.Random, nvars: int):
+    """Clauses of a random 3-CNF at 4.26 clauses per variable, and the
+    graph that encodes it for CNF_SHAPES."""
+    clauses = [
+        {v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)}
+        for _ in range(round(4.26 * nvars))
+    ]
+    nodes = [f"x{v}" for v in range(1, nvars + 1)]
+    labelings = {x: ["Var"] for x in nodes}
+    endpoints = {}
+    for j, clause in enumerate(clauses):
+        nodes.append(f"c{j}")
+        labelings[f"c{j}"] = ["Clause"]
+        for lit in clause:
+            edge = f"c{j}x{abs(lit)}"
+            endpoints[edge] = (f"c{j}", f"x{abs(lit)}")
+            labelings[edge] = ["pos" if lit > 0 else "neg"]
+    g = build_graph(nodes, list(endpoints), endpoints=endpoints, labelings=labelings)
+    return clauses, g
+
+
+def test_criterion_13_random_3cnf_matches_dpll():
+    rng = random.Random(1313)
+    shapes = parse_shapes(CNF_SHAPES)
+    verdicts = []
+    for _ in range(20):
+        clauses, g = random_3cnf(rng, rng.randint(8, 25))
+        report = find_faithful_assignment(g, shapes, SolverConfig(max_branches=20_000))
+        assert report.conforms == dpll(clauses)
+        if report.conforms:
+            assert is_strictly_faithful(g, shapes, report.witness).ok
+        verdicts.append(report.conforms)
+    assert set(verdicts) == {True, False}
+    done(13, "20 random 3-CNF formulas, 8-25 variables: verdicts match DPLL")
+
+
+def test_criterion_13_fifty_variable_3cnf_in_few_branches():
+    # At 50 variables a search without learning needed up to 5,280 branches
+    # on such formulas; with learning each takes a few hundred at most.
+    rng = random.Random(5013)
+    shapes = parse_shapes(CNF_SHAPES)
+    verdicts = []
+    for _ in range(6):
+        clauses, g = random_3cnf(rng, 50)
+        report = find_faithful_assignment(g, shapes, SolverConfig(max_branches=1_000))
+        assert report.conforms == dpll(clauses)
+        if report.conforms:
+            assert is_strictly_faithful(g, shapes, report.witness).ok
+            first = enumerate_faithful_assignments(g, shapes, limit=1)
+            assert first == [report.witness]
+        verdicts.append(report.conforms)
+    assert set(verdicts) == {True, False}
+    done(13, "6 random 3-CNF formulas, 50 variables: decided in 1,000 branches")

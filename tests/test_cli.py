@@ -130,7 +130,12 @@ def test_validate_budget_exhausted(capsys, tmp_path, office_json):
         capsys, "validate", "--all", "--budget", "1", office_json, str(progs)
     )
     assert code == 3
-    assert "error:" in err
+    # The second branch is the one over the budget; `loop = loop` narrows
+    # nothing and no assignment is completed.
+    assert err.splitlines() == [
+        "error: branch limit 1 exhausted",
+        "progress: branches 2, propagations 0, leaf checks 0",
+    ]
 
 
 def test_validate_oracle_too_large(capsys, office_json, s2_progs):

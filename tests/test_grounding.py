@@ -23,7 +23,11 @@ from pgshapes.semantics import (
     least_fixed_point,
 )
 from pgshapes.shapes import Shape, ShapeSet, link_shapes
-from pgshapes.solver import SolverConfig, find_faithful_assignment
+from pgshapes.solver import (
+    SolverConfig,
+    enumerate_faithful_assignments,
+    find_faithful_assignment,
+)
 from pgshapes.sugar import desugar_shapes
 from pgshapes.transforms import normalize_instance
 
@@ -337,4 +341,32 @@ def test_normalizing_keeps_the_verdict_far_above_the_oracle_cap():
             assert normalized.witness[root] is TRUE
         verdicts.append(report.conforms)
     assert len(verdicts) >= 20, f"{len(verdicts)} decided, {exhausted} exhausted"
+    assert set(verdicts) == {True, False}
+
+
+def test_propagating_search_far_above_the_oracle_cap():
+    # Recursive instances of 100-300 atoms, many left open by the fixed
+    # point: every witness is faithful and is enumeration's first, and every
+    # refutation names targets the fixed point leaves below yes.
+    rng = random.Random(7315)
+    verdicts = []
+    for _ in range(80):
+        g, shapes = recursive_instance(rng)
+        if not 100 <= len(FaithfulnessChecker(g, shapes).atoms) <= 300:
+            continue
+        report = decided(g, shapes)
+        if report is None:
+            continue
+        if report.conforms:
+            assert is_strictly_faithful(g, shapes, report.witness).ok
+            assert enumerate_faithful_assignments(
+                g, shapes, limit=1, config=BUDGET
+            ) == [report.witness]
+        else:
+            assert report.violated_targets
+            assert all(
+                report.fixed_point[a] is not TRUE for a in report.violated_targets
+            )
+        verdicts.append(report.conforms)
+    assert len(verdicts) >= 30
     assert set(verdicts) == {True, False}

@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,11 @@ from pgshapes.fixtures import (
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
+    ATLEAST,
+    CONST,
     FALSE,
+    NOT,
+    REF,
     TRUE,
     UNKNOWN,
     Assignment,
@@ -40,6 +45,8 @@ from pgshapes.shapes import EdgeLabel as PathLabel
 from pgshapes.solver import (
     VALUE_ORDER,
     SolverConfig,
+    SolverStats,
+    _Network,
     brute_force_conformance,
     conforms,
     enumerate_faithful_assignments,
@@ -150,6 +157,23 @@ def test_untargeted_shape_conforms_with_unique_witness():
     assert report.stats.branches == 0
 
 
+def test_atoms_equal_to_an_atom_or_its_negation():
+    # `a = !b`, `b = c`, `c = !a` and `s = !s` make classes of atoms that
+    # are equal or negated; enumeration still lists exactly the faithful
+    # assignments, in canonical order.
+    g = build_graph(["100", "101"])
+    shapes = parse_shapes(
+        "NODE a [] { ! b };\n"
+        "NODE b [] { c };\n"
+        "NODE c [] { ! a };\n"
+        "NODE s [] { ! s };\n"
+    )
+    found = enumerate_faithful_assignments(g, shapes)
+    assert len(found) == 9
+    assert found == all_faithful_by_product(g, shapes)
+    assert all(sigma[Atom("s", x, NODE)] is UNKNOWN for sigma in found for x in g.nodes)
+
+
 def test_self_reference_enumerates_all_three_values():
     g = build_graph(["100"])
     shapes = link_shapes([Shape("loop", NODE, ShapeRef("loop"), Nothing())])
@@ -231,6 +255,77 @@ def test_dependency_order_puts_referenced_shapes_first():
 def test_bad_atom_order_rejected():
     with pytest.raises(ValueError):
         SolverConfig(atom_order="sideways")
+
+
+# --- narrowing rules --------------------------------------------------------
+
+INTERVALS = [(low, high) for low in range(3) for high in range(low, 3)]
+
+
+def at_least_verdict(k, values):
+    """The three-valued "at least k of values", over codes 0 < 1 < 2."""
+    if values.count(2) >= k:
+        return 2
+    return 0 if len(values) - values.count(0) < k else 1
+
+
+def check_narrowing(k, literals, nvars):
+    """Propagate `var 0 = at least k of literals` from every box of
+    intervals over nvars variables; a literal is (variable, negated).  No
+    total assignment in the box that satisfies the node may be lost, and a
+    reported conflict needs a box without one."""
+    eq = (ATLEAST, k, tuple(
+        (NOT, (REF, v)) if negated else (REF, v) for v, negated in literals
+    ))
+    ground = SimpleNamespace(
+        atoms=range(nvars), equations=[eq] + [(CONST, FALSE)] * (nvars - 1)
+    )
+    net = _Network(ground, [UNKNOWN] + [FALSE] * (nvars - 1), {}, SolverStats())
+    assert len(net.constraints) == 1
+    assert net.propagate() is None
+    solutions = [
+        values for values in product(range(3), repeat=nvars)
+        if values[0] == at_least_verdict(
+            k, [2 - values[v] if negated else values[v] for v, negated in literals]
+        )
+    ]
+    for box in product(INTERVALS, repeat=nvars):
+        inside = [
+            values for values in solutions
+            if all(low <= x <= high for x, (low, high) in zip(values, box))
+        ]
+        net.open_level()
+        ok = all(
+            net.narrow(v, low, high) for v, (low, high) in enumerate(box)
+        ) and net.propagate() is None
+        assert ok or not inside, (k, literals, box)
+        domains = [net.domain(v) for v in range(nvars)]
+        for values in inside:
+            assert all(
+                low <= x <= high for x, (low, high) in zip(values, domains)
+            ), (k, literals, box, values)
+        net.backtrack(0)
+
+
+def test_narrowing_keeps_every_solution_of_a_node():
+    # Every at-least node with k <= 3 over at most three signed literals of
+    # distinct variables, from every box of input and output intervals.
+    for m in range(4):
+        for k in range(4):
+            for signs in product((False, True), repeat=m):
+                check_narrowing(k, list(zip(range(1, m + 1), signs)), m + 1)
+
+
+def test_narrowing_keeps_every_solution_with_repeated_variables():
+    # Literals that share a variable, or read the node's own output: up to
+    # two literals over three variables, three literals over two.
+    for m, nvars in ((1, 3), (2, 3), (3, 2)):
+        for k in range(1, m + 1):
+            for vs in product(range(nvars), repeat=m):
+                if len(set(vs)) == m and 0 not in vs:
+                    continue
+                for signs in product((False, True), repeat=m):
+                    check_narrowing(k, list(zip(vs, signs)), nvars)
 
 
 # --- budgets and caps -------------------------------------------------------
