@@ -4,11 +4,15 @@ label sets, and finitely multi-valued typed properties.
 Node ids and edge ids share one namespace-disjointness rule: the two id sets
 may not overlap.  Ids are opaque text tokens; integer tokens are accepted on
 input and normalized to their decimal text.
+
+The label indexes (each label's elements, each edge label's adjacency) are
+built on first use, so calls that only import and export never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DanglingEdge, IdClash, KindMismatch, UnknownElement
@@ -34,14 +38,14 @@ class Label:
 
 
 def _ident(raw: object) -> str:
-    if isinstance(raw, bool):
-        raise TypeError("bool is not an element id")
-    if isinstance(raw, int):
-        return str(raw)
     if isinstance(raw, str):
         if not raw:
             raise ValueError("empty element id")
         return raw
+    if isinstance(raw, bool):
+        raise TypeError("bool is not an element id")
+    if isinstance(raw, int):
+        return str(raw)
     raise TypeError(f"not an element id: {raw!r}")
 
 
@@ -49,7 +53,8 @@ class PropertyGraph:
     """Validated immutable graph.  Construct through build_graph()."""
 
     __slots__ = (
-        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_keys", "_out", "_in"
+        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_keys", "_out", "_in",
+        "_by_label", "_label_adj",
     )
 
     def __init__(self, nodes, edges, endpoints, labels, props, keys, out, in_):
@@ -61,6 +66,8 @@ class PropertyGraph:
         self._keys = keys
         self._out = out
         self._in = in_
+        self._by_label = None
+        self._label_adj: dict = {}
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -126,6 +133,34 @@ class PropertyGraph:
         except KeyError:
             raise UnknownElement(f"no such node: {n!r}") from None
 
+    @property
+    def by_label(self) -> Mapping[str, frozenset[str]]:
+        """Each label to the nodes and edges carrying it."""
+        if self._by_label is None:
+            index: dict[str, list[str]] = {}
+            for x, names in self._labels.items():
+                for name in names:
+                    index.setdefault(name, []).append(x)
+            self._by_label = {name: frozenset(xs) for name, xs in index.items()}
+        return MappingProxyType(self._by_label)
+
+    def label_adjacency(self, label: str, direction: str) -> Mapping[str, tuple]:
+        """Per node, the adjacent_edges pairs whose edge carries `label`;
+        nodes without one are absent.  Each label is indexed on first use."""
+        if direction not in (OUTGOING, INCOMING):
+            raise ValueError(f"bad direction: {direction!r}")
+        if label not in self._label_adj:
+            tables: dict[str, dict] = {OUTGOING: {}, INCOMING: {}}
+            # Edge ids are unique, so id order is adjacent_edges' pair order.
+            for e in sorted(x for x in self.by_label.get(label, ()) if x in self._endpoints):
+                src, dst = self._endpoints[e]
+                tables[OUTGOING].setdefault(src, []).append((e, dst))
+                tables[INCOMING].setdefault(dst, []).append((e, src))
+            self._label_adj[label] = {
+                d: {n: tuple(pairs) for n, pairs in t.items()} for d, t in tables.items()
+            }
+        return self._label_adj[label][direction]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PropertyGraph):
             return NotImplemented
@@ -149,39 +184,47 @@ def build_graph(
     endpoints: Mapping[object, tuple[object, object]] | None = None,
     labelings: Mapping[object, Iterable[object]] | None = None,
     properties: Mapping[tuple[object, str], Iterable[object]] | None = None,
+    base: PropertyGraph | None = None,
 ) -> PropertyGraph:
     """Validate and build a graph.
 
     labelings maps an element to Label objects (or bare names, which take the
     element's own kind).  properties maps (element, key) to a non-empty
-    collection of values; plain int/str/date are coerced.
+    collection of values; plain int/str/date are coerced.  With a base graph
+    the result is base plus the given elements, which alone may get labels
+    and properties: base's tables are copied, and only the new rows are
+    validated, with the errors one build of all the rows would raise.
     """
+    if base is None:
+        base = PropertyGraph((), (), {}, {}, {}, {}, {}, {})
     node_ids = [_ident(n) for n in nodes]
     edge_ids = [_ident(e) for e in edges]
     node_set = set(node_ids)
     edge_set = set(edge_ids)
-    if len(node_set) != len(node_ids):
+    if len(node_set) != len(node_ids) or not node_set.isdisjoint(base._out):
         raise IdClash("duplicate node id")
-    if len(edge_set) != len(edge_ids):
+    if len(edge_set) != len(edge_ids) or not edge_set.isdisjoint(base._endpoints):
         raise IdClash("duplicate edge id")
-    clash = node_set & edge_set
+    clash = node_set & (edge_set | base._endpoints.keys()) | edge_set & base._out.keys()
     if clash:
         raise IdClash(f"ids used as both node and edge: {sorted(clash)}")
 
-    endpoint_map: dict[str, tuple[str, str]] = {}
+    out = {**base._out, **dict.fromkeys(node_ids, ())}
+    in_ = {**base._in, **dict.fromkeys(node_ids, ())}
+    endpoint_map = dict(base._endpoints)
     for e, pair in (endpoints or {}).items():
         eid = _ident(e)
         if eid not in edge_set:
             raise DanglingEdge(f"endpoints given for unknown edge {eid!r}")
         src, dst = (_ident(pair[0]), _ident(pair[1]))
-        if src not in node_set or dst not in node_set:
+        if src not in out or dst not in out:
             raise DanglingEdge(f"edge {eid!r} endpoint not a node: ({src}, {dst})")
         endpoint_map[eid] = (src, dst)
     missing = edge_set - endpoint_map.keys()
     if missing:
         raise DanglingEdge(f"edges without endpoints: {sorted(missing)}")
 
-    label_map: dict[str, frozenset[str]] = {}
+    label_map = dict(base._labels)
     for x, raw_labels in (labelings or {}).items():
         xid = _ident(x)
         if xid in node_set:
@@ -221,19 +264,21 @@ def build_graph(
     for xid, key in prop_map:
         keys.setdefault(xid, []).append(key)
 
-    out: dict[str, list[tuple[str, str]]] = {n: [] for n in node_set}
-    in_: dict[str, list[tuple[str, str]]] = {n: [] for n in node_set}
-    for e, (src, dst) in endpoint_map.items():
-        out[src].append((e, dst))
-        in_[dst].append((e, src))
-
+    added: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for e in edge_set:
+        src, dst = endpoint_map[e]
+        added.setdefault((OUTGOING, src), []).append((e, dst))
+        added.setdefault((INCOMING, dst), []).append((e, src))
+    tables = {OUTGOING: out, INCOMING: in_}
+    for (direction, n), pairs in added.items():
+        tables[direction][n] = tuple(sorted((*tables[direction][n], *pairs)))
     return PropertyGraph(
-        tuple(sorted(node_set)),
-        tuple(sorted(edge_set)),
+        tuple(sorted((*base._nodes, *node_ids))),
+        tuple(sorted((*base._edges, *edge_ids))),
         endpoint_map,
         label_map,
-        prop_map,
-        {x: tuple(sorted(ks)) for x, ks in keys.items()},
-        {n: tuple(sorted(pairs)) for n, pairs in out.items()},
-        {n: tuple(sorted(pairs)) for n, pairs in in_.items()},
+        {**base._props, **prop_map},
+        {**base._keys, **{x: tuple(sorted(ks)) for x, ks in keys.items()}},
+        out,
+        in_,
     )

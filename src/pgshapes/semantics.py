@@ -5,6 +5,10 @@ flips the chain, conjunction is the minimum; both are exact enum operations,
 no floating point anywhere.  A shape reference never recurses into the
 referenced constraint: it reads the current assignment, which is what makes
 evaluation total in the presence of recursive (even negated) references.
+
+Paths have one engine: each path object compiles once into a Thompson
+automaton over the graph's per-label adjacency, and a search over (node,
+state) pairs finds what a source reaches in O(|Q| * (|V| + |E|)).
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def _eval_target(g, q, elements, contains) -> frozenset[str]:
         # An id that is not an element of this kind yields no targets.
         return frozenset({q.element}) if contains(q.element) else frozenset()
     if isinstance(q, TargetLabel):
-        return frozenset(x for x in elements if q.label in g.labels_of(x))
+        return frozenset(filter(contains, g.by_label.get(q.label, ())))
     if isinstance(q, TargetKey):
         return frozenset(x for x in elements if g.property_values(x, q.key))
     if isinstance(q, TargetKeyValue):
@@ -201,52 +205,90 @@ def eval_path(
     """Nodes reachable from n over p.  Independent of any assignment."""
     if not g.has_node(n):
         raise UnknownElement(f"no such node: {n!r}")
-    return _path(g, n, p, _cache if _cache is not None else {})
+    return _reach(g, n, p, _cache if _cache is not None else {})
 
 
-def _path(g, n, p, cache) -> frozenset[str]:
-    key = (n, p)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(p, EdgeLabel):
-        out = frozenset(
-            dst
-            for (e, dst) in g.adjacent_edges(n, OUTGOING)
-            if p.name in g.labels_of(e)
-        )
-    elif isinstance(p, Inverse):
-        out = frozenset(m for m in g.nodes if n in _path(g, m, p.inner, cache))
-    elif isinstance(p, Seq):
-        out = frozenset(
-            n2
-            for n1 in _path(g, n, p.first, cache)
-            for n2 in _path(g, n1, p.second, cache)
-        )
-    elif isinstance(p, Alt):
-        out = _path(g, n, p.first, cache) | _path(g, n, p.second, cache)
-    elif isinstance(p, Star):
-        out = frozenset({n}) | _closure(g, n, p.inner, cache)
-    elif isinstance(p, Plus):
-        out = _closure(g, n, p.inner, cache)
-    elif isinstance(p, Opt):
-        out = frozenset({n}) | _path(g, n, p.inner, cache)
-    else:
-        raise TypeError(f"not a path expression: {p!r}")
-    cache[key] = out
+def _reach(g, n, p, cache) -> frozenset[str]:
+    """eval_path without the node check.  `cache` maps id(p) to p, its
+    automaton and its results by source node: keyed by identity, because
+    hashing a PathExpr recurses through the whole expression."""
+    _, automaton, results = cache.get(id(p)) or cache.setdefault(
+        id(p), (p, _automaton(g, p), {}))
+    if n not in results:
+        results[n] = _search(automaton, n)
+    return results[n]
+
+
+def _automaton(g, p) -> dict:
+    """Thompson's NFA for p, its steps reading g's label adjacency.
+
+    Inverses are pushed down to the label steps on an explicit stack (^(p/q)
+    is ^q/^p; the other operators commute with ^).  State 0 starts, 1
+    accepts, and a move with adjacency None is an epsilon move.  The result
+    maps each state a step enters to (accepting, steps): whether its epsilon
+    closure holds state 1, and the steps leaving that closure.
+    """
+    moves: list[list[tuple]] = [[], []]
+    stack = [(p, False, 0, 1)]
+    while stack:
+        q, inverted, a, b = stack.pop()
+        if isinstance(q, EdgeLabel):
+            direction = INCOMING if inverted else OUTGOING
+            moves[a].append((g.label_adjacency(q.name, direction), b))
+        elif isinstance(q, Inverse):
+            stack.append((q.inner, not inverted, a, b))
+        elif isinstance(q, Seq):
+            first, second = (q.second, q.first) if inverted else (q.first, q.second)
+            moves.append([])
+            mid = len(moves) - 1
+            stack += ((first, inverted, a, mid), (second, inverted, mid, b))
+        elif isinstance(q, Alt):
+            stack += ((q.first, inverted, a, b), (q.second, inverted, a, b))
+        elif isinstance(q, (Star, Opt)):
+            moves[a].append((None, b))
+            stack.append((Plus(q.inner) if isinstance(q, Star) else q.inner, inverted, a, b))
+        elif isinstance(q, Plus):
+            # a -> loop entry -> q -> loop exit -> (entry again | b)
+            entry, exit_ = len(moves), len(moves) + 1
+            moves += ([], [(None, entry), (None, b)])
+            moves[a].append((None, entry))
+            stack.append((q.inner, inverted, entry, exit_))
+        else:
+            raise TypeError(f"not a path expression: {q!r}")
+
+    out: dict[int, tuple[bool, list]] = {}
+    pending = [0]
+    while pending:
+        s = pending.pop()
+        if s in out:
+            continue
+        closure, todo, steps = {s}, [s], []
+        while todo:
+            for adjacency, t in moves[todo.pop()]:
+                if adjacency is not None:
+                    steps.append((adjacency, t))
+                elif t not in closure:
+                    closure.add(t)
+                    todo.append(t)
+        out[s] = (1 in closure, steps)
+        pending += (t for _, t in steps)
     return out
 
 
-def _closure(g, n, p, cache) -> frozenset[str]:
-    # Nodes reachable by one or more p-steps: worklist reachability, so
-    # cyclic graphs terminate.
-    reached: set[str] = set()
-    frontier = _path(g, n, p, cache)
-    while frontier:
-        reached |= frontier
-        frontier = frozenset(
-            m for x in frontier for m in _path(g, x, p, cache)
-        ) - reached
+def _search(automaton: dict, n: str) -> frozenset[str]:
+    """The nodes at which an accepting state is reached from (n, start):
+    each (node, state) pair is visited once."""
+    seen, todo, reached = {(n, 0)}, [(n, 0)], set()
+    while todo:
+        x, s = todo.pop()
+        accepting, moves = automaton[s]
+        if accepting:
+            reached.add(x)
+        for adjacency, t in moves:
+            for _, m in adjacency.get(x, ()):
+                if (m, t) not in seen:
+                    seen.add((m, t))
+                    todo.append((m, t))
     return frozenset(reached)
 
 
@@ -335,7 +377,7 @@ def _eval(g, sigma, x, c, kind, cache) -> TruthValue:
             _eval(g, sigma, x, c.second, kind, cache),
         )
     if isinstance(c, QualPath):
-        reached = sorted(_path(g, x, c.path, cache))
+        reached = sorted(_reach(g, x, c.path, cache))
         vals = [_eval(g, sigma, m, c.inner, NODE, cache) for m in reached]
         return _counted(c.count, vals, len(reached))
     if isinstance(c, QualIncoming):
@@ -354,18 +396,18 @@ def _eval(g, sigma, x, c, kind, cache) -> TruthValue:
     if isinstance(c, PathCmp):
         return _tv(
             compare_sets(
-                c.op, _path(g, x, c.first, cache), _path(g, x, c.second, cache)
+                c.op, _reach(g, x, c.first, cache), _reach(g, x, c.second, cache)
             )
         )
     if isinstance(c, PathKeyCmp):
         left = frozenset(
             v
-            for m in _path(g, x, c.first_path, cache)
+            for m in _reach(g, x, c.first_path, cache)
             for v in g.property_values(m, c.first_key)
         )
         right = frozenset(
             v
-            for m in _path(g, x, c.second_path, cache)
+            for m in _reach(g, x, c.second_path, cache)
             for v in g.property_values(m, c.second_key)
         )
         return _tv(compare_sets(c.op, left, right))
@@ -597,7 +639,7 @@ class GroundInstance:
                 return _at_least(2, [ground(c.first, x, kind),
                                      ground(c.second, x, kind)])
             if isinstance(c, QualPath):
-                reached = sorted(_path(g, x, c.path, cache))
+                reached = sorted(_reach(g, x, c.path, cache))
                 return _at_least(c.count, [ground(c.inner, m, NODE) for m in reached])
             if isinstance(c, (QualIncoming, QualOutgoing)):
                 direction = INCOMING if isinstance(c, QualIncoming) else OUTGOING

@@ -103,43 +103,6 @@ class _Fresh:
         return out
 
 
-def _graph_labels(g: PropertyGraph) -> set[str]:
-    out: set[str] = set()
-    for x in (*g.nodes, *g.edges):
-        out.update(g.labels_of(x))
-    return out
-
-
-def _graph_parts(g: PropertyGraph):
-    endpoints = {e: g.endpoints(e) for e in g.edges}
-    labelings = {}
-    properties = {}
-    for x in (*g.nodes, *g.edges):
-        labels = g.labels_of(x)
-        if labels:
-            labelings[x] = sorted(labels)
-        for key in g.property_keys(x):
-            properties[(x, key)] = sorted(
-                g.property_values(x, key), key=repr
-            )
-    return endpoints, labelings, properties
-
-
-def _extend_graph(g, new_nodes=(), new_edges=()):
-    """new_edges: (edge id, src, dst, labels) rows added to a copy of g."""
-    endpoints, labelings, properties = _graph_parts(g)
-    for eid, src, dst, labels in new_edges:
-        endpoints[eid] = (src, dst)
-        labelings[eid] = list(labels)
-    return build_graph(
-        [*g.nodes, *new_nodes],
-        [*g.edges, *(row[0] for row in new_edges)],
-        endpoints=endpoints,
-        labelings=labelings,
-        properties=properties,
-    )
-
-
 def _rewrite(c, path_map, marker):
     """Swap composite paths for their labels; guard edge-counting bodies."""
 
@@ -182,18 +145,19 @@ def eliminate_paths(
     if not composite:
         return g, core, TransformTrace()
 
-    labels = _Fresh(_graph_labels(g) | mentioned_names(core)[0])
+    labels = _Fresh({*g.by_label, *mentioned_names(core)[0]})
     ids = _Fresh({*g.nodes, *g.edges})
     path_map = {p: labels.name("__p") for p in composite}
     marker = labels.name("__m")
 
-    new_edges = []
+    ends: dict[str, tuple[str, str]] = {}
+    tags: dict[str, tuple[str, str]] = {}
     cache: dict = {}
     for p in composite:
-        label = path_map[p]
         for n in g.nodes:
             for m in sorted(eval_path(g, n, p, cache)):
-                new_edges.append((ids.name("__pe"), n, m, (label, marker)))
+                eid = ids.name("__pe")
+                ends[eid], tags[eid] = (n, m), (path_map[p], marker)
 
     rebuilt = [
         Shape(sh.name, sh.kind, _rewrite(sh.constraint, path_map, marker),
@@ -201,14 +165,14 @@ def eliminate_paths(
         for sh in core
     ]
     trace = TransformTrace(
-        fresh_edges=tuple(row[0] for row in new_edges),
+        fresh_edges=tuple(ends),
         fresh_labels=(*path_map.values(), marker),
         path_labels=tuple(
             (render_path(p), label) for p, label in path_map.items()
         ),
         marker=marker,
     )
-    return _extend_graph(g, new_edges=new_edges), link_shapes(rebuilt), trace
+    return build_graph((), ends, ends, tags, base=g), link_shapes(rebuilt), trace
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +243,14 @@ def reduce_to_single_target(
     nothing; conformance is unchanged and hinges on the returned root atom.
     """
     core = desugar_shapes(shapes)
-    labels = _Fresh(_graph_labels(g) | mentioned_names(core)[0])
+    labels = _Fresh({*g.by_label, *mentioned_names(core)[0]})
     ids = _Fresh({*g.nodes, *g.edges})
     snames = _Fresh(core.names)
 
     n0 = ids.name("__n")
     targets = target_atoms(g, core)
-    new_edges = []
+    ends: dict[str, tuple[str, str]] = {}
+    tags: dict[str, tuple[str, str]] = {}
     conjuncts = []
     rows = []
     marker = labels.name("__m") if targets else None
@@ -308,7 +273,7 @@ def reduce_to_single_target(
                     ),
                 )
             )
-        new_edges.append((eid, n0, reach, (label, marker)))
+        ends[eid], tags[eid] = (n0, reach), (label, marker)
         rows.append((atom.shape, atom.element, eid, label))
 
     root_constraint = _conjunction(conjuncts) if conjuncts else Top()
@@ -319,10 +284,10 @@ def reduce_to_single_target(
         for sh in core
     ]
     rebuilt.append(Shape(root_name, NODE, root_constraint, TargetExact(n0)))
-    g2 = _extend_graph(g, new_nodes=(n0,), new_edges=new_edges)
+    g2 = build_graph((n0,), ends, ends, tags, base=g)
     trace = TransformTrace(
         fresh_nodes=(n0,),
-        fresh_edges=tuple(row[0] for row in new_edges),
+        fresh_edges=tuple(ends),
         fresh_labels=tuple(row[3] for row in rows) + ((marker,) if marker else ()),
         fresh_shapes=(root_name,),
         target_edges=tuple(rows),

@@ -8,6 +8,7 @@ from pgshapes.asp import export_asp
 from pgshapes.cli import main
 from pgshapes.errors import ShapeSyntaxError
 from pgshapes.fixtures import office_graph, role_pair_shapes
+from pgshapes.graph import build_graph
 from pgshapes.jsonio import export_graph_json
 from pgshapes.parser import MAX_NESTING, parse_shapes
 
@@ -208,6 +209,27 @@ def test_check_long_reference_chain(capsys, tmp_path):
     assert run(capsys, "check", str(progs)) == (0, "1200 shapes, 0 cycles\n", "")
     progs.write_text(closed_text)
     assert run(capsys, "check", str(progs)) == (0, "1200 shapes, 1 cycle\n", "")
+
+
+def test_validate_long_sequence_path(capsys, tmp_path):
+    # A 2-cycle of :knows: 10,000 steps reach what 2 steps reach.
+    graph = tmp_path / "pair.json"
+    graph.write_bytes(export_graph_json(build_graph(
+        ["a", "b"], ["e", "f"], endpoints={"e": ("a", "b"), "f": ("b", "a")},
+        labelings={"a": ["Person"], "e": ["knows"], "f": ["knows"]},
+    )))
+    outputs = []
+    for steps in (2, 10_000):
+        path = " / ".join([":knows"] * steps)
+        progs = tmp_path / f"steps{steps}.progs"
+        progs.write_text(
+            f"NODE back [:Person] {{ >= 1 {path} . :Person }};\n"
+            f"NODE gone [:Person] {{ ! >= 1 {path} / :knows . :Person }};\n"
+        )
+        code, out, err = run(capsys, "validate", str(graph), str(progs))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_export_asp_writes_file(capsys, tmp_path, office_json):

@@ -6,6 +6,7 @@ import pytest
 from pgshapes.errors import DanglingEdge, IdClash, KindMismatch, UnknownElement
 from pgshapes.fixtures import office_graph
 from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, Label, build_graph
+from pgshapes.jsonio import export_graph_json, import_graph_json
 from pgshapes.values import DateValue, IntValue, StrValue
 
 from randgen import gen_graph
@@ -149,3 +150,116 @@ def test_property_keys_index_matches_a_full_scan():
             assert g.property_keys(x) == tuple(
                 sorted(k for (y, k) in g._props if y == x)
             )
+
+
+def test_label_adjacency_matches_filtered_adjacent_edges():
+    rng = random.Random(3301)
+    for _ in range(100):
+        g = gen_graph(rng, max_nodes=8, max_edges=12)
+        for direction in (OUTGOING, INCOMING):
+            for name in ("knows", "likes", "sees", "nope"):
+                table = g.label_adjacency(name, direction)
+                for n in g.nodes:
+                    assert table.get(n, ()) == tuple(
+                        pair for pair in g.adjacent_edges(n, direction)
+                        if name in g.labels_of(pair[0])
+                    )
+                assert set(table) <= set(g.nodes)
+    with pytest.raises(ValueError):
+        g.label_adjacency("knows", "sideways")
+
+
+def test_import_and_export_build_no_label_index():
+    g = import_graph_json(export_graph_json(office_graph()))
+    export_graph_json(g)
+    assert g._by_label is None and not g._label_adj
+
+
+def _rows(g):
+    """build_graph arguments that rebuild g."""
+    return dict(
+        nodes=g.nodes,
+        edges=g.edges,
+        endpoints={e: g.endpoints(e) for e in g.edges},
+        labelings={x: g.labels_of(x) for x in g.nodes + g.edges if g.labels_of(x)},
+        properties={
+            (x, k): g.property_values(x, k)
+            for x in g.nodes + g.edges for k in g.property_keys(x)
+        },
+    )
+
+
+def _extension(rng, g, count):
+    nodes = [f"x{i}" for i in range(rng.randint(0, 2))]
+    ends = list(g.nodes) + nodes
+    endpoints = {f"y{i}": (rng.choice(ends), rng.choice(ends)) for i in range(count)}
+    labelings = {
+        e: rng.sample(("knows", "likes", "fresh"), rng.randint(0, 2)) for e in endpoints
+    }
+    return nodes, endpoints, labelings
+
+
+def _rebuilt(g, nodes, endpoints, labelings):
+    """One build_graph call over g's rows and the new ones."""
+    rows = _rows(g)
+    rows["nodes"] = (*rows["nodes"], *nodes)
+    rows["edges"] = (*rows["edges"], *endpoints)
+    rows["endpoints"].update(endpoints)
+    rows["labelings"].update(labelings)
+    return build_graph(**rows)
+
+
+def test_building_on_a_base_equals_a_full_build():
+    rng = random.Random(5150)
+    graphs = [office_graph()] + [gen_graph(rng, max_nodes=8, max_edges=12) for _ in range(60)]
+    for g in graphs:
+        g.label_adjacency("knows", OUTGOING)  # a built base index must not leak
+        nodes, endpoints, labelings = _extension(rng, g, rng.randint(0, 6))
+        grown = build_graph(nodes, endpoints, endpoints, labelings, base=g)
+        expected = _rebuilt(g, nodes, endpoints, labelings)
+        assert grown == expected
+        assert dict(grown.by_label) == dict(expected.by_label)
+        for n in expected.nodes:
+            for d in (OUTGOING, INCOMING):
+                assert grown.adjacent_edges(n, d) == expected.adjacent_edges(n, d)
+                for name in ("knows", "likes", "fresh"):
+                    assert grown.label_adjacency(name, d) == expected.label_adjacency(name, d)
+        for x in expected.nodes + expected.edges:
+            assert grown.labels_of(x) == expected.labels_of(x)
+            assert grown.property_keys(x) == expected.property_keys(x)
+            for key in ("k1", "k2", "age", "since"):
+                assert grown.property_values(x, key) == expected.property_values(x, key)
+        assert g == _rebuilt(g, (), {}, {})  # the base is left as it was
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    (["100"], []),                       # an existing node id
+    (["n", "n"], []),                    # a repeated new node id
+    (["200"], []),                       # an existing edge id
+    ([], [("200", "100", "101")]),       # an existing edge id
+    ([], [("e", "100", "101"), ("e", "101", "100")]),
+    ([], [("100", "100", "101")]),       # an existing node id
+    (["n"], [("n", "100", "101")]),      # a new node id
+])
+def test_building_on_a_base_rejects_clashing_ids_like_a_full_build(nodes, edges):
+    g = office_graph()
+    ids = [e for e, _, _ in edges]
+    endpoints = {e: (src, dst) for e, src, dst in edges}
+    with pytest.raises(IdClash) as full:
+        build_graph(nodes=(*g.nodes, *nodes), edges=(*g.edges, *ids),
+                    endpoints={**_rows(g)["endpoints"], **endpoints})
+    with pytest.raises(IdClash) as grown:
+        build_graph(nodes, ids, endpoints, base=g)
+    assert str(grown.value) == str(full.value)
+
+
+def test_building_on_a_base_rejects_dangling_endpoints_like_a_full_build():
+    g = office_graph()
+    for endpoints in ({"e": ("100", "zzz")}, {"e": ("200", "100")}):
+        with pytest.raises(DanglingEdge) as full:
+            _rebuilt(g, ["n"], endpoints, {})
+        with pytest.raises(DanglingEdge) as grown:
+            build_graph(["n"], endpoints, endpoints, base=g)
+        assert str(grown.value) == str(full.value)
+    with pytest.raises(UnknownElement):  # labels only go on the new elements
+        build_graph(["n"], labelings={"100": ["Person"]}, base=g)

@@ -1,4 +1,5 @@
 import datetime
+import functools
 import itertools
 import random
 
@@ -106,6 +107,16 @@ def test_office_paths():
         eval_path(g, "200", WORKS)  # edges are not path sources
 
 
+def _full_path(rng, depth: int):
+    """A path with an operator at every level above `depth` 0."""
+    if depth == 0:
+        return gen_path(rng, 0)
+    op = rng.choice((S.Inverse, S.Seq, S.Alt, S.Star, S.Plus, S.Opt))
+    if op in (S.Seq, S.Alt):
+        return op(_full_path(rng, depth - 1), _full_path(rng, depth - 1))
+    return op(_full_path(rng, depth - 1))
+
+
 def test_path_matches_relational_oracle():
     rng = random.Random(2024)
     for _ in range(200):
@@ -113,6 +124,34 @@ def test_path_matches_relational_oracle():
         p = gen_path(rng, 3)
         for n in g.nodes:
             assert eval_path(g, n, p) == path_nodes(g, n, p), (n, p)
+    # Graphs of up to 40 nodes, with operators at all four levels, so
+    # inverses get pushed down through nested sequences, closures, options
+    # and alternatives; self-loops and parallel edges occur among them.
+    loops = parallel = 0
+    for _ in range(40):
+        g = gen_graph(rng, max_nodes=40, max_edges=60)
+        p = _full_path(rng, 4)
+        pairs = [g.endpoints(e) for e in g.edges]
+        loops += any(a == b for a, b in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        cache: dict = {}
+        for n in g.nodes:
+            assert eval_path(g, n, p, cache) == path_nodes(g, n, p), (n, p)
+    assert loops and parallel
+
+
+def test_long_sequence_path_needs_no_recursion():
+    # A 2-cycle: 10,000 :knows steps from a node lead back to it, as 2 do.
+    g = build_graph(
+        ["a", "b"], ["e", "f"], endpoints={"e": ("a", "b"), "f": ("b", "a")},
+        labelings={"e": ["knows"], "f": ["knows"]},
+    )
+    knows = S.EdgeLabel("knows")
+    long_path = functools.reduce(S.Seq, [knows] * 10_000)
+    cache: dict = {}
+    for n in g.nodes:
+        assert eval_path(g, n, long_path, cache) == eval_path(g, n, S.Seq(knows, knows))
+        assert eval_path(g, n, S.Inverse(long_path), cache) == {n}
 
 
 def test_predicates_match_oracle():
@@ -150,6 +189,21 @@ def test_office_targets():
         eval_target_nodes(g, S.TargetAnd(S.Nothing(), S.Nothing()))
     with pytest.raises(TypeError):
         eval_target_edges(g, S.TargetOr(S.Nothing(), S.Nothing()))
+
+
+def test_label_targets_match_a_full_scan():
+    rng = random.Random(4242)
+    names = ("Alpha", "Beta", "Gamma", "knows", "likes", "sees", "nope")
+    for _ in range(100):
+        g = gen_graph(rng, max_nodes=8, max_edges=12)
+        for name in names:
+            q = S.TargetLabel(name)
+            assert eval_target_nodes(g, q) == {
+                n for n in g.nodes if name in g.labels_of(n)
+            }
+            assert eval_target_edges(g, q) == {
+                e for e in g.edges if name in g.labels_of(e)
+            }
 
 
 def test_target_elements_uses_shape_kind():
