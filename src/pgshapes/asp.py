@@ -56,9 +56,7 @@ from .shapes import (
     Top,
     TypeIs,
     ValuePredicate,
-    constraint_paths,
-    iter_constraints,
-    iter_paths,
+    fold,
     mentioned_names,
 )
 from .sugar import desugar_shapes
@@ -105,44 +103,60 @@ def _value_term(v: Value) -> str:
     raise UnencodableValue(f"no fact form for {type(v).__name__}")
 
 
+# Functors of the forms whose terms are just their operands' terms.
+_FUNCTORS = {
+    Inverse: "inverse", Seq: "seq", Alt: "alt", Star: "star", Plus: "plus",
+    Opt: "opt", PredAnd: "and", PredNot: "neg", Not: "neg", And: "and",
+    Src: "src", Dst: "dst",
+}
+
+
+def _compound(x, operands: list) -> str:
+    if type(x) not in _FUNCTORS:
+        raise UnencodableValue(f"no fact form for {type(x).__name__}")
+    return f"{_FUNCTORS[type(x)]}({','.join(operands)})"
+
+
+def _predicate(v: ValuePredicate, operands: list) -> str:
+    if isinstance(v, AnyValue):
+        return "any"
+    if isinstance(v, TypeIs):
+        return v.type_name
+    if isinstance(v, Cmp):
+        return f"{v.op}({_value_term(v.constant)})"
+    return _compound(v, operands)
+
+
 class _Renderer:
+    """Terms for one fact base, one fold per constraint or path; every
+    constraint and path term rendered is collected on the way."""
+
     def __init__(self, labels: dict[str, str], keys: dict[str, str],
                  shape_names: dict[str, str]):
         self.labels = labels
         self.keys = keys
         self.shape_names = shape_names
+        self.constraint_terms: set[str] = set()
+        self.path_terms: set[str] = set()
 
     def path(self, p: PathExpr) -> str:
-        if isinstance(p, EdgeLabel):
-            return f"label({self.labels[p.name]})"
-        if isinstance(p, Inverse):
-            return f"inverse({self.path(p.inner)})"
-        if isinstance(p, Seq):
-            return f"seq({self.path(p.first)},{self.path(p.second)})"
-        if isinstance(p, Alt):
-            return f"alt({self.path(p.first)},{self.path(p.second)})"
-        if isinstance(p, Star):
-            return f"star({self.path(p.inner)})"
-        if isinstance(p, Plus):
-            return f"plus({self.path(p.inner)})"
-        if isinstance(p, Opt):
-            return f"opt({self.path(p.inner)})"
-        raise UnencodableValue(f"no fact form for {type(p).__name__}")
+        return fold(p, self._path, "PathExpr")
 
-    def predicate(self, v: ValuePredicate) -> str:
-        if isinstance(v, AnyValue):
-            return "any"
-        if isinstance(v, TypeIs):
-            return v.type_name
-        if isinstance(v, Cmp):
-            return f"{v.op}({_value_term(v.constant)})"
-        if isinstance(v, PredAnd):
-            return f"and({self.predicate(v.first)},{self.predicate(v.second)})"
-        if isinstance(v, PredNot):
-            return f"neg({self.predicate(v.inner)})"
-        raise UnencodableValue(f"no fact form for {type(v).__name__}")
+    def _path(self, p: PathExpr, operands: list) -> str:
+        leaf = isinstance(p, EdgeLabel)
+        term = f"label({self.labels[p.name]})" if leaf else _compound(p, operands)
+        self.path_terms.add(term)
+        return term
 
     def constraint(self, c: Constraint) -> str:
+        return fold(c, self._constraint)
+
+    def _constraint(self, c: Constraint, operands: list) -> str:
+        term = self._term(c, operands)
+        self.constraint_terms.add(term)
+        return term
+
+    def _term(self, c: Constraint, operands: list) -> str:
         if isinstance(c, Top):
             return "top"
         if isinstance(c, ShapeRef):
@@ -151,24 +165,15 @@ class _Renderer:
             return f"exact({_id_token(c.element)})"
         if isinstance(c, HasLabel):
             return f"label({self.labels[c.label]})"
-        if isinstance(c, Not):
-            return f"neg({self.constraint(c.inner)})"
-        if isinstance(c, And):
-            return f"and({self.constraint(c.first)},{self.constraint(c.second)})"
         if isinstance(c, QualPath):
-            return (
-                f"greaterEq({self.path(c.path)},"
-                f"{self.constraint(c.inner)},{c.count})"
-            )
+            return f"greaterEq({self.path(c.path)},{operands[0]},{c.count})"
         if isinstance(c, QualIncoming):
-            return f"greaterEqIncoming({self.constraint(c.inner)},{c.count})"
+            return f"greaterEqIncoming({operands[0]},{c.count})"
         if isinstance(c, QualOutgoing):
-            return f"greaterEqOutgoing({self.constraint(c.inner)},{c.count})"
+            return f"greaterEqOutgoing({operands[0]},{c.count})"
         if isinstance(c, QualKey):
-            return (
-                f"greaterEqKey({self.keys[c.key]},"
-                f"{self.predicate(c.predicate)},{c.count})"
-            )
+            predicate = fold(c.predicate, _predicate, "ValuePredicate")
+            return f"greaterEqKey({self.keys[c.key]},{predicate},{c.count})"
         if isinstance(c, PathCmp):
             return f"pathCmp({c.op},{self.path(c.first)},{self.path(c.second)})"
         if isinstance(c, PathKeyCmp):
@@ -179,11 +184,7 @@ class _Renderer:
             )
         if isinstance(c, KeyCmp):
             return f"keyCmp({c.op},{self.keys[c.first_key]},{self.keys[c.second_key]})"
-        if isinstance(c, Src):
-            return f"src({self.constraint(c.inner)})"
-        if isinstance(c, Dst):
-            return f"dst({self.constraint(c.inner)})"
-        raise UnencodableValue(f"no fact form for {type(c).__name__}")
+        return _compound(c, operands)
 
     def target(self, t: Target) -> str:
         if isinstance(t, Nothing):
@@ -250,14 +251,8 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
         for v in g.property_values(x, key)
     )
 
-    constraint_terms: set[str] = set()
-    path_terms: set[str] = set()
     shape_rows: list[tuple[str, str, str]] = []
     for sh in core:
-        for c in iter_constraints(sh.constraint):
-            constraint_terms.add(r.constraint(c))
-        for p in constraint_paths(sh.constraint):
-            path_terms.update(r.path(q) for q in iter_paths(p))
         pred = "edgeshape" if sh.kind == EDGE else "nodeshape"
         shape_rows.append(
             (
@@ -274,9 +269,9 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
         ("properties", [fact for _, fact in prop_facts]),
         (
             "constraint terms",
-            [f"constraint({t})." for t in sorted(constraint_terms)],
+            [f"constraint({t})." for t in sorted(r.constraint_terms)],
         ),
-        ("path terms", [f"path({t})." for t in sorted(path_terms)]),
+        ("path terms", [f"path({t})." for t in sorted(r.path_terms)]),
         (
             "node shapes",
             [row[2] for row in sorted(shape_rows) if row[0] == "nodeshape"],
@@ -286,9 +281,9 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
             [row[2] for row in sorted(shape_rows) if row[0] == "edgeshape"],
         ),
     ]
-    blocks = [
-        f"% {name}\n" + "\n".join(facts) + "\n"
-        for name, facts in groups
-        if facts
-    ]
-    return "\n".join(blocks)
+    # One join over every line: the constraint terms can be large.
+    lines: list[str] = []
+    for name, facts in groups:
+        if facts:
+            lines += ["", f"% {name}", *facts] if lines else [f"% {name}", *facts]
+    return "\n".join([*lines, ""])

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .asp import export_asp
@@ -36,6 +37,7 @@ from .solver import (
     enumerate_faithful_assignments,
     find_faithful_assignment,
 )
+from .sugar import desugar_shapes
 from .transforms import normalize_instance
 
 
@@ -157,7 +159,7 @@ def _cmd_check(args) -> int:
     text = _read_text(args.shapes)
     # Count what the author wrote; diagnose on the desugared, linked form.
     parsed = parse_shape_document(text)
-    linked = parse_shapes(text)
+    linked = desugar_shapes(parsed)
     print(f"{_plural(len(parsed), 'shape')}, {_plural(linked.cycle_count, 'cycle')}")
     return 0
 
@@ -193,6 +195,7 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+@cache  # built once: a small call spends most of its time here otherwise
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgshapes",

@@ -5,15 +5,18 @@ Constraint operators bind ! over & over |; counting bodies after ``.`` and
 the src/dst operands take a single unary constraint, so conjunctions there
 need parentheses.  parse_shapes desugars and links, so its output contains
 core constraints and plain targets only.  Brackets and unary operators nest
-at most MAX_NESTING deep, which keeps the parser and every recursive pass
-over the tree inside the interpreter's recursion limit.
+at most MAX_NESTING deep.  That bounds the parser's own recursion and the
+only recursion left after it: semantics evaluates an operand that moves to
+another element, or sits under `!`, by a recursive call.  Chains of any
+length never depend on it: every other pass walks the tree on an explicit
+stack (shapes.fold) or takes a chain apart on a list (shapes.conjuncts).
 """
 
 from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ShapeSyntaxError
 from .graph import EDGE, NODE
@@ -90,20 +93,21 @@ KEYWORDS = frozenset(
      "int", "string", "date", "any"}
 )
 
-_MULTI_OPS = ("<-[", "->[", ">=", "<=", "!=", "||")
-_SINGLE_OPS = "!&|=<>(){}[];.,:/*+?^"
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
-_INT = re.compile(r"-?\d+")
+# One token at a position, alternatives tried in order: operators (the
+# multi-character ones first), then dates before integers before names.
+# Strings are scanned by hand for their escapes.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+)|(?P<newline>\n)"
+    r"|(?P<op><-\[|->\[|>=|<=|!=|\|\||[!&|=<>(){}\[\];.,:/*+?^])"
+    r"|(?P<DATE>\d{4}-\d{2}-\d{2})|(?P<INT>-?\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+)
 
 _PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
 
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # op text, or IDENT/KW/INT/DATE/STRING/EOF
     text: str
     start: int
@@ -121,32 +125,9 @@ def _tokenize(text: str) -> list[Token]:
     i, line, col = 0, 1, 1
     n = len(text)
 
-    def tok(kind, lexeme, start, start_line, start_col):
-        tokens.append(Token(kind, lexeme, start, start + len(lexeme),
-                            start_line, start_col))
-
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-            continue
         start, start_line, start_col = i, line, col
-        matched = None
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                matched = op
-                break
-        if matched:
-            tok(matched, matched, start, start_line, start_col)
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch == '"':
+        if text[i] == '"':
             j = i + 1
             out = []
             while j < n and text[j] != '"':
@@ -184,35 +165,23 @@ def _tokenize(text: str) -> list[Token]:
             col += len(lexeme)
             i = j + 1
             continue
-        m = _DATE.match(text, i)
-        if m:
-            tok("DATE", m.group(), start, start_line, start_col)
-            i = m.end()
-            col += len(m.group())
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ShapeSyntaxError(
+                f"unexpected character {text[i]!r}",
+                span=Span(start, start + 1, start_line, start_col),
+            )
+        kind, lexeme, i = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        m = _INT.match(text, i)
-        if m and m.group() != "-":
-            tok("INT", m.group(), start, start_line, start_col)
-            i = m.end()
-            col += len(m.group())
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            name = m.group()
-            tok("KW" if name in KEYWORDS else "IDENT", name,
-                start, start_line, start_col)
-            i = m.end()
-            col += len(name)
-            continue
-        if ch in _SINGLE_OPS:
-            tok(ch, ch, start, start_line, start_col)
-            i += 1
-            col += 1
-            continue
-        raise ShapeSyntaxError(
-            f"unexpected character {ch!r}",
-            span=Span(start, start + 1, start_line, start_col),
-        )
+        if kind == "op":
+            kind = lexeme
+        elif kind == "IDENT" and lexeme in KEYWORDS:
+            kind = "KW"
+        if kind != "space":
+            tokens.append(Token(kind, lexeme, start, i, start_line, start_col))
+        col += len(lexeme)
     tokens.append(Token("EOF", "", n, n, line, col))
     return tokens
 
@@ -226,8 +195,9 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # next() never moves past the closing EOF token.
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]

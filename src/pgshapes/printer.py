@@ -71,8 +71,11 @@ from .shapes import (
     Top,
     TypeIs,
     ValuePredicate,
+    fold,
+    iter_constraints,
+    rewrite,
 )
-from .sugar import desugar_constraint
+from .sugar import desugar_form
 from .values import EQ, GEQ, GT, LEQ, LT, NEQ, value_text
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -98,55 +101,52 @@ def _element_id(text: str) -> str:
     return text
 
 
-def render_path(p: PathExpr) -> str:
-    return _path(p, _ALT)
-
-
-def _path(p: PathExpr, level: int) -> str:
-    if isinstance(p, EdgeLabel):
-        return f":{_name(p.name, 'edge label')}"
-    if isinstance(p, Alt):
-        text = f"{_path(p.first, _ALT)} || {_path(p.second, _SEQ)}"
-        own = _ALT
-    elif isinstance(p, Seq):
-        text = f"{_path(p.first, _SEQ)} / {_path(p.second, _PREFIX)}"
-        own = _SEQ
-    elif isinstance(p, Inverse):
-        text = f"^{_path(p.inner, _PREFIX)}"
-        own = _PREFIX
-    elif isinstance(p, Opt):
-        text = f"?{_path(p.inner, _PREFIX)}"
-        own = _PREFIX
-    elif isinstance(p, Star):
-        text = f"{_path(p.inner, _POSTFIX)}*"
-        own = _POSTFIX
-    elif isinstance(p, Plus):
-        text = f"{_path(p.inner, _POSTFIX)}+"
-        own = _POSTFIX
-    else:
-        raise TypeError(f"not a path: {p!r}")
+def _wrapped(result: tuple[str, int], level: int) -> str:
+    """An operand's (text, precedence), parenthesized where the grammar
+    would regroup it at `level`."""
+    text, own = result
     return f"({text})" if own < level else text
 
 
+def render_path(p: PathExpr) -> str:
+    return fold(p, _path, "PathExpr")[0]
+
+
+def _path(p: PathExpr, operands: list) -> tuple[str, int]:
+    if isinstance(p, EdgeLabel):
+        return f":{_name(p.name, 'edge label')}", _ATOM
+    if isinstance(p, (Alt, Seq)):
+        first, second = operands
+        if isinstance(p, Alt):
+            return f"{_wrapped(first, _ALT)} || {_wrapped(second, _SEQ)}", _ALT
+        return f"{_wrapped(first, _SEQ)} / {_wrapped(second, _PREFIX)}", _SEQ
+    if isinstance(p, (Inverse, Opt)):
+        prefix = "^" if isinstance(p, Inverse) else "?"
+        return prefix + _wrapped(operands[0], _PREFIX), _PREFIX
+    if isinstance(p, (Star, Plus)):
+        suffix = "*" if isinstance(p, Star) else "+"
+        return _wrapped(operands[0], _POSTFIX) + suffix, _POSTFIX
+    raise TypeError(f"not a path: {p!r}")
+
+
 def render_predicate(f: ValuePredicate) -> str:
-    return _pred(f, atom=False)
+    return fold(f, _pred, "ValuePredicate")[0]
 
 
-def _pred(f: ValuePredicate, atom: bool) -> str:
+def _pred(f: ValuePredicate, operands: list) -> tuple[str, int]:
+    """(text, 0) for a conjunction, (text, 1) for an atom."""
     if isinstance(f, AnyValue):
-        return "any"
+        return "any", 1
     if isinstance(f, TypeIs):
-        return f.type_name
+        return f.type_name, 1
     if isinstance(f, Cmp):
-        return f"{_PRED_SYMBOL[f.op]} {value_text(f.constant)}"
+        return f"{_PRED_SYMBOL[f.op]} {value_text(f.constant)}", 1
     if isinstance(f, PredNot):
         # A comparison after ! must be wrapped: "!=" would lex as one token.
-        if isinstance(f.inner, Cmp):
-            return f"!({_pred(f.inner, atom=False)})"
-        return f"!{_pred(f.inner, atom=True)}"
+        return "!" + _wrapped(operands[0], 2 if isinstance(f.inner, Cmp) else 1), 1
     if isinstance(f, PredAnd):
-        text = f"{_pred(f.first, atom=False)} & {_pred(f.second, atom=True)}"
-        return f"({text})" if atom else text
+        first, second = operands
+        return f"{_wrapped(first, 0)} & {_wrapped(second, 1)}", 0
     raise TypeError(f"not a value predicate: {f!r}")
 
 
@@ -170,81 +170,69 @@ def render_target(q: Target) -> str:
     raise TypeError(f"not a target: {q!r}")
 
 
+# Sugar without a concrete form renders as its core rewriting.
+_UNSPOKEN = (Bottom, ExistsPath, ExistsIncoming, ExistsOutgoing, ExistsKey,
+             ForallPath, ForallIncoming, ForallOutgoing, ForallKey)
+
+# The counting forms by their operator.
+_COUNTING = {
+    ">=": (QualPath, QualIncoming, QualOutgoing, QualKey),
+    "<=": (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey),
+    "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
+}
+
+
 def render_constraint(c: Constraint) -> str:
-    return _constraint(c, _OR)
+    if any(isinstance(k, _UNSPOKEN) for k in iter_constraints(c)):
+        c = rewrite(c, lambda k: desugar_form(k) if isinstance(k, _UNSPOKEN) else k)
+    return fold(c, _constraint)[0]
 
 
-def _counting(symbol, count, c):
-    if isinstance(c, (QualIncoming, AtMostIncoming, ExactlyIncoming)):
-        return f"{symbol} {count} <-[ {_constraint(c.inner, _OR)} ]"
-    if isinstance(c, (QualOutgoing, AtMostOutgoing, ExactlyOutgoing)):
-        return f"{symbol} {count} ->[ {_constraint(c.inner, _OR)} ]"
-    if isinstance(c, (QualKey, AtMostKey, ExactlyKey)):
-        return (
-            f"{symbol} {count} key {_name(c.key, 'key')}"
-            f" . {_pred(c.predicate, atom=True)}"
-        )
-    return (
-        f"{symbol} {count} {_path(c.path, _ALT)}"
-        f" . {_constraint(c.inner, _UNARY)}"
-    )
-
-
-def _constraint(c: Constraint, level: int) -> str:
-    # Sugar without a concrete form renders as its core rewriting.
-    if isinstance(
-        c,
-        (Bottom, ExistsPath, ExistsIncoming, ExistsOutgoing, ExistsKey,
-         ForallPath, ForallIncoming, ForallOutgoing, ForallKey),
-    ):
-        return _constraint(desugar_constraint(c), level)
+def _constraint(c: Constraint, operands: list) -> tuple[str, int]:
     if isinstance(c, Top):
-        return "true"
+        return "true", _PRIMARY
     if isinstance(c, ShapeRef):
-        return _name(c.name, "shape name")
+        return _name(c.name, "shape name"), _PRIMARY
     if isinstance(c, Exact):
-        return f"id {_element_id(c.element)}"
+        return f"id {_element_id(c.element)}", _PRIMARY
     if isinstance(c, HasLabel):
-        return f":{_name(c.label, 'label')}"
+        return f":{_name(c.label, 'label')}", _PRIMARY
     if isinstance(c, (PathCmp, PathKeyCmp, KeyCmp)):
         if isinstance(c, KeyCmp):
             first = f"key {_name(c.first_key, 'key')}"
             second = f"key {_name(c.second_key, 'key')}"
         elif isinstance(c, PathCmp):
-            first, second = _path(c.first, _ALT), _path(c.second, _ALT)
+            first, second = render_path(c.first), render_path(c.second)
         else:
-            first = f"{_path(c.first_path, _ALT)} key {_name(c.first_key, 'key')}"
-            second = (
-                f"{_path(c.second_path, _ALT)} key {_name(c.second_key, 'key')}"
-            )
-        return f"cmp({c.op}, {first}, {second})"
-
+            first = f"{render_path(c.first_path)} key {_name(c.first_key, 'key')}"
+            second = f"{render_path(c.second_path)} key {_name(c.second_key, 'key')}"
+        return f"cmp({c.op}, {first}, {second})", _PRIMARY
     if isinstance(c, Not):
-        inner = _constraint(c.inner, _UNARY)
+        inner = _wrapped(operands[0], _UNARY)
         if inner.startswith("="):
             # An exact-count form after ! must be wrapped: "!=" would lex
             # as one token.
             inner = f"({inner})"
-        text, own = f"!{inner}", _UNARY
-    elif isinstance(c, Src):
-        text, own = f"src {_constraint(c.inner, _UNARY)}", _UNARY
-    elif isinstance(c, Dst):
-        text, own = f"dst {_constraint(c.inner, _UNARY)}", _UNARY
-    elif isinstance(c, (QualPath, QualIncoming, QualOutgoing, QualKey)):
-        text, own = _counting(">=", c.count, c), _UNARY
-    elif isinstance(c, (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey)):
-        text, own = _counting("<=", c.count, c), _UNARY
-    elif isinstance(c, (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey)):
-        text, own = _counting("=", c.count, c), _UNARY
-    elif isinstance(c, And):
-        text = f"{_constraint(c.first, _AND)} & {_constraint(c.second, _UNARY)}"
-        own = _AND
-    elif isinstance(c, Or):
-        text = f"{_constraint(c.first, _OR)} | {_constraint(c.second, _AND)}"
-        own = _OR
-    else:
-        raise TypeError(f"not a constraint: {c!r}")
-    return f"({text})" if own < level else text
+        return f"!{inner}", _UNARY
+    if isinstance(c, (Src, Dst)):
+        word = "src" if isinstance(c, Src) else "dst"
+        return f"{word} {_wrapped(operands[0], _UNARY)}", _UNARY
+    if isinstance(c, (And, Or)):
+        first, second = operands
+        if isinstance(c, And):
+            return f"{_wrapped(first, _AND)} & {_wrapped(second, _UNARY)}", _AND
+        return f"{_wrapped(first, _OR)} | {_wrapped(second, _AND)}", _OR
+    for symbol, (on_path, incoming, outgoing, on_key) in _COUNTING.items():
+        if isinstance(c, (incoming, outgoing)):
+            arrow = "<-[" if isinstance(c, incoming) else "->["
+            return f"{symbol} {c.count} {arrow} {_wrapped(operands[0], _OR)} ]", _UNARY
+        if isinstance(c, on_key):
+            predicate = _wrapped(fold(c.predicate, _pred, "ValuePredicate"), 1)
+            return f"{symbol} {c.count} key {_name(c.key, 'key')} . {predicate}", _UNARY
+        if isinstance(c, on_path):
+            inner = _wrapped(operands[0], _UNARY)
+            return f"{symbol} {c.count} {render_path(c.path)} . {inner}", _UNARY
+    raise TypeError(f"not a constraint: {c!r}")
 
 
 def render_shape(shape: Shape) -> str:

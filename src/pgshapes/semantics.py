@@ -58,6 +58,7 @@ from .shapes import (
     Top,
     TypeIs,
     ValuePredicate,
+    conjuncts,
 )
 from .values import Value, compare_sets, compare_values
 
@@ -304,7 +305,9 @@ def matches_predicate(f: ValuePredicate, v: Value) -> bool:
     if isinstance(f, Cmp):
         return compare_values(f.op, v, f.constant)
     if isinstance(f, PredAnd):
-        return matches_predicate(f.first, v) and matches_predicate(f.second, v)
+        # The chain comes apart on a list: no operand is a conjunction, and
+        # only `!` nests a recursive call.
+        return all(matches_predicate(k, v) for k in conjuncts(f, PredAnd, PredNot))
     if isinstance(f, PredNot):
         return not matches_predicate(f.inner, v)
     raise TypeError(f"not a value predicate: {f!r}")
@@ -369,13 +372,11 @@ def _eval(g, sigma, x, c, kind, cache) -> TruthValue:
         return _tv(c.element == x)
     if isinstance(c, HasLabel):
         return _tv(c.label in g.labels_of(x))
-    if isinstance(c, Not):
+    if isinstance(c, Not) and not isinstance(c.inner, Not):
         return _eval(g, sigma, x, c.inner, kind, cache).negate()
-    if isinstance(c, And):
-        return min(
-            _eval(g, sigma, x, c.first, kind, cache),
-            _eval(g, sigma, x, c.second, kind, cache),
-        )
+    if isinstance(c, (And, Not)):
+        # A conjunction chain (| included) comes apart on a list.
+        return min([_eval(g, sigma, x, k, kind, cache) for k in conjuncts(c)])
     if isinstance(c, QualPath):
         reached = sorted(_reach(g, x, c.path, cache))
         vals = [_eval(g, sigma, m, c.inner, NODE, cache) for m in reached]
@@ -624,6 +625,7 @@ class GroundInstance:
         self.index = index = {a: i for i, a in enumerate(self.atoms)}
         self.targets = tuple(index[a] for a in target_atoms(g, shapes))
         cache: dict = {}
+        chains: dict[int, list] = {}
 
         def ground(c: Constraint, x: str, kind: str) -> tuple:
             if isinstance(c, ShapeRef):
@@ -631,13 +633,16 @@ class GroundInstance:
                 if atom not in index:
                     raise DomainMismatch(f"assignment has no value for {atom}")
                 return (REF, index[atom])
-            if isinstance(c, Not):
+            if isinstance(c, Not) and not isinstance(c.inner, Not):
                 return _negation(ground(c.inner, x, kind))
-            if isinstance(c, And):
-                # Both operands are grounded before folding, so a reference
-                # outside the atom set raises even beside a false operand.
-                return _at_least(2, [ground(c.first, x, kind),
-                                     ground(c.second, x, kind)])
+            if isinstance(c, (And, Not)):
+                # A conjunction chain (| included) comes apart on a list,
+                # once per object.  Every operand is grounded before folding,
+                # so a reference outside the atom set raises even beside a
+                # false operand.
+                chain = chains.get(id(c)) or chains.setdefault(id(c), conjuncts(c))
+                parts = [ground(k, x, kind) for k in chain]
+                return _at_least(len(parts), parts) if len(parts) > 1 else parts[0]
             if isinstance(c, QualPath):
                 reached = sorted(_reach(g, x, c.path, cache))
                 return _at_least(c.count, [ground(c.inner, m, NODE) for m in reached])

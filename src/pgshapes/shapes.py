@@ -13,14 +13,22 @@ other field is data.  A form that moves evaluation from one kind of element
 to the other says so in its `operand_kind` (edges for the incoming and
 outgoing forms, nodes for src and dst); a form that holds a path evaluates
 its operand at nodes.  iter_constraints, iter_paths, constraint_paths,
-map_children, rewrite and child_kind are built on that rule alone.
+map_children, fold, rewrite, child_kind and kind_walk are built on that
+rule alone.
+
+Trees are DAGs: desugaring `= n p . c` shares `c` between two subtrees,
+so k nested exact counts hold 2^k paths to their innermost operand.  So
+every walk visits each object once, by identity, on an explicit stack, and
+other modules walk trees only through these functions (fold for per-node
+rules over their operands' results).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, partial
 from itertools import count
+from operator import attrgetter
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import KindMismatch, UnknownShapeName
@@ -94,21 +102,64 @@ def _typed_fields(cls: type, type_name: str) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == type_name)
 
 
-def _walk(root, type_name: str) -> Iterator:
-    """Pre-order, first field first, through the fields typed `type_name`;
-    an explicit stack, so a chain of any length fits."""
+@cache
+def _getter(cls: type, type_name: str) -> Callable[[object], tuple]:
+    """An object of class cls to the tuple of its fields typed `type_name`."""
+    names = _typed_fields(cls, type_name)
+    get = attrgetter(*names) if names else lambda node: ()
+    return (lambda node: (get(node),)) if len(names) == 1 else get
+
+
+def _operands(node, type_name: str) -> tuple:
+    return _getter(type(node), type_name)(node)
+
+
+_EMIT = object()  # on the walk's stack: the item below is complete
+
+
+def _walk(root, operands: Callable, pre: bool = False, key: Callable = id):
+    """Every item reachable from root through `operands`, once by `key`:
+    depth first, first operand first, each item after its operands (before
+    them with `pre`).  A subterm shared by several parents is walked once,
+    and an explicit stack lets a chain of any length fit."""
+    seen = set()
     stack = [root]
     while stack:
-        node = stack.pop()
-        yield node
-        names = _typed_fields(type(node), type_name)
-        if names:
-            stack.extend(map(node.__getattribute__, reversed(names)))
+        item = stack.pop()
+        if item is _EMIT:
+            yield stack.pop()
+            continue
+        item_key = key(item)
+        if item_key in seen:
+            continue
+        seen.add(item_key)
+        if pre:
+            yield item
+        else:
+            stack += (item, _EMIT)
+        stack.extend(reversed(operands(item)))
+
+
+def fold(root, rule: Callable, type_name: str = "Constraint"):
+    """rule(node, results) at every object under root through the fields
+    typed `type_name`, where results lists the rule's results at node's
+    operands; the result at root.  Each object is folded once, however many
+    paths lead to it, and a result is dropped after its last use."""
+    operands = partial(_operands, type_name=type_name)
+    order = [(node, operands(node)) for node in _walk(root, operands)]
+    last_use = {id(k): node for node, below in order for k in below}
+    done = {}
+    for node, below in order:
+        done[id(node)] = rule(node, [done[id(k)] for k in below])
+        for k in below:
+            if last_use[id(k)] is node:
+                done.pop(id(k), None)
+    return done[id(root)]
 
 
 def iter_paths(p: PathExpr) -> Iterator[PathExpr]:
-    """Pre-order walk over a path expression."""
-    return _walk(p, "PathExpr")
+    """Pre-order walk over a path expression, each object once."""
+    return _walk(p, partial(_operands, type_name="PathExpr"), pre=True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,31 +531,33 @@ CORE_CONSTRAINTS = (
 
 
 def iter_constraints(c: Constraint) -> Iterator[Constraint]:
-    """Pre-order walk over a constraint tree (core forms and sugar)."""
-    return _walk(c, "Constraint")
+    """Pre-order walk over a constraint tree (core forms and sugar), each
+    object once."""
+    return _walk(c, _children, pre=True)
 
 
 def _children(c: Constraint) -> tuple[Constraint, ...]:
-    return tuple(map(c.__getattribute__, _typed_fields(type(c), "Constraint")))
+    return _operands(c, "Constraint")
 
 
 def constraint_paths(c: Constraint) -> Iterator[PathExpr]:
-    """All path expressions syntactically inside a constraint."""
+    """The path expressions held by the constraint objects inside c."""
     for sub in iter_constraints(c):
-        for name in _typed_fields(type(sub), "PathExpr"):
-            yield getattr(sub, name)
+        yield from _operands(sub, "PathExpr")
+
+
+def _rebuilt(c, new: Sequence, field_type: str = "Constraint"):
+    """c with its fields typed `field_type` set to `new`, in order; c itself
+    when every one is unchanged."""
+    names = _typed_fields(type(c), field_type)
+    changed = {n: v for n, v in zip(names, new) if v is not getattr(c, n)}
+    return replace(c, **changed) if changed else c
 
 
 def map_children(c: Constraint, f: Callable, field_type: str = "Constraint"):
     """c rebuilt with f applied to each operand (each field typed
     `field_type`); c itself when f returns every one unchanged."""
-    changed = {}
-    for name in _typed_fields(type(c), field_type):
-        old = getattr(c, name)
-        new = f(old)
-        if new is not old:
-            changed[name] = new
-    return replace(c, **changed) if changed else c
+    return _rebuilt(c, [f(k) for k in _operands(c, field_type)], field_type)
 
 
 def map_paths(c: Constraint, f: Callable[[PathExpr], PathExpr]) -> Constraint:
@@ -513,18 +566,10 @@ def map_paths(c: Constraint, f: Callable[[PathExpr], PathExpr]) -> Constraint:
 
 
 def rewrite(c: Constraint, rule: Callable[[Constraint], Constraint]) -> Constraint:
-    """c rebuilt bottom-up: each node's operands are rewritten first, then
-    rule maps the node with its new operands (map_children).  Reverse
-    pre-order puts every node after its operands, so no recursion is
-    needed and a chain of any length fits."""
-    done: dict[int, Constraint] = {}
-
-    def rewritten(k: Constraint) -> Constraint:
-        return done[id(k)]
-
-    for node in reversed(list(iter_constraints(c))):
-        done[id(node)] = rule(map_children(node, rewritten))
-    return done[id(c)]
+    """c rebuilt bottom-up: rule maps each object with its operands already
+    rewritten.  A fold, so a shared subterm is rewritten once and its
+    result stays shared."""
+    return fold(c, lambda node, new: rule(_rebuilt(node, new)))
 
 
 def child_kind(c: Constraint, kind: str) -> str:
@@ -535,6 +580,40 @@ def child_kind(c: Constraint, kind: str) -> str:
     return NODE if _typed_fields(type(c), "PathExpr") else kind
 
 
+def kind_walk(
+    c: Constraint, kind: str, pre: bool = False, stop: Callable | None = None
+) -> Iterator[tuple[Constraint, str]]:
+    """Each (subterm, kind) pair under c, evaluated at an element of `kind`,
+    once (see _walk); the operands of a subterm that `stop` holds for are
+    not entered."""
+
+    def operands(item):
+        sub, ctx = item
+        below = _children(sub)
+        if not below or (stop is not None and stop(sub)):
+            return ()
+        inner = child_kind(sub, ctx)
+        return [(k, inner) for k in below]
+
+    return _walk((c, kind), operands, pre, key=lambda item: (id(item[0]), item[1]))
+
+
+def conjuncts(c, conj: type = And, neg: type = Not) -> list:
+    """The operands of the `conj` chain at c, left to right, on a list:
+    c alone when it is no chain.  Double `neg`ations are seen through (`!!c`
+    is c in three-valued logic too), so a desugared `|` chain comes apart."""
+    out, todo = [], [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, conj):
+            todo += (c.second, c.first)
+        elif isinstance(c, neg) and isinstance(c.inner, neg):
+            todo.append(c.inner.inner)
+        else:
+            out.append(c)
+    return out
+
+
 def constraint_references(c: Constraint) -> frozenset[str]:
     return frozenset(
         sub.name for sub in iter_constraints(c) if isinstance(sub, ShapeRef)
@@ -542,7 +621,7 @@ def constraint_references(c: Constraint) -> frozenset[str]:
 
 
 def operator_count(c: Constraint) -> int:
-    """The core forms in c that have operands."""
+    """The core objects in c that have operands, each object counted once."""
     return sum(
         1 for sub in iter_constraints(c)
         if isinstance(sub, CORE_CONSTRAINTS) and _children(sub)
@@ -663,13 +742,13 @@ class ShapeSet:
         return f"ShapeSet({', '.join(self.names)})"
 
 
-def _check_kinds(shape: Shape, by_name: dict[str, Shape]):
-    """Node-only forms (those that hold a path or count edges) sit at
-    nodes, src and dst at edges, each reference names a shape of its
-    position's kind, and no count is negative."""
-    stack = [(shape.constraint, shape.kind)]
-    while stack:
-        c, ctx = stack.pop()
+def _check_kinds(shape: Shape, by_name: dict[str, Shape]) -> frozenset[str]:
+    """The names shape references, once it is checked that node-only forms
+    (those that hold a path or count edges) sit at nodes, src and dst at
+    edges, each reference names a shape of its position's kind, and no
+    count is negative.  Each (subterm, kind) pair is checked once."""
+    references = set()
+    for c, ctx in kind_walk(shape.constraint, shape.kind, pre=True):
         # A form that moves its operands to one kind starts from the other;
         # a path runs between nodes.
         if c.operand_kind == ctx or (
@@ -690,12 +769,10 @@ def _check_kinds(shape: Shape, by_name: dict[str, Shape]):
                     f"shape {shape.name!r} references {ref.kind} shape {c.name!r} "
                     f"in a {ctx} position"
                 )
+            references.add(c.name)
         if vars(c).get("count", 0) < 0:
             raise ValueError(f"shape {shape.name!r}: negative count {c.count}")
-        operands = _children(c)
-        if operands:
-            inner = child_kind(c, ctx)
-            stack.extend([(k, inner) for k in reversed(operands)])
+    return frozenset(references)
 
 
 def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
@@ -704,8 +781,7 @@ def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
     by_name = {s.name: s for s in result}
     references: dict[str, frozenset[str]] = {}
     for s in result:
-        _check_kinds(s, by_name)
-        references[s.name] = constraint_references(s.constraint)
+        references[s.name] = _check_kinds(s, by_name)
     linked = ShapeSet(result.shapes)
     linked._linked = True
     linked._references = references

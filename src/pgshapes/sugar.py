@@ -54,6 +54,7 @@ from .shapes import (
     TargetLabel,
     TargetOr,
     Top,
+    is_sugar_free,
     link_shapes,
     rewrite,
 )
@@ -62,10 +63,10 @@ from .values import EQ
 
 def desugar_constraint(c: Constraint) -> Constraint:
     """Rewrite every sugared form into core connectives."""
-    return rewrite(c, _desugar_form)
+    return c if is_sugar_free(c) else rewrite(c, desugar_form)
 
 
-def _desugar_form(c: Constraint) -> Constraint:
+def desugar_form(c: Constraint) -> Constraint:
     """One sugared form in core connectives; its operands are core already."""
     if isinstance(c, CORE_CONSTRAINTS):
         return c
@@ -181,7 +182,14 @@ def desugar_targets(shape: Shape) -> tuple[Shape, ...]:
 
 
 def desugar_shapes(shapes) -> ShapeSet:
-    """Targets then constraints rewritten to core forms, relinked."""
+    """Targets then constraints rewritten to core forms, relinked; a linked
+    set in core forms already comes back as it is."""
+    if isinstance(shapes, ShapeSet) and shapes.linked and all(
+        not isinstance(sh.target, (TargetAnd, TargetOr))
+        and is_sugar_free(sh.constraint)
+        for sh in shapes
+    ):
+        return shapes
     flat: list[Shape] = []
     for sh in shapes:
         flat.extend(desugar_targets(sh))

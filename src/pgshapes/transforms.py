@@ -57,6 +57,7 @@ from .shapes import (
     child_kind,
     constraint_paths,
     is_sugar_free,
+    kind_walk,
     link_shapes,
     map_children,
     map_paths,
@@ -103,17 +104,18 @@ class _Fresh:
         return out
 
 
-def _rewrite(c, path_map, marker):
-    """Swap composite paths for their labels; guard edge-counting bodies."""
+def _rewrite(c, path_labels, marker):
+    """Swap composite paths for their labels (path_labels maps id(path) to
+    its label); guard edge-counting bodies."""
 
     def swap(p: PathExpr) -> PathExpr:
-        return EdgeLabel(path_map[p]) if p in path_map else p
+        return EdgeLabel(path_labels[id(p)]) if id(p) in path_labels else p
 
     def guard(body):
         return And(body, Not(HasLabel(marker)))
 
     def step(c):
-        if path_map:
+        if path_labels:
             c = map_paths(c, swap)
         if marker is not None and c.operand_kind == EDGE:
             c = map_children(c, guard)
@@ -137,39 +139,42 @@ def eliminate_paths(
     instance comes back unchanged.
     """
     core = desugar_shapes(shapes)
-    composite: list[PathExpr] = []
+    # Composite paths by canonical text: comparing or hashing the paths
+    # themselves would recurse through them.
+    composite: dict[str, PathExpr] = {}
+    texts: dict[int, str] = {}
     for sh in core:
         for p in constraint_paths(sh.constraint):
-            if not isinstance(p, EdgeLabel) and p not in composite:
-                composite.append(p)
+            if not isinstance(p, EdgeLabel) and id(p) not in texts:
+                texts[id(p)] = render_path(p)
+                composite.setdefault(texts[id(p)], p)
     if not composite:
         return g, core, TransformTrace()
 
     labels = _Fresh({*g.by_label, *mentioned_names(core)[0]})
     ids = _Fresh({*g.nodes, *g.edges})
-    path_map = {p: labels.name("__p") for p in composite}
+    path_map = {text: labels.name("__p") for text in composite}
     marker = labels.name("__m")
 
     ends: dict[str, tuple[str, str]] = {}
     tags: dict[str, tuple[str, str]] = {}
     cache: dict = {}
-    for p in composite:
+    for text, p in composite.items():
         for n in g.nodes:
             for m in sorted(eval_path(g, n, p, cache)):
                 eid = ids.name("__pe")
-                ends[eid], tags[eid] = (n, m), (path_map[p], marker)
+                ends[eid], tags[eid] = (n, m), (path_map[text], marker)
 
+    path_labels = {key: path_map[text] for key, text in texts.items()}
     rebuilt = [
-        Shape(sh.name, sh.kind, _rewrite(sh.constraint, path_map, marker),
+        Shape(sh.name, sh.kind, _rewrite(sh.constraint, path_labels, marker),
               sh.target, span=sh.span)
         for sh in core
     ]
     trace = TransformTrace(
         fresh_edges=tuple(ends),
         fresh_labels=(*path_map.values(), marker),
-        path_labels=tuple(
-            (render_path(p), label) for p, label in path_map.items()
-        ),
+        path_labels=tuple(path_map.items()),
         marker=marker,
     )
     return build_graph((), ends, ends, tags, base=g), link_shapes(rebuilt), trace
@@ -183,6 +188,15 @@ def _is_normal(c) -> bool:
     if isinstance(c, ATOMIC_CONSTRAINTS):
         return True
     return all(isinstance(k, ATOMIC_CONSTRAINTS) for k in _children(c))
+
+
+def _moved(c, kind: str, refs: dict):
+    """c with its operands swapped for the fresh shapes that hold them
+    (refs, by id and kind), unless it is normal and stays whole."""
+    if _is_normal(c):
+        return c
+    inner = child_kind(c, kind)
+    return map_children(c, lambda k: refs[id(k), inner])
 
 
 def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
@@ -203,22 +217,21 @@ def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
     names = _Fresh(core.names)
     fresh: list[Shape] = []
     sources: list[tuple[str, str]] = []
-
-    def extract(kind: str, origin: str, c) -> ShapeRef:
-        name = names.name("__f")
-        sources.append((name, origin))
-        if not _is_normal(c):
-            c = map_children(c, partial(extract, child_kind(c, kind), origin))
-        fresh.append(Shape(name, kind, c, Nothing()))
-        return ShapeRef(name)
-
     rebuilt = []
     for sh in core:
-        c = sh.constraint
         # One level of the constraint stays; operands leave, even atomic
-        # ones, so the result depends only on the top operator.
-        if not _is_normal(c):
-            c = map_children(c, partial(extract, child_kind(c, sh.kind), sh.name))
+        # ones, so the result depends only on the top operator.  Each
+        # (subterm, kind) pair moves once: names go out parents first,
+        # shapes are built operands first.
+        walk = partial(kind_walk, sh.constraint, sh.kind, stop=_is_normal)
+        refs = {}
+        for c, kind in list(walk(pre=True))[1:]:
+            refs[id(c), kind] = ShapeRef(names.name("__f"))
+            sources.append((refs[id(c), kind].name, sh.name))
+        *operands, _ = walk()
+        fresh += [Shape(refs[id(c), kind].name, kind, _moved(c, kind, refs), Nothing())
+                  for c, kind in operands]
+        c = _moved(sh.constraint, sh.kind, refs)
         rebuilt.append(Shape(sh.name, sh.kind, c, sh.target, span=sh.span))
     trace = TransformTrace(
         fresh_shapes=tuple(name for name, _ in sources),

@@ -11,6 +11,7 @@ from pgshapes.fixtures import office_graph, role_pair_shapes
 from pgshapes.graph import build_graph
 from pgshapes.jsonio import export_graph_json
 from pgshapes.parser import MAX_NESTING, parse_shapes
+from pgshapes.values import IntValue
 
 S1_LINE = "NODE s1 [:Employee] { >= 1 :colleagueOf . :Person };"
 S2_TEXT = (
@@ -369,3 +370,60 @@ def test_internal_error_exits_four(capsys, monkeypatch, office_json, s2_progs, e
     assert (code, out) == (4, "")
     words = " ".join(str(exc).split())
     assert err == f"error: internal: {type(exc).__name__}: {words}\n"
+
+
+# --- long chains and shared subterms ----------------------------------------
+
+
+def chain_progs(op, n):
+    """A shape whose body chains n operands with op, plus the referenced
+    r; the verdict on the knows pair does not depend on n."""
+    if op in ("|", "&"):
+        body = f" {op} ".join(["r"] * n)
+    elif op in ("/", "||"):
+        body = f">= 1 {f' {op} '.join([':knows'] * n)} . true"
+    else:  # a parenthesized predicate conjunction
+        body = f">= 1 key k . ({' & '.join(['int'] * n)})"
+    return f"NODE s [id a] {{ {body} }};\nNODE r [] {{ >= 1 :knows . true }};\n"
+
+
+@pytest.fixture
+def knows_pair(tmp_path):
+    """A 2-cycle of :knows edges; node a has the int 1 under k."""
+    path = tmp_path / "pair.json"
+    path.write_bytes(export_graph_json(build_graph(
+        ["a", "b"], ["e", "f"], endpoints={"e": ("a", "b"), "f": ("b", "a")},
+        labelings={"e": ["knows"], "f": ["knows"]},
+        properties={("a", "k"): [IntValue(1)]},
+    )))
+    return str(path)
+
+
+CHAIN_COMMANDS = {
+    # command: (argv, operands in the long chain)
+    "check": (("check", "PROGS"), 10_000),
+    "validate": (("validate", "GRAPH", "PROGS"), 10_000),
+    "convert": (("convert", "PROGS"), 10_000),
+    "normalize": (("validate", "--normalize", "GRAPH", "PROGS"), 2_000),
+    "export-asp": (("export-asp", "GRAPH", "PROGS", "OUT"), 2_000),
+}
+
+
+@pytest.mark.parametrize("command", CHAIN_COMMANDS)
+@pytest.mark.parametrize("op", ["|", "&", "/", "||", "pred&"])
+def test_long_chains_keep_their_verdict(capsys, tmp_path, knows_pair, op, command):
+    template, n = CHAIN_COMMANDS[command]
+    results = []
+    for size in (2, n):
+        progs = tmp_path / f"chain{size}.progs"
+        progs.write_text(chain_progs(op, size))
+        paths = {"GRAPH": knows_pair, "PROGS": str(progs), "OUT": str(tmp_path / "out.asp")}
+        code, out, err = run(capsys, *[paths.get(arg, arg) for arg in template])
+        assert code != 4, err
+        if command == "convert":
+            assert out == progs.read_text()  # the chain is canonical already
+            out = ""
+        elif command == "normalize":
+            out = out.splitlines()[0]  # fresh names differ; the verdict must not
+        results.append((code, out))
+    assert results[0] == results[1]

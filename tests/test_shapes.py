@@ -7,6 +7,7 @@ from pgshapes import shapes as S
 from pgshapes.errors import KindMismatch, UnknownShapeName
 from pgshapes.graph import EDGE, NODE
 from pgshapes.shapes import Shape, ShapeSet, Span, link_shapes
+from pgshapes.sugar import desugar_constraint
 from pgshapes.values import IntValue
 
 from randgen import gen_graph, gen_shapes
@@ -233,6 +234,51 @@ def test_walks_take_long_chains():
     assert sum(1 for _ in S.iter_constraints(c)) == 10001
     assert S.rewrite(c, lambda k: k) is c
     link_shapes([node_shape("s", c)])
+
+
+def nested_exact_counts(depth):
+    """`= 1 :knows .` nested depth times, desugared: each level shares its
+    operand between two subtrees, so the innermost one has 2^depth paths."""
+    c = S.Top()
+    for _ in range(depth):
+        c = S.ExactlyPath(1, S.EdgeLabel("knows"), c)
+    return desugar_constraint(c)
+
+
+def test_fold_visits_shared_subterms_once():
+    c = nested_exact_counts(30)
+    seen = []
+    size = S.fold(c, lambda node, operands: seen.append(node) or 1 + sum(operands))
+    # And, QualPath, Not, QualPath per level, plus the innermost true.
+    assert len(seen) == len({id(node) for node in seen}) == 4 * 30 + 1
+    assert size > 2 ** 30  # the tree the DAG unfolds to
+    assert sum(1 for _ in S.iter_constraints(c)) == 4 * 30 + 1
+    assert S.operator_count(c) == 4 * 30
+    assert S.rewrite(c, lambda k: k) is c
+    assert link_shapes([node_shape("s", c)]).references == {"s": frozenset()}
+
+
+def test_fold_results_follow_the_operands():
+    # fold hands each rule its operands' results in field order.
+    c = S.And(S.Not(S.HasLabel("A")), S.QualPath(2, P, S.Top()))
+
+    def text(node, operands):
+        return f"{type(node).__name__}({', '.join(operands)})"
+
+    assert S.fold(c, text) == "And(Not(HasLabel()), QualPath(Top()))"
+    path = S.Seq(S.Inverse(S.EdgeLabel("a")), S.EdgeLabel("b"))
+    assert S.fold(path, text, "PathExpr") == "Seq(Inverse(EdgeLabel()), EdgeLabel())"
+
+
+def test_conjuncts_see_through_double_negation():
+    a, b, c = S.HasLabel("A"), S.HasLabel("B"), S.HasLabel("C")
+    assert S.conjuncts(S.And(S.And(a, S.Not(S.Not(b))), c)) == [a, b, c]
+    chain = a
+    for _ in range(5000):
+        chain = S.Or(chain, b)
+    chain = desugar_constraint(chain)  # !(!!(!(...) & !b) & !b)
+    assert len(S.conjuncts(chain.inner)) == 5001
+    assert S.conjuncts(S.Not(a)) == [S.Not(a)]
 
 
 def test_cycle_count():

@@ -25,6 +25,7 @@ from pgshapes.shapes import (
     AtMostPath,
     EdgeLabel,
     Exact,
+    ExactlyPath,
     HasLabel,
     Inverse,
     Not,
@@ -199,6 +200,33 @@ def test_fold_keeps_normal_subtrees_whole():
     assert folded.get("s").constraint == Not(ShapeRef("__f0"))
     assert folded.get("__f0").constraint == And(HasLabel("A"), HasLabel("B"))
     assert len(folded.names) == 2
+
+
+def nested_exact_counts(depth, target):
+    c = Top()
+    for _ in range(depth):
+        c = ExactlyPath(1, EdgeLabel("knows"), c)
+    return Shape("s", NODE, c, target)
+
+
+def test_fold_moves_each_shared_subterm_once():
+    # `= 1 p . c` desugars into two subtrees that share c, so 16 levels hold
+    # 2^16 paths to the innermost operand; each (subterm, kind) pair moves
+    # into one fresh shape.
+    shapes = link_shapes([nested_exact_counts(16, Nothing())])
+    folded, trace = fold_operators(shapes)
+    assert len(trace.fresh_shapes) <= 4 * 16
+    assert is_normalized(folded)
+    g = build_graph(
+        ["1", "2", "3"], ["a", "b", "c", "d"],
+        endpoints={"a": ("1", "2"), "b": ("2", "3"), "c": ("3", "1"), "d": ("1", "3")},
+        labelings={"a": ["knows"], "b": ["knows"], "c": ["knows"], "d": ["knows"]},
+    )
+    for depth in range(1, 6):
+        for node in g.nodes:
+            shapes = desugar_shapes([nested_exact_counts(depth, TargetExact(node))])
+            folded, _ = fold_operators(shapes)
+            assert transformed_verdict(g, folded) == transformed_verdict(g, shapes)
 
 
 def test_fold_rejects_composite_paths():
