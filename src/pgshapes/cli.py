@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import cache
 from pathlib import Path
 
 from .asp import export_asp
@@ -195,7 +194,6 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-@cache  # built once: a small call spends most of its time here otherwise
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgshapes",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .errors import ShapeSyntaxError
 from .graph import EDGE, NODE
@@ -107,7 +107,8 @@ _PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
 MAX_NESTING = 100
 
 
-class Token(NamedTuple):
+@dataclass(frozen=True)
+class Token:
     kind: str  # op text, or IDENT/KW/INT/DATE/STRING/EOF
     text: str
     start: int
@@ -195,9 +196,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        # next() never moves past the closing EOF token.
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]

@@ -72,7 +72,6 @@ from .shapes import (
     TypeIs,
     ValuePredicate,
     fold,
-    iter_constraints,
     rewrite,
 )
 from .sugar import desugar_form
@@ -183,8 +182,7 @@ _COUNTING = {
 
 
 def render_constraint(c: Constraint) -> str:
-    if any(isinstance(k, _UNSPOKEN) for k in iter_constraints(c)):
-        c = rewrite(c, lambda k: desugar_form(k) if isinstance(k, _UNSPOKEN) else k)
+    c = rewrite(c, lambda k: desugar_form(k) if isinstance(k, _UNSPOKEN) else k)
     return fold(c, _constraint)[0]
 
 

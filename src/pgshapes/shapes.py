@@ -742,12 +742,11 @@ class ShapeSet:
         return f"ShapeSet({', '.join(self.names)})"
 
 
-def _check_kinds(shape: Shape, by_name: dict[str, Shape]) -> frozenset[str]:
-    """The names shape references, once it is checked that node-only forms
-    (those that hold a path or count edges) sit at nodes, src and dst at
-    edges, each reference names a shape of its position's kind, and no
-    count is negative.  Each (subterm, kind) pair is checked once."""
-    references = set()
+def _check_kinds(shape: Shape, by_name: dict[str, Shape]):
+    """Node-only forms (those that hold a path or count edges) sit at
+    nodes, src and dst at edges, each reference names a shape of its
+    position's kind, and no count is negative.  Each (subterm, kind) pair
+    is checked once."""
     for c, ctx in kind_walk(shape.constraint, shape.kind, pre=True):
         # A form that moves its operands to one kind starts from the other;
         # a path runs between nodes.
@@ -769,10 +768,8 @@ def _check_kinds(shape: Shape, by_name: dict[str, Shape]) -> frozenset[str]:
                     f"shape {shape.name!r} references {ref.kind} shape {c.name!r} "
                     f"in a {ctx} position"
                 )
-            references.add(c.name)
         if vars(c).get("count", 0) < 0:
             raise ValueError(f"shape {shape.name!r}: negative count {c.count}")
-    return frozenset(references)
 
 
 def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
@@ -781,7 +778,8 @@ def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
     by_name = {s.name: s for s in result}
     references: dict[str, frozenset[str]] = {}
     for s in result:
-        references[s.name] = _check_kinds(s, by_name)
+        _check_kinds(s, by_name)
+        references[s.name] = constraint_references(s.constraint)
     linked = ShapeSet(result.shapes)
     linked._linked = True
     linked._references = references

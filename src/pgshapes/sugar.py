@@ -63,7 +63,7 @@ from .values import EQ
 
 def desugar_constraint(c: Constraint) -> Constraint:
     """Rewrite every sugared form into core connectives."""
-    return c if is_sugar_free(c) else rewrite(c, desugar_form)
+    return rewrite(c, desugar_form)
 
 
 def desugar_form(c: Constraint) -> Constraint:
@@ -184,6 +184,8 @@ def desugar_targets(shape: Shape) -> tuple[Shape, ...]:
 def desugar_shapes(shapes) -> ShapeSet:
     """Targets then constraints rewritten to core forms, relinked; a linked
     set in core forms already comes back as it is."""
+    # Each transform desugars its input, so a normalize run would otherwise
+    # relink the same core set once per step.
     if isinstance(shapes, ShapeSet) and shapes.linked and all(
         not isinstance(sh.target, (TargetAnd, TargetOr))
         and is_sugar_free(sh.constraint)
