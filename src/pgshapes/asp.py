@@ -62,19 +62,19 @@ from .shapes import (
 from .sugar import desugar_shapes
 from .values import DateValue, IntValue, StrValue, Value, quote_string, value_sort_key
 
-_BARE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
-_DIGITS = re.compile(r"^[0-9]+$")
+_BARE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _id_token(x: str) -> str:
-    if _DIGITS.match(x) or _BARE.match(x):
+    if _DIGITS.fullmatch(x) or _BARE.fullmatch(x):
         return x
     return quote_string(x)
 
 
 def _lowered(name: str) -> str:
     low = name[0].lower() + name[1:]
-    return low if _BARE.match(low) else quote_string(low)
+    return low if _BARE.fullmatch(low) else quote_string(low)
 
 
 def _rename_map(names: set[str], what: str) -> dict[str, str]:
@@ -201,7 +201,9 @@ class _Renderer:
 
 
 def _arg_key(token: str) -> tuple:
-    return (0, int(token)) if _DIGITS.match(token) else (1, token)
+    # Digit ids in numeric order, without int(): it refuses long digit strings.
+    digits = token.lstrip("0")
+    return (0, len(digits), digits) if _DIGITS.fullmatch(token) else (1, token)
 
 
 def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
@@ -209,9 +211,10 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
     first; an empty graph with no shapes yields an empty document."""
     core = desugar_shapes(shapes)
 
+    elements = (*g.nodes, *g.edges)
     labels: set[str] = set()
     keys: set[str] = set()
-    for x in (*g.nodes, *g.edges):
+    for x in elements:
         labels.update(g.labels_of(x))
         keys.update(g.property_keys(x))
     shape_labels, shape_keys = mentioned_names(core)
@@ -225,28 +228,25 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
             )
     r = _Renderer(label_map, key_map, shape_map)
 
+    # Each id's sort key and token, once per element rather than per fact.
+    arg = {x: _arg_key(x) for x in elements}
+    tok = {x: _id_token(x) for x in elements}
     edge_facts = sorted(
-        (
-            (_arg_key(src), _arg_key(e), _arg_key(dst)),
-            f"edge({_id_token(src)}, {_id_token(e)}, {_id_token(dst)}).",
-        )
+        ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).")
         for e in g.edges
         for src, dst in [g.endpoints(e)]
     )
     label_facts = sorted(
-        (
-            (_arg_key(x), label_map[lab]),
-            f"label({_id_token(x)}, {label_map[lab]}).",
-        )
-        for x in (*g.nodes, *g.edges)
+        ((arg[x], label_map[lab]), f"label({tok[x]}, {label_map[lab]}).")
+        for x in elements
         for lab in g.labels_of(x)
     )
     prop_facts = sorted(
         (
-            (_arg_key(x), key_map[key], value_sort_key(v)),
-            f"property({_id_token(x)}, {key_map[key]}, {_value_term(v)}).",
+            (arg[x], key_map[key], value_sort_key(v)),
+            f"property({tok[x]}, {key_map[key]}, {_value_term(v)}).",
         )
-        for x in (*g.nodes, *g.edges)
+        for x in elements
         for key in g.property_keys(x)
         for v in g.property_values(x, key)
     )

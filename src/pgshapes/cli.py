@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 3
-    except (PgShapesError, OSError) as exc:
+    except (PgShapesError, OSError, UnicodeDecodeError) as exc:
         span = exc.span if isinstance(exc, ShapeSyntaxError) else None
         where = "" if span is None else f"line {span.line}, column {span.column}: "
         print(f"error: {where}{exc}", file=sys.stderr)

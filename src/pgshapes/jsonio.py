@@ -7,13 +7,17 @@ wrappers like {"type": "int", "value": 30} so readers never have to guess,
 and dates travel as ISO text.  Unknown fields are skipped with a warning
 rather than rejected, so documents from richer exporters still load.
 
-Export output is canonical: sorted keys, two-space indent, one trailing
-newline.  import(export(G)) is the identity.
+Export output is canonical: the bytes of json.dumps(doc, sort_keys=True,
+indent=2, ensure_ascii=False) plus a newline, which the writer emits element
+by element in the schema's fixed key order, without the generic encoder.
+import(export(G)) is the identity.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 import warnings
 
 from .errors import SchemaError
@@ -33,6 +37,13 @@ from .values import (
 _NODE_FIELDS = frozenset({"id", "labels", "properties"})
 _REL_FIELDS = frozenset({"id", "labels", "label", "start", "end", "properties"})
 _VALUE_FIELDS = frozenset({"type", "value"})
+
+# The string escaper json.dumps itself uses with ensure_ascii=False.
+_quote = json.encoder.encode_basestring
+_VALUE = '{\n            "type": "%s",\n            "value": %s\n          }'
+# In valid JSON every backslash opens an escape, so escapes found from the
+# left are the document's own; group 1 is a surrogate not in a valid pair.
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
 
 
 def _warn_unknown(obj: dict, known: frozenset, where: str) -> None:
@@ -116,15 +127,26 @@ def _decode_properties(
 def import_graph_json(data: bytes | str) -> PropertyGraph:
     """Read a graph document.  Raises SchemaError on malformed input and
     DanglingEdge / IdClash when the document violates graph invariants."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(data)
+        if isinstance(data, str):
+            data = data.encode("utf-8")  # fails on a lone surrogate
+        text = data.decode("utf-8")
+    except UnicodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except ValueError:  # the decoder's only other ValueError: a long integer
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"integer over {limit} digits") from None
+    except RecursionError:
+        raise SchemaError("arrays or objects nested too deep to decode") from None
+    # Only a "\ud" or "\uD" escape decodes to a surrogate; memchr finds no "\"
+    # in most documents far faster than a search for either.
+    if b"\\" in data and (b"\\ud" in data or b"\\uD" in data):
+        if any(m[1] for m in _ESCAPE.finditer(text)):
+            raise SchemaError("lone surrogate escape in a string")
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     for name in ("nodes", "relationships"):
@@ -171,34 +193,42 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
     return build_graph(nodes, edges, endpoints, labelings, properties)
 
 
-def _encode_value(v: Value) -> dict:
-    if isinstance(v, DateValue):
-        return {"type": DATE, "value": v.value.isoformat()}
-    return {"type": v.type_name, "value": v.value}
+def _value_json(v: Value) -> str:
+    if isinstance(v, IntValue):
+        payload = int.__repr__(v.value)
+    else:
+        payload = _quote(v.value if isinstance(v, StrValue) else v.value.isoformat())
+    return _VALUE % (v.type_name, payload)
 
 
-def _encode_element(g: PropertyGraph, x: str) -> dict:
-    out: dict = {"id": x, "labels": sorted(g.labels_of(x))}
-    out["properties"] = {
-        key: [
-            _encode_value(v)
-            for v in sorted(g.property_values(x, key), key=value_sort_key)
-        ]
+def _element_json(g: PropertyGraph, x: str, head: str = "", tail: str = "") -> str:
+    """x as a top-level array item; head, tail: fields around the others."""
+    labels = ",\n        ".join(map(_quote, sorted(g.labels_of(x))))
+    props = ",\n        ".join(
+        f"{_quote(key)}: [\n          "
+        + ",\n          ".join(
+            map(_value_json, sorted(g.property_values(x, key), key=value_sort_key))
+        )
+        + "\n        ]"
         for key in g.property_keys(x)
-    }
-    return out
+    )
+    labels = f"[\n        {labels}\n      ]" if labels else "[]"
+    props = f"{{\n        {props}\n      }}" if props else "{}"
+    return (
+        f'\n    {{\n      {head}"id": {_quote(x)},\n      "labels": {labels},'
+        f'\n      "properties": {props}{tail}\n    }}'
+    )
 
 
 def export_graph_json(g: PropertyGraph) -> bytes:
-    """Serialize a graph to canonical UTF-8 JSON bytes."""
-    rels = []
-    for e in g.edges:
-        obj = _encode_element(g, e)
-        obj["start"], obj["end"] = g.endpoints(e)
-        rels.append(obj)
-    doc = {
-        "nodes": [_encode_element(g, n) for n in g.nodes],
-        "relationships": rels,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    """Serialize a graph to canonical UTF-8 JSON bytes (module docstring)."""
+    nodes = [_element_json(g, n) for n in g.nodes]
+    rels = [
+        _element_json(
+            g, e, f'"end": {_quote(dst)},\n      ', f',\n      "start": {_quote(src)}'
+        )
+        for e in g.edges
+        for src, dst in [g.endpoints(e)]
+    ]
+    nodes, rels = (f"[{','.join(xs)}\n  ]" if xs else "[]" for xs in (nodes, rels))
+    return f'{{\n  "nodes": {nodes},\n  "relationships": {rels}\n}}\n'.encode()

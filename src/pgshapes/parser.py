@@ -15,6 +15,7 @@ stack (shapes.fold) or takes a chain apart on a list (shapes.conjuncts).
 from __future__ import annotations
 
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -219,6 +220,12 @@ class _Parser:
     def fail(self, message: str, token: Token):
         raise ShapeSyntaxError(message, span=token.span)
 
+    def integer(self, token: Token) -> int:
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than int() converts
+            self.fail(f"integer over {sys.get_int_max_str_digits()} digits", token)
+
     @contextmanager
     def nested(self, token: Token):
         """One nesting level, opened at `token`, around the parse inside."""
@@ -347,7 +354,7 @@ class _Parser:
     def counting(self, start: Token) -> Constraint:
         op = self.next().kind  # ">=", "<=", or "="
         count_tok = self.expect("INT")
-        count = int(count_tok.text)
+        count = self.integer(count_tok)
         if count < 0:
             self.fail("count must not be negative", count_tok)
         forms = {
@@ -552,7 +559,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return IntValue(int(tok.text))
+            return IntValue(self.integer(tok))
         if tok.kind == "DATE":
             self.next()
             try:

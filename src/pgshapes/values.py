@@ -44,6 +44,7 @@ _VALUE_CLASSES = (IntValue, StrValue, DateValue)
 
 _ISO_DATE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 _SLASH_DATE = re.compile(r"^(\d{2})/(\d{2})/(\d{4})$")
+_ESCAPED = re.compile(r'["\\\n\t\r]')  # what quote_string escapes
 
 
 def parse_date(text: str) -> datetime.date:
@@ -86,6 +87,8 @@ def value_text(v: Value) -> str:
 
 
 def quote_string(s: str) -> str:
+    if not _ESCAPED.search(s):
+        return f'"{s}"'
     out = ['"']
     for ch in s:
         if ch in ('"', "\\"):

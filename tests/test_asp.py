@@ -24,7 +24,7 @@ from pgshapes.shapes import (
     Top,
     link_shapes,
 )
-from pgshapes.values import GEQ, StrValue
+from pgshapes.values import GEQ, StrValue, quote_string
 
 from randgen import gen_instance
 
@@ -129,6 +129,34 @@ def test_odd_ids_quoted():
     g = build_graph(["A 1", "n2"], ["E;9"], endpoints={"E;9": ("A 1", "n2")})
     lines = fact_lines(export_asp(g, link_shapes([])))
     assert lines == ['edge("A 1", "E;9", n2).']
+
+
+def test_digit_ids_sort_by_value_at_any_length():
+    long_id = "9" * 5000  # longer than int() converts
+    g = build_graph(
+        [long_id, "10", "9", "009", "a"],
+        labelings={x: ["Person"] for x in (long_id, "10", "9", "009", "a")},
+    )
+    lines = fact_lines(export_asp(g, link_shapes([])))
+    assert lines == [
+        f"label({x}, person)." for x in ("009", "9", "10", long_id, "a")
+    ]
+
+
+def test_ids_and_labels_with_a_trailing_newline_quoted():
+    g = build_graph(["7\n", "n\n"], labelings={"7\n": ["a\n"], "n\n": ["b"]})
+    lines = fact_lines(export_asp(g, link_shapes([])))
+    assert lines == ['label("7\\n", "a\\n").', 'label("n\\n", b).']
+
+
+def test_quote_string_fast_path_matches_character_loop():
+    # A trailing newline sends the same text through the character loop.
+    rng = random.Random(2028)
+    alphabet = 'ab"\\\n\t\r\x00é\U0001f600'
+    for _ in range(500):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        assert quote_string(s + "\n") == quote_string(s)[:-1] + '\\n"'
+    assert quote_string('say "hi"\\') == '"say \\"hi\\"\\\\"'
 
 
 def test_sugar_accepted():

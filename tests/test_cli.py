@@ -1,6 +1,7 @@
 """Command line behavior: output contract and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -427,3 +428,49 @@ def test_long_chains_keep_their_verdict(capsys, tmp_path, knows_pair, op, comman
             out = out.splitlines()[0]  # fresh names differ; the verdict must not
         results.append((code, out))
     assert results[0] == results[1]
+
+
+MALFORMED_GRAPHS = {
+    "lone-surrogate-id": r'{"nodes": [{"id": "\ud800", "labels": ["Person"]}], "relationships": []}',
+    "lone-surrogate-value": r'{"nodes": [{"id": "1", "labels": ["Person"], "properties": '
+    r'{"name": [{"type": "string", "value": "a\uDC00"}]}}], "relationships": []}',
+    "long-integer-value": '{"nodes": [{"id": "1", "properties": '
+    '{"age": [{"type": "int", "value": %s}]}}], "relationships": []}' % ("9" * 5000),
+    "long-integer-id": '{"nodes": [{"id": %s}], "relationships": []}' % ("9" * 5000),
+    "deep-nesting": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["convert", "export-asp", "validate"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_is_an_input_error(capsys, tmp_path, command, name):
+    graph = tmp_path / "graph.json"
+    graph.write_text(MALFORMED_GRAPHS[name])
+    progs = tmp_path / "person.progs"
+    progs.write_text(PERSON_TEXT)
+    argv = [command, str(graph)] + ([str(progs)] if command != "convert" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize(
+    "body", [">= %s :knows . true", ">= 1 key age . (= %s)"], ids=["count", "value"]
+)
+def test_long_integer_in_shapes_is_a_syntax_error(capsys, tmp_path, body):
+    prefix = "NODE s [:Person] { "
+    progs = tmp_path / "long.progs"
+    progs.write_text(prefix + body % ("9" * 5000) + " };\n")
+    column = len(prefix) + body.index("%s") + 1
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "check", str(progs)) == (
+        2, "", f"error: line 1, column {column}: integer over {limit} digits\n"
+    )
+
+
+def test_shape_file_not_utf8_is_an_input_error(capsys, tmp_path):
+    progs = tmp_path / "latin1.progs"
+    progs.write_bytes(b"NODE s [:Person] { \xff };\n")
+    code, out, err = run(capsys, "check", str(progs))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "can't decode" in err

@@ -3,10 +3,11 @@
 Shape files follow docs/grammar.ebnf: chains of up to 30 operands, nesting
 up to 6 levels, up to 4 nested exact counts (validation still grounds k of
 them in 2^k), references to unknown shapes, and now and then a truncated
-file.  Graph documents have at most 6 nodes and are sometimes malformed.
+file.  Graph documents have at most 6 nodes, ids, labels and text drawn
+partly from characters that need escaping, and are sometimes malformed.
 Whatever comes in, every subcommand must answer with a contract exit code:
 0 and 1 verdicts, 2 input errors, 3 budget exhausted; never 4, an internal
-error.
+error.  A graph that converts converts again to the same text.
 """
 
 import contextlib
@@ -28,6 +29,14 @@ MAX_DEPTH = 6
 MAX_EXACT = 4
 MAX_NODES = 6
 MAX_TEXT = 600
+# Quotes, backslashes, control characters, DEL, a line separator, non-ASCII
+# and astral text: what the graph writer and the fact export must escape.
+ODD_CHARS = '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028é\U0001f600"
+# JSON text that import must refuse, written over placeholder strings: a
+# lone surrogate escape, an integer longer than int() converts, and nesting
+# deeper than the decoder recurses.
+POISON = "@poison@"
+POISONS = ('"\\ud800"', "9" * 5000, "[" * 10_000 + "]" * 10_000)
 
 
 @st.composite
@@ -164,16 +173,23 @@ def shape_files(draw):
 @st.composite
 def graph_documents(draw):
     """A graph document, mostly well-formed; a careless one may hold bad
-    values, clashing ids, dangling edges, unknown fields or bad JSON."""
+    values, clashing ids, dangling edges, unknown fields or bad JSON, and
+    nodes whose id or value is a lone surrogate escape, a 5,000-digit
+    integer or 10,000 nested arrays."""
     careless = draw(st.integers(0, 3)) == 0
 
     def rarely() -> bool:
         return careless and draw(st.integers(0, 5)) == 0
 
-    node_ids = [f"n{i}" for i in range(draw(st.integers(0, MAX_NODES)))]
+    def odd(text: str) -> str:
+        return text + draw(st.text(st.sampled_from(ODD_CHARS), max_size=3))
+
+    node_ids = [odd(f"n{i}") for i in range(draw(st.integers(0, MAX_NODES)))]
     values = (
         {"type": "int", "value": 3},
+        {"type": "int", "value": -(10**300)},
         {"type": "string", "value": "x"},
+        {"type": "string", "value": odd("")},
         {"type": "date", "value": "2020-01-02"},
     )
     bad_values = (
@@ -185,7 +201,7 @@ def graph_documents(draw):
     def element(eid, labels):
         obj = {"id": eid}
         if draw(st.booleans()):
-            obj["labels"] = draw(st.lists(st.sampled_from(labels), max_size=2))
+            obj["labels"] = draw(st.lists(st.sampled_from(labels).map(odd), max_size=2))
         keys = draw(st.lists(st.sampled_from(KEYS), max_size=2, unique=True))
         if keys:
             obj["properties"] = {
@@ -197,7 +213,7 @@ def graph_documents(draw):
     nodes = [element(n, LABELS) for n in node_ids]
     rels = []
     for i in range(draw(st.integers(0, 8) if node_ids else st.just(0))):
-        rel = element("n0" if rarely() else f"r{i}", EDGE_LABELS)
+        rel = element(node_ids[0] if rarely() else f"r{i}", EDGE_LABELS)
         rel["start"], rel["end"] = (
             "ghost" if rarely() else draw(st.sampled_from(node_ids)) for _ in "se"
         )
@@ -207,7 +223,16 @@ def graph_documents(draw):
     doc = {"nodes": nodes, "relationships": rels}
     if rarely():
         doc["extra"] = True
+    for i in range(len(POISONS)):
+        if careless and draw(st.booleans()):
+            value = {"type": "int", "value": f"{POISON}{i}"}
+            nodes.append(draw(st.sampled_from((
+                {"id": f"{POISON}{i}"},
+                {"id": f"v{i}", "properties": {"k": [value]}},
+            ))))
     text = json.dumps(doc)
+    for i, poison in enumerate(POISONS):
+        text = text.replace(f'"{POISON}{i}"', poison)
     return text[: draw(st.integers(0, len(text)))] if rarely() else text
 
 
@@ -229,14 +254,19 @@ def test_generated_inputs_never_crash(workdir, shapes, graph):
     progs, doc = workdir / "fuzz.progs", workdir / "fuzz.json"
     progs.write_text(shapes)
     doc.write_text(graph)
+    converted = workdir / "fuzz-converted.json"
     for argv in (
         ["check", str(progs)],
         ["validate", "--budget", "2000", str(doc), str(progs)],
         ["convert", str(progs)],
-        ["convert", str(doc)],
+        ["convert", str(doc), "-o", str(converted)],
         ["export-asp", str(doc), str(progs), str(workdir / "fuzz.asp")],
     ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv[0], err.getvalue(), shapes, graph)
+        if argv[:2] == ["convert", str(doc)] and code == 0:
+            first = converted.read_bytes()
+            assert main(["convert", str(converted), "-o", str(converted)]) == 0
+            assert converted.read_bytes() == first, graph
