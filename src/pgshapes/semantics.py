@@ -6,6 +6,12 @@ no floating point anywhere.  A shape reference never recurses into the
 referenced constraint: it reads the current assignment, which is what makes
 evaluation total in the presence of recursive (even negated) references.
 
+Constraints have one evaluator: _grounding writes each connective's rule
+once, turning a constraint at an element into a grounded node over
+references, and _leaf decides the core forms that read no assignment.  The
+least fixed point, the search, brute force, is_strictly_faithful and
+eval_node_constraint / eval_edge_constraint all read that grounded form.
+
 Paths have one engine: each path object compiles once into a Thompson
 automaton over the graph's per-label adjacency, and a search over (node,
 state) pairs finds what a source reaches in O(|Q| * (|V| + |E|)).
@@ -83,10 +89,6 @@ class TruthValue(enum.IntEnum):
 
 
 FALSE, UNKNOWN, TRUE = TruthValue.FALSE, TruthValue.UNKNOWN, TruthValue.TRUE
-
-
-def _tv(b: bool) -> TruthValue:
-    return TRUE if b else FALSE
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,7 @@ def eval_node_constraint(
 ) -> TruthValue:
     if not g.has_node(n):
         raise UnknownElement(f"no such node: {n!r}")
-    return _eval(g, sigma, n, c, NODE, _cache if _cache is not None else {})
+    return _value(_grounding(g, _assigned(sigma), _cache)(c, n, NODE), sigma)
 
 
 def eval_edge_constraint(
@@ -338,14 +340,13 @@ def eval_edge_constraint(
 ) -> TruthValue:
     if not g.has_edge(e):
         raise UnknownElement(f"no such edge: {e!r}")
-    return _eval(g, sigma, e, c, EDGE, _cache if _cache is not None else {})
+    return _value(_grounding(g, _assigned(sigma), _cache)(c, e, EDGE), sigma)
 
 
-def _lookup(sigma, atom: Atom) -> TruthValue:
-    try:
-        return sigma[atom]
-    except KeyError:
-        raise DomainMismatch(f"assignment has no value for {atom}") from None
+def _assigned(sigma: Mapping[Atom, TruthValue]):
+    """References resolve to the atoms themselves, read off sigma later;
+    None for an atom sigma gives no value."""
+    return lambda atom: atom if atom in sigma else None
 
 
 def _counted(count: int, values: list[TruthValue], pool: int) -> TruthValue:
@@ -363,42 +364,23 @@ def _counted(count: int, values: list[TruthValue], pool: int) -> TruthValue:
     return UNKNOWN
 
 
-def _eval(g, sigma, x, c, kind, cache) -> TruthValue:
+def _leaf(g, x, c, cache) -> bool:
+    """Whether a core form that reads no assignment holds at x: these are
+    the only forms grounding folds, so every folded constant is yes or no."""
     if isinstance(c, Top):
-        return TRUE
-    if isinstance(c, ShapeRef):
-        return _lookup(sigma, Atom(c.name, x, kind))
+        return True
     if isinstance(c, Exact):
-        return _tv(c.element == x)
+        return c.element == x
     if isinstance(c, HasLabel):
-        return _tv(c.label in g.labels_of(x))
-    if isinstance(c, Not) and not isinstance(c.inner, Not):
-        return _eval(g, sigma, x, c.inner, kind, cache).negate()
-    if isinstance(c, (And, Not)):
-        # A conjunction chain (| included) comes apart on a list.
-        return min([_eval(g, sigma, x, k, kind, cache) for k in conjuncts(c)])
-    if isinstance(c, QualPath):
-        reached = sorted(_reach(g, x, c.path, cache))
-        vals = [_eval(g, sigma, m, c.inner, NODE, cache) for m in reached]
-        return _counted(c.count, vals, len(reached))
-    if isinstance(c, QualIncoming):
-        pool = g.adjacent_edges(x, INCOMING)
-        vals = [_eval(g, sigma, e, c.inner, EDGE, cache) for (e, _) in pool]
-        return _counted(c.count, vals, len(pool))
-    if isinstance(c, QualOutgoing):
-        pool = g.adjacent_edges(x, OUTGOING)
-        vals = [_eval(g, sigma, e, c.inner, EDGE, cache) for (e, _) in pool]
-        return _counted(c.count, vals, len(pool))
+        return c.label in g.labels_of(x)
     if isinstance(c, QualKey):
         hits = sum(
             1 for v in g.property_values(x, c.key) if matches_predicate(c.predicate, v)
         )
-        return _tv(hits >= c.count)
+        return hits >= c.count
     if isinstance(c, PathCmp):
-        return _tv(
-            compare_sets(
-                c.op, _reach(g, x, c.first, cache), _reach(g, x, c.second, cache)
-            )
+        return compare_sets(
+            c.op, _reach(g, x, c.first, cache), _reach(g, x, c.second, cache)
         )
     if isinstance(c, PathKeyCmp):
         left = frozenset(
@@ -411,21 +393,11 @@ def _eval(g, sigma, x, c, kind, cache) -> TruthValue:
             for m in _reach(g, x, c.second_path, cache)
             for v in g.property_values(m, c.second_key)
         )
-        return _tv(compare_sets(c.op, left, right))
+        return compare_sets(c.op, left, right)
     if isinstance(c, KeyCmp):
-        return _tv(
-            compare_sets(
-                c.op,
-                g.property_values(x, c.first_key),
-                g.property_values(x, c.second_key),
-            )
+        return compare_sets(
+            c.op, g.property_values(x, c.first_key), g.property_values(x, c.second_key)
         )
-    if isinstance(c, Src):
-        src, _ = g.endpoints(x)
-        return _eval(g, sigma, src, c.inner, NODE, cache)
-    if isinstance(c, Dst):
-        _, dst = g.endpoints(x)
-        return _eval(g, sigma, dst, c.inner, NODE, cache)
     raise TypeError(f"cannot evaluate {type(c).__name__} (desugar first)")
 
 
@@ -446,101 +418,68 @@ class FaithfulnessVerdict:
         return self.ok
 
 
-class FaithfulnessChecker:
-    """Precomputed context for checking many assignments on one instance."""
-
-    def __init__(self, g: PropertyGraph, shapes: ShapeSet):
-        self.graph = g
-        self.shapes = shapes
-        self.atoms = sorted_atoms(g, shapes)
-        self.atom_set = frozenset(self.atoms)
-        self._path_cache: dict = {}
-        targets = target_atoms(g, shapes)
-        self.node_targets = [a for a in targets if a.kind == NODE]
-        self.edge_targets = [a for a in targets if a.kind == EDGE]
-        self.target_atoms = frozenset(targets)
-
-    def evaluate(self, sigma: Mapping[Atom, TruthValue], atom: Atom) -> TruthValue:
-        shape = self.shapes.get(atom.shape)
-        return _eval(
-            self.graph, sigma, atom.element, shape.constraint, shape.kind,
-            self._path_cache,
-        )
-
-    def check_domain(self, sigma: Mapping[Atom, TruthValue]):
-        given = frozenset(sigma)
-        if given != self.atom_set:
-            missing = sorted(self.atom_set - given, key=Atom.sort_key)
-            extra = sorted(given - self.atom_set, key=Atom.sort_key)
-            parts = []
-            if missing:
-                parts.append(f"missing {', '.join(map(str, missing[:3]))}")
-            if extra:
-                parts.append(f"extra {', '.join(map(str, extra[:3]))}")
-            raise DomainMismatch("assignment domain is not the atom set: "
-                                 + "; ".join(parts))
-
-    def verdict(self, sigma: Mapping[Atom, TruthValue]) -> FaithfulnessVerdict:
-        # Conditions in order: node equations, edge equations, node targets,
-        # edge targets; within each, atoms in canonical order.
-        for cond, kind_wanted in ((1, NODE), (2, EDGE)):
-            for atom in self.atoms:
-                if atom.kind != kind_wanted:
-                    continue
-                actual = sigma[atom]
-                expected = self.evaluate(sigma, atom)
-                if actual is not expected:
-                    return FaithfulnessVerdict(
-                        False,
-                        cond,
-                        atom,
-                        f"{atom} is {actual.word} but evaluates {expected.word}",
-                    )
-        for cond, targets in ((3, self.node_targets), (4, self.edge_targets)):
-            for atom in targets:
-                if sigma[atom] is not TRUE:
-                    return FaithfulnessVerdict(
-                        False,
-                        cond,
-                        atom,
-                        f"target {atom} is {sigma[atom].word}, not yes",
-                    )
-        return FaithfulnessVerdict(True)
-
-    def holds(self, sigma: Mapping[Atom, TruthValue]) -> bool:
-        """Verdict-free variant of verdict; brute force checks each of its
-        candidate assignments with it."""
-        for atom in self.atoms:
-            if sigma[atom] is not self.evaluate(sigma, atom):
-                return False
-        for atom in self.target_atoms:
-            if sigma[atom] is not TRUE:
-                return False
-        return True
-
-
 def is_strictly_faithful(
     g: PropertyGraph,
     shapes: ShapeSet,
     sigma: Mapping[Atom, TruthValue],
 ) -> FaithfulnessVerdict:
-    """Check the four faithfulness conditions.
+    """Check the four faithfulness conditions on the grounded instance.
 
-    The assignment must be total over exactly the instance's atoms.
+    The assignment must be total over exactly the instance's atoms.  The
+    conditions are scanned in order (node equations, edge equations, node
+    targets, edge targets), each over the atoms in canonical order, and the
+    verdict names the first failure.
     """
-    checker = FaithfulnessChecker(g, shapes)
-    checker.check_domain(sigma)
-    return checker.verdict(sigma)
+    ground = GroundInstance(g, shapes)
+    given, wanted = frozenset(sigma), frozenset(ground.atoms)
+    if given != wanted:
+        missing = sorted(wanted - given, key=Atom.sort_key)
+        extra = sorted(given - wanted, key=Atom.sort_key)
+        parts = []
+        if missing:
+            parts.append(f"missing {', '.join(map(str, missing[:3]))}")
+        if extra:
+            parts.append(f"extra {', '.join(map(str, extra[:3]))}")
+        raise DomainMismatch("assignment domain is not the atom set: "
+                             + "; ".join(parts))
+    values = [sigma[a] for a in ground.atoms]
+    for cond, kind in ((1, NODE), (2, EDGE)):
+        for i, atom in enumerate(ground.atoms):
+            if atom.kind != kind:
+                continue
+            expected = ground.evaluate(i, values)
+            if values[i] is not expected:
+                return FaithfulnessVerdict(
+                    False,
+                    cond,
+                    atom,
+                    f"{atom} is {values[i].word} but evaluates {expected.word}",
+                )
+    for cond, kind in ((3, NODE), (4, EDGE)):
+        for i in ground.targets:
+            atom = ground.atoms[i]
+            if atom.kind == kind and values[i] is not TRUE:
+                return FaithfulnessVerdict(
+                    False,
+                    cond,
+                    atom,
+                    f"target {atom} is {values[i].word}, not yes",
+                )
+    return FaithfulnessVerdict(True)
 
 
 # ---------------------------------------------------------------------------
 # Grounding
 #
-# A grounded equation is a tree of five node kinds over atom ids:
-# (CONST, value), (REF, id), (NOT, child), (MIN, children) and
-# (ATLEAST, k, children).  Every subterm that reads no atom is folded to a
-# constant at build time, so paths, labels, keys and value predicates are
-# evaluated once per instance, never again per assignment.
+# A grounded equation is a tree of five node kinds: (CONST, value),
+# (REF, reference), (NOT, child), (MIN, children) and (ATLEAST, k,
+# children).  _grounding holds the rule for each connective once; a
+# reference is an atom id in a GroundInstance and the atom itself in
+# eval_node_constraint and eval_edge_constraint.  Every subterm that reads
+# no atom is a _leaf, folded to a constant at build time, so paths, labels,
+# keys and value predicates are evaluated once per instance, never again per
+# assignment.  _value reads a grounded node under values indexed by
+# reference: a list for ids, a mapping for atoms.
 
 CONST, REF, NOT, MIN, ATLEAST = range(5)
 
@@ -560,7 +499,7 @@ def _negation(child: tuple) -> tuple:
 def _at_least(count: int, children: list[tuple]) -> tuple:
     """At least `count` of the children hold, constant children folded in.
 
-    Constants are always yes or no (every leaf is two-valued).  A yes child
+    Constants are yes or no, because _leaf is two-valued.  A yes child
     lowers the count and a no child leaves the pool, which keeps both
     tallies of _counted; MIN is the case where every child must hold.
     """
@@ -582,6 +521,48 @@ def _at_least(count: int, children: list[tuple]) -> tuple:
             flat.extend(c[1] if c[0] == MIN else (c,))
         return (MIN, tuple(flat))
     return (ATLEAST, count, tuple(pending))
+
+
+def _grounding(g: PropertyGraph, resolve, cache: dict | None = None):
+    """The function that grounds constraint c at element x of kind `kind`.
+
+    A reference to an atom becomes (REF, resolve(atom)), and resolve returns
+    None for an atom outside the instance.  Paths are evaluated through
+    `cache` (see _reach).
+    """
+    cache = {} if cache is None else cache
+    chains: dict[int, list] = {}
+
+    def ground(c: Constraint, x: str, kind: str) -> tuple:
+        if isinstance(c, ShapeRef):
+            atom = Atom(c.name, x, kind)
+            ref = resolve(atom)
+            if ref is None:
+                raise DomainMismatch(f"assignment has no value for {atom}")
+            return (REF, ref)
+        if isinstance(c, Not) and not isinstance(c.inner, Not):
+            return _negation(ground(c.inner, x, kind))
+        if isinstance(c, (And, Not)):
+            # A conjunction chain (| included) comes apart on a list, once
+            # per object.  Every operand is grounded before folding, so a
+            # reference outside the atom set raises even beside a false
+            # operand.
+            chain = chains.get(id(c)) or chains.setdefault(id(c), conjuncts(c))
+            parts = [ground(k, x, kind) for k in chain]
+            return _at_least(len(parts), parts) if len(parts) > 1 else parts[0]
+        if isinstance(c, QualPath):
+            reached = sorted(_reach(g, x, c.path, cache))
+            return _at_least(c.count, [ground(c.inner, m, NODE) for m in reached])
+        if isinstance(c, (QualIncoming, QualOutgoing)):
+            direction = INCOMING if isinstance(c, QualIncoming) else OUTGOING
+            pool = g.adjacent_edges(x, direction)
+            return _at_least(c.count, [ground(c.inner, e, EDGE) for e, _ in pool])
+        if isinstance(c, (Src, Dst)):
+            end = g.endpoints(x)[0 if isinstance(c, Src) else 1]
+            return ground(c.inner, end, NODE)
+        return _TRUE_NODE if _leaf(g, x, c, cache) else _FALSE_NODE
+
+    return ground
 
 
 def _references(node: tuple, out: set[int]) -> set[int]:
@@ -624,38 +605,7 @@ class GroundInstance:
         self.atoms = sorted_atoms(g, shapes)
         self.index = index = {a: i for i, a in enumerate(self.atoms)}
         self.targets = tuple(index[a] for a in target_atoms(g, shapes))
-        cache: dict = {}
-        chains: dict[int, list] = {}
-
-        def ground(c: Constraint, x: str, kind: str) -> tuple:
-            if isinstance(c, ShapeRef):
-                atom = Atom(c.name, x, kind)
-                if atom not in index:
-                    raise DomainMismatch(f"assignment has no value for {atom}")
-                return (REF, index[atom])
-            if isinstance(c, Not) and not isinstance(c.inner, Not):
-                return _negation(ground(c.inner, x, kind))
-            if isinstance(c, (And, Not)):
-                # A conjunction chain (| included) comes apart on a list,
-                # once per object.  Every operand is grounded before folding,
-                # so a reference outside the atom set raises even beside a
-                # false operand.
-                chain = chains.get(id(c)) or chains.setdefault(id(c), conjuncts(c))
-                parts = [ground(k, x, kind) for k in chain]
-                return _at_least(len(parts), parts) if len(parts) > 1 else parts[0]
-            if isinstance(c, QualPath):
-                reached = sorted(_reach(g, x, c.path, cache))
-                return _at_least(c.count, [ground(c.inner, m, NODE) for m in reached])
-            if isinstance(c, (QualIncoming, QualOutgoing)):
-                direction = INCOMING if isinstance(c, QualIncoming) else OUTGOING
-                pool = g.adjacent_edges(x, direction)
-                return _at_least(c.count, [ground(c.inner, e, EDGE) for e, _ in pool])
-            if isinstance(c, (Src, Dst)):
-                end = g.endpoints(x)[0 if isinstance(c, Src) else 1]
-                return ground(c.inner, end, NODE)
-            # Every other core form reads no assignment: fold it to its value.
-            return (CONST, _eval(g, {}, x, c, kind, cache))
-
+        ground = _grounding(g, index.get)
         self.equations = [
             ground(shapes.get(a.shape).constraint, a.element, a.kind)
             for a in self.atoms

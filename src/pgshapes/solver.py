@@ -9,8 +9,8 @@ enumeration.
 
 Each instance is grounded once (semantics.GroundInstance): the search, its
 dependency sets and the least fixed point all read the grounded equations
-by atom id.  Brute force takes only its pinned atoms from the grounding and
-checks every leaf with the AST evaluator.
+by atom id.  Brute force pins fewer atoms but checks every leaf against the
+same equations.
 
 The search writes each three-valued atom as two bits and the grounded
 equations as at-least constraints over them (_Network), propagates them in
@@ -50,9 +50,9 @@ from .semantics import (
     UNKNOWN,
     Assignment,
     Atom,
-    FaithfulnessChecker,
     GroundInstance,
     TruthValue,
+    atoms,
 )
 from .shapes import ShapeSet, strongly_connected
 
@@ -850,34 +850,33 @@ def brute_force_conformance(
 ) -> ValidationReport:
     """Reference engine: plain enumeration over the unpinned atoms.
 
+    Raises TooLarge above config.max_atoms atoms, before grounding anything.
     Pins only what is provably forced (targets to yes; atoms that never read
-    the assignment to their evaluation), then tries every combination in
-    canonical order.  Raises TooLarge above config.max_atoms atoms.
+    the assignment to their value), then tries every combination in
+    canonical order and checks each against the grounded equations.
     """
     config = config or SolverConfig()
-    stats = SolverStats()
     start = time.monotonic()
-    checker = FaithfulnessChecker(g, shapes)
-    ordered = checker.atoms
-    stats.atoms = len(ordered)
-    stats.targets = len(checker.target_atoms)
-    if len(ordered) > config.max_atoms:
+    count = len(atoms(g, shapes))
+    if count > config.max_atoms:
         raise TooLarge(
-            f"{len(ordered)} atoms exceed the brute-force cap {config.max_atoms}"
+            f"{count} atoms exceed the brute-force cap {config.max_atoms}"
         )
     inst = _Instance(g, shapes, config)
     pinned, refuted = inst.pinned_values(use_fixed_point=False)
-    stats.pinned = len(pinned)
+    stats = SolverStats(
+        atoms=len(inst.atoms), targets=len(inst.targets), pinned=len(pinned)
+    )
     witness = None
     if not refuted:
-        forced = {ordered[i]: v for i, v in pinned.items()}
-        free = [a for a in ordered if a not in forced]
+        values = [pinned.get(i) for i in range(len(inst.atoms))]
+        free = [i for i in range(len(inst.atoms)) if i not in pinned]
         for combo in product(VALUE_ORDER, repeat=len(free)):
             stats.leaf_checks += 1
-            sigma = dict(forced)
-            sigma.update(zip(free, combo))
-            if checker.holds(sigma):
-                witness = Assignment(sigma)
+            for i, v in zip(free, combo):
+                values[i] = v
+            if inst.ground.holds(values):
+                witness = Assignment(dict(zip(inst.atoms, values)))
                 break
     stats.elapsed = time.monotonic() - start
     if witness is not None:

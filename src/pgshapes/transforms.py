@@ -7,9 +7,9 @@ into fresh untargeted shapes), and single-target reduction (one fresh root
 shape targeting one fresh node stands in for every original target).
 
 verify_normalized checks that a shape set is in the normal form these
-rewrites produce and then applies the one evaluator, is_strictly_faithful;
-on a normalized set every constraint is a single operator over atomic
-operands, so each atom's check is one case of that evaluator.
+rewrites produce and then applies is_strictly_faithful, which reads the
+grounded instance; on a normalized set every constraint is a single
+operator over atomic operands, so each atom's equation is one connective.
 
 Two rules keep the rewrites honest.  Fresh names never collide with any
 name already in use, per namespace.  And whenever a transform adds edges to
@@ -360,9 +360,9 @@ def verify_normalized(
     """The strict-faithfulness verdict of a normalized instance.
 
     Checks that the shape set is normalized (label-only paths, sugar-free,
-    one operator over atomic operands, plain targets), then evaluates it
-    with is_strictly_faithful: on such a set each constraint is one case of
-    the evaluator over atomic operands, so no check recurses further.
+    one operator over atomic operands, plain targets), then checks it with
+    is_strictly_faithful: on such a set each grounded equation is one
+    connective over references and constants, so no check recurses further.
     """
     _check_normalized(shapes)
     return is_strictly_faithful(g, shapes, sigma)

@@ -42,17 +42,17 @@ Value = IntValue | StrValue | DateValue
 
 _VALUE_CLASSES = (IntValue, StrValue, DateValue)
 
-_ISO_DATE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_SLASH_DATE = re.compile(r"^(\d{2})/(\d{2})/(\d{4})$")
+_ISO_DATE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+_SLASH_DATE = re.compile(r"(\d{2})/(\d{2})/(\d{4})")
 _ESCAPED = re.compile(r'["\\\n\t\r]')  # what quote_string escapes
 
 
 def parse_date(text: str) -> datetime.date:
     """Parse ``YYYY-MM-DD`` or the day-first ``DD/MM/YYYY`` notation."""
-    m = _ISO_DATE.match(text)
+    m = _ISO_DATE.fullmatch(text)
     if m:
         return datetime.date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    m = _SLASH_DATE.match(text)
+    m = _SLASH_DATE.fullmatch(text)
     if m:
         return datetime.date(int(m.group(3)), int(m.group(2)), int(m.group(1)))
     raise ValueError(f"not a date: {text!r}")

@@ -184,7 +184,10 @@ def graph_documents(draw):
     def odd(text: str) -> str:
         return text + draw(st.text(st.sampled_from(ODD_CHARS), max_size=3))
 
-    node_ids = [odd(f"n{i}") for i in range(draw(st.integers(0, MAX_NODES)))]
+    # Draws lean towards their lower bound, so the count is drawn downwards
+    # from MAX_NODES: most documents have nodes.
+    count = MAX_NODES - draw(st.integers(0, MAX_NODES))
+    node_ids = [odd(f"n{i}") for i in range(count)]
     values = (
         {"type": "int", "value": 3},
         {"type": "int", "value": -(10**300)},
@@ -223,16 +226,19 @@ def graph_documents(draw):
     doc = {"nodes": nodes, "relationships": rels}
     if rarely():
         doc["extra"] = True
-    for i in range(len(POISONS)):
-        if careless and draw(st.booleans()):
-            value = {"type": "int", "value": f"{POISON}{i}"}
-            nodes.append(draw(st.sampled_from((
-                {"id": f"{POISON}{i}"},
-                {"id": f"v{i}", "properties": {"k": [value]}},
-            ))))
+    # One poison index per careless document, len(POISONS) for none.  A
+    # small range would nearly always give its lower bound; a wide one taken
+    # modulo spreads over the kinds.
+    poison = draw(st.integers(0, 2**16)) % (len(POISONS) + 1) if careless else len(POISONS)
+    if poison < len(POISONS):
+        value = {"type": "int", "value": f"{POISON}{poison}"}
+        nodes.append(draw(st.sampled_from((
+            {"id": f"{POISON}{poison}"},
+            {"id": f"v{poison}", "properties": {"k": [value]}},
+        ))))
     text = json.dumps(doc)
-    for i, poison in enumerate(POISONS):
-        text = text.replace(f'"{POISON}{i}"', poison)
+    for i, raw in enumerate(POISONS):
+        text = text.replace(f'"{POISON}{i}"', raw)
     return text[: draw(st.integers(0, len(text)))] if rarely() else text
 
 

@@ -10,17 +10,18 @@ import oracle
 from pgshapes import shapes as S
 from pgshapes.errors import BudgetExceeded, DomainMismatch
 from pgshapes.fixtures import office_graph
-from pgshapes.graph import NODE, build_graph
+from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.semantics import (
     CONST,
     FALSE,
     TRUE,
     UNKNOWN,
+    Assignment,
     Atom,
-    FaithfulnessChecker,
     GroundInstance,
     is_strictly_faithful,
     least_fixed_point,
+    sorted_atoms,
 )
 from pgshapes.shapes import Shape, ShapeSet, link_shapes
 from pgshapes.solver import (
@@ -31,7 +32,7 @@ from pgshapes.solver import (
 from pgshapes.sugar import desugar_shapes
 from pgshapes.transforms import normalize_instance
 
-from oracle import HALF, ref_eval, sigma_from_assignment
+from oracle import FROM_TV, HALF, ONE, ref_eval, ref_targets, sigma_from_assignment
 from randgen import NODE_LABELS, gen_constraint, gen_graph, gen_shapes
 
 BUDGET = SolverConfig(max_branches=5_000)
@@ -69,9 +70,9 @@ def recursive_instance(rng, nodes=40, edges=80, sugar=False):
     return g, link_shapes(built)
 
 
-def jacobi_reference(g, shapes, monkeypatch):
-    """The oracle's equations iterated in full sweeps from all-1/2, with
-    path sets memoized per (node, path) so large graphs stay affordable."""
+def memoize_oracle_paths(g, monkeypatch):
+    """Memoize the oracle's path sets on g per (node, path), so that large
+    graphs stay affordable."""
     memo = {}
 
     def path_nodes(_g, n, p):
@@ -80,6 +81,11 @@ def jacobi_reference(g, shapes, monkeypatch):
         return memo[(n, p)]
 
     monkeypatch.setattr(oracle, "path_nodes", path_nodes)
+
+
+def jacobi_reference(g, shapes, monkeypatch):
+    """The oracle's equations iterated in full sweeps from all-1/2."""
+    memoize_oracle_paths(g, monkeypatch)
     keys = [
         (sh, x) for sh in shapes for x in (g.nodes if sh.kind == NODE else g.edges)
     ]
@@ -173,19 +179,31 @@ def test_grounding_rejects_references_outside_the_atom_set():
         GroundInstance(g, bad)
 
 
-def test_grounded_equations_agree_with_the_ast_evaluator():
+def test_grounded_equations_agree_with_the_oracle(monkeypatch):
     rng = random.Random(7303)
     for _ in range(20):
         g, shapes = large_instance(rng)
+        memoize_oracle_paths(g, monkeypatch)
         ground = GroundInstance(g, shapes)
-        checker = FaithfulnessChecker(g, shapes)
-        assert ground.atoms == checker.atoms
-        assert {ground.atoms[i] for i in ground.targets} == checker.target_atoms
+        assert ground.atoms == tuple(
+            Atom(sh.name, x, sh.kind)
+            for sh in sorted(shapes, key=lambda sh: sh.name)
+            for x in sorted(g.nodes if sh.kind == NODE else g.edges)
+        )
+        targets = {
+            Atom(sh.name, x, sh.kind) for sh in shapes for x in ref_targets(g, sh)
+        }
+        assert {ground.atoms[i] for i in ground.targets} == targets
         values = [rng.choice((FALSE, UNKNOWN, TRUE)) for _ in ground.atoms]
-        sigma = dict(zip(ground.atoms, values))
+        sigma = {(a.shape, a.element): FROM_TV[v] for a, v in zip(ground.atoms, values)}
+        faithful = True
         for i, atom in enumerate(ground.atoms):
-            assert ground.evaluate(i, values) is checker.evaluate(sigma, atom)
-        assert ground.holds(values) == checker.holds(sigma)
+            sh = shapes.get(atom.shape)
+            want = ref_eval(g, sigma, atom.element, sh.constraint, sh.kind)
+            assert FROM_TV[ground.evaluate(i, values)] == want
+            faithful = faithful and want == sigma[(atom.shape, atom.element)]
+        faithful = faithful and all(sigma[(a.shape, a.element)] == ONE for a in targets)
+        assert ground.holds(values) == faithful
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +343,7 @@ def test_normalizing_keeps_the_verdict_far_above_the_oracle_cap():
     for round_ in range(40):
         g, sugared = recursive_instance(rng, sugar=round_ % 2 == 1)
         shapes = desugar_shapes(sugared)
-        if not 100 <= len(FaithfulnessChecker(g, shapes).atoms) <= 300:
+        if not 100 <= len(sorted_atoms(g, shapes)) <= 300:
             continue
         report = decided(g, shapes)
         g2, shapes2, root, _ = normalize_instance(g, sugared)
@@ -344,6 +362,56 @@ def test_normalizing_keeps_the_verdict_far_above_the_oracle_cap():
     assert set(verdicts) == {True, False}
 
 
+def oracle_first_failure(g, shapes, assignment):
+    """(ok, failed_condition, atom) by the oracle: node equations, edge
+    equations, node targets, edge targets, each over the atoms in canonical
+    order, the first failure named."""
+    sigma = sigma_from_assignment(assignment)
+    ordered = sorted(assignment, key=lambda a: (a.shape, a.element))
+    targeted = {sh.name: ref_targets(g, sh) for sh in shapes}
+    for cond, kind in ((1, NODE), (2, EDGE)):
+        for a in ordered:
+            sh = shapes.get(a.shape)
+            if a.kind == kind and ref_eval(
+                g, sigma, a.element, sh.constraint, kind
+            ) != sigma[(a.shape, a.element)]:
+                return False, cond, a
+    for cond, kind in ((3, NODE), (4, EDGE)):
+        for a in ordered:
+            if (a.kind == kind and a.element in targeted[a.shape]
+                    and sigma[(a.shape, a.element)] != ONE):
+                return False, cond, a
+    return True, None, None
+
+
+def test_faithfulness_verdict_order_far_above_the_oracle_cap(monkeypatch):
+    # Wholly random assignments fail early in the scan.  So most start from
+    # the least fixed point, its unknowns filled at random, and have up to
+    # two atoms set at random: failures then fall on every condition and
+    # deep into the scan, and some assignments are faithful.
+    rng = random.Random(7316)
+    failed = []
+    for _ in range(150):
+        g, shapes = large_instance(rng, shapes=6)
+        if not 100 <= len(sorted_atoms(g, shapes)) <= 300:
+            continue
+        memoize_oracle_paths(g, monkeypatch)
+        lfp = least_fixed_point(g, shapes)
+        mode = rng.randrange(4)
+        values = {
+            a: rng.choice((FALSE, UNKNOWN, TRUE)) if mode == 3 or v is UNKNOWN else v
+            for a, v in lfp.items()
+        }
+        for a in rng.sample(sorted(values, key=Atom.sort_key), mode % 3):
+            values[a] = rng.choice((FALSE, UNKNOWN, TRUE))
+        verdict = is_strictly_faithful(g, shapes, Assignment(values))
+        got = (verdict.ok, verdict.failed_condition, verdict.atom)
+        assert got == oracle_first_failure(g, shapes, values)
+        failed.append(verdict.failed_condition)
+    assert len(failed) >= 20
+    assert set(failed) == {None, 1, 2, 3, 4}
+
+
 def test_propagating_search_far_above_the_oracle_cap():
     # Recursive instances of 100-300 atoms, many left open by the fixed
     # point: every witness is faithful and is enumeration's first, and every
@@ -352,7 +420,7 @@ def test_propagating_search_far_above_the_oracle_cap():
     verdicts = []
     for _ in range(80):
         g, shapes = recursive_instance(rng)
-        if not 100 <= len(FaithfulnessChecker(g, shapes).atoms) <= 300:
+        if not 100 <= len(sorted_atoms(g, shapes)) <= 300:
             continue
         report = decided(g, shapes)
         if report is None:

@@ -174,6 +174,7 @@ def test_unknown_fields_warn_and_load():
         '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": "1"}]}}], "relationships": []}',
         '{"nodes": [{"id": "1", "properties": {"k": [{"type": "string", "value": 1}]}}], "relationships": []}',
         '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "soon"}]}}], "relationships": []}',
+        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02\\n"}]}}], "relationships": []}',
         '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "end": "1"}]}',
     ],
 )

@@ -26,10 +26,10 @@ from pgshapes.semantics import (
     UNKNOWN,
     Assignment,
     Atom,
-    FaithfulnessChecker,
     GroundInstance,
     is_strictly_faithful,
     least_fixed_point,
+    sorted_atoms,
 )
 from pgshapes.shapes import (
     And,
@@ -53,17 +53,24 @@ from pgshapes.solver import (
     find_faithful_assignment,
 )
 
-from oracle import ref_conforms
+from oracle import ONE, ref_conforms, ref_eval, ref_targets, sigma_from_assignment
 from randgen import gen_instance
 
 
 def all_faithful_by_product(g, shapes):
-    """Ground truth: filter the full value product, no pinning at all."""
-    checker = FaithfulnessChecker(g, shapes)
+    """Ground truth: filter the full value product through the oracle, no
+    pinning at all."""
+    ordered = sorted_atoms(g, shapes)
+    targets = [(sh.name, x) for sh in shapes for x in ref_targets(g, sh)]
     hits = []
-    for combo in product(VALUE_ORDER, repeat=len(checker.atoms)):
-        sigma = dict(zip(checker.atoms, combo))
-        if checker.holds(sigma):
+    for combo in product(VALUE_ORDER, repeat=len(ordered)):
+        sigma = dict(zip(ordered, combo))
+        frac = sigma_from_assignment(sigma)
+        if all(
+            ref_eval(g, frac, a.element, shapes.get(a.shape).constraint, a.kind)
+            == frac[(a.shape, a.element)]
+            for a in ordered
+        ) and all(frac[key] == ONE for key in targets):
             hits.append(Assignment(sigma))
     return hits
 
@@ -331,7 +338,12 @@ def test_narrowing_keeps_every_solution_with_repeated_variables():
 # --- budgets and caps -------------------------------------------------------
 
 
-def test_brute_force_atom_cap():
+def test_brute_force_atom_cap(monkeypatch):
+    # The cap is checked before anything is grounded.
+    def no_grounding(*_):
+        raise AssertionError("grounded above the cap")
+
+    monkeypatch.setattr("pgshapes.solver.GroundInstance", no_grounding)
     g = build_graph([str(100 + i) for i in range(3)])
     shapes = link_shapes([Shape("s", NODE, HasLabel("A"), Nothing())])
     with pytest.raises(TooLarge):

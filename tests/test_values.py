@@ -24,7 +24,9 @@ def test_parse_date_slash_is_day_first():
     assert parse_date("02/08/2020") == datetime.date(2020, 8, 2)
 
 
-@pytest.mark.parametrize("bad", ["2020-13-01", "08/02", "soon", "2020/08/02", ""])
+@pytest.mark.parametrize(
+    "bad", ["2020-13-01", "08/02", "soon", "2020/08/02", "", "2020-08-02\n", "02/08/2020\n"]
+)
 def test_parse_date_rejects(bad):
     with pytest.raises(ValueError):
         parse_date(bad)
