@@ -5,11 +5,13 @@ Constraint operators bind ! over & over |; counting bodies after ``.`` and
 the src/dst operands take a single unary constraint, so conjunctions there
 need parentheses.  parse_shapes desugars and links, so its output contains
 core constraints and plain targets only.  Brackets and unary operators nest
-at most MAX_NESTING deep.  That bounds the parser's own recursion and the
-only recursion left after it: semantics evaluates an operand that moves to
-another element, or sits under `!`, by a recursive call.  Chains of any
-length never depend on it: every other pass walks the tree on an explicit
-stack (shapes.fold) or takes a chain apart on a list (shapes.conjuncts).
+at most MAX_NESTING deep.  That bounds the parser's own recursion and every
+one left after it (tests/test_imports.py lists them): grounding reaches an
+operand that moves to another element, or sits under `!`, by a recursive
+call, while evaluation reads the grounded circuit without recursing.
+Chains of any length never depend on it: every other pass walks the tree on
+an explicit stack (shapes.fold) or takes a chain apart on a list
+(shapes.conjuncts).
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ KEYWORDS = frozenset(
 _TOKEN = re.compile(
     r"(?P<space>[ \t\r]+)|(?P<newline>\n)"
     r"|(?P<op><-\[|->\[|>=|<=|!=|\|\||[!&|=<>(){}\[\];.,:/*+?^])"
-    r"|(?P<DATE>\d{4}-\d{2}-\d{2})|(?P<INT>-?\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<DATE>[0-9]{4}-[0-9]{2}-[0-9]{2})|(?P<INT>-?[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 _PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}

@@ -77,8 +77,8 @@ from .shapes import (
 from .sugar import desugar_form
 from .values import EQ, GEQ, GT, LEQ, LT, NEQ, value_text
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_ID_RE = re.compile(r"^(-?\d+|[A-Za-z_][A-Za-z0-9_]*)$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ID_RE = re.compile(r"-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*")
 
 _PRED_SYMBOL = {EQ: "=", NEQ: "!=", LT: "<", LEQ: "<=", GT: ">", GEQ: ">="}
 
@@ -89,13 +89,13 @@ _ALT, _SEQ, _PREFIX, _POSTFIX, _ATOM = range(5)
 
 
 def _name(text: str, what: str) -> str:
-    if not _IDENT_RE.match(text) or text in KEYWORDS:
+    if not _IDENT_RE.fullmatch(text) or text in KEYWORDS:
         raise ValueError(f"{what} {text!r} has no concrete spelling")
     return text
 
 
 def _element_id(text: str) -> str:
-    if not _ID_RE.match(text) or text in KEYWORDS:
+    if not _ID_RE.fullmatch(text) or text in KEYWORDS:
         raise ValueError(f"element id {text!r} has no concrete spelling")
     return text
 

@@ -7,10 +7,13 @@ referenced constraint: it reads the current assignment, which is what makes
 evaluation total in the presence of recursive (even negated) references.
 
 Constraints have one evaluator: _grounding writes each connective's rule
-once, turning a constraint at an element into a grounded node over
-references, and _leaf decides the core forms that read no assignment.  The
-least fixed point, the search, brute force, is_strictly_faithful and
-eval_node_constraint / eval_edge_constraint all read that grounded form.
+once, turning a constraint at an element into a circuit with one gate kind,
+"at least k of these literals hold", whose inputs are the atoms, and _leaf
+decides the core forms that read no assignment.  A subterm shared by two
+paths to it is one gate, so the circuit grows with the constraint, not with
+its unfolding.  The least fixed point, the search, brute force,
+is_strictly_faithful and eval_node_constraint / eval_edge_constraint all
+read that circuit, computing gates in ascending order without recursion.
 
 Paths have one engine: each path object compiles once into a Thompson
 automaton over the graph's per-label adjacency, and a search over (node,
@@ -328,7 +331,7 @@ def eval_node_constraint(
 ) -> TruthValue:
     if not g.has_node(n):
         raise UnknownElement(f"no such node: {n!r}")
-    return _value(_grounding(g, _assigned(sigma), _cache)(c, n, NODE), sigma)
+    return _eval_at(g, sigma, c, n, NODE, _cache)
 
 
 def eval_edge_constraint(
@@ -340,28 +343,31 @@ def eval_edge_constraint(
 ) -> TruthValue:
     if not g.has_edge(e):
         raise UnknownElement(f"no such edge: {e!r}")
-    return _value(_grounding(g, _assigned(sigma), _cache)(c, e, EDGE), sigma)
+    return _eval_at(g, sigma, c, e, EDGE, _cache)
 
 
-def _assigned(sigma: Mapping[Atom, TruthValue]):
-    """References resolve to the atoms themselves, read off sigma later;
-    None for an atom sigma gives no value."""
-    return lambda atom: atom if atom in sigma else None
+def _eval_at(g, sigma, c, x, kind, cache) -> TruthValue:
+    """c at x under sigma: grounded with the atoms it reads as inputs,
+    which resolve to None where sigma gives no value."""
+    gates: list = []
+    inputs: dict[Atom, int] = {}
 
+    def resolve(atom: Atom) -> int | None:
+        if atom not in sigma:
+            return None
+        if atom not in inputs:
+            inputs[atom] = len(gates)
+            gates.append(None)
+        return inputs[atom]
 
-def _counted(count: int, values: list[TruthValue], pool: int) -> TruthValue:
-    """The at-least-count verdict over a pool of three-valued results.
-
-    True when `count` members already hold; false when even the undecided
-    ones could not bring the tally up to `count`; unknown in between.
-    """
-    satisfied = sum(1 for v in values if v is TRUE)
-    refuted = sum(1 for v in values if v is FALSE)
-    if satisfied >= count:
-        return TRUE
-    if pool - refuted < count:
-        return FALSE
-    return UNKNOWN
+    lit = _grounding(g, resolve, gates, cache)(c, x, kind)
+    values = [UNKNOWN] * len(gates)
+    for atom, v in inputs.items():
+        values[v] = sigma[atom]
+    for v, gate in enumerate(gates):  # each gate after the ones it reads
+        if gate is not None:
+            values[v] = _gate_value(gate, values)
+    return _gate_value(_equation(lit, gates), values)
 
 
 def _leaf(g, x, c, cache) -> bool:
@@ -443,11 +449,12 @@ def is_strictly_faithful(
         raise DomainMismatch("assignment domain is not the atom set: "
                              + "; ".join(parts))
     values = [sigma[a] for a in ground.atoms]
+    evaluated = ground.evaluate(values)
     for cond, kind in ((1, NODE), (2, EDGE)):
         for i, atom in enumerate(ground.atoms):
             if atom.kind != kind:
                 continue
-            expected = ground.evaluate(i, values)
+            expected = evaluated[i]
             if values[i] is not expected:
                 return FaithfulnessVerdict(
                     False,
@@ -471,186 +478,208 @@ def is_strictly_faithful(
 # ---------------------------------------------------------------------------
 # Grounding
 #
-# A grounded equation is a tree of five node kinds: (CONST, value),
-# (REF, reference), (NOT, child), (MIN, children) and (ATLEAST, k,
-# children).  _grounding holds the rule for each connective once; a
-# reference is an atom id in a GroundInstance and the atom itself in
-# eval_node_constraint and eval_edge_constraint.  Every subterm that reads
-# no atom is a _leaf, folded to a constant at build time, so paths, labels,
-# keys and value predicates are evaluated once per instance, never again per
-# assignment.  _value reads a grounded node under values indexed by
-# reference: a list for ids, a mapping for atoms.
+# A grounded instance is a circuit with one gate kind, (k, literals): "at
+# least k of the literals hold".  Literal 2v reads variable v and 2v + 1 its
+# negation; _YES and _NO are the constants, so `^ 1` negates every literal.
+# The inputs of a circuit have no gate (None) while grounding runs: in a
+# GroundInstance they are the atoms, variables 0 .. atoms - 1, and each takes
+# its equation as its gate only once every atom is grounded.  _grounding
+# holds the rule for each connective once and grounds an operand that moves
+# to another element once per (subterm, element), so a shared subterm is one
+# gate, built after every gate it reads.  Every subterm that reads no input
+# is a _leaf, folded to a constant, so paths, labels, keys and value
+# predicates are evaluated once per instance, never again per assignment.
 
-CONST, REF, NOT, MIN, ATLEAST = range(5)
-
-_NEGATED = (TRUE, UNKNOWN, FALSE)
-_TRUE_NODE = (CONST, TRUE)
-_FALSE_NODE = (CONST, FALSE)
+_YES, _NO = -1, -2
 
 
-def _negation(child: tuple) -> tuple:
-    if child[0] == CONST:
-        return (CONST, _NEGATED[child[1]])
-    if child[0] == NOT:
-        return child[1]
-    return (NOT, child)
+def _equation(lit: int, gates: list) -> tuple:
+    """A gate with literal lit's value.  Not(at least k of m literals) is at
+    least m - k + 1 of the negated literals."""
+    if lit < 0:
+        return (0, ()) if lit == _YES else (1, ())
+    gate = gates[lit >> 1]
+    if gate is None:
+        return (1, (lit,))
+    if not lit & 1:
+        return gate
+    k, lits = gate
+    return (len(lits) - k + 1, tuple(x ^ 1 for x in lits))
 
 
-def _at_least(count: int, children: list[tuple]) -> tuple:
-    """At least `count` of the children hold, constant children folded in.
-
-    Constants are yes or no, because _leaf is two-valued.  A yes child
-    lowers the count and a no child leaves the pool, which keeps both
-    tallies of _counted; MIN is the case where every child must hold.
-    """
-    pending = []
-    for c in children:
-        if c[0] != CONST:
-            pending.append(c)
-        elif c[1] is TRUE:
-            count -= 1
-    if count <= 0:
-        return _TRUE_NODE
-    if len(pending) < count:
-        return _FALSE_NODE
-    if count == 1 and len(pending) == 1:
-        return pending[0]
-    if count == len(pending):
-        flat: list[tuple] = []
-        for c in pending:
-            flat.extend(c[1] if c[0] == MIN else (c,))
-        return (MIN, tuple(flat))
-    return (ATLEAST, count, tuple(pending))
+def _gate_value(gate: tuple, values) -> TruthValue:
+    """The verdict of a gate under `values`, indexed by variable: true when
+    k literals hold, false when fewer than k are not refuted, else unknown."""
+    k, lits = gate
+    held = refuted = 0
+    for lit in lits:
+        v = values[lit >> 1]
+        if v is not UNKNOWN:
+            if (v is TRUE) ^ (lit & 1):
+                held += 1
+            else:
+                refuted += 1
+    if held >= k:
+        return TRUE
+    return FALSE if len(lits) - refuted < k else UNKNOWN
 
 
-def _grounding(g: PropertyGraph, resolve, cache: dict | None = None):
-    """The function that grounds constraint c at element x of kind `kind`.
+def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None):
+    """The function that grounds constraint c at element x of kind `kind`
+    into the circuit `gates` and returns its literal.
 
-    A reference to an atom becomes (REF, resolve(atom)), and resolve returns
+    A reference to an atom reads input resolve(atom), and resolve returns
     None for an atom outside the instance.  Paths are evaluated through
     `cache` (see _reach).
     """
     cache = {} if cache is None else cache
     chains: dict[int, list] = {}
+    moved: dict[tuple, int] = {}
+    inlined: set[int] = set()
 
-    def ground(c: Constraint, x: str, kind: str) -> tuple:
+    def at_least(count: int, lits: list[int]) -> int:
+        """At least `count` of lits, constants folded in.
+
+        Constants are yes or no, because _leaf is two-valued: a yes literal
+        lowers the count and a no literal leaves the pool, which keeps both
+        tallies of _gate_value.  An operand gate of the same form (any of in
+        any of, all of in all of) is inlined into its first reader only:
+        copying a shared gate into every reader would nest its copies, and
+        the circuit would grow with the unfolding again.
+        """
+        pending = []
+        for lit in lits:
+            if lit >= 0:
+                pending.append(lit)
+            elif lit == _YES:
+                count -= 1
+        if count <= 0:
+            return _YES
+        if len(pending) < count:
+            return _NO
+        if count == 1 and len(pending) == 1:
+            return pending[0]
+        any_of, all_of = count == 1, count == len(pending)
+        flat: list[int] = []
+        for lit in pending:
+            if gates[lit >> 1] is not None and lit >> 1 not in inlined:
+                k, inner = _equation(lit, gates)
+                if any_of and k == 1 or all_of and k == len(inner):
+                    inlined.add(lit >> 1)
+                    count += k - 1
+                    flat.extend(inner)
+                    continue
+            flat.append(lit)
+        gates.append((count, tuple(flat)))
+        return 2 * len(gates) - 2
+
+    def at(c: Constraint, x: str, kind: str) -> int:
+        """ground for an operand that moves to element x: once per
+        (subterm, element)."""
+        key = (id(c), x, kind)
+        lit = moved.get(key)
+        if lit is None:
+            lit = moved[key] = ground(c, x, kind)
+        return lit
+
+    def ground(c: Constraint, x: str, kind: str) -> int:
         if isinstance(c, ShapeRef):
             atom = Atom(c.name, x, kind)
-            ref = resolve(atom)
-            if ref is None:
+            v = resolve(atom)
+            if v is None:
                 raise DomainMismatch(f"assignment has no value for {atom}")
-            return (REF, ref)
+            return 2 * v
         if isinstance(c, Not) and not isinstance(c.inner, Not):
-            return _negation(ground(c.inner, x, kind))
+            return ground(c.inner, x, kind) ^ 1
         if isinstance(c, (And, Not)):
             # A conjunction chain (| included) comes apart on a list, once
             # per object.  Every operand is grounded before folding, so a
             # reference outside the atom set raises even beside a false
             # operand.
             chain = chains.get(id(c)) or chains.setdefault(id(c), conjuncts(c))
-            parts = [ground(k, x, kind) for k in chain]
-            return _at_least(len(parts), parts) if len(parts) > 1 else parts[0]
+            return at_least(len(chain), [ground(k, x, kind) for k in chain])
         if isinstance(c, QualPath):
             reached = sorted(_reach(g, x, c.path, cache))
-            return _at_least(c.count, [ground(c.inner, m, NODE) for m in reached])
+            return at_least(c.count, [at(c.inner, m, NODE) for m in reached])
         if isinstance(c, (QualIncoming, QualOutgoing)):
             direction = INCOMING if isinstance(c, QualIncoming) else OUTGOING
             pool = g.adjacent_edges(x, direction)
-            return _at_least(c.count, [ground(c.inner, e, EDGE) for e, _ in pool])
+            return at_least(c.count, [at(c.inner, e, EDGE) for e, _ in pool])
         if isinstance(c, (Src, Dst)):
-            end = g.endpoints(x)[0 if isinstance(c, Src) else 1]
-            return ground(c.inner, end, NODE)
-        return _TRUE_NODE if _leaf(g, x, c, cache) else _FALSE_NODE
+            return at(c.inner, g.endpoints(x)[0 if isinstance(c, Src) else 1], NODE)
+        return _YES if _leaf(g, x, c, cache) else _NO
 
     return ground
 
 
-def _references(node: tuple, out: set[int]) -> set[int]:
-    """The atom ids a grounded node reads."""
-    op = node[0]
-    if op == REF:
-        out.add(node[1])
-    elif op == NOT:
-        _references(node[1], out)
-    elif op != CONST:
-        for c in node[-1]:
-            _references(c, out)
-    return out
-
-
-def _value(node: tuple, values) -> TruthValue:
-    op = node[0]
-    if op == REF:
-        return values[node[1]]
-    if op == CONST:
-        return node[1]
-    if op == NOT:
-        return _NEGATED[_value(node[1], values)]
-    if op == MIN:
-        return min(_value(c, values) for c in node[1])
-    children = node[2]
-    return _counted(node[1], [_value(c, values) for c in children], len(children))
-
-
 class GroundInstance:
-    """One (graph, shapes) pair compiled into a flat equation per atom.
+    """One (graph, shapes) pair compiled into one circuit.
 
-    Atoms are dense ids in canonical (shape, element) order.  `deps[i]` and
-    `dependents[i]` are sorted id tuples: the atoms equation i reads, and
-    the atoms whose equations read atom i.  `targets` holds the sorted ids
-    of the target atoms.  Paths are evaluated through one shared cache.
+    Atoms are variables 0 .. atoms - 1 in canonical (shape, element) order,
+    and `gates[i]` is atom i's equation; the variables after them are the
+    shared gates those equations read, each after every gate it reads.
+    `readers[v]` lists the gates that read variable v, and `targets` holds
+    the sorted ids of the target atoms.  Paths are evaluated through one
+    shared cache.
     """
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet):
         self.atoms = sorted_atoms(g, shapes)
         self.index = index = {a: i for i, a in enumerate(self.atoms)}
         self.targets = tuple(index[a] for a in target_atoms(g, shapes))
-        ground = _grounding(g, index.get)
-        self.equations = [
+        self.gates = gates = [None] * len(self.atoms)
+        ground = _grounding(g, index.get, gates)
+        roots = [
             ground(shapes.get(a.shape).constraint, a.element, a.kind)
             for a in self.atoms
         ]
-        self.deps = [tuple(sorted(_references(eq, set()))) for eq in self.equations]
-        dependents: list[list[int]] = [[] for _ in self.atoms]
-        for i, ds in enumerate(self.deps):
-            for d in ds:
-                dependents[d].append(i)
-        self.dependents = [tuple(ds) for ds in dependents]
+        # Only now do the atoms take their gates, so that inlining never
+        # mistook a reference to an atom for a gate.  An atom whose equation
+        # is a gate's literal takes over that gate's (k, literals).
+        gates[:len(roots)] = [_equation(lit, gates) for lit in roots]
+        self.readers: list[list[int]] = [[] for _ in gates]
+        for v, (_, lits) in enumerate(gates):
+            for lit in lits:
+                self.readers[lit >> 1].append(v)
 
-    def evaluate(self, i: int, values) -> TruthValue:
-        """Equation i under `values`, a sequence indexed by atom id."""
-        return _value(self.equations[i], values)
+    def evaluate(self, values) -> list[TruthValue]:
+        """Every atom's equation under `values`, a sequence indexed by atom
+        id: the shared gates first, in ascending order."""
+        atoms, gates = len(self.atoms), self.gates
+        full = list(values) + [UNKNOWN] * (len(gates) - atoms)
+        for v in range(atoms, len(gates)):
+            full[v] = _gate_value(gates[v], full)
+        return [_gate_value(gate, full) for gate in gates[:atoms]]
 
     def holds(self, values) -> bool:
         """Every equation and every target holds under a total `values`."""
-        for i, eq in enumerate(self.equations):
-            if _value(eq, values) is not values[i]:
-                return False
-        return all(values[i] is TRUE for i in self.targets)
+        return (all(values[i] is TRUE for i in self.targets)
+                and self.evaluate(values) == list(values))
 
     def least_fixed_point(self) -> list[TruthValue]:
-        """The least solution of the equations in the knowledge order.
+        """The least solution of the circuit in the knowledge order, one
+        value per variable.
 
-        Worklist evaluation from all-unknown: an atom is re-evaluated only
-        when an atom it reads changes.  Every connective is monotone in the
-        knowledge order, so each atom changes at most once, from unknown to
-        its final value, and the run makes at most |atoms| + |dep edges|
-        evaluations.
+        Worklist evaluation from all-unknown: a variable is re-evaluated
+        only when one its gate reads changes.  Every gate is monotone in the
+        knowledge order, so each variable changes at most once, from
+        unknown to its final value, and the run makes at most |variables| +
+        |literals| evaluations.
         """
-        values = [UNKNOWN] * len(self.atoms)
-        queued = [True] * len(self.atoms)
-        pending = list(range(len(self.atoms) - 1, -1, -1))
-        equations, dependents = self.equations, self.dependents
+        gates, readers = self.gates, self.readers
+        values = [UNKNOWN] * len(gates)
+        queued = [True] * len(gates)
+        pending = list(range(len(gates) - 1, -1, -1))
         while pending:
-            i = pending.pop()
-            queued[i] = False
-            v = _value(equations[i], values)
-            if v is not values[i]:
-                values[i] = v
-                for d in dependents[i]:
-                    if not queued[d]:
-                        queued[d] = True
-                        pending.append(d)
+            v = pending.pop()
+            queued[v] = False
+            value = _gate_value(gates[v], values)
+            if value is not values[v]:
+                values[v] = value
+                for r in readers[v]:
+                    if not queued[r]:
+                        queued[r] = True
+                        pending.append(r)
         return values
 
 

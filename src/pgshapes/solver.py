@@ -7,17 +7,17 @@ enumerate_faithful_assignments, and brute_force_conformance all produce the
 same witness, so the backtracking engine can be cross-checked against plain
 enumeration.
 
-Each instance is grounded once (semantics.GroundInstance): the search, its
-dependency sets and the least fixed point all read the grounded equations
-by atom id.  Brute force pins fewer atoms but checks every leaf against the
-same equations.
+Each instance is grounded once into a circuit of at-least gates
+(semantics.GroundInstance): the least fixed point, the dependency order,
+the search's constraints and every leaf check read that circuit by
+variable id, and brute force checks its leaves against it too.
 
-The search writes each three-valued atom as two bits and the grounded
-equations as at-least constraints over them (_Network), propagates them in
-both directions and learns clauses from conflicts, as a CDCL SAT solver
-does, but decides atoms in the canonical order and values in the canonical
-order and never restarts.  Propagation and learning remove only values that
-no strictly faithful assignment takes, so the witness is the one plain
+The search writes each three-valued variable as two bits and each gate as
+at-least constraints over them (_Network), propagates them in both
+directions and learns clauses from conflicts, as a CDCL SAT solver does,
+but decides atoms in the canonical order and values in the canonical order
+and never restarts.  Propagation and learning remove only values that no
+strictly faithful assignment takes, so the witness is the one plain
 enumeration finds (see _search).
 
 Soundness of the pinning shortcuts:
@@ -43,9 +43,6 @@ from .errors import BudgetExceeded, TooLarge
 from .graph import PropertyGraph
 from .semantics import (
     FALSE,
-    MIN,
-    NOT,
-    REF,
     TRUE,
     UNKNOWN,
     Assignment,
@@ -76,7 +73,7 @@ class SolverStats:
     (what the budget limits), `propagations` counts atom bits set by
     propagation or by a learned clause (an atom merged into another one's
     bits counts once, under that one), `leaf_checks` counts total
-    assignments checked against the equations, and `elapsed` is the run's
+    assignments checked against the circuit, and `elapsed` is the run's
     wall time in seconds.
     """
 
@@ -101,12 +98,14 @@ class ValidationReport:
         return self.conforms
 
 
-def _dependency_order(deps: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _dependency_order(ground: GroundInstance) -> tuple[int, ...]:
     """Atom ids with dependencies before their dependents: the strongly
-    connected components of the dependency graph in Tarjan's emit order,
-    canonical order inside each component."""
+    connected components of the circuit (a variable reads the variables of
+    its gate) in Tarjan's emit order, canonical order inside each one."""
+    reads = [[lit >> 1 for lit in lits] for _, lits in ground.gates]
     return tuple(
-        i for component in strongly_connected(deps) for i in sorted(component)
+        v for component in strongly_connected(reads) for v in sorted(component)
+        if v < len(ground.atoms)
     )
 
 
@@ -137,7 +136,7 @@ class _Instance:
         self.atoms = self.ground.atoms
         self.targets = self.ground.targets
         if config.atom_order == "dependency":
-            self.order = _dependency_order(self.ground.deps)
+            self.order = _dependency_order(self.ground)
         else:
             self.order = tuple(range(len(self.atoms)))
         self.lfp = self.ground.least_fixed_point()
@@ -152,13 +151,11 @@ class _Instance:
         pinned = dict.fromkeys(self.targets, TRUE)
         refuted = False
         if use_fixed_point:
-            forced = enumerate(self.lfp)
+            forced = enumerate(self.lfp[:len(self.atoms)])
         else:
-            # Assignment-independent atoms are still forced to their value.
-            forced = (
-                (i, self.ground.evaluate(i, ()))
-                for i, ds in enumerate(self.ground.deps) if not ds
-            )
+            # An atom whose gate reads nothing is a constant.
+            gates = enumerate(self.ground.gates[:len(self.atoms)])
+            forced = ((i, FALSE if k > 0 else TRUE) for i, (k, lits) in gates if not lits)
         for i, v in forced:
             if v is UNKNOWN:
                 continue
@@ -176,29 +173,6 @@ class _Instance:
 _TRUTH = (FALSE, UNKNOWN, TRUE)
 
 
-def _unwrap(node: tuple, negated: bool) -> tuple[tuple, bool]:
-    """A grounded node with its leading negations moved into the sign."""
-    while node[0] == NOT:
-        node, negated = node[1], not negated
-    return node, negated
-
-
-def _threshold(node: tuple, negated: bool) -> tuple[int, tuple]:
-    """(k, operands): the node, negated if asked, is "at least k of the
-    operands" with every operand read under the same sign.
-
-    Not(at least k of m) is at least m - k + 1 of the negated operands, and
-    MIN is at least m.  A reference is at least 1 of itself.  Constants never
-    get here: grounding folds every nested constant, and the fixed point
-    decides every atom whose equation is one.
-    """
-    if node[0] == REF:
-        return 1, (node,)
-    operands = node[-1]
-    k = len(operands) if node[0] == MIN else node[1]
-    return (len(operands) - k + 1 if negated else k), operands
-
-
 def _bounds(v: int, low: int, high: int) -> tuple[int, ...]:
     """The literals that confine variable v to [low, high], both bits of
     each bound that a bound fixes."""
@@ -211,20 +185,19 @@ def _bounds(v: int, low: int, high: int) -> tuple[int, ...]:
 
 
 class _Network:
-    """The grounded equations of one search as at-least constraints over
-    pairs of bits, propagated and learned from as in a CDCL SAT solver.
+    """The circuit of one search as at-least constraints over pairs of bits,
+    propagated and learned from as in a CDCL SAT solver.
 
-    Every atom, and every grounded node nested in an equation, is a
-    three-valued variable.  Variables 0 .. atoms - 1 are the atoms; the rest
-    stand for nested nodes.  Negation is pushed into signed operands, so
-    each entry of `constraints` is (out, k, pos, neg): out is the verdict
+    Its variables are the circuit's (semantics.GroundInstance): atoms
+    0 .. atoms - 1, then the shared gates.  Each entry of `constraints` is
+    a gate read off the circuit as (out, k, pos, neg): out is the verdict
     "at least k of the operands hold", pos lists the variables read as they
-    are and neg those read negated.  An operand of the same form (any-of in
-    any-of, all-of in all-of) is inlined into its parent instead of getting
-    a variable.  Only atoms the least fixed point leaves unknown get a
-    constraint: a decided atom keeps its value in every total extension of
-    the fixed point (the connectives are monotone in the knowledge order),
-    so its equation holds whatever the open atoms take.
+    are and neg those read negated.  Only variables the least fixed point
+    leaves unknown get a constraint, and only those an open atom reads,
+    through open gates: a decided variable keeps its value in every total
+    extension of the fixed point (every gate is monotone in the knowledge
+    order), so its gate holds whatever the open atoms take, and one that an
+    open gate reads is bound to its value.
 
     Bits.  Variable v is two bits, "v is at least unknown" (bit 2v) and "v
     is true" (bit 2v + 1), the second implying the first: false is (0, 0),
@@ -265,39 +238,26 @@ class _Network:
         pinned: Mapping[int, TruthValue],
         stats: SolverStats,
     ):
-        self.atom_count = len(ground.atoms)
-        self.atom_lits = 4 * self.atom_count
+        gates = ground.gates
+        self.atom_count = atoms = len(ground.atoms)
+        self.atom_lits = 4 * atoms
         self.stats = stats
-        nvars = len(ground.atoms)
+        nvars = len(gates)
+        # The gates of the open variables that open atoms read, through open
+        # gates; a decided gate they read is bound to its value below.
         self.constraints = constraints = []
-        work = [
-            (i, eq, False)
-            for i, eq in enumerate(ground.equations) if lfp[i] is UNKNOWN
-        ]
+        work = [i for i in range(atoms) if lfp[i] is UNKNOWN]
+        visited = set(work)
         while work:
-            out, node, negated = work.pop()
-            node, negated = _unwrap(node, negated)
-            k, operands = _threshold(node, negated)
-            any_of, all_of = k == 1, k == len(operands)
-            pos: list[int] = []
-            neg: list[int] = []
-            stack = [(c, negated) for c in reversed(operands)]
-            while stack:
-                c, sign = _unwrap(*stack.pop())
-                if c[0] == REF:
-                    (neg if sign else pos).append(c[1])
-                    continue
-                ck, inner = _threshold(c, sign)
-                if any_of and ck == 1:
-                    stack.extend((x, sign) for x in reversed(inner))
-                elif all_of and ck == len(inner):
-                    k += len(inner) - 1
-                    stack.extend((x, sign) for x in reversed(inner))
-                else:
-                    pos.append(nvars)
-                    work.append((nvars, c, sign))
-                    nvars += 1
-            constraints.append((out, k, tuple(pos), tuple(neg)))
+            out = work.pop()
+            k, lits = gates[out]
+            pos = tuple(lit >> 1 for lit in lits if not lit & 1)
+            constraints.append((out, k, pos, tuple(lit >> 1 for lit in lits if lit & 1)))
+            for lit in lits:
+                w = lit >> 1
+                if w >= atoms and w not in visited and lfp[w] is UNKNOWN:
+                    visited.add(w)
+                    work.append(w)
 
         # A constraint "out = at least 1 of one operand" makes out equal to
         # the operand or to its negation: both become one representative
@@ -402,9 +362,11 @@ class _Network:
                 units.append(clause)
             elif not any(lit ^ 1 in lits for lit in clause):
                 self.add_clause(clause)
+        decided = [(v, lfp[v]) for v in range(atoms, nvars) if lfp[v] is not UNKNOWN]
         bounds = [(v, 1, 1) for v in unknown]
         bounds += (
-            (i, int(value), int(value)) for i, value in pinned.items() if used[root[i]]
+            (i, int(value), int(value))
+            for i, value in [*pinned.items(), *decided] if used[root[i]]
         )
         for v, low, high in bounds:
             if not self.narrow(v, low, high):
@@ -698,13 +660,13 @@ def _search(
     without restarts: a conflict adds a learned clause and goes back to
     the level where that clause sets its literal.  After a leaf it is
     depth first: a conflict or a leaf takes the other side of the newest
-    choice not yet flipped.  Every leaf is checked against the grounded
-    equations.  Choices and the trail live in lists, so the depth is not
-    bounded by the interpreter's recursion limit.
+    choice not yet flipped.  Every leaf is checked against the circuit.
+    Choices and the trail live in lists, so the depth is not bounded by the
+    interpreter's recursion limit.
 
     Why the witness does not change: a strictly faithful assignment, with
-    each nested variable taking its node's value, satisfies every
-    constraint and every learned clause, which the constraints entail.
+    each gate taking its value under it, satisfies every constraint and
+    every learned clause, which the constraints entail.
     Let S be the first faithful assignment in atom and value order, the
     one plain enumeration meets first.  While every decision agrees with
     S, so does every implied literal, its reason being a clause that S
@@ -853,7 +815,7 @@ def brute_force_conformance(
     Raises TooLarge above config.max_atoms atoms, before grounding anything.
     Pins only what is provably forced (targets to yes; atoms that never read
     the assignment to their value), then tries every combination in
-    canonical order and checks each against the grounded equations.
+    canonical order and checks each against the circuit.
     """
     config = config or SolverConfig()
     start = time.monotonic()

@@ -190,6 +190,10 @@ def _is_normal(c) -> bool:
     return all(isinstance(k, ATOMIC_CONSTRAINTS) for k in _children(c))
 
 
+def _cancel_double_negation(c):
+    return c.inner.inner if isinstance(c, Not) and isinstance(c.inner, Not) else c
+
+
 def _moved(c, kind: str, refs: dict):
     """c with its operands swapped for the fresh shapes that hold them
     (refs, by id and kind), unless it is normal and stays whole."""
@@ -222,8 +226,10 @@ def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
         # One level of the constraint stays; operands leave, even atomic
         # ones, so the result depends only on the top operator.  Each
         # (subterm, kind) pair moves once: names go out parents first,
-        # shapes are built operands first.
-        walk = partial(kind_walk, sh.constraint, sh.kind, stop=_is_normal)
+        # shapes are built operands first.  `!!c` is c in Kleene logic and
+        # cancels first, so a desugared `|` chain spends no shape on it.
+        constraint = rewrite(sh.constraint, _cancel_double_negation)
+        walk = partial(kind_walk, constraint, sh.kind, stop=_is_normal)
         refs = {}
         for c, kind in list(walk(pre=True))[1:]:
             refs[id(c), kind] = ShapeRef(names.name("__f"))
@@ -231,7 +237,7 @@ def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
         *operands, _ = walk()
         fresh += [Shape(refs[id(c), kind].name, kind, _moved(c, kind, refs), Nothing())
                   for c, kind in operands]
-        c = _moved(sh.constraint, sh.kind, refs)
+        c = _moved(constraint, sh.kind, refs)
         rebuilt.append(Shape(sh.name, sh.kind, c, sh.target, span=sh.span))
     trace = TransformTrace(
         fresh_shapes=tuple(name for name, _ in sources),

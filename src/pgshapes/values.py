@@ -42,8 +42,8 @@ Value = IntValue | StrValue | DateValue
 
 _VALUE_CLASSES = (IntValue, StrValue, DateValue)
 
-_ISO_DATE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
-_SLASH_DATE = re.compile(r"(\d{2})/(\d{2})/(\d{4})")
+_ISO_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+_SLASH_DATE = re.compile(r"([0-9]{2})/([0-9]{2})/([0-9]{4})")
 _ESCAPED = re.compile(r'["\\\n\t\r]')  # what quote_string escapes
 
 

@@ -172,6 +172,16 @@ def test_validate_rejects_a_date_with_a_trailing_newline(capsys, tmp_path, s2_pr
     assert "error:" in err
 
 
+def test_validate_rejects_a_date_with_non_ascii_digits(capsys, tmp_path, s2_progs):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nodes": [{"id": "1", "properties": {
+        "k": [{"type": "date", "value": "\u0662\u0660\u0662\u0660-01-02"}]}}],
+        "relationships": []}))
+    code, out, err = run(capsys, "validate", str(bad), s2_progs)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 def test_check_counts(capsys, tmp_path):
     progs = tmp_path / "shapes.progs"
     progs.write_text(S1_LINE + "\n")

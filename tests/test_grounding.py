@@ -2,17 +2,20 @@
 metamorphic checks far above the oracle's 12-atom cap."""
 
 import dataclasses
+import json
 import random
 
 import pytest
 
 import oracle
+from pgshapes import cli
 from pgshapes import shapes as S
 from pgshapes.errors import BudgetExceeded, DomainMismatch
 from pgshapes.fixtures import office_graph
 from pgshapes.graph import EDGE, NODE, build_graph
+from pgshapes.jsonio import export_graph_json
+from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
-    CONST,
     FALSE,
     TRUE,
     UNKNOWN,
@@ -26,6 +29,7 @@ from pgshapes.semantics import (
 from pgshapes.shapes import Shape, ShapeSet, link_shapes
 from pgshapes.solver import (
     SolverConfig,
+    brute_force_conformance,
     enumerate_faithful_assignments,
     find_faithful_assignment,
 )
@@ -151,6 +155,24 @@ def test_fixed_point_decides_a_long_chain():
 # ---------------------------------------------------------------------------
 # Grounding
 
+def grounded_reads(ground):
+    """Per atom id, the sorted atom ids its equation reads through the
+    shared gates of the circuit."""
+    atoms = len(ground.atoms)
+    out = []
+    for i in range(atoms):
+        reads, seen, todo = set(), set(), [i]
+        while todo:
+            for lit in ground.gates[todo.pop()][1]:
+                v = lit >> 1
+                if v < atoms:
+                    reads.add(v)
+                elif v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        out.append(tuple(sorted(reads)))
+    return out
+
 
 def test_grounding_folds_reference_free_subterms():
     g = office_graph()
@@ -159,13 +181,14 @@ def test_grounding_folds_reference_free_subterms():
         Shape("sB", NODE, S.QualPath(1, S.EdgeLabel("worksFor"), S.Top()), S.Nothing()),
     ])
     ground = GroundInstance(g, shapes)
-    for atom, ds, eq in zip(ground.atoms, ground.deps, ground.equations):
+    deps = grounded_reads(ground)
+    for atom, ds, eq in zip(ground.atoms, deps, ground.gates):
         if atom.shape == "sB":
-            assert not ds and eq[0] == CONST
+            assert not ds and eq in ((0, ()), (1, ()))  # a constant
     # Where the label is missing the conjunction folds to no and reads nothing.
     no_person = [x for x in g.nodes if "Person" not in g.labels_of(x)]
     for x in no_person:
-        assert ground.deps[ground.index[Atom("sA", x, NODE)]] == ()
+        assert deps[ground.index[Atom("sA", x, NODE)]] == ()
 
 
 def test_grounding_rejects_references_outside_the_atom_set():
@@ -197,10 +220,11 @@ def test_grounded_equations_agree_with_the_oracle(monkeypatch):
         values = [rng.choice((FALSE, UNKNOWN, TRUE)) for _ in ground.atoms]
         sigma = {(a.shape, a.element): FROM_TV[v] for a, v in zip(ground.atoms, values)}
         faithful = True
+        evaluated = ground.evaluate(values)
         for i, atom in enumerate(ground.atoms):
             sh = shapes.get(atom.shape)
             want = ref_eval(g, sigma, atom.element, sh.constraint, sh.kind)
-            assert FROM_TV[ground.evaluate(i, values)] == want
+            assert FROM_TV[evaluated[i]] == want
             faithful = faithful and want == sigma[(atom.shape, atom.element)]
         faithful = faithful and all(sigma[(a.shape, a.element)] == ONE for a in targets)
         assert ground.holds(values) == faithful
@@ -438,3 +462,75 @@ def test_propagating_search_far_above_the_oracle_cap():
         verdicts.append(report.conforms)
     assert len(verdicts) >= 30
     assert set(verdicts) == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Nested exact counts: `= 1 p . c` reads c twice, and grounding shares it
+
+
+def knows_graph(n, successors, labels=()):
+    """Nodes "0" .. n - 1, each knowing the nodes successors(i) lists and
+    carrying `labels`."""
+    pairs = [(str(i), str(j)) for i in range(n) for j in successors(i)]
+    ids = [f"e{i}" for i in range(len(pairs))]
+    return build_graph(
+        [str(i) for i in range(n)], ids,
+        endpoints=dict(zip(ids, pairs)),
+        labelings={
+            **{e: ["knows"] for e in ids}, **{str(i): list(labels) for i in range(n)}
+        },
+    )
+
+
+def nested_text(k, target="[]"):
+    """k nested `= 1 :knows .` around r, which negates u, which negates r."""
+    return (
+        f"NODE s {target} {{ {'= 1 :knows . ' * k}r }};\n"
+        "NODE r [] { ! u };\nNODE u [] { ! r };\n"
+    )
+
+
+def nested_counts(k, target="[]"):
+    return parse_shapes(nested_text(k, target))
+
+
+RING = knows_graph(6, lambda i: ((i + 1) % 6, (i + 2) % 6))
+
+
+def test_nested_exact_counts_ground_to_a_linear_circuit():
+    sizes = {k: len(GroundInstance(RING, nested_counts(k)).gates) for k in (10, 20, 40)}
+    assert sizes[40] - sizes[20] == 2 * (sizes[20] - sizes[10]) > 0
+
+
+@pytest.mark.parametrize("target", ["[id 0]", "[:P]"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_nested_exact_counts_match_brute_force_and_the_oracle(k, target):
+    # 3 nodes, each knowing the other two: 9 atoms.  Targeting every node
+    # asks each for exactly one of two successors, which no assignment gives.
+    g = knows_graph(3, lambda i: [j for j in range(3) if j != i], labels=["P"])
+    shapes = nested_counts(k, target)
+    report = find_faithful_assignment(g, shapes)
+    brute = brute_force_conformance(g, shapes)
+    assert (report.conforms, report.witness) == (brute.conforms, brute.witness)
+    assert report.conforms == (target == "[id 0]")
+    for sigma in filter(None, (report.witness, report.fixed_point)):
+        ref_sigma = sigma_from_assignment(sigma)
+        for atom, value in sigma.items():
+            sh = shapes.get(atom.shape)
+            want = ref_eval(g, ref_sigma, atom.element, sh.constraint, sh.kind)
+            assert want == FROM_TV[value]
+
+
+def test_validate_thirty_nested_exact_counts(tmp_path, capsys):
+    graph, progs = tmp_path / "ring.json", tmp_path / "nested.progs"
+    graph.write_bytes(export_graph_json(RING))
+    progs.write_text(nested_text(30, "[id 0]"))
+    code = cli.main(["validate", "--json", str(graph), str(progs)])
+    assert code in (0, 1)
+    if code == 0:
+        words = {"yes": TRUE, "no": FALSE, "maybe": UNKNOWN}
+        witness = Assignment({
+            Atom(a["shape"], a["element"], a["kind"]): words[a["value"]]
+            for a in json.loads(capsys.readouterr().out)["witness"]
+        })
+        assert is_strictly_faithful(RING, nested_counts(30, "[id 0]"), witness).ok

@@ -1,5 +1,6 @@
 """Every name a package module takes with `from ... import` is used there,
-and every private top-level name is used somewhere in the package.
+every private top-level name is used somewhere in the package, and the only
+functions that can call themselves are the ones listed in RECURSION_SITES.
 
 Deleting a duplicate helper tends to leave its imports, or helpers only it
 called, behind; this keeps them from piling up.  `__init__.py` re-exports
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from pgshapes.shapes import strongly_connected
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pgshapes"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -102,3 +105,95 @@ def test_dead_helpers_are_found():
 
 def test_no_dead_private_helpers():
     assert dead_helpers({p.name: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+# ---------------------------------------------------------------------------
+# Recursion sites: MAX_NESTING bounds the depth of each one, so a new
+# recursive helper has to be listed here and bounded the same way.
+
+RECURSION_SITES = {
+    "parser.py": {  # the recursive descent
+        "_Parser.or_constraint", "_Parser.and_constraint", "_Parser.unary_constraint",
+        "_Parser.primary_constraint", "_Parser.counting", "_Parser.predicate_and",
+        "_Parser.predicate_atom", "_Parser.path", "_Parser.path_seq",
+        "_Parser.path_prefix", "_Parser.path_postfix", "_Parser.path_primary",
+    },
+    "semantics.py": {"matches_predicate", "_grounding.ground", "_grounding.at"},
+    "printer.py": {"render_target"},
+    "transforms.py": {"_conjunction"},
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(fn: ast.AST):
+    """The nodes of a function's body outside the functions and classes
+    defined in it (their definitions included)."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def call_graph(source: str) -> dict[str, set[str]]:
+    """Each function and method of a module, by dotted name (`f.inner`,
+    `Class.method`), and the ones it names: a function by a plain name in
+    scope, a method of its own class through `self` or `cls`."""
+    tree = ast.parse(source)
+    graph: dict[str, set[str]] = {}
+
+    def visit(fn, name, scope, methods):
+        inner = [n for n in own_nodes(fn) if isinstance(n, FUNCTIONS)]
+        scope = {**scope, **{f.name: f"{name}.{f.name}" for f in inner}}
+        graph[name] = set()
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Name) and node.id in scope:
+                graph[name].add(scope[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("self", "cls") and node.attr in methods):
+                graph[name].add(methods[node.attr])
+        for f in inner:
+            visit(f, f"{name}.{f.name}", scope, methods)
+
+    top = {n.name: n.name for n in tree.body if isinstance(n, FUNCTIONS)}
+    for fn in (n for n in tree.body if isinstance(n, FUNCTIONS)):
+        visit(fn, fn.name, top, {})
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        fns = [n for n in cls.body if isinstance(n, FUNCTIONS)]
+        methods = {f.name: f"{cls.name}.{f.name}" for f in fns}
+        for fn in fns:
+            visit(fn, methods[fn.name], top, methods)
+    return graph
+
+
+def recursion_sites(source: str) -> set[str]:
+    """The functions on a cycle of the module's call graph."""
+    graph = call_graph(source)
+    names = sorted(graph)
+    ids = {n: i for i, n in enumerate(names)}
+    components = strongly_connected([[ids[m] for m in graph[n]] for n in names])
+    return {
+        names[v] for component in components for v in component
+        if len(component) > 1 or names[v] in graph[names[v]]
+    }
+
+
+def test_recursive_helpers_are_found():
+    source = (
+        "def _depth(x):\n    return 1 + _depth(x.inner) if x else 0\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n"
+        "def flat(xs):\n    return [_depth(x) for x in xs]\n"
+        "def outer(t):\n    def walk(u):\n        return [walk(c) for c in u]\n"
+        "    return walk(t)\n"
+        "class P:\n    def unary(self):\n        return self.unary() if self.more else self.atom()\n"
+        "    def atom(self):\n        return 1\n"
+    )
+    assert recursion_sites(source) == {"_depth", "even", "odd", "outer.walk", "P.unary"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_recursion_sites_are_the_listed_ones(path):
+    found = recursion_sites(path.read_text(encoding="utf-8"))
+    assert found == RECURSION_SITES.get(path.name, set())

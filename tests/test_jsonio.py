@@ -175,6 +175,8 @@ def test_unknown_fields_warn_and_load():
         '{"nodes": [{"id": "1", "properties": {"k": [{"type": "string", "value": 1}]}}], "relationships": []}',
         '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "soon"}]}}], "relationships": []}',
         '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02\\n"}]}}], "relationships": []}',
+        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "\u0662\u0660\u0662\u0660-01-02"}]}}], "relationships": []}',
+        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "02/01/\u0662\u0660\u0662\u0660"}]}}], "relationships": []}',
         '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "end": "1"}]}',
     ],
 )

@@ -289,6 +289,20 @@ def test_negated_exact_count_does_not_lex_as_neq():
     assert sh.constraint == c
 
 
+@pytest.mark.parametrize(
+    "body",
+    [">= \u0662 :knows . true", ">= 1 key k . = \u0662\u0660\u0662\u0660-01-02"],
+    ids=["count", "date"],
+)
+def test_non_ascii_digits_are_a_syntax_error(body):
+    # INT is -?[0-9]+ in the grammar: an Arabic-Indic digit is no digit.
+    prefix = "NODE s [] { "
+    with pytest.raises(ShapeSyntaxError) as err:
+        parse_shapes(f"NODE a [] {{ true }};\n{prefix}{body} }};\n")
+    column = len(prefix) + body.index("\u0662") + 1
+    assert (err.value.span.line, err.value.span.column) == (2, column)
+
+
 def test_render_rejects_unspeakable_names():
     with pytest.raises(ValueError):
         render_constraint(S.HasLabel("has space"))
@@ -296,6 +310,15 @@ def test_render_rejects_unspeakable_names():
         render_constraint(S.ShapeRef("true"))
     with pytest.raises(ValueError):
         render_target(S.TargetExact("a-b"))
+    # No digit but 0-9, and nothing after the name, not even a newline.
+    with pytest.raises(ValueError, match="no concrete spelling"):
+        render_constraint(S.Exact("\u0662"))
+    with pytest.raises(ValueError, match="no concrete spelling"):
+        render_constraint(S.Exact("a\n"))
+    with pytest.raises(ValueError, match="no concrete spelling"):
+        render_constraint(S.HasLabel("L\n"))
+    with pytest.raises(ValueError, match="no concrete spelling"):
+        render_shapes(link_shapes([Shape("s\n", NODE, S.Top(), S.Nothing())]))
 
 
 def test_roundtrip_fixpoint_on_generated_corpus():

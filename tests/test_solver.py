@@ -17,11 +17,7 @@ from pgshapes.fixtures import (
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
-    ATLEAST,
-    CONST,
     FALSE,
-    NOT,
-    REF,
     TRUE,
     UNKNOWN,
     Assignment,
@@ -55,6 +51,7 @@ from pgshapes.solver import (
 
 from oracle import ONE, ref_conforms, ref_eval, ref_targets, sigma_from_assignment
 from randgen import gen_instance
+from test_grounding import grounded_reads
 
 
 def all_faithful_by_product(g, shapes):
@@ -218,7 +215,7 @@ def grounded_dependencies(g, shapes):
     ground = GroundInstance(g, shapes)
     return {
         a: frozenset(ground.atoms[d] for d in ds)
-        for a, ds in zip(ground.atoms, ground.deps)
+        for a, ds in zip(ground.atoms, grounded_reads(ground))
     }
 
 
@@ -281,11 +278,9 @@ def check_narrowing(k, literals, nvars):
     intervals over nvars variables; a literal is (variable, negated).  No
     total assignment in the box that satisfies the node may be lost, and a
     reported conflict needs a box without one."""
-    eq = (ATLEAST, k, tuple(
-        (NOT, (REF, v)) if negated else (REF, v) for v, negated in literals
-    ))
+    eq = (k, tuple(2 * v + negated for v, negated in literals))
     ground = SimpleNamespace(
-        atoms=range(nvars), equations=[eq] + [(CONST, FALSE)] * (nvars - 1)
+        atoms=range(nvars), gates=[eq] + [(1, ())] * (nvars - 1)
     )
     net = _Network(ground, [UNKNOWN] + [FALSE] * (nvars - 1), {}, SolverStats())
     assert len(net.constraints) == 1

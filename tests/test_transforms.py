@@ -12,6 +12,7 @@ from pgshapes.fixtures import (
     works_since_shape,
 )
 from pgshapes.graph import EDGE, NODE, build_graph
+from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
     FALSE,
     TRUE,
@@ -227,6 +228,21 @@ def test_fold_moves_each_shared_subterm_once():
             shapes = desugar_shapes([nested_exact_counts(depth, TargetExact(node))])
             folded, _ = fold_operators(shapes)
             assert transformed_verdict(g, folded) == transformed_verdict(g, shapes)
+
+
+def test_fold_cancels_double_negation_in_or_chains():
+    # `a | b` desugars into `!(!a & !b)`, so a left-deep `|` chain holds a
+    # `!!` at every level; cancelled, each operand costs about two shapes.
+    n = 2_000
+    body = " | ".join(f":L{i}" for i in range(n))
+    folded, trace = fold_operators(parse_shapes(f"NODE s [] {{ {body} }};\n"))
+    assert n <= len(trace.fresh_shapes) <= 2 * n + 2
+    assert is_normalized(folded)
+    g = build_graph(["1", "2"], labelings={"1": ["L7"], "2": ["M"]})
+    small = parse_shapes("NODE s [id 1] { :L1 | :L7 | :L3 | :L4 };\n")
+    for shapes in (small, parse_shapes("NODE s [id 2] { :L1 | !!:L7 | :L3 };\n")):
+        folded, _ = fold_operators(shapes)
+        assert transformed_verdict(g, folded) == transformed_verdict(g, shapes)
 
 
 def test_fold_rejects_composite_paths():

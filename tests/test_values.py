@@ -25,7 +25,9 @@ def test_parse_date_slash_is_day_first():
 
 
 @pytest.mark.parametrize(
-    "bad", ["2020-13-01", "08/02", "soon", "2020/08/02", "", "2020-08-02\n", "02/08/2020\n"]
+    "bad",
+    ["2020-13-01", "08/02", "soon", "2020/08/02", "", "2020-08-02\n", "02/08/2020\n",
+     "\u0662\u0660\u0662\u0660-01-02", "02/01/\u0662\u0660\u0662\u0660"],
 )
 def test_parse_date_rejects(bad):
     with pytest.raises(ValueError):
