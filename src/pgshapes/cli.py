@@ -101,8 +101,8 @@ def _cmd_validate(args) -> int:
     if args.normalize:
         g, shapes, _root, _traces = normalize_instance(g, shapes)
     config = SolverConfig(
-        # Reduction-added helper shapes propagate instead of branching when
-        # atoms settle dependencies-first.
+        # Both orders take the same branches under CDCL; the switch stays
+        # while perfbench/spans.py, which mirrors it, passes atom_order.
         atom_order="dependency" if args.normalize else "default",
         max_atoms=args.max_atoms,
         max_branches=args.budget,

@@ -128,10 +128,6 @@ def _path(p: PathExpr, operands: list) -> tuple[str, int]:
     raise TypeError(f"not a path: {p!r}")
 
 
-def render_predicate(f: ValuePredicate) -> str:
-    return fold(f, _pred, "ValuePredicate")[0]
-
-
 def _pred(f: ValuePredicate, operands: list) -> tuple[str, int]:
     """(text, 0) for a conjunction, (text, 1) for an atom."""
     if isinstance(f, AnyValue):

@@ -11,9 +11,11 @@ once, turning a constraint at an element into a circuit with one gate kind,
 "at least k of these literals hold", whose inputs are the atoms, and _leaf
 decides the core forms that read no assignment.  A subterm shared by two
 paths to it is one gate, so the circuit grows with the constraint, not with
-its unfolding.  The least fixed point, the search, brute force,
-is_strictly_faithful and eval_node_constraint / eval_edge_constraint all
-read that circuit, computing gates in ascending order without recursion.
+its unfolding; a GroundInstance keeps only the gates its equations read,
+so every variable that is not an atom has a reader.  The least fixed
+point, the search, brute force, is_strictly_faithful and
+eval_node_constraint / eval_edge_constraint all read that circuit,
+computing gates in ascending order without recursion.
 
 Paths have one engine: each path object compiles once into a Thompson
 automaton over the graph's per-label adjacency, and a search over (node,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Mapping
 
 from .errors import DomainMismatch, UnknownElement
@@ -618,6 +621,7 @@ class GroundInstance:
     Atoms are variables 0 .. atoms - 1 in canonical (shape, element) order,
     and `gates[i]` is atom i's equation; the variables after them are the
     shared gates those equations read, each after every gate it reads.
+    Every variable that is not an atom has a reader.
     `readers[v]` lists the gates that read variable v, and `targets` holds
     the sorted ids of the target atoms.  Paths are evaluated through one
     shared cache.
@@ -637,6 +641,18 @@ class GroundInstance:
         # mistook a reference to an atom for a gate.  An atom whose equation
         # is a gate's literal takes over that gate's (k, literals).
         gates[:len(roots)] = [_equation(lit, gates) for lit in roots]
+        # Keep only the gates some equation reads (not those taken over or
+        # inlined), in order: each reads below it, so one sweep down finds them.
+        n = len(roots)
+        live = [True] * n + [False] * (len(gates) - n)
+        for v in [*range(n), *range(len(gates) - 1, n - 1, -1)]:
+            if live[v]:
+                for lit in gates[v][1]:
+                    live[lit >> 1] = True
+        if not all(live):
+            number = [i - 1 for i in accumulate(live)]
+            gates[:] = [(k, tuple(2 * number[lit >> 1] | lit & 1 for lit in lits))
+                        for (k, lits), kept in zip(gates, live) if kept]
         self.readers: list[list[int]] = [[] for _ in gates]
         for v, (_, lits) in enumerate(gates):
             for lit in lits:

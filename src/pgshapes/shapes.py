@@ -118,10 +118,10 @@ _EMIT = object()  # on the walk's stack: the item below is complete
 
 
 def _walk(root, operands: Callable, pre: bool = False, key: Callable = id):
-    """Every item reachable from root through `operands`, once by `key`:
-    depth first, first operand first, each item after its operands (before
-    them with `pre`).  A subterm shared by several parents is walked once,
-    and an explicit stack lets a chain of any length fit."""
+    """Every item reachable from root through `operands`, once by `key`,
+    depth first and first operand first: as (item, its operands) after its
+    operands, or alone before them with `pre`.  A shared subterm is walked
+    once, and an explicit stack lets a chain of any length fit."""
     seen = set()
     stack = [root]
     while stack:
@@ -133,11 +133,12 @@ def _walk(root, operands: Callable, pre: bool = False, key: Callable = id):
         if item_key in seen:
             continue
         seen.add(item_key)
+        below = operands(item)
         if pre:
             yield item
         else:
-            stack += (item, _EMIT)
-        stack.extend(reversed(operands(item)))
+            stack += ((item, below), _EMIT)
+        stack.extend(reversed(below))
 
 
 def fold(root, rule: Callable, type_name: str = "Constraint"):
@@ -145,8 +146,7 @@ def fold(root, rule: Callable, type_name: str = "Constraint"):
     typed `type_name`, where results lists the rule's results at node's
     operands; the result at root.  Each object is folded once, however many
     paths lead to it, and a result is dropped after its last use."""
-    operands = partial(_operands, type_name=type_name)
-    order = [(node, operands(node)) for node in _walk(root, operands)]
+    order = list(_walk(root, partial(_operands, type_name=type_name)))
     last_use = {id(k): node for node, below in order for k in below}
     done = {}
     for node, below in order:
@@ -582,10 +582,10 @@ def child_kind(c: Constraint, kind: str) -> str:
 
 def kind_walk(
     c: Constraint, kind: str, pre: bool = False, stop: Callable | None = None
-) -> Iterator[tuple[Constraint, str]]:
+) -> Iterator[tuple]:
     """Each (subterm, kind) pair under c, evaluated at an element of `kind`,
-    once (see _walk); the operands of a subterm that `stop` holds for are
-    not entered."""
+    once (see _walk, which pairs each with its operands unless `pre`); the
+    operands of a subterm that `stop` holds for are not entered."""
 
     def operands(item):
         sub, ctx = item

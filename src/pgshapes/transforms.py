@@ -236,7 +236,7 @@ def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
             sources.append((refs[id(c), kind].name, sh.name))
         *operands, _ = walk()
         fresh += [Shape(refs[id(c), kind].name, kind, _moved(c, kind, refs), Nothing())
-                  for c, kind in operands]
+                  for (c, kind), _ in operands]
         c = _moved(constraint, sh.kind, refs)
         rebuilt.append(Shape(sh.name, sh.kind, c, sh.target, span=sh.span))
     trace = TransformTrace(

@@ -174,6 +174,13 @@ def grounded_reads(ground):
     return out
 
 
+def assert_every_gate_is_read(ground):
+    """Every variable after the atoms is read by some gate."""
+    atoms = len(ground.atoms)
+    unread = [v for v in range(atoms, len(ground.gates)) if not ground.readers[v]]
+    assert not unread, f"{len(unread)} of {len(ground.gates)} variables have no reader"
+
+
 def test_grounding_folds_reference_free_subterms():
     g = office_graph()
     shapes = link_shapes([
@@ -200,6 +207,15 @@ def test_grounding_rejects_references_outside_the_atom_set():
     ])
     with pytest.raises(DomainMismatch):
         GroundInstance(g, bad)
+
+
+def test_every_shared_gate_has_a_reader():
+    # Grounding leaves unread the gates an atom takes over and the gates
+    # inlined into their first reader; the instance keeps only what is read.
+    rng = random.Random(7314)
+    for round_ in range(20):
+        g, sugared = recursive_instance(rng, sugar=round_ % 2 == 1)
+        assert_every_gate_is_read(GroundInstance(g, desugar_shapes(sugared)))
 
 
 def test_grounded_equations_agree_with_the_oracle(monkeypatch):
@@ -498,8 +514,11 @@ RING = knows_graph(6, lambda i: ((i + 1) % 6, (i + 2) % 6))
 
 
 def test_nested_exact_counts_ground_to_a_linear_circuit():
-    sizes = {k: len(GroundInstance(RING, nested_counts(k)).gates) for k in (10, 20, 40)}
+    grounds = {k: GroundInstance(RING, nested_counts(k)) for k in (10, 20, 40)}
+    sizes = {k: len(ground.gates) for k, ground in grounds.items()}
     assert sizes[40] - sizes[20] == 2 * (sizes[20] - sizes[10]) > 0
+    for ground in grounds.values():  # the shared gates stay, each read
+        assert_every_gate_is_read(ground)
 
 
 @pytest.mark.parametrize("target", ["[id 0]", "[:P]"])
@@ -534,3 +553,38 @@ def test_validate_thirty_nested_exact_counts(tmp_path, capsys):
             for a in json.loads(capsys.readouterr().out)["witness"]
         })
         assert is_strictly_faithful(RING, nested_counts(30, "[id 0]"), witness).ok
+
+
+def test_a_gate_inlined_into_one_reader_stays_for_the_next():
+    # Nodes 0 and 1 both know 2 and 3.  a(0) and a(1) take over their own
+    # gates, which come first and go.  At 2 and 3, `r | u` is a gate that
+    # s(0) inlines and s(1) reads, so it stays, renumbered past the dropped.
+    g = knows_graph(4, lambda i: (2, 3) if i < 2 else ())
+    shapes = parse_shapes(
+        "NODE a [] { >= 1 :knows . (r & u) };\nNODE s [] { >= 1 :knows . (r | u) };\n"
+        "NODE r [] { ! u };\nNODE u [] { ! r };\n"
+    )
+    ground = GroundInstance(g, shapes)
+    assert_every_gate_is_read(ground)
+    atoms = len(ground.atoms)
+    assert len(ground.gates) == atoms + 4  # r & u and r | u, at 2 and 3
+
+    def lit(shape, x):
+        return 2 * ground.index[Atom(shape, x, NODE)]
+
+    def equation(shape, x):
+        return ground.gates[ground.index[Atom(shape, x, NODE)]]
+
+    assert equation("s", "0") == (1, tuple(lit(a, x) for x in "23" for a in "ru"))
+    k, lits = equation("s", "1")
+    assert k == 1 and all(v & 1 and v >> 1 >= atoms for v in lits)
+    assert [ground.gates[v >> 1] for v in lits] == [
+        (2, (lit("r", x) | 1, lit("u", x) | 1)) for x in "23"
+    ]
+    for value in (TRUE, FALSE):
+        sigma = Assignment({atom: value for atom in ground.atoms})
+        ref_sigma = sigma_from_assignment(sigma)
+        for atom, got in zip(ground.atoms, ground.evaluate([value] * atoms)):
+            sh = shapes.get(atom.shape)
+            want = ref_eval(g, ref_sigma, atom.element, sh.constraint, sh.kind)
+            assert FROM_TV[got] == want
