@@ -49,6 +49,15 @@ def _ident(raw: object) -> str:
     raise TypeError(f"not an element id: {raw!r}")
 
 
+def _index_labels(labels: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    """Each label to the elements carrying it."""
+    index: dict[str, list[str]] = {}
+    for x, names in labels.items():
+        for name in names:
+            index.setdefault(name, []).append(x)
+    return {name: frozenset(xs) for name, xs in index.items()}
+
+
 class PropertyGraph:
     """Validated immutable graph.  Construct through build_graph()."""
 
@@ -137,11 +146,7 @@ class PropertyGraph:
     def by_label(self) -> Mapping[str, frozenset[str]]:
         """Each label to the nodes and edges carrying it."""
         if self._by_label is None:
-            index: dict[str, list[str]] = {}
-            for x, names in self._labels.items():
-                for name in names:
-                    index.setdefault(name, []).append(x)
-            self._by_label = {name: frozenset(xs) for name, xs in index.items()}
+            self._by_label = _index_labels(self._labels)
         return MappingProxyType(self._by_label)
 
     def label_adjacency(self, label: str, direction: str) -> Mapping[str, tuple]:
@@ -194,44 +199,20 @@ def build_graph(
     the result is base plus the given elements, which alone may get labels
     and properties: base's tables are copied, and only the new rows are
     validated, with the errors one build of all the rows would raise.
+
+    Each row is normalized once here (ids to text, label kinds checked,
+    values coerced), so those errors come first; _assemble then checks the
+    id invariants and builds the tables, as it does for import_graph_json.
     """
-    if base is None:
-        base = PropertyGraph((), (), {}, {}, {}, {}, {}, {})
     node_ids = [_ident(n) for n in nodes]
     edge_ids = [_ident(e) for e in edges]
-    node_set = set(node_ids)
-    edge_set = set(edge_ids)
-    if len(node_set) != len(node_ids) or not node_set.isdisjoint(base._out):
-        raise IdClash("duplicate node id")
-    if len(edge_set) != len(edge_ids) or not edge_set.isdisjoint(base._endpoints):
-        raise IdClash("duplicate edge id")
-    clash = node_set & (edge_set | base._endpoints.keys()) | edge_set & base._out.keys()
-    if clash:
-        raise IdClash(f"ids used as both node and edge: {sorted(clash)}")
-
-    out = {**base._out, **dict.fromkeys(node_ids, ())}
-    in_ = {**base._in, **dict.fromkeys(node_ids, ())}
-    endpoint_map = dict(base._endpoints)
-    for e, pair in (endpoints or {}).items():
-        eid = _ident(e)
-        if eid not in edge_set:
-            raise DanglingEdge(f"endpoints given for unknown edge {eid!r}")
-        src, dst = (_ident(pair[0]), _ident(pair[1]))
-        if src not in out or dst not in out:
-            raise DanglingEdge(f"edge {eid!r} endpoint not a node: ({src}, {dst})")
-        endpoint_map[eid] = (src, dst)
-    missing = edge_set - endpoint_map.keys()
-    if missing:
-        raise DanglingEdge(f"edges without endpoints: {sorted(missing)}")
-
-    label_map = dict(base._labels)
+    kinds = {**dict.fromkeys(edge_ids, EDGE), **dict.fromkeys(node_ids, NODE)}
+    ends = {_ident(e): (_ident(p[0]), _ident(p[1])) for e, p in (endpoints or {}).items()}
+    label_map = {}
     for x, raw_labels in (labelings or {}).items():
         xid = _ident(x)
-        if xid in node_set:
-            kind = NODE
-        elif xid in edge_set:
-            kind = EDGE
-        else:
+        kind = kinds.get(xid)
+        if kind is None:
             raise UnknownElement(f"labels given for unknown element {xid!r}")
         names = set()
         for lab in raw_labels:
@@ -251,7 +232,7 @@ def build_graph(
     prop_map: dict[tuple[str, str], frozenset[Value]] = {}
     for (x, key), raw_values in (properties or {}).items():
         xid = _ident(x)
-        if xid not in node_set and xid not in edge_set:
+        if xid not in kinds:
             raise UnknownElement(f"property on unknown element {xid!r}")
         if not isinstance(key, str) or not key:
             raise TypeError(f"not a property key: {key!r}")
@@ -259,26 +240,53 @@ def build_graph(
         if not vals:
             raise ValueError(f"empty value set for ({xid!r}, {key!r})")
         prop_map[(xid, key)] = vals
-
     keys: dict[str, list[str]] = {}
     for xid, key in prop_map:
         keys.setdefault(xid, []).append(key)
+    keys = {x: tuple(sorted(ks)) for x, ks in keys.items()}
+    return _assemble(node_ids, edge_ids, ends, label_map, prop_map, keys, base)
 
+
+def _assemble(nodes, edges, endpoints, labels, props, keys, base=None) -> PropertyGraph:
+    """base plus normalized rows: text ids, (source, destination) per edge
+    in input order, frozensets of labels and of values, sorted key tuples.
+    Checks the id invariants, in this order: duplicate node ids, duplicate
+    edge ids, ids used as both, endpoints in input order, edges without
+    endpoints.  Base's built label indexes carry over, for the labels no
+    new row carries."""
+    base = base or PropertyGraph((), (), {}, {}, {}, {}, {}, {})
+    node_set, edge_set = set(nodes), set(edges)
+    if len(node_set) != len(nodes) or not node_set.isdisjoint(base._out):
+        raise IdClash("duplicate node id")
+    if len(edge_set) != len(edges) or not edge_set.isdisjoint(base._endpoints):
+        raise IdClash("duplicate edge id")
+    clash = node_set & (edge_set | base._endpoints.keys()) | edge_set & base._out.keys()
+    if clash:
+        raise IdClash(f"ids used as both node and edge: {sorted(clash)}")
+
+    tables = {OUTGOING: {**base._out, **dict.fromkeys(nodes, ())},
+              INCOMING: {**base._in, **dict.fromkeys(nodes, ())}}
     added: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for e in edge_set:
-        src, dst = endpoint_map[e]
+    for e, (src, dst) in endpoints.items():
+        if e not in edge_set:
+            raise DanglingEdge(f"endpoints given for unknown edge {e!r}")
+        if src not in tables[OUTGOING] or dst not in tables[OUTGOING]:
+            raise DanglingEdge(f"edge {e!r} endpoint not a node: ({src}, {dst})")
         added.setdefault((OUTGOING, src), []).append((e, dst))
         added.setdefault((INCOMING, dst), []).append((e, src))
-    tables = {OUTGOING: out, INCOMING: in_}
+    if len(endpoints) != len(edge_set):
+        raise DanglingEdge(f"edges without endpoints: {sorted(edge_set - endpoints.keys())}")
     for (direction, n), pairs in added.items():
         tables[direction][n] = tuple(sorted((*tables[direction][n], *pairs)))
-    return PropertyGraph(
-        tuple(sorted((*base._nodes, *node_ids))),
-        tuple(sorted((*base._edges, *edge_ids))),
-        endpoint_map,
-        label_map,
-        {**base._props, **prop_map},
-        {**base._keys, **{x: tuple(sorted(ks)) for x, ks in keys.items()}},
-        out,
-        in_,
+
+    g = PropertyGraph(
+        tuple(sorted((*base._nodes, *nodes))), tuple(sorted((*base._edges, *edges))),
+        {**base._endpoints, **endpoints}, {**base._labels, **labels},
+        {**base._props, **props}, {**base._keys, **keys}, tables[OUTGOING], tables[INCOMING],
     )
+    if base._by_label is not None:
+        fresh = _index_labels(labels)
+        g._by_label = {**base._by_label, **{
+            name: xs | base._by_label.get(name, xs) for name, xs in fresh.items()}}
+        g._label_adj = {name: t for name, t in base._label_adj.items() if name not in fresh}
+    return g

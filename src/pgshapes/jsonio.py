@@ -21,7 +21,7 @@ import sys
 import warnings
 
 from .errors import SchemaError
-from .graph import PropertyGraph, build_graph
+from .graph import PropertyGraph, _assemble
 from .values import (
     DATE,
     INT,
@@ -34,8 +34,9 @@ from .values import (
     value_sort_key,
 )
 
-_NODE_FIELDS = frozenset({"id", "labels", "properties"})
-_REL_FIELDS = frozenset({"id", "labels", "label", "start", "end", "properties"})
+_FIELDS = {"nodes": frozenset({"id", "labels", "properties"}),
+           "relationships": frozenset({"id", "labels", "label", "start", "end", "properties"})}
+_DOC_FIELDS = frozenset(_FIELDS)
 _VALUE_FIELDS = frozenset({"type", "value"})
 
 # The string escaper json.dumps itself uses with ensure_ascii=False.
@@ -46,13 +47,14 @@ _VALUE = '{\n            "type": "%s",\n            "value": %s\n          }'
 _ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
 
 
-def _warn_unknown(obj: dict, known: frozenset, where: str) -> None:
-    extra = sorted(set(obj) - known)
-    if extra:
-        warnings.warn(f"{where}: ignoring unknown fields {extra}", stacklevel=4)
+def _warn_unknown(obj: dict, known: frozenset, where: str, stacklevel: int = 3) -> None:
+    """Warn of obj's fields outside known, naming import_graph_json's caller."""
+    if not obj.keys() <= known:
+        extra = sorted(set(obj) - known)
+        warnings.warn(f"{where}: ignoring unknown fields {extra}", stacklevel=stacklevel)
 
 
-def _id_field(obj: dict, name: str, where: str) -> object:
+def _id_field(obj: dict, name: str, where: str) -> str:
     if name not in obj:
         raise SchemaError(f"{where}: missing {name!r}")
     raw = obj[name]
@@ -60,30 +62,41 @@ def _id_field(obj: dict, name: str, where: str) -> object:
         raise SchemaError(f"{where}: {name!r} must be a string or integer id")
     if raw == "":
         raise SchemaError(f"{where}: empty id")
-    return raw
+    return str(raw)
 
 
-def _decode_labels(obj: dict, where: str) -> list[str]:
-    names: list[str] = []
+def _decode_labels(obj: dict, where: str) -> frozenset[str]:
     if "labels" in obj and "label" in obj:
         raise SchemaError(f"{where}: give either 'labels' or 'label', not both")
-    if "label" in obj:
-        raw = [obj["label"]]
-    else:
-        raw = obj.get("labels", [])
-        if not isinstance(raw, list):
-            raise SchemaError(f"{where}: 'labels' must be a list")
+    raw = [obj["label"]] if "label" in obj else obj.get("labels", [])
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}: 'labels' must be a list")
     for lab in raw:
         if not isinstance(lab, str) or not lab:
             raise SchemaError(f"{where}: label must be a non-empty string")
-        names.append(lab)
-    return names
+    return frozenset(raw)
+
+
+def _decode_values(entries: list, where: str, key: str) -> frozenset[Value]:
+    """The value set of a key's entries, the common ones checked inline.  A
+    loop, not a comprehension, whose frame would shift warnings' stacklevel."""
+    values = set()
+    for raw in entries:
+        tag = type(raw) is dict and len(raw) == 2 and raw.get("type")
+        payload = raw.get("value") if tag else None
+        if tag == STRING and type(payload) is str:
+            values.add(StrValue(payload))
+        elif tag == INT and type(payload) is int:
+            values.add(IntValue(payload))
+        else:
+            values.add(_decode_value(raw, f"{where}, key {key!r}"))
+    return frozenset(values)
 
 
 def _decode_value(raw: object, where: str) -> Value:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: value entry must be an object")
-    _warn_unknown(raw, _VALUE_FIELDS, where)
+    _warn_unknown(raw, _VALUE_FIELDS, where, 5)  # via _decode_values, import_graph_json
     if "type" not in raw or "value" not in raw:
         raise SchemaError(f"{where}: value entry needs 'type' and 'value'")
     tag = raw["type"]
@@ -106,27 +119,10 @@ def _decode_value(raw: object, where: str) -> Value:
     raise SchemaError(f"{where}: unknown value type tag {tag!r}")
 
 
-def _decode_properties(
-    obj: dict, element: object, where: str, out: dict
-) -> None:
-    raw = obj.get("properties", {})
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: 'properties' must be an object")
-    for key, entries in raw.items():
-        if not isinstance(key, str) or not key:
-            raise SchemaError(f"{where}: property key must be a non-empty string")
-        if not isinstance(entries, list):
-            raise SchemaError(f"{where}: values of {key!r} must be a list")
-        if not entries:
-            raise SchemaError(f"{where}: empty value list for {key!r}")
-        out[(element, key)] = [
-            _decode_value(v, f"{where}, key {key!r}") for v in entries
-        ]
-
-
 def import_graph_json(data: bytes | str) -> PropertyGraph:
     """Read a graph document.  Raises SchemaError on malformed input and
-    DanglingEdge / IdClash when the document violates graph invariants."""
+    DanglingEdge / IdClash when the document violates graph invariants.
+    Each element decodes once, straight into rows for graph._assemble."""
     try:
         if isinstance(data, str):
             data = data.encode("utf-8")  # fails on a lone surrogate
@@ -149,48 +145,42 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
             raise SchemaError("lone surrogate escape in a string")
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
-    for name in ("nodes", "relationships"):
+    for name in _FIELDS:
         if name not in doc:
             raise SchemaError(f"document missing {name!r}")
         if not isinstance(doc[name], list):
             raise SchemaError(f"{name!r} must be a list")
-    _warn_unknown(doc, frozenset({"nodes", "relationships"}), "document")
+    _warn_unknown(doc, _DOC_FIELDS, "document")
 
-    nodes: list[object] = []
-    edges: list[object] = []
-    endpoints: dict[object, tuple[object, object]] = {}
-    labelings: dict[object, list[str]] = {}
-    properties: dict[tuple[object, str], list[Value]] = {}
-
-    for i, obj in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{where}: must be an object")
-        _warn_unknown(obj, _NODE_FIELDS, where)
-        nid = _id_field(obj, "id", where)
-        nodes.append(nid)
-        labels = _decode_labels(obj, where)
-        if labels:
-            labelings[nid] = labels
-        _decode_properties(obj, nid, where, properties)
-
-    for i, obj in enumerate(doc["relationships"]):
-        where = f"relationships[{i}]"
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{where}: must be an object")
-        _warn_unknown(obj, _REL_FIELDS, where)
-        eid = _id_field(obj, "id", where)
-        edges.append(eid)
-        endpoints[eid] = (
-            _id_field(obj, "start", where),
-            _id_field(obj, "end", where),
-        )
-        labels = _decode_labels(obj, where)
-        if labels:
-            labelings[eid] = labels
-        _decode_properties(obj, eid, where, properties)
-
-    return build_graph(nodes, edges, endpoints, labelings, properties)
+    ids: dict[str, list[str]] = {"nodes": [], "relationships": []}
+    endpoints, labels, props, keys = {}, {}, {}, {}  # the other rows _assemble takes
+    for name, fields in _FIELDS.items():
+        for i, obj in enumerate(doc[name]):
+            where = f"{name}[{i}]"
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{where}: must be an object")
+            _warn_unknown(obj, fields, where)
+            x = _id_field(obj, "id", where)
+            ids[name].append(x)
+            if name == "relationships":
+                endpoints[x] = (_id_field(obj, "start", where), _id_field(obj, "end", where))
+            names = _decode_labels(obj, where)
+            if names:
+                labels[x] = names
+            raw = obj.get("properties", {})
+            if not isinstance(raw, dict):
+                raise SchemaError(f"{where}: 'properties' must be an object")
+            for key, entries in raw.items():
+                if not key:
+                    raise SchemaError(f"{where}: property key must be a non-empty string")
+                if not isinstance(entries, list):
+                    raise SchemaError(f"{where}: values of {key!r} must be a list")
+                if not entries:
+                    raise SchemaError(f"{where}: empty value list for {key!r}")
+                props[x, key] = _decode_values(entries, where, key)
+            if raw:
+                keys[x] = tuple(sorted(raw))
+    return _assemble(ids["nodes"], ids["relationships"], endpoints, labels, props, keys)
 
 
 def _value_json(v: Value) -> str:

@@ -25,6 +25,7 @@ state) pairs finds what a source reaches in O(|Q| * (|V| + |E|)).
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Mapping
@@ -536,7 +537,7 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
     `cache` (see _reach).
     """
     cache = {} if cache is None else cache
-    chains: dict[int, list] = {}
+    chains: dict[int, tuple] = {}
     moved: dict[tuple, int] = {}
     inlined: set[int] = set()
 
@@ -598,8 +599,16 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
             # A conjunction chain (| included) comes apart on a list, once
             # per object.  Every operand is grounded before folding, so a
             # reference outside the atom set raises even beside a false
-            # operand.
-            chain = chains.get(id(c)) or chains.setdefault(id(c), conjuncts(c))
+            # operand.  An operand >= k :l . d (k >= 1) at a node without an
+            # l edge grounds nothing and makes the chain no; found from the
+            # node's edges, such operands cost nothing where they are absent.
+            chain, plain, stepping = chains.get(id(c)) or chains.setdefault(id(c), _chain(c))
+            if stepping and kind == NODE:
+                have = {l for e, _ in g.adjacent_edges(x, OUTGOING) for l in g.labels_of(e)}
+                if not stepping.keys() <= have:
+                    for i in sorted(plain + [i for l in have if l in stepping for i in stepping[l]]):
+                        ground(chain[i], x, kind)
+                    return _NO
             return at_least(len(chain), [ground(k, x, kind) for k in chain])
         if isinstance(c, QualPath):
             reached = sorted(_reach(g, x, c.path, cache))
@@ -613,6 +622,16 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
         return _YES if _leaf(g, x, c, cache) else _NO
 
     return ground
+
+
+def _chain(c) -> tuple[list, list[int], dict[str, list[int]]]:
+    """c's conjuncts; the positions of those that are not >= k :l . d with
+    k >= 1; and the positions of those that are, by the label l."""
+    chain, plain, stepping = conjuncts(c), [], {}
+    for i, k in enumerate(chain):
+        steps = isinstance(k, QualPath) and k.count >= 1 and isinstance(k.path, EdgeLabel)
+        (stepping.setdefault(k.path.name, []) if steps else plain).append(i)
+    return chain, plain, stepping
 
 
 class GroundInstance:
@@ -680,14 +699,15 @@ class GroundInstance:
         only when one its gate reads changes.  Every gate is monotone in the
         knowledge order, so each variable changes at most once, from
         unknown to its final value, and the run makes at most |variables| +
-        |literals| evaluations.
+        |literals| evaluations.  First in, first out: a wide gate whose inputs
+        change one after another is evaluated once they have, not per input.
         """
         gates, readers = self.gates, self.readers
         values = [UNKNOWN] * len(gates)
         queued = [True] * len(gates)
-        pending = list(range(len(gates) - 1, -1, -1))
+        pending = deque(range(len(gates)))
         while pending:
-            v = pending.pop()
+            v = pending.popleft()
             queued[v] = False
             value = _gate_value(gates[v], values)
             if value is not values[v]:

@@ -8,11 +8,18 @@ partly from characters that need escaping, and are sometimes malformed.
 Whatever comes in, every subcommand must answer with a contract exit code:
 0 and 1 verdicts, 2 input errors, 3 budget exhausted; never 4, an internal
 error.  A graph that converts converts again to the same text.
+
+Hypothesis supplies one seed per example and a seeded random stream makes
+both files.  Drawn through Hypothesis itself, most examples were copies of
+parts of earlier ones and small ranges leaned on their lower bound: the 60
+examples held 31 distinct graph documents; they now hold 59 (Hypothesis
+6.155).
 """
 
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,21 +46,18 @@ POISON = "@poison@"
 POISONS = ('"\\ud800"', "9" * 5000, "[" * 10_000 + "]" * 10_000)
 
 
-@st.composite
-def shape_files(draw):
+def shape_file(rng: random.Random) -> str:
     """A shape file, mostly well-formed: forms sit at their kind of
     element and references name shapes of the right kind, except where a
     rare draw asks for the error."""
-    names = SHAPE_NAMES[: draw(st.integers(1, len(SHAPE_NAMES)))]
-    kinds = {name: draw(st.sampled_from(("NODE", "EDGE"))) for name in names}
+    names = SHAPE_NAMES[: rng.randint(1, len(SHAPE_NAMES))]
+    kinds = {name: rng.choice(("NODE", "EDGE")) for name in names}
     budget = [30]  # operators left; once spent, operands are primaries
-    careless = draw(st.integers(0, 3)) == 0  # a file that may hold mistakes
-
-    def pick(options):
-        return draw(st.sampled_from(options))
+    careless = rng.randrange(4) == 0  # a file that may hold mistakes
+    pick = rng.choice
 
     def rarely() -> bool:
-        return careless and draw(st.integers(0, 9)) == 0
+        return careless and rng.randrange(10) == 0
 
     def spend() -> bool:
         budget[0] -= 1
@@ -64,9 +68,9 @@ def shape_files(draw):
         at most about MAX_TEXT characters."""
         if depth >= MAX_DEPTH or not spend():
             return operand(depth, *args)
-        drawn = [operand(depth, *args) for _ in range(draw(st.integers(1, 3)))]
+        drawn = [operand(depth, *args) for _ in range(rng.randint(1, 3))]
         longest = max(map(len, drawn))
-        n = draw(st.integers(1, max(1, min(MAX_CHAIN, MAX_TEXT // longest))))
+        n = rng.randint(1, max(1, min(MAX_CHAIN, MAX_TEXT // longest)))
         return f" {sep} ".join(drawn[i % len(drawn)] for i in range(n))
 
     def value():
@@ -120,7 +124,7 @@ def shape_files(draw):
             return primary(kind)
         op = pick((">=", "<=", "=") if exact < MAX_EXACT else (">=", "<="))
         inner = exact + (op == "=")
-        head = f"{op} {draw(st.integers(0, 3))}"
+        head = f"{op} {rng.randint(0, 3)}"
         body = pick(("<-[", "->[", "key", "path")) if kind == "NODE" else "key"
         if body in ("<-[", "->["):
             return f"{head} {body} {constraint(depth + 1, 'EDGE', inner)} ]"
@@ -166,27 +170,24 @@ def shape_files(draw):
         for name in names
     )
     if rarely():
-        text = text[: draw(st.integers(0, len(text)))]
+        text = text[: rng.randint(0, len(text))]
     return text
 
 
-@st.composite
-def graph_documents(draw):
+def graph_document(rng: random.Random) -> str:
     """A graph document, mostly well-formed; a careless one may hold bad
     values, clashing ids, dangling edges, unknown fields or bad JSON, and
     nodes whose id or value is a lone surrogate escape, a 5,000-digit
     integer or 10,000 nested arrays."""
-    careless = draw(st.integers(0, 3)) == 0
+    careless = rng.randrange(4) == 0
 
     def rarely() -> bool:
-        return careless and draw(st.integers(0, 5)) == 0
+        return careless and rng.randrange(6) == 0
 
     def odd(text: str) -> str:
-        return text + draw(st.text(st.sampled_from(ODD_CHARS), max_size=3))
+        return text + "".join(rng.choice(ODD_CHARS) for _ in range(rng.randint(0, 3)))
 
-    # Draws lean towards their lower bound, so the count is drawn downwards
-    # from MAX_NODES: most documents have nodes.
-    count = MAX_NODES - draw(st.integers(0, MAX_NODES))
+    count = rng.randint(0 if careless else 1, MAX_NODES)  # an empty one is careless
     node_ids = [odd(f"n{i}") for i in range(count)]
     values = (
         {"type": "int", "value": 3},
@@ -203,22 +204,22 @@ def graph_documents(draw):
 
     def element(eid, labels):
         obj = {"id": eid}
-        if draw(st.booleans()):
-            obj["labels"] = draw(st.lists(st.sampled_from(labels).map(odd), max_size=2))
-        keys = draw(st.lists(st.sampled_from(KEYS), max_size=2, unique=True))
+        if rng.random() < 0.5:
+            obj["labels"] = [odd(rng.choice(labels)) for _ in range(rng.randint(0, 2))]
+        keys = rng.sample(KEYS, rng.randint(0, 2))
         if keys:
             obj["properties"] = {
-                key: [draw(st.sampled_from(bad_values if rarely() else values))]
+                key: [rng.choice(bad_values if rarely() else values)]
                 for key in keys
             }
         return obj
 
     nodes = [element(n, LABELS) for n in node_ids]
     rels = []
-    for i in range(draw(st.integers(0, 8) if node_ids else st.just(0))):
+    for i in range(rng.randint(0, 8) if node_ids else 0):
         rel = element(node_ids[0] if rarely() else f"r{i}", EDGE_LABELS)
         rel["start"], rel["end"] = (
-            "ghost" if rarely() else draw(st.sampled_from(node_ids)) for _ in "se"
+            "ghost" if rarely() else rng.choice(node_ids) for _ in "se"
         )
         if rarely():
             rel["label"] = "p"
@@ -226,20 +227,18 @@ def graph_documents(draw):
     doc = {"nodes": nodes, "relationships": rels}
     if rarely():
         doc["extra"] = True
-    # One poison index per careless document, len(POISONS) for none.  A
-    # small range would nearly always give its lower bound; a wide one taken
-    # modulo spreads over the kinds.
-    poison = draw(st.integers(0, 2**16)) % (len(POISONS) + 1) if careless else len(POISONS)
+    # One poison index per careless document, len(POISONS) for none.
+    poison = rng.randrange(len(POISONS) + 1) if careless else len(POISONS)
     if poison < len(POISONS):
         value = {"type": "int", "value": f"{POISON}{poison}"}
-        nodes.append(draw(st.sampled_from((
+        nodes.append(rng.choice((
             {"id": f"{POISON}{poison}"},
             {"id": f"v{poison}", "properties": {"k": [value]}},
-        ))))
+        )))
     text = json.dumps(doc)
     for i, raw in enumerate(POISONS):
         text = text.replace(f'"{POISON}{i}"', raw)
-    return text[: draw(st.integers(0, len(text)))] if rarely() else text
+    return text[: rng.randint(0, len(text))] if rarely() else text
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +254,10 @@ def workdir(tmp_path_factory):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(shapes=shape_files(), graph=graph_documents())
-def test_generated_inputs_never_crash(workdir, shapes, graph):
+@given(seed=st.integers(0, 2**64 - 1))
+def test_generated_inputs_never_crash(workdir, seed):
+    rng = random.Random(seed)
+    shapes, graph = shape_file(rng), graph_document(rng)
     progs, doc = workdir / "fuzz.progs", workdir / "fuzz.json"
     progs.write_text(shapes)
     doc.write_text(graph)

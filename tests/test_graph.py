@@ -230,6 +230,25 @@ def test_building_on_a_base_equals_a_full_build():
             for key in ("k1", "k2", "age", "since"):
                 assert grown.property_values(x, key) == expected.property_values(x, key)
         assert g == _rebuilt(g, (), {}, {})  # the base is left as it was
+        # Built label indexes carry over for the labels no new row carries.
+        carried = {name for names in labelings.values() for name in names}
+        assert ("knows" in carried) != (grown._label_adj.get("knows") is g._label_adj["knows"])
+
+
+def test_a_new_row_with_a_built_label_rebuilds_its_index():
+    g = office_graph()
+    assert g.label_adjacency("worksFor", OUTGOING) == {"100": (("200", "101"),),
+                                                       "102": (("203", "101"),)}
+    grown = build_graph(["n"], ["e", "f"], {"e": ("n", "101"), "f": ("n", "n")},
+                        {"e": ["worksFor"], "n": ["Person"]}, base=g)
+    assert grown.by_label["worksFor"] == {"200", "203", "e"}
+    assert grown.by_label["Person"] == {"100", "n"}
+    assert grown.by_label["colleagueOf"] is g.by_label["colleagueOf"]
+    assert grown.label_adjacency("worksFor", OUTGOING)["n"] == (("e", "101"),)
+    assert grown.label_adjacency("worksFor", INCOMING)["101"] == (
+        ("200", "100"), ("203", "102"), ("e", "n"))
+    assert "f" not in {e for pairs in grown.label_adjacency("worksFor", OUTGOING).values()
+                       for e, _ in pairs}
 
 
 @pytest.mark.parametrize("nodes, edges", [

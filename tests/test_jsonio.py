@@ -3,12 +3,14 @@
 import datetime
 import json
 import random
+import warnings
 
 import pytest
 
-from pgshapes.errors import DanglingEdge, IdClash, SchemaError
+from pgshapes import graph
+from pgshapes.errors import DanglingEdge, IdClash, PgShapesError, SchemaError
 from pgshapes.fixtures import office_graph
-from pgshapes.graph import build_graph
+from pgshapes.graph import INCOMING, OUTGOING, build_graph
 from pgshapes.jsonio import export_graph_json, import_graph_json
 from pgshapes.values import DateValue, value_sort_key
 
@@ -150,39 +152,210 @@ def test_unknown_fields_warn_and_load():
     assert g.nodes == ("1",)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        "[]",
-        "not json",
-        '{"nodes": []}',
-        '{"nodes": {}, "relationships": []}',
-        '{"nodes": ["1"], "relationships": []}',
-        '{"nodes": [{"labels": []}], "relationships": []}',
-        '{"nodes": [{"id": true}], "relationships": []}',
-        '{"nodes": [{"id": ""}], "relationships": []}',
-        '{"nodes": [{"id": "1", "labels": "A"}], "relationships": []}',
-        '{"nodes": [{"id": "1", "labels": [""]}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": []}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": {}}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": []}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"": [{"type": "int", "value": 1}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": ["x"]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int"}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "float", "value": 1}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": true}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": "1"}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "string", "value": 1}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "soon"}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02\\n"}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "\u0662\u0660\u0662\u0660-01-02"}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "02/01/\u0662\u0660\u0662\u0660"}]}}], "relationships": []}',
-        '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "end": "1"}]}',
-    ],
-)
-def test_malformed_documents(doc):
-    with pytest.raises(SchemaError):
+# Each malformed document, with the exception class and message import
+# raises for it.
+MALFORMED = {
+    "[]": (SchemaError, "document must be a JSON object"),
+    "not json": (SchemaError, "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    '{"nodes": []}': (SchemaError, "document missing 'relationships'"),
+    '{"nodes": {}, "relationships": []}': (SchemaError, "'nodes' must be a list"),
+    '{"nodes": ["1"], "relationships": []}': (SchemaError, "nodes[0]: must be an object"),
+    '{"nodes": [{"labels": []}], "relationships": []}': (SchemaError, "nodes[0]: missing 'id'"),
+    '{"nodes": [{"id": true}], "relationships": []}':
+        (SchemaError, "nodes[0]: 'id' must be a string or integer id"),
+    '{"nodes": [{"id": ""}], "relationships": []}': (SchemaError, "nodes[0]: empty id"),
+    '{"nodes": [{"id": "1", "labels": "A"}], "relationships": []}':
+        (SchemaError, "nodes[0]: 'labels' must be a list"),
+    '{"nodes": [{"id": "1", "labels": [""]}], "relationships": []}':
+        (SchemaError, "nodes[0]: label must be a non-empty string"),
+    '{"nodes": [{"id": "1", "properties": []}], "relationships": []}':
+        (SchemaError, "nodes[0]: 'properties' must be an object"),
+    '{"nodes": [{"id": "1", "properties": {"k": {}}}], "relationships": []}':
+        (SchemaError, "nodes[0]: values of 'k' must be a list"),
+    '{"nodes": [{"id": "1", "properties": {"k": []}}], "relationships": []}':
+        (SchemaError, "nodes[0]: empty value list for 'k'"),
+    '{"nodes": [{"id": "1", "properties": {"": [{"type": "int", "value": 1}]}}], "relationships": []}':
+        (SchemaError, "nodes[0]: property key must be a non-empty string"),
+    '{"nodes": [{"id": "1", "properties": {"k": ["x"]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': value entry must be an object"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': value entry needs 'type' and 'value'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "float", "value": 1}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': unknown value type tag 'float'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": true}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': int value must be a JSON integer"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": "1"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': int value must be a JSON integer"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "string", "value": 1}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': string value must be JSON text"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "soon"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': not a date: 'soon'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02\\n"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': not a date: '2020-01-02\\n'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "٢٠٢٠-01-02"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': not a date: '٢٠٢٠-01-02'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "02/01/٢٠٢٠"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': not a date: '02/01/٢٠٢٠'"),
+    '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "end": "1"}]}':
+        (SchemaError, "relationships[0]: missing 'start'"),
+}
+
+# Which fault import reports when a document holds several: schema faults
+# first, in document order; then duplicate node ids, duplicate edge ids and
+# ids used as both; then the first dangling relationship in document order.
+PRECEDENCE = {
+    '{"nodes": [{"id": "1"}, {"id": "1"}, {"id": ""}], "relationships": []}':
+        (SchemaError, "nodes[2]: empty id"),
+    '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "start": "1", "end": "9"}, '
+    '{"id": "1", "start": "1", "end": "1", "properties": {"k": [{"type": "int", "value": 1.5}]}}]}':
+        (SchemaError, "relationships[1], key 'k': int value must be a JSON integer"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1, "x": 2}, '
+    '{"value": 1}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': value entry needs 'type' and 'value'"),
+    '{"nodes": [{"id": "1", "labels": ["A"], "label": "B", "properties": []}], "relationships": []}':
+        (SchemaError, "nodes[0]: give either 'labels' or 'label', not both"),
+    '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "start": 1, "end": 1.0}]}':
+        (SchemaError, "relationships[0]: 'end' must be a string or integer id"),
+    '{"nodes": [{"id": 1}, {"id": "1"}], "relationships": []}': (IdClash, "duplicate node id"),
+    '{"nodes": [{"id": "1"}, {"id": "1"}], "relationships": '
+    '[{"id": "e", "start": "1", "end": "x"}, {"id": "e", "start": "1", "end": "1"}]}':
+        (IdClash, "duplicate node id"),
+    '{"nodes": [{"id": "1"}, {"id": 2}], "relationships": '
+    '[{"id": "e", "start": "1", "end": "x"}, {"id": "e", "start": "1", "end": "1"}]}':
+        (IdClash, "duplicate edge id"),
+    '{"nodes": [{"id": "1"}, {"id": 2}], "relationships": [{"id": "e", "start": "1", "end": "x"}, '
+    '{"id": 2, "start": "1", "end": "1"}, {"id": "1", "start": "1", "end": "1"}]}':
+        (IdClash, "ids used as both node and edge: ['1', '2']"),
+    '{"nodes": [{"id": "1"}], "relationships": '
+    '[{"id": "b", "start": "1", "end": "x"}, {"id": "a", "start": "y", "end": "1"}]}':
+        (DanglingEdge, "edge 'b' endpoint not a node: (1, x)"),
+}
+
+
+def assert_import_raises(doc, error, message):
+    with pytest.raises(PgShapesError) as raised:
         import_graph_json(doc)
+    assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
+def test_malformed_documents(doc):
+    assert_import_raises(doc, *MALFORMED[doc])
+
+
+@pytest.mark.filterwarnings("ignore:.*unknown fields")
+@pytest.mark.parametrize("doc", PRECEDENCE, ids=range(len(PRECEDENCE)))
+def test_import_reports_the_first_fault_in_a_fixed_order(doc):
+    assert_import_raises(doc, *PRECEDENCE[doc])
+
+
+def _rows(doc):
+    """The build_graph arguments a document stands for, read without jsonio."""
+    value = {"int": int, "string": str, "date": datetime.date.fromisoformat}
+    elements = doc["nodes"] + doc["relationships"]
+    return dict(
+        nodes=[n["id"] for n in doc["nodes"]],
+        edges=[r["id"] for r in doc["relationships"]],
+        endpoints={r["id"]: (r["start"], r["end"]) for r in doc["relationships"]},
+        labelings={x["id"]: [x["label"]] if "label" in x else x.get("labels", [])
+                   for x in elements},
+        properties={
+            (x["id"], key): [value[v["type"]](v["value"]) for v in entries]
+            for x in elements for key, entries in x.get("properties", {}).items()
+        },
+    )
+
+
+def _perturbed(rng, doc):
+    """doc with integer ids now and then, elements, labels and keys shuffled,
+    singular labels, repeated value entries and unknown fields, and now and
+    then a reused id or an endpoint that names no node."""
+    def ident(x):
+        return int(x) if rng.random() < 0.3 else x
+
+    for name in ("nodes", "relationships"):
+        rng.shuffle(doc[name])
+        for obj in doc[name]:
+            for field in ("id", "start", "end"):
+                if field in obj:
+                    obj[field] = ident(obj[field])
+            rng.shuffle(obj["labels"])
+            if name == "relationships" and len(obj["labels"]) == 1 and rng.random() < 0.5:
+                obj["label"] = obj.pop("labels")[0]
+            props = list(obj["properties"].items())
+            rng.shuffle(props)
+            obj["properties"] = {k: vs + vs[:rng.randint(0, 1)] for k, vs in props}
+            if rng.random() < 0.1:
+                obj["note"] = 1
+    nodes, rels = doc["nodes"], doc["relationships"]
+    fault = rng.randrange(8)
+    if fault == 0 and len(nodes) > 1:
+        nodes[-1]["id"] = nodes[0]["id"]
+    elif fault == 1 and rels:
+        rels[-1]["id"] = rng.choice(nodes)["id"]
+    elif fault == 2 and len(rels) > 1:
+        rels[0]["id"] = rels[-1]["id"]
+    elif fault == 3 and rels:
+        rng.choice(rels)["end"] = "nowhere"
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:.*unknown fields")
+def test_import_builds_what_build_graph_builds_from_the_same_rows():
+    rng = random.Random(1212)
+    for _ in range(150):
+        doc = _perturbed(rng, json.loads(export_graph_json(gen_graph(rng))))
+        text = json.dumps(doc)
+        try:
+            expected = build_graph(**_rows(doc))
+        except PgShapesError as exc:
+            assert_import_raises(text, type(exc), str(exc))
+            continue
+        g = import_graph_json(text)
+        assert g == expected
+        for x in g.nodes + g.edges:
+            assert g.property_keys(x) == expected.property_keys(x)
+        for n in g.nodes:
+            for d in (OUTGOING, INCOMING):
+                assert g.adjacent_edges(n, d) == expected.adjacent_edges(n, d)
+
+
+def test_import_normalizes_no_row_again(monkeypatch):
+    # The decoder hands text ids and typed value sets straight to the
+    # assembler: nothing passes through build_graph's normalization.
+    expected = office_graph()
+    text = export_graph_json(expected)
+    calls = []
+    for name in ("_ident", "coerce_value", "build_graph"):
+        real = getattr(graph, name)
+        monkeypatch.setattr(graph, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    assert import_graph_json(text) == expected
+    assert calls == []
+
+
+def test_unknown_field_warnings_name_the_caller():
+    doc = {
+        "nodes": [{"id": "1", "color": "red",
+                   "properties": {"k": [{"type": "int", "value": 1, "unit": "m"}]}}],
+        "relationships": [{"id": "2", "start": "1", "end": "1", "weight": 2}],
+        "version": 3,
+    }
+
+    def load():
+        return import_graph_json(json.dumps(doc))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load()
+    assert [str(w.message) for w in caught] == [
+        "document: ignoring unknown fields ['version']",
+        "nodes[0]: ignoring unknown fields ['color']",
+        "nodes[0], key 'k': ignoring unknown fields ['unit']",
+        "relationships[0]: ignoring unknown fields ['weight']",
+    ]
+    for w in caught:
+        assert (w.filename, w.lineno) == (__file__, load.__code__.co_firstlineno + 1)
 
 
 def test_not_utf8():

@@ -12,6 +12,7 @@ from pgshapes.fixtures import (
     works_since_shape,
 )
 from pgshapes.graph import EDGE, NODE, build_graph
+from pgshapes import semantics
 from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
     FALSE,
@@ -19,6 +20,7 @@ from pgshapes.semantics import (
     UNKNOWN,
     Assignment,
     Atom,
+    GroundInstance,
     is_strictly_faithful,
 )
 from pgshapes.shapes import (
@@ -372,6 +374,36 @@ def test_normalize_many_targets_builds_a_balanced_root():
         return 1 + max(and_depth(c.first), and_depth(c.second))
 
     assert and_depth(s2.get(root.shape).constraint) <= 12
+
+
+def test_the_root_grounds_and_settles_in_work_linear_in_the_nodes(monkeypatch):
+    # The root is a node shape, so it is grounded at every node, over one
+    # >= 1 :__tK conjunct per target, and only the fresh node has __tK edges.
+    # Path searches and the literals the fixed point reads must grow with
+    # the nodes, not with nodes times targets.
+    work = {}
+
+    def counted(name, real, size):
+        def call(*args):
+            work[name] += size(*args)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(semantics, "_search", counted("searches", semantics._search,
+                                                      lambda *a: 1))
+    monkeypatch.setattr(semantics, "_gate_value", counted("reads", semantics._gate_value,
+                                                          lambda gate, _: len(gate[1])))
+    for n in (100, 200, 400):
+        people = [f"p{i}" for i in range(n)]
+        g = build_graph(people, labelings={x: ["Person"] for x in people})
+        shapes = link_shapes([Shape("t", NODE, HasLabel("Person"), TargetLabel("Person"))])
+        g2, s2, root, _ = normalize_instance(g, shapes)
+        work.update(searches=0, reads=0)
+        ground = GroundInstance(g2, s2)
+        values = ground.least_fixed_point()
+        assert values[ground.index[root]] is TRUE
+        assert work["searches"] <= n and work["reads"] <= 4 * n, (n, work)
+    assert find_faithful_assignment(g2, s2).witness[root] is TRUE
 
 
 def test_normalize_instance_pipeline_random():
