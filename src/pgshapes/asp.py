@@ -15,6 +15,8 @@ grouped by predicate and sorted within each group.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from typing import Iterator
 
 from .errors import NameCollision, UnencodableValue
 from .graph import EDGE, PropertyGraph
@@ -209,14 +211,20 @@ def _arg_key(token: str) -> tuple:
 def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
     """Render the fact base.  Sugared shapes are rewritten to core forms
     first; an empty graph with no shapes yields an empty document."""
+    return "".join(chain.from_iterable(_fact_groups(g, shapes)))
+
+
+def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
+    """The fact base as text pieces, one list per predicate group, after
+    everything that can fail has run.  A constraint or path term is one
+    string, held once by the renderer: the pieces refer to it rather than
+    copy it into a fact line, so the text is never held twice."""
     core = desugar_shapes(shapes)
 
     elements = (*g.nodes, *g.edges)
-    labels: set[str] = set()
-    keys: set[str] = set()
-    for x in elements:
-        labels.update(g.labels_of(x))
-        keys.update(g.property_keys(x))
+    rows = list(g._rows(elements))
+    labels = {name for _, names, _ in rows for name in names}
+    keys = {key for _, _, props in rows for key, _ in props}
     shape_labels, shape_keys = mentioned_names(core)
     label_map = _rename_map(labels | shape_labels, "labels")
     key_map = _rename_map(keys | shape_keys, "property keys")
@@ -227,63 +235,51 @@ def export_asp(g: PropertyGraph, shapes: ShapeSet) -> str:
                 f"shape name {name!r} lowercases to the reserved term 'top'"
             )
     r = _Renderer(label_map, key_map, shape_map)
+    shape_rows = sorted(
+        ("edgeshape" if sh.kind == EDGE else "nodeshape", shape_map[sh.name],
+         r.constraint(sh.constraint), r.target(sh.target))
+        for sh in core
+    )
 
     # Each id's sort key and token, once per element rather than per fact.
     arg = {x: _arg_key(x) for x in elements}
     tok = {x: _id_token(x) for x in elements}
-    edge_facts = sorted(
-        ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).")
-        for e in g.edges
-        for src, dst in [g.endpoints(e)]
-    )
-    label_facts = sorted(
-        ((arg[x], label_map[lab]), f"label({tok[x]}, {label_map[lab]}).")
-        for x in elements
-        for lab in g.labels_of(x)
-    )
-    prop_facts = sorted(
-        (
-            (arg[x], key_map[key], value_sort_key(v)),
-            f"property({tok[x]}, {key_map[key]}, {_value_term(v)}).",
-        )
-        for x in elements
-        for key in g.property_keys(x)
-        for v in g.property_values(x, key)
-    )
-
-    shape_rows: list[tuple[str, str, str]] = []
-    for sh in core:
-        pred = "edgeshape" if sh.kind == EDGE else "nodeshape"
-        shape_rows.append(
+    groups = {
+        "edges": _facts(
+            ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).\n")
+            for e in g.edges
+            for src, dst in [g.endpoints(e)]
+        ),
+        "labels": _facts(
+            ((arg[x], label_map[lab]), f"label({tok[x]}, {label_map[lab]}).\n")
+            for x, names, _ in rows
+            for lab in names
+        ),
+        "properties": _facts(
             (
-                pred,
-                shape_map[sh.name],
-                f"{pred}({shape_map[sh.name]}, "
-                f"{r.constraint(sh.constraint)}, {r.target(sh.target)}).",
+                (arg[x], key_map[key], value_sort_key(v)),
+                f"property({tok[x]}, {key_map[key]}, {_value_term(v)}).\n",
             )
-        )
+            for x, _, props in rows
+            for key, values in props
+            for v in values
+        ),
+        "constraint terms": [
+            s for t in sorted(r.constraint_terms) for s in ("constraint(", t, ").\n")
+        ],
+        "path terms": [s for t in sorted(r.path_terms) for s in ("path(", t, ").\n")],
+        **{f"{kind} shapes": [
+            s for p, name, c, q in shape_rows if p == f"{kind}shape"
+            for s in (f"{p}({name}, ", c, f", {q}).\n")
+        ] for kind in ("node", "edge")},
+    }
+    written = [(name, pieces) for name, pieces in groups.items() if pieces]
+    return (
+        [("\n% " if i else "% ") + name + "\n", *pieces]
+        for i, (name, pieces) in enumerate(written)
+    )
 
-    groups = [
-        ("edges", [fact for _, fact in edge_facts]),
-        ("labels", [fact for _, fact in label_facts]),
-        ("properties", [fact for _, fact in prop_facts]),
-        (
-            "constraint terms",
-            [f"constraint({t})." for t in sorted(r.constraint_terms)],
-        ),
-        ("path terms", [f"path({t})." for t in sorted(r.path_terms)]),
-        (
-            "node shapes",
-            [row[2] for row in sorted(shape_rows) if row[0] == "nodeshape"],
-        ),
-        (
-            "edge shapes",
-            [row[2] for row in sorted(shape_rows) if row[0] == "edgeshape"],
-        ),
-    ]
-    # One join over every line: the constraint terms can be large.
-    lines: list[str] = []
-    for name, facts in groups:
-        if facts:
-            lines += ["", f"% {name}", *facts] if lines else [f"% {name}", *facts]
-    return "\n".join([*lines, ""])
+
+def _facts(keyed) -> list[str]:
+    """The facts of (sort key, fact) pairs, in key order."""
+    return [fact for _, fact in sorted(keyed)]

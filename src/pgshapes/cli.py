@@ -21,9 +21,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterable
 
-from .asp import export_asp
+from .asp import _fact_groups
 from .errors import BudgetExceeded, PgShapesError, ShapeSyntaxError
 from .jsonio import export_graph_json, import_graph_json
 from .parser import parse_shape_document, parse_shapes
@@ -52,18 +54,16 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def _write_text(path: str, groups: Iterable[Iterable[str]]) -> None:
+    """Write groups of text pieces, one writelines call per group."""
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as out:
+        for group in groups:
+            out.writelines(group)
 
 
 def _assignment_lines(sigma: Assignment) -> list[str]:
-    return [
-        f"{atom} = {sigma[atom].word}"
-        for atom in sorted(sigma, key=Atom.sort_key)
-    ]
+    items = sorted(sigma.items(), key=lambda item: item[0].sort_key())
+    return [f"{atom} = {v.word}" for atom, v in items]
 
 
 def _assignment_json(sigma: Assignment) -> list[dict]:
@@ -126,9 +126,7 @@ def _cmd_validate(args) -> int:
             return 1
         print("SATISFIABLE")
         for i, sigma in enumerate(found, start=1):
-            print(f"assignment {i}:")
-            for line in _assignment_lines(sigma):
-                print(line)
+            print(f"assignment {i}:", *_assignment_lines(sigma), sep="\n")
         return 0
 
     runner = brute_force_conformance if args.oracle else find_faithful_assignment
@@ -137,9 +135,7 @@ def _cmd_validate(args) -> int:
         print(json.dumps(_report_json(report), indent=2))
         return 0 if report.conforms else 1
     if report.conforms:
-        print("SATISFIABLE")
-        for line in _assignment_lines(report.witness):
-            print(line)
+        print("SATISFIABLE", *_assignment_lines(report.witness), sep="\n")
         return 0
     print("UNSATISFIABLE")
     for atom in report.violated_targets:
@@ -166,7 +162,7 @@ def _cmd_check(args) -> int:
 def _cmd_export_asp(args) -> int:
     g = import_graph_json(_read_bytes(args.graph))
     shapes = parse_shapes(_read_text(args.shapes))
-    _write_text(args.out, export_asp(g, shapes))
+    _write_text(args.out, _fact_groups(g, shapes))
     return 0
 
 
@@ -186,10 +182,10 @@ def _cmd_convert(args) -> int:
             return 2
     if kind == "graph":
         text = export_graph_json(import_graph_json(_read_bytes(args.input)))
-        _write_text(args.out, text.decode("utf-8"))
+        _write_text(args.out, [[text.decode("utf-8")]])
     else:
         _write_text(
-            args.out, render_shapes(parse_shape_document(_read_text(args.input)))
+            args.out, [[render_shapes(parse_shape_document(_read_text(args.input)))]]
         )
     return 0
 

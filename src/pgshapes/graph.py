@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DanglingEdge, IdClash, KindMismatch, UnknownElement
 from .values import Value, coerce_value
@@ -80,10 +80,12 @@ class PropertyGraph:
 
     @property
     def nodes(self) -> tuple[str, ...]:
+        """The node ids, sorted: atoms are built in canonical order from them."""
         return self._nodes
 
     @property
     def edges(self) -> tuple[str, ...]:
+        """The edge ids, sorted: atoms are built in canonical order from them."""
         return self._edges
 
     def has_node(self, x: str) -> bool:
@@ -93,7 +95,7 @@ class PropertyGraph:
         return x in self._endpoints
 
     def __contains__(self, x: str) -> bool:
-        return self.has_node(x) or self.has_edge(x)
+        return x in self._out or x in self._endpoints
 
     def kind_of(self, x: str) -> str:
         if self.has_node(x):
@@ -125,6 +127,13 @@ class PropertyGraph:
         if x not in self:
             raise UnknownElement(f"no such element: {x!r}")
         return self._keys.get(x, ())
+
+    def _rows(self, xs: Iterable[str]) -> Iterator[tuple[str, frozenset[str], list]]:
+        """(x, labels, [(key, values) in key order]) for each id in xs, read
+        from the tables with no membership check: the exports' walk."""
+        labels, keys, props, none = self._labels, self._keys, self._props, frozenset()
+        for x in xs:
+            yield x, labels.get(x, none), [(key, props[x, key]) for key in keys.get(x, ())]
 
     def adjacent_edges(self, n: str, direction: str) -> tuple[tuple[str, str], ...]:
         """(edge, other endpoint) pairs at node n, in the given direction.

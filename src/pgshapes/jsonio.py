@@ -54,42 +54,43 @@ def _warn_unknown(obj: dict, known: frozenset, where: str, stacklevel: int = 3) 
         warnings.warn(f"{where}: ignoring unknown fields {extra}", stacklevel=stacklevel)
 
 
-def _id_field(obj: dict, name: str, where: str) -> str:
-    if name not in obj:
-        raise SchemaError(f"{where}: missing {name!r}")
-    raw = obj[name]
+def _id_field(obj: dict, field: str, name: str, i: int) -> str:
+    raw = obj.get(field)
+    if type(raw) is str and raw:
+        return raw
+    if field not in obj:
+        raise SchemaError(f"{name}[{i}]: missing {field!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise SchemaError(f"{where}: {name!r} must be a string or integer id")
+        raise SchemaError(f"{name}[{i}]: {field!r} must be a string or integer id")
     if raw == "":
-        raise SchemaError(f"{where}: empty id")
+        raise SchemaError(f"{name}[{i}]: empty id")
     return str(raw)
 
 
-def _decode_labels(obj: dict, where: str) -> frozenset[str]:
+def _decode_labels(obj: dict, name: str, i: int) -> frozenset[str]:
     if "labels" in obj and "label" in obj:
-        raise SchemaError(f"{where}: give either 'labels' or 'label', not both")
+        raise SchemaError(f"{name}[{i}]: give either 'labels' or 'label', not both")
     raw = [obj["label"]] if "label" in obj else obj.get("labels", [])
     if not isinstance(raw, list):
-        raise SchemaError(f"{where}: 'labels' must be a list")
+        raise SchemaError(f"{name}[{i}]: 'labels' must be a list")
     for lab in raw:
         if not isinstance(lab, str) or not lab:
-            raise SchemaError(f"{where}: label must be a non-empty string")
+            raise SchemaError(f"{name}[{i}]: label must be a non-empty string")
     return frozenset(raw)
 
 
-def _decode_values(entries: list, where: str, key: str) -> frozenset[Value]:
-    """The value set of a key's entries, the common ones checked inline.  A
-    loop, not a comprehension, whose frame would shift warnings' stacklevel."""
+def _decode_values(entries: object, name: str, i: int, key: str) -> frozenset[Value]:
+    """The value set of a key's entries.  A loop, not a comprehension,
+    whose frame would shift warnings' stacklevel."""
+    if not key:
+        raise SchemaError(f"{name}[{i}]: property key must be a non-empty string")
+    if not isinstance(entries, list):
+        raise SchemaError(f"{name}[{i}]: values of {key!r} must be a list")
+    if not entries:
+        raise SchemaError(f"{name}[{i}]: empty value list for {key!r}")
     values = set()
     for raw in entries:
-        tag = type(raw) is dict and len(raw) == 2 and raw.get("type")
-        payload = raw.get("value") if tag else None
-        if tag == STRING and type(payload) is str:
-            values.add(StrValue(payload))
-        elif tag == INT and type(payload) is int:
-            values.add(IntValue(payload))
-        else:
-            values.add(_decode_value(raw, f"{where}, key {key!r}"))
+        values.add(_decode_value(raw, f"{name}[{i}], key {key!r}"))
     return frozenset(values)
 
 
@@ -156,28 +157,33 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
     endpoints, labels, props, keys = {}, {}, {}, {}  # the other rows _assemble takes
     for name, fields in _FIELDS.items():
         for i, obj in enumerate(doc[name]):
-            where = f"{name}[{i}]"
+            # The `nodes[i]` text is built only for an error; a key's one
+            # string or int entry is decoded here, with no call and no set.
             if not isinstance(obj, dict):
-                raise SchemaError(f"{where}: must be an object")
-            _warn_unknown(obj, fields, where)
-            x = _id_field(obj, "id", where)
+                raise SchemaError(f"{name}[{i}]: must be an object")
+            if not obj.keys() <= fields:
+                _warn_unknown(obj, fields, f"{name}[{i}]")
+            x = _id_field(obj, "id", name, i)
             ids[name].append(x)
             if name == "relationships":
-                endpoints[x] = (_id_field(obj, "start", where), _id_field(obj, "end", where))
-            names = _decode_labels(obj, where)
+                endpoints[x] = (_id_field(obj, "start", name, i), _id_field(obj, "end", name, i))
+            names = _decode_labels(obj, name, i)
             if names:
                 labels[x] = names
             raw = obj.get("properties", {})
             if not isinstance(raw, dict):
-                raise SchemaError(f"{where}: 'properties' must be an object")
+                raise SchemaError(f"{name}[{i}]: 'properties' must be an object")
             for key, entries in raw.items():
-                if not key:
-                    raise SchemaError(f"{where}: property key must be a non-empty string")
-                if not isinstance(entries, list):
-                    raise SchemaError(f"{where}: values of {key!r} must be a list")
-                if not entries:
-                    raise SchemaError(f"{where}: empty value list for {key!r}")
-                props[x, key] = _decode_values(entries, where, key)
+                entry = entries[0] if type(entries) is list and len(entries) == 1 else None
+                if type(entry) is dict and len(entry) == 2 and key:
+                    tag, payload = entry.get("type"), entry.get("value")
+                    if tag == STRING and type(payload) is str:
+                        props[x, key] = frozenset((StrValue(payload),))
+                        continue
+                    if tag == INT and type(payload) is int:
+                        props[x, key] = frozenset((IntValue(payload),))
+                        continue
+                props[x, key] = _decode_values(entries, name, i, key)
             if raw:
                 keys[x] = tuple(sorted(raw))
     return _assemble(ids["nodes"], ids["relationships"], endpoints, labels, props, keys)
@@ -191,16 +197,16 @@ def _value_json(v: Value) -> str:
     return _VALUE % (v.type_name, payload)
 
 
-def _element_json(g: PropertyGraph, x: str, head: str = "", tail: str = "") -> str:
-    """x as a top-level array item; head, tail: fields around the others."""
-    labels = ",\n        ".join(map(_quote, sorted(g.labels_of(x))))
+def _element_json(x: str, names: frozenset[str], props: list,
+                  head: str = "", tail: str = "") -> str:
+    """Element x, with its labels and (key, values) rows, as a top-level
+    array item; head, tail: fields around the others."""
+    labels = ",\n        ".join(map(_quote, sorted(names)))
     props = ",\n        ".join(
         f"{_quote(key)}: [\n          "
-        + ",\n          ".join(
-            map(_value_json, sorted(g.property_values(x, key), key=value_sort_key))
-        )
+        + ",\n          ".join(map(_value_json, sorted(values, key=value_sort_key)))
         + "\n        ]"
-        for key in g.property_keys(x)
+        for key, values in props
     )
     labels = f"[\n        {labels}\n      ]" if labels else "[]"
     props = f"{{\n        {props}\n      }}" if props else "{}"
@@ -212,13 +218,13 @@ def _element_json(g: PropertyGraph, x: str, head: str = "", tail: str = "") -> s
 
 def export_graph_json(g: PropertyGraph) -> bytes:
     """Serialize a graph to canonical UTF-8 JSON bytes (module docstring)."""
-    nodes = [_element_json(g, n) for n in g.nodes]
+    nodes = [_element_json(*row) for row in g._rows(g.nodes)]
     rels = [
         _element_json(
-            g, e, f'"end": {_quote(dst)},\n      ', f',\n      "start": {_quote(src)}'
+            *row, f'"end": {_quote(dst)},\n      ', f',\n      "start": {_quote(src)}'
         )
-        for e in g.edges
-        for src, dst in [g.endpoints(e)]
+        for row in g._rows(g.edges)
+        for src, dst in [g.endpoints(row[0])]
     ]
     nodes, rels = (f"[{','.join(xs)}\n  ]" if xs else "[]" for xs in (nodes, rels))
     return f'{{\n  "nodes": {nodes},\n  "relationships": {rels}\n}}\n'.encode()

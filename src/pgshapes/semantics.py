@@ -9,13 +9,16 @@ evaluation total in the presence of recursive (even negated) references.
 Constraints have one evaluator: _grounding writes each connective's rule
 once, turning a constraint at an element into a circuit with one gate kind,
 "at least k of these literals hold", whose inputs are the atoms, and _leaf
-decides the core forms that read no assignment.  A subterm shared by two
+decides the core forms that read no assignment; both switch once on the
+subterm's type, grounding to the leaf forms first.  A subterm shared by two
 paths to it is one gate, so the circuit grows with the constraint, not with
 its unfolding; a GroundInstance keeps only the gates its equations read,
 so every variable that is not an atom has a reader.  The least fixed
 point, the search, brute force, is_strictly_faithful and
 eval_node_constraint / eval_edge_constraint all read that circuit,
-computing gates in ascending order without recursion.
+computing gates in ascending order without recursion.  Atoms are built in
+canonical order, shapes by name and each one's elements from the graph's
+sorted node or edge ids, with no sort.
 
 Paths have one engine: each path object compiles once into a Thompson
 automaton over the graph's per-label adjacency, and a search over (node,
@@ -25,6 +28,7 @@ state) pairs finds what a source reaches in O(|Q| * (|V| + |E|)).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -98,7 +102,7 @@ class TruthValue(enum.IntEnum):
 FALSE, UNKNOWN, TRUE = TruthValue.FALSE, TruthValue.UNKNOWN, TruthValue.TRUE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A (shape, element) pair an assignment gives a truth value to."""
 
@@ -119,11 +123,12 @@ class Assignment(Mapping):
     __slots__ = ("_values",)
 
     def __init__(self, values: Mapping[Atom, TruthValue]):
-        checked = {}
-        for atom, v in values.items():
+        checked = dict(values)  # copying a dict reuses its keys' hashes
+        for atom, v in checked.items():
             if not isinstance(atom, Atom):
                 raise TypeError(f"not an atom: {atom!r}")
-            checked[atom] = TruthValue(v)
+            if type(v) is not TruthValue:
+                checked[atom] = TruthValue(v)
         self._values = checked
 
     def __getitem__(self, atom: Atom) -> TruthValue:
@@ -135,6 +140,9 @@ class Assignment(Mapping):
     def __len__(self) -> int:
         return len(self._values)
 
+    def items(self):
+        return self._values.items()
+
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{a}={self._values[a].word}"
@@ -145,16 +153,20 @@ class Assignment(Mapping):
 
 def atoms(g: PropertyGraph, shapes: ShapeSet) -> frozenset[Atom]:
     """All (shape, element) pairs of matching kind."""
-    out = set()
-    for s in shapes:
-        elements = g.nodes if s.kind == NODE else g.edges
-        for x in elements:
-            out.add(Atom(s.name, x, s.kind))
-    return frozenset(out)
+    return frozenset(
+        Atom(s.name, x, s.kind) for s in shapes for x in (g.nodes if s.kind == NODE else g.edges)
+    )
+
+
+def _blocks(g: PropertyGraph, shapes: ShapeSet) -> list[tuple[Shape, tuple[str, ...]]]:
+    """Each shape in name order with its kind's sorted ids: canonical order."""
+    return [(s, g.nodes if s.kind == NODE else g.edges)
+            for s in sorted(shapes, key=lambda s: s.name)]
 
 
 def sorted_atoms(g: PropertyGraph, shapes: ShapeSet) -> tuple[Atom, ...]:
-    return tuple(sorted(atoms(g, shapes), key=Atom.sort_key))
+    """Every atom in canonical (shape, element) order, built in that order."""
+    return tuple(Atom(s.name, x, s.kind) for s, xs in _blocks(g, shapes) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +208,10 @@ def target_elements(g: PropertyGraph, shape: Shape) -> frozenset[str]:
 
 def target_atoms(g: PropertyGraph, shapes: ShapeSet) -> tuple[Atom, ...]:
     """Every target atom, in canonical order."""
-    return tuple(sorted(
-        (Atom(s.name, x, s.kind) for s in shapes for x in target_elements(g, s)),
-        key=Atom.sort_key,
-    ))
+    return tuple(
+        Atom(s.name, x, s.kind)
+        for s, _ in _blocks(g, shapes) for x in sorted(target_elements(g, s))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +319,18 @@ def _search(automaton: dict, n: str) -> frozenset[str]:
 
 
 def matches_predicate(f: ValuePredicate, v: Value) -> bool:
-    if isinstance(f, AnyValue):
-        return True
-    if isinstance(f, TypeIs):
+    t = type(f)
+    if t is TypeIs:
         return v.type_name == f.type_name
-    if isinstance(f, Cmp):
+    if t is Cmp:
         return compare_values(f.op, v, f.constant)
-    if isinstance(f, PredAnd):
+    if t is AnyValue:
+        return True
+    if t is PredAnd:
         # The chain comes apart on a list: no operand is a conjunction, and
         # only `!` nests a recursive call.
         return all(matches_predicate(k, v) for k in conjuncts(f, PredAnd, PredNot))
-    if isinstance(f, PredNot):
+    if t is PredNot:
         return not matches_predicate(f.inner, v)
     raise TypeError(f"not a value predicate: {f!r}")
 
@@ -376,23 +389,25 @@ def _eval_at(g, sigma, c, x, kind, cache) -> TruthValue:
 
 def _leaf(g, x, c, cache) -> bool:
     """Whether a core form that reads no assignment holds at x: these are
-    the only forms grounding folds, so every folded constant is yes or no."""
-    if isinstance(c, Top):
-        return True
-    if isinstance(c, Exact):
-        return c.element == x
-    if isinstance(c, HasLabel):
+    the only forms grounding folds, so every folded constant is yes or no.
+    One switch on the form's type, the commonest forms first."""
+    t = type(c)
+    if t is HasLabel:
         return c.label in g.labels_of(x)
-    if isinstance(c, QualKey):
+    if t is QualKey:
         hits = sum(
             1 for v in g.property_values(x, c.key) if matches_predicate(c.predicate, v)
         )
         return hits >= c.count
-    if isinstance(c, PathCmp):
+    if t is Top:
+        return True
+    if t is Exact:
+        return c.element == x
+    if t is PathCmp:
         return compare_sets(
             c.op, _reach(g, x, c.first, cache), _reach(g, x, c.second, cache)
         )
-    if isinstance(c, PathKeyCmp):
+    if t is PathKeyCmp:
         left = frozenset(
             v
             for m in _reach(g, x, c.first_path, cache)
@@ -404,11 +419,11 @@ def _leaf(g, x, c, cache) -> bool:
             for v in g.property_values(m, c.second_key)
         )
         return compare_sets(c.op, left, right)
-    if isinstance(c, KeyCmp):
+    if t is KeyCmp:
         return compare_sets(
             c.op, g.property_values(x, c.first_key), g.property_values(x, c.second_key)
         )
-    raise TypeError(f"cannot evaluate {type(c).__name__} (desugar first)")
+    raise TypeError(f"cannot evaluate {t.__name__} (desugar first)")
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +510,8 @@ def is_strictly_faithful(
 # predicates are evaluated once per instance, never again per assignment.
 
 _YES, _NO = -1, -2
+# The core forms that can read the assignment; _leaf decides all others.
+_READERS = frozenset({ShapeRef, Not, And, QualPath, QualIncoming, QualOutgoing, Src, Dst})
 
 
 def _equation(lit: int, gates: list) -> tuple:
@@ -587,15 +604,19 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
         return lit
 
     def ground(c: Constraint, x: str, kind: str) -> int:
-        if isinstance(c, ShapeRef):
+        # One switch on the type, first to the forms that read no assignment.
+        t = type(c)
+        if t not in _READERS:
+            return _YES if _leaf(g, x, c, cache) else _NO
+        if t is ShapeRef:
             atom = Atom(c.name, x, kind)
             v = resolve(atom)
             if v is None:
                 raise DomainMismatch(f"assignment has no value for {atom}")
             return 2 * v
-        if isinstance(c, Not) and not isinstance(c.inner, Not):
+        if t is Not and type(c.inner) is not Not:
             return ground(c.inner, x, kind) ^ 1
-        if isinstance(c, (And, Not)):
+        if t is And or t is Not:
             # A conjunction chain (| included) comes apart on a list, once
             # per object.  Every operand is grounded before folding, so a
             # reference outside the atom set raises even beside a false
@@ -610,16 +631,13 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
                         ground(chain[i], x, kind)
                     return _NO
             return at_least(len(chain), [ground(k, x, kind) for k in chain])
-        if isinstance(c, QualPath):
+        if t is QualPath:
             reached = sorted(_reach(g, x, c.path, cache))
             return at_least(c.count, [at(c.inner, m, NODE) for m in reached])
-        if isinstance(c, (QualIncoming, QualOutgoing)):
-            direction = INCOMING if isinstance(c, QualIncoming) else OUTGOING
-            pool = g.adjacent_edges(x, direction)
+        if t is QualIncoming or t is QualOutgoing:
+            pool = g.adjacent_edges(x, INCOMING if t is QualIncoming else OUTGOING)
             return at_least(c.count, [at(c.inner, e, EDGE) for e, _ in pool])
-        if isinstance(c, (Src, Dst)):
-            return at(c.inner, g.endpoints(x)[0 if isinstance(c, Src) else 1], NODE)
-        return _YES if _leaf(g, x, c, cache) else _NO
+        return at(c.inner, g.endpoints(x)[0 if t is Src else 1], NODE)  # Src or Dst
 
     return ground
 
@@ -637,25 +655,30 @@ def _chain(c) -> tuple[list, list[int], dict[str, list[int]]]:
 class GroundInstance:
     """One (graph, shapes) pair compiled into one circuit.
 
-    Atoms are variables 0 .. atoms - 1 in canonical (shape, element) order,
-    and `gates[i]` is atom i's equation; the variables after them are the
-    shared gates those equations read, each after every gate it reads.
-    Every variable that is not an atom has a reader.
-    `readers[v]` lists the gates that read variable v, and `targets` holds
-    the sorted ids of the target atoms.  Paths are evaluated through one
-    shared cache.
+    Atoms are variables 0 .. atoms - 1 in canonical (shape, element) order.
+    They are built in that order, shapes by name and each one's elements
+    from the sorted id tuple of its kind, and grounded shape by shape in it,
+    each subterm through one switch on its type.  `gates[i]` is atom i's
+    equation; the variables after them are the shared gates those
+    equations read, each after every gate it reads.  Every variable that is
+    not an atom has a reader.  `readers[v]` lists the gates that read
+    variable v, and `targets` holds the sorted ids of the target atoms.
+    Paths are evaluated through one shared cache.
     """
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet):
-        self.atoms = sorted_atoms(g, shapes)
+        blocks = _blocks(g, shapes)
+        self.atoms = tuple(Atom(s.name, x, s.kind) for s, xs in blocks for x in xs)
         self.index = index = {a: i for i, a in enumerate(self.atoms)}
-        self.targets = tuple(index[a] for a in target_atoms(g, shapes))
+        # A target's id is its block's start plus its place in the sorted ids.
+        targets, start = [], 0
+        for s, xs in blocks:
+            targets += sorted(start + bisect_left(xs, x) for x in target_elements(g, s))
+            start += len(xs)
+        self.targets = tuple(targets)
         self.gates = gates = [None] * len(self.atoms)
         ground = _grounding(g, index.get, gates)
-        roots = [
-            ground(shapes.get(a.shape).constraint, a.element, a.kind)
-            for a in self.atoms
-        ]
+        roots = [ground(s.constraint, x, s.kind) for s, xs in blocks for x in xs]
         # Only now do the atoms take their gates, so that inlining never
         # mistook a reference to an atom for a gate.  An atom whose equation
         # is a gate's literal takes over that gate's (k, literals).

@@ -40,7 +40,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceeded, TooLarge
-from .graph import PropertyGraph
+from .graph import NODE, PropertyGraph
 from .semantics import (
     FALSE,
     TRUE,
@@ -49,7 +49,6 @@ from .semantics import (
     Atom,
     GroundInstance,
     TruthValue,
-    atoms,
 )
 from .shapes import ShapeSet, strongly_connected
 
@@ -819,7 +818,7 @@ def brute_force_conformance(
     """
     config = config or SolverConfig()
     start = time.monotonic()
-    count = len(atoms(g, shapes))
+    count = sum(len(g.nodes if s.kind == NODE else g.edges) for s in shapes)
     if count > config.max_atoms:
         raise TooLarge(
             f"{count} atoms exceed the brute-force cap {config.max_atoms}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import NotNormalized, PathsPresent
-from .graph import EDGE, NODE, PropertyGraph, build_graph
+from .graph import EDGE, NODE, PropertyGraph, _assemble
 from .printer import render_path
 from .semantics import (
     Assignment,
@@ -157,13 +157,14 @@ def eliminate_paths(
     marker = labels.name("__m")
 
     ends: dict[str, tuple[str, str]] = {}
-    tags: dict[str, tuple[str, str]] = {}
+    tags: dict[str, frozenset[str]] = {}
     cache: dict = {}
     for text, p in composite.items():
+        labels_of_p = frozenset((path_map[text], marker))
         for n in g.nodes:
             for m in sorted(eval_path(g, n, p, cache)):
                 eid = ids.name("__pe")
-                ends[eid], tags[eid] = (n, m), (path_map[text], marker)
+                ends[eid], tags[eid] = (n, m), labels_of_p
 
     path_labels = {key: path_map[text] for key, text in texts.items()}
     rebuilt = [
@@ -177,7 +178,7 @@ def eliminate_paths(
         path_labels=tuple(path_map.items()),
         marker=marker,
     )
-    return build_graph((), ends, ends, tags, base=g), link_shapes(rebuilt), trace
+    return _assemble((), tuple(ends), ends, tags, {}, {}, g), link_shapes(rebuilt), trace
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def reduce_to_single_target(
     n0 = ids.name("__n")
     targets = target_atoms(g, core)
     ends: dict[str, tuple[str, str]] = {}
-    tags: dict[str, tuple[str, str]] = {}
+    tags: dict[str, frozenset[str]] = {}
     conjuncts = []
     rows = []
     marker = labels.name("__m") if targets else None
@@ -292,7 +293,7 @@ def reduce_to_single_target(
                     ),
                 )
             )
-        ends[eid], tags[eid] = (n0, reach), (label, marker)
+        ends[eid], tags[eid] = (n0, reach), frozenset((label, marker))
         rows.append((atom.shape, atom.element, eid, label))
 
     root_constraint = _conjunction(conjuncts) if conjuncts else Top()
@@ -303,7 +304,7 @@ def reduce_to_single_target(
         for sh in core
     ]
     rebuilt.append(Shape(root_name, NODE, root_constraint, TargetExact(n0)))
-    g2 = build_graph((n0,), ends, ends, tags, base=g)
+    g2 = _assemble((n0,), tuple(ends), ends, tags, {}, {}, g)
     trace = TransformTrace(
         fresh_nodes=(n0,),
         fresh_edges=tuple(ends),

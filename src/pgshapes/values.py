@@ -17,21 +17,21 @@ DATE = "date"
 VALUE_TYPES = (INT, STRING, DATE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntValue:
     value: int
 
     type_name = INT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrValue:
     value: str
 
     type_name = STRING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateValue:
     value: datetime.date
 
@@ -42,16 +42,15 @@ Value = IntValue | StrValue | DateValue
 
 _VALUE_CLASSES = (IntValue, StrValue, DateValue)
 
-_ISO_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SLASH_DATE = re.compile(r"([0-9]{2})/([0-9]{2})/([0-9]{4})")
 _ESCAPED = re.compile(r'["\\\n\t\r]')  # what quote_string escapes
 
 
 def parse_date(text: str) -> datetime.date:
     """Parse ``YYYY-MM-DD`` or the day-first ``DD/MM/YYYY`` notation."""
-    m = _ISO_DATE.fullmatch(text)
-    if m:
-        return datetime.date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    if _ISO_DATE.fullmatch(text):  # fromisoformat also takes 20200802, 2020-W01-1
+        return datetime.date.fromisoformat(text)
     m = _SLASH_DATE.fullmatch(text)
     if m:
         return datetime.date(int(m.group(3)), int(m.group(2)), int(m.group(1)))

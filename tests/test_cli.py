@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -278,6 +279,43 @@ def test_export_asp_unwritable(capsys, tmp_path, office_json):
     code, _, err = run(capsys, "export-asp", office_json, str(progs), str(out))
     assert code == 2
     assert "error:" in err
+
+
+class CountingSink:
+    """A text stream that counts the characters it is given and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_export_asp_holds_its_text_once(tmp_path, monkeypatch, office_json):
+    # The terms of a | chain nest, so the text grows with the square of the
+    # operands and dwarfs the parsed shapes: a peak near the bytes written
+    # means the fact lines never copy the terms, nor the output the lines.
+    progs = tmp_path / "chain.progs"
+    progs.write_text("NODE s [] { " + " | ".join(f":L{i}" for i in range(300)) + " };\n")
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["export-asp", office_json, str(progs)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 1_000_000
+    assert peak < 1.5 * sink.chars
 
 
 def test_convert_graph(capsys, tmp_path):

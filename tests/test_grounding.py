@@ -2,13 +2,14 @@
 metamorphic checks far above the oracle's 12-atom cap."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
 import oracle
-from pgshapes import cli
+from pgshapes import cli, fixtures
 from pgshapes import shapes as S
 from pgshapes.errors import BudgetExceeded, DomainMismatch
 from pgshapes.fixtures import office_graph
@@ -588,3 +589,89 @@ def test_a_gate_inlined_into_one_reader_stays_for_the_next():
             sh = shapes.get(atom.shape)
             want = ref_eval(g, ref_sigma, atom.element, sh.constraint, sh.kind)
             assert FROM_TV[got] == want
+
+
+# ---------------------------------------------------------------------------
+# Golden circuits: sha256 of repr((atoms, targets, gates)) for fixed
+# instances, taken from the grounding these were written against.  A change
+# to how atoms or gates are built must keep every one of them.
+
+
+def ground_digest(g, shapes) -> str:
+    ground = GroundInstance(g, shapes)
+    text = repr((ground.atoms, ground.targets, ground.gates))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GOLDEN_FIXTURES = {  # fixtures shape set over office_graph(): digest
+    "person_label": (
+        lambda: [fixtures.person_label_shape()],
+        "963ffe58e3a85f0eda4e93fa418d372cab285a049935083633a64075ebdf053a"),
+    "colleague": (
+        lambda: [fixtures.employee_colleague_shape()],
+        "e67f0578c6ac45b06274fc70d58f5ed09648e34061fd5fb80e3d6318880385b1"),
+    "colleague_untargeted": (
+        lambda: [fixtures.employee_colleague_shape(False)],
+        "e590ca5d23876b4e2ba5341fd442b76d5588e1d9359cb0d03a3a1c82f9749098"),
+    "role_pair": (
+        fixtures.role_pair_shapes,
+        "3612b0f76777d1cbf1f6d9bee1bf7be660444891193c484745e37b6cddd2b5f1"),
+    "works_since": (
+        lambda: [fixtures.works_since_shape()],
+        "d17d08d5ac1320c0d4f9fd9902a93299de57143f5c51c1dbdbc700c52c700ee5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIXTURES))
+def test_fixture_circuits_are_unchanged(name):
+    shapes, digest = GOLDEN_FIXTURES[name]
+    assert ground_digest(office_graph(), link_shapes(shapes())) == digest
+
+
+def golden_instances():
+    """Even seeds: a/b negating each other recursively under random shapes;
+    odd seeds: random shapes.  Plus two instances with shared gates."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        if seed % 2:
+            yield large_instance(rng, nodes=10, edges=20)
+        else:
+            yield recursive_instance(rng, nodes=10, edges=20)
+    yield RING, nested_counts(10)
+    yield knows_graph(4, lambda i: (2, 3) if i < 2 else ()), parse_shapes(
+        "NODE a [] { >= 1 :knows . (r & u) };\nNODE s [] { >= 1 :knows . (r | u) };\n"
+        "NODE r [] { ! u };\nNODE u [] { ! r };\n"
+    )
+
+
+GOLDEN_INSTANCES = (
+    "a7306fb69cf72fbda403657519da1794d0d549417d18afb268056f1c20347f30",
+    "04757fcf56e5de388803ce760e6da7cc48e648bf8fb43ad82feea896e535ae77",
+    "6c98366a2709fc7c12fff9ee39dbb3e5e70b575c1ffaf81db63d815c5ead97e6",
+    "e666b9b2a045fd3e0969c41cea22e8d3c2c038aa42cce8ad5c82e98947ad4394",
+    "23bc0ca6014cb4c7a0eb9b8ef473ac35996203ed6fdbd62ce41d3e7f979bfc6e",
+    "ff4c9107ec2a49903babf8d2bcb2c8152db838d892cf8f2ef7352a9c31293505",
+    "5f97978f17d27c574ade7027c3eaea25448579b7198cf725edba28942947c2d2",
+    "a2f94d0014c3370101e2d12288f7d5a91a84bda1e408129a0f2afbac45c6cbd0",
+    "2f7f228bc8dd8ba6c522b7ec85118738887598b046e5680bc43c9a815f55f3c2",
+    "f68477ff7d07b00e579e1d7fe9dfa7853d07e637bee3cdb9e639f3c563d51897",
+    "054b9f10ee2e0d4d2fbc8bd792c0ef65e90868c42c0e1c5ce210b9c081b2859c",
+    "019b05c2c1537894859070012d2fb8335d4f6de5b74e739082e2b6e4655aca72",
+    "bf4fd7cbbc495496422e31c570c4714c79f611b5eec859c4990bcb1e4e7347a0",
+    "bff3f42d318b54706f2b808fa1236e61dd8f28228c0a4acda66a07d78af83134",
+    "9b40ee80e28d50320f84a14dd3978830746721bb4db4fed4080404ed5d9d2be7",
+    "be3db1c5cb4f2b2fa95e128f0b2360d8553c3fc408520d46219b987a04385942",
+    "18ceb845afcfa432e9177f9a937d2e199affdc3afd6cb03a123b917cc1bcdfc4",
+    "7ad7af3850bcad2444c089f4268f783f1a9b680689143e038630dc6d8d9fee31",
+    "bef71d3c5a68a2ccbb2a11ac8d1ee0a933c440eb0fad3e7762ece6438db9db4d",
+    "6081f90a177b1b28011970034a0908c8d47f91ea7c3131142cb87d4375e2eebc",
+    "d1ee0a0daea74b834ed8dbfe82b043e3cdbf915398cea50c144852686bddc215",
+    "23154f6e5557ce922741dae1cb40c827b9534377df180c59a42f5c68b5e4b35a",
+)
+
+
+def test_randgen_circuits_are_unchanged():
+    instances = list(golden_instances())
+    grounds = [GroundInstance(g, s) for g, s in instances]
+    assert sum(len(ground.gates) > len(ground.atoms) for ground in grounds) == 2
+    assert tuple(ground_digest(g, s) for g, s in instances) == GOLDEN_INSTANCES

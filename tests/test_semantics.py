@@ -525,6 +525,29 @@ def test_atoms_enumeration():
     assert ordered[-1] == Atom("s2", "102", NODE)
 
 
+ODD_IDS = (0, 7, 10, 9, 100, "-1", "a", "B", "b", "Ab", "aB", "Z9", "é", "É", "Ω", "日本", "𝔸", "n 1")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_atoms_are_built_in_canonical_order(seed):
+    # Integer tokens sort as text ("10" before "9"), upper case before
+    # lower, and non-ASCII after both: the sorted id tuples give that order.
+    rng = random.Random(seed)
+    ids = rng.sample(ODD_IDS, rng.randint(0, len(ODD_IDS)))
+    cut = rng.randint(0, len(ids))
+    nodes, edges = ids[:cut] or ["n"], ids[cut:]
+    g = build_graph(
+        nodes, edges, {e: (rng.choice(nodes), rng.choice(nodes)) for e in edges}
+    )
+    names = rng.sample(["s", "S", "s1", "s10", "s9", "ß", "Ä", "a b"], rng.randint(1, 8))
+    shapes = link_shapes(
+        Shape(name, rng.choice((NODE, EDGE)), S.Top(), S.Nothing()) for name in names
+    )
+    got = sorted_atoms(g, shapes)
+    assert got == tuple(sorted(atoms(g, shapes), key=Atom.sort_key))
+    assert len(got) == sum(len(g.nodes if s.kind == NODE else g.edges) for s in shapes)
+
+
 # ---------------------------------------------------------------------------
 # Least fixed point
 

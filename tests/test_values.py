@@ -1,9 +1,12 @@
+import dataclasses
 import datetime
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pgshapes.graph import EDGE, NODE
+from pgshapes.semantics import Atom
 from pgshapes.values import (
     DateValue,
     IntValue,
@@ -124,3 +127,26 @@ def test_unknown_op_rejected():
         compare_values("like", IntValue(1), IntValue(1))
     with pytest.raises(ValueError):
         compare_sets("like", SET_A, SET_B)
+
+
+RECORDS = [
+    (IntValue(1), "IntValue(value=1)"),
+    (StrValue("1"), "StrValue(value='1')"),
+    (DateValue(datetime.date(2020, 1, 2)), "DateValue(value=datetime.date(2020, 1, 2))"),
+    (Atom("s", "1", NODE), "Atom(shape='s', element='1', kind='node')"),
+    (Atom("s", "1", EDGE), "Atom(shape='s', element='1', kind='edge')"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=["int", "str", "date", "node", "edge"])
+def test_slotted_records_keep_value_semantics(record, text):
+    twin = dataclasses.replace(record)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert repr(record) == text
+    assert not hasattr(record, "__dict__")
+    for other, _ in RECORDS:
+        assert (other == record) == (other is record)
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
+    assert IntValue(1) != StrValue("1") and IntValue(1) != 1
