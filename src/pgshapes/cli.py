@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, PgShapesError, ShapeSyntaxError
 from .jsonio import export_graph_json, import_graph_json
 from .parser import parse_shape_document, parse_shapes
 from .printer import render_shapes
-from .semantics import Assignment, Atom
+from .semantics import Assignment
 from .solver import (
     SolverConfig,
     ValidationReport,
@@ -61,9 +61,10 @@ def _write_text(path: str, groups: Iterable[Iterable[str]]) -> None:
             out.writelines(group)
 
 
+# The solver builds every assignment in canonical (shape, element) order,
+# so both listings keep the order they are given.
 def _assignment_lines(sigma: Assignment) -> list[str]:
-    items = sorted(sigma.items(), key=lambda item: item[0].sort_key())
-    return [f"{atom} = {v.word}" for atom, v in items]
+    return [f"{atom} = {v.word}" for atom, v in sigma.items()]
 
 
 def _assignment_json(sigma: Assignment) -> list[dict]:
@@ -72,9 +73,9 @@ def _assignment_json(sigma: Assignment) -> list[dict]:
             "shape": atom.shape,
             "element": atom.element,
             "kind": atom.kind,
-            "value": sigma[atom].word,
+            "value": v.word,
         }
-        for atom in sorted(sigma, key=Atom.sort_key)
+        for atom, v in sigma.items()
     ]
 
 
@@ -190,6 +191,17 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgshapes",
@@ -217,14 +229,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--max-atoms",
-        type=int,
+        type=_count,
         default=12,
         metavar="N",
         help="atom cap for --oracle (default 12)",
     )
     validate.add_argument(
         "--budget",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="stop after N search branches (exit 3 when hit)",

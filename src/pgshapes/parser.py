@@ -105,7 +105,15 @@ _TOKEN = re.compile(
     r"|(?P<DATE>[0-9]{4}-[0-9]{2}-[0-9]{2})|(?P<INT>-?[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
-_PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
+PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
+
+# The counting forms by operator: over a path, incoming edges, outgoing
+# edges, and a key's values.
+COUNTING_FORMS = {
+    ">=": (QualPath, QualIncoming, QualOutgoing, QualKey),
+    "<=": (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey),
+    "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
+}
 
 MAX_NESTING = 100
 
@@ -359,12 +367,7 @@ class _Parser:
         count = self.integer(count_tok)
         if count < 0:
             self.fail("count must not be negative", count_tok)
-        forms = {
-            ">=": (QualPath, QualIncoming, QualOutgoing, QualKey),
-            "<=": (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey),
-            "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
-        }[op]
-        path_form, in_form, out_form, key_form = forms
+        path_form, in_form, out_form, key_form = COUNTING_FORMS[op]
         if self.at("<-["):
             self.next()
             inner = self.or_constraint()
@@ -539,7 +542,7 @@ class _Parser:
             if self.at("KW", kw):
                 self.next()
                 return TypeIs(kw, span=start.span)
-        for sym, op in _PRED_OPS.items():
+        for sym, op in PRED_OPS.items():
             if self.at(sym):
                 self.next()
                 value = self.value()

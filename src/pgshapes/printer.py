@@ -11,25 +11,17 @@ from __future__ import annotations
 import re
 
 from .graph import NODE
-from .parser import KEYWORDS
+from .parser import COUNTING_FORMS, KEYWORDS, PRED_OPS
 from .shapes import (
     Alt,
     And,
     AnyValue,
-    AtMostIncoming,
-    AtMostKey,
-    AtMostOutgoing,
-    AtMostPath,
     Bottom,
     Cmp,
     Constraint,
     Dst,
     EdgeLabel,
     Exact,
-    ExactlyIncoming,
-    ExactlyKey,
-    ExactlyOutgoing,
-    ExactlyPath,
     ExistsIncoming,
     ExistsKey,
     ExistsOutgoing,
@@ -51,10 +43,6 @@ from .shapes import (
     Plus,
     PredAnd,
     PredNot,
-    QualIncoming,
-    QualKey,
-    QualOutgoing,
-    QualPath,
     Seq,
     Shape,
     ShapeRef,
@@ -75,12 +63,12 @@ from .shapes import (
     rewrite,
 )
 from .sugar import desugar_form
-from .values import EQ, GEQ, GT, LEQ, LT, NEQ, value_text
+from .values import value_text
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ID_RE = re.compile(r"-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*")
 
-_PRED_SYMBOL = {EQ: "=", NEQ: "!=", LT: "<", LEQ: "<=", GT: ">", GEQ: ">="}
+_PRED_SYMBOL = {op: symbol for symbol, op in PRED_OPS.items()}
 
 # Constraint precedence, loosest first.
 _OR, _AND, _UNARY, _PRIMARY = range(4)
@@ -169,14 +157,6 @@ def render_target(q: Target) -> str:
 _UNSPOKEN = (Bottom, ExistsPath, ExistsIncoming, ExistsOutgoing, ExistsKey,
              ForallPath, ForallIncoming, ForallOutgoing, ForallKey)
 
-# The counting forms by their operator.
-_COUNTING = {
-    ">=": (QualPath, QualIncoming, QualOutgoing, QualKey),
-    "<=": (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey),
-    "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
-}
-
-
 def render_constraint(c: Constraint) -> str:
     c = rewrite(c, lambda k: desugar_form(k) if isinstance(k, _UNSPOKEN) else k)
     return fold(c, _constraint)[0]
@@ -216,7 +196,7 @@ def _constraint(c: Constraint, operands: list) -> tuple[str, int]:
         if isinstance(c, And):
             return f"{_wrapped(first, _AND)} & {_wrapped(second, _UNARY)}", _AND
         return f"{_wrapped(first, _OR)} | {_wrapped(second, _AND)}", _OR
-    for symbol, (on_path, incoming, outgoing, on_key) in _COUNTING.items():
+    for symbol, (on_path, incoming, outgoing, on_key) in COUNTING_FORMS.items():
         if isinstance(c, (incoming, outgoing)):
             arrow = "<-[" if isinstance(c, incoming) else "->["
             return f"{symbol} {c.count} {arrow} {_wrapped(operands[0], _OR)} ]", _UNARY

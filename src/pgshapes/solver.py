@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping
+from itertools import islice, product
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BudgetExceeded, TooLarge
 from .graph import NODE, PropertyGraph
@@ -64,6 +64,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.atom_order not in ("default", "dependency"):
             raise ValueError(f"bad atom order: {self.atom_order!r}")
+        if self.max_atoms < 0 or (self.max_branches or 0) < 0:
+            raise ValueError("max_atoms and max_branches must not be negative")
 
 
 @dataclass
@@ -108,27 +110,11 @@ def _dependency_order(ground: GroundInstance) -> tuple[int, ...]:
     )
 
 
-class _Budget:
-    def __init__(self, config: SolverConfig, stats: SolverStats):
-        self.config = config
-        self.stats = stats
-        self.started = time.monotonic()
-
-    def spend_branch(self):
-        self.stats.branches += 1
-        limit = self.config.max_branches
-        if limit is not None and self.stats.branches > limit:
-            raise BudgetExceeded(
-                f"branch limit {limit} exhausted", stats=self.stats
-            )
-
-    def finish(self):
-        self.stats.elapsed = time.monotonic() - self.started
-
-
 class _Instance:
-    """Shared precomputation for one (graph, shapes) pair: one grounding,
-    its fixed point, and the search order over atom ids."""
+    """One run over a (graph, shapes) pair: one grounding, its fixed point,
+    the search order over atom ids, the atoms pin() forces, and the run's
+    stats and branch budget.  Every entry point that returns a
+    ValidationReport builds it with report()."""
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet, config: SolverConfig):
         self.ground = GroundInstance(g, shapes)
@@ -139,33 +125,46 @@ class _Instance:
         else:
             self.order = tuple(range(len(self.atoms)))
         self.lfp = self.ground.least_fixed_point()
-        self.fixed_point = Assignment(dict(zip(self.atoms, self.lfp)))
+        self.limit = config.max_branches
+        self.stats = SolverStats(atoms=len(self.atoms), targets=len(self.targets))
+        self.started = time.monotonic()
 
-    def pinned_values(
-        self, use_fixed_point: bool = True
-    ) -> tuple[dict[int, TruthValue], bool]:
-        """Forced values by atom id (targets and fixed-point decisions), and
-        whether the fixed point refutes a target.  Without use_fixed_point
-        only atoms whose equation reads no atom are forced."""
-        pinned = dict.fromkeys(self.targets, TRUE)
-        refuted = False
-        if use_fixed_point:
-            forced = enumerate(self.lfp[:len(self.atoms)])
-        else:
-            # An atom whose gate reads nothing is a constant.
-            gates = enumerate(self.ground.gates[:len(self.atoms)])
-            forced = ((i, FALSE if k > 0 else TRUE) for i, (k, lits) in gates if not lits)
+    def pin(self, forced: Iterable[tuple[int, TruthValue]]) -> None:
+        """Pin every target to yes and each atom id of forced to its value
+        (unknown pins nothing); refuted once a target is forced otherwise."""
+        self.pinned = pinned = dict.fromkeys(self.targets, TRUE)
+        self.refuted = False
         for i, v in forced:
             if v is UNKNOWN:
                 continue
             if pinned.get(i, v) is not v:
-                refuted = True  # target pinned yes, its equation says no
+                self.refuted = True  # target pinned yes, its equation says no
             else:
                 pinned[i] = v
-        return pinned, refuted
+        self.stats.pinned = len(pinned)
 
-    def violated_targets(self) -> tuple[Atom, ...]:
-        return tuple(self.atoms[i] for i in self.targets if self.lfp[i] is not TRUE)
+    def spend_branch(self) -> None:
+        self.stats.branches += 1
+        if self.limit is not None and self.stats.branches > self.limit:
+            self.finish()
+            raise BudgetExceeded(
+                f"branch limit {self.limit} exhausted", stats=self.stats
+            )
+
+    def finish(self) -> None:
+        self.stats.elapsed = time.monotonic() - self.started
+
+    def report(self, witness: Assignment | None) -> ValidationReport:
+        """Finish the run: it conforms with the witness, or fails on the
+        targets the fixed point does not make true."""
+        self.finish()
+        violated = () if witness is not None else tuple(
+            self.atoms[i] for i in self.targets if self.lfp[i] is not TRUE
+        )
+        fixed_point = Assignment(dict(zip(self.atoms, self.lfp)))
+        return ValidationReport(
+            witness is not None, witness, violated, fixed_point, self.stats
+        )
 
 
 # Truth values by their int codes (false 0, unknown 1, true 2).
@@ -644,22 +643,25 @@ class _Network:
             self._imply(clause[0], clause)
 
 
-def _search(
-    inst: _Instance, pinned: Mapping[int, TruthValue], budget: _Budget
-) -> Iterator[dict[Atom, TruthValue]]:
+def _search(inst: _Instance) -> Iterator[Assignment]:
     """All strictly faithful assignments, lexicographically by atom order.
 
-    Each open atom in the search order is two choices over the bits of
-    _Network: its "true" literal, else "not true"; then its "false"
-    literal, else "unknown", so its values come in the order yes, no,
-    maybe.  Each value tried spends one branch of the budget, and a choice
-    whose literal is already set is skipped.
+    Pins the targets and the atoms the fixed point decides, and yields
+    nothing if that refutes a target.  Each open atom in the search order
+    is two choices over the bits of _Network: its "true" literal, else "not
+    true"; then its "false" literal, else "unknown", so its values come in
+    the order yes, no, maybe.  Each value tried spends one branch of the
+    budget, and a choice whose literal is already set is skipped.
 
     Up to the first leaf the search is conflict-driven clause learning
     without restarts: a conflict adds a learned clause and goes back to
     the level where that clause sets its literal.  After a leaf it is
-    depth first: a conflict or a leaf takes the other side of the newest
-    choice not yet flipped.  Every leaf is checked against the circuit.
+    depth first: a conflict or a leaf undoes the newest decision and sets
+    the other side of its choice, with no reason, on the level below, so
+    every level left on the stack is a choice whose first side is being
+    explored.  The other side is a "not true" or "unknown" literal, which
+    has no companion bit, and nothing is learned after the first leaf, so
+    no reason is ever read.  Every leaf is checked against the circuit.
     Choices and the trail live in lists, so the depth is not bounded by the
     interpreter's recursion limit.
 
@@ -677,7 +679,10 @@ def _search(
     first side explored, and the depth-first walk, which learning no longer
     reorders, meets the remaining assignments in order.
     """
-    ground, stats = inst.ground, budget.stats
+    inst.pin(enumerate(inst.lfp[:len(inst.atoms)]))
+    if inst.refuted:
+        return
+    ground, stats, pinned = inst.ground, inst.stats, inst.pinned
     net = _Network(ground, inst.lfp, pinned, stats)
     value = net.value
     # Even positions hold an atom's "true" literal, odd ones its "false".
@@ -685,23 +690,20 @@ def _search(
         net.literal(a, lit) for a in inst.order if a not in pinned for lit in (2, 1)
     ]
     frames: list[int] = []      # choice position of each level's decision
-    flipped: list[bool] = []    # whether that decision is a choice's other side
     position = 0
-    turn = None                 # choice to flip once the trail is propagated
     learning = True
 
     def retreat() -> bool:
-        """Back up to the newest choice not yet flipped and have it flipped;
-        False once none is left."""
-        nonlocal position, turn
-        while flipped and flipped[-1]:
-            frames.pop()
-            flipped.pop()
+        """Undo the newest decision and set the other side of its choice on
+        the level below; False once no decision is left."""
+        nonlocal position
         if not frames:
             return False
-        turn = position = frames.pop()
-        flipped.pop()
+        position = frames.pop()
         net.backtrack(len(frames))
+        if position & 1:
+            inst.spend_branch()     # "unknown" is tried
+        net._set(choices[position] ^ 1, None)
         return True
 
     while True:
@@ -712,48 +714,24 @@ def _search(
             if learning:
                 back = net.learn(conflict)
                 position = frames[back]
-                del frames[back:], flipped[back:]
+                del frames[back:]
             elif not retreat():
                 return
-            continue
-        if turn is not None:
-            # Nothing is learned after the first leaf, so the other side
-            # of a choice is open again once its level is undone.
-            if turn & 1:
-                budget.spend_branch()   # "unknown" is tried
-            frames.append(turn)
-            flipped.append(True)
-            net.decide(choices[turn] ^ 1)
-            turn = None
             continue
         while position < len(choices) and value[choices[position]] >= 0:
             position += 1
         if position < len(choices):
-            budget.spend_branch()
+            inst.spend_branch()
             frames.append(position)
-            flipped.append(False)
             net.decide(choices[position])
             continue
         stats.leaf_checks += 1
         values = net.values()
         if ground.holds(values):
-            yield dict(zip(inst.atoms, values))
+            yield Assignment(dict(zip(inst.atoms, values)))
         learning = False
         if not retreat():
             return
-
-
-def _start(
-    g: PropertyGraph, shapes: ShapeSet, config: SolverConfig
-) -> tuple[_Instance, dict[int, TruthValue], bool, _Budget]:
-    """The setup find and enumerate share: the instance, its pinned values,
-    whether a target is refuted, and a budget whose stats are filled in."""
-    inst = _Instance(g, shapes, config)
-    pinned, refuted = inst.pinned_values()
-    stats = SolverStats(
-        atoms=len(inst.atoms), targets=len(inst.targets), pinned=len(pinned)
-    )
-    return inst, pinned, refuted, _Budget(config, stats)
 
 
 def enumerate_faithful_assignments(
@@ -763,17 +741,10 @@ def enumerate_faithful_assignments(
     config: SolverConfig | None = None,
 ) -> list[Assignment]:
     """Faithful assignments in canonical order, up to limit."""
-    inst, pinned, refuted, budget = _start(g, shapes, config or SolverConfig())
-    found: list[Assignment] = []
-    try:
-        if not refuted:
-            for sigma in _search(inst, pinned, budget):
-                found.append(Assignment(sigma))
-                if limit is not None and len(found) >= limit:
-                    break
-    finally:
-        budget.finish()
-    return found
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must not be negative: {limit}")
+    inst = _Instance(g, shapes, config or SolverConfig())
+    return list(islice(_search(inst), limit))
 
 
 def find_faithful_assignment(
@@ -783,19 +754,8 @@ def find_faithful_assignment(
 ) -> ValidationReport:
     """Decide conformance; on success the witness is the canonically first
     faithful assignment (under the default configuration)."""
-    inst, pinned, refuted, budget = _start(g, shapes, config or SolverConfig())
-    witness = None
-    try:
-        if not refuted:
-            sigma = next(_search(inst, pinned, budget), None)
-            witness = None if sigma is None else Assignment(sigma)
-    finally:
-        budget.finish()
-    if witness is not None:
-        return ValidationReport(True, witness, (), inst.fixed_point, budget.stats)
-    return ValidationReport(
-        False, None, inst.violated_targets(), inst.fixed_point, budget.stats
-    )
+    inst = _Instance(g, shapes, config or SolverConfig())
+    return inst.report(next(_search(inst), None))
 
 
 def conforms(
@@ -817,31 +777,24 @@ def brute_force_conformance(
     canonical order and checks each against the circuit.
     """
     config = config or SolverConfig()
-    start = time.monotonic()
     count = sum(len(g.nodes if s.kind == NODE else g.edges) for s in shapes)
     if count > config.max_atoms:
         raise TooLarge(
             f"{count} atoms exceed the brute-force cap {config.max_atoms}"
         )
     inst = _Instance(g, shapes, config)
-    pinned, refuted = inst.pinned_values(use_fixed_point=False)
-    stats = SolverStats(
-        atoms=len(inst.atoms), targets=len(inst.targets), pinned=len(pinned)
-    )
+    # An atom whose gate reads nothing is a constant.
+    gates = enumerate(inst.ground.gates[:len(inst.atoms)])
+    inst.pin((i, FALSE if k > 0 else TRUE) for i, (k, lits) in gates if not lits)
     witness = None
-    if not refuted:
-        values = [pinned.get(i) for i in range(len(inst.atoms))]
-        free = [i for i in range(len(inst.atoms)) if i not in pinned]
+    if not inst.refuted:
+        values = [inst.pinned.get(i) for i in range(len(inst.atoms))]
+        free = [i for i in range(len(inst.atoms)) if i not in inst.pinned]
         for combo in product(VALUE_ORDER, repeat=len(free)):
-            stats.leaf_checks += 1
+            inst.stats.leaf_checks += 1
             for i, v in zip(free, combo):
                 values[i] = v
             if inst.ground.holds(values):
                 witness = Assignment(dict(zip(inst.atoms, values)))
                 break
-    stats.elapsed = time.monotonic() - start
-    if witness is not None:
-        return ValidationReport(True, witness, (), inst.fixed_point, stats)
-    return ValidationReport(
-        False, None, inst.violated_targets(), inst.fixed_point, stats
-    )
+    return inst.report(witness)

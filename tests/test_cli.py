@@ -142,6 +142,20 @@ def test_validate_budget_exhausted(capsys, tmp_path, office_json):
     ]
 
 
+@pytest.mark.parametrize("nodes, flags", [
+    ('{"id": "a"}, {"id": "b"}', ["--budget", "-1"]),
+    ("", ["--oracle", "--max-atoms", "-1"]),
+])
+def test_validate_negative_limits_are_usage_errors(capsys, tmp_path, nodes, flags):
+    graph, progs = tmp_path / "graph.json", tmp_path / "pair.progs"
+    graph.write_text(f'{{"nodes": [{nodes}], "relationships": []}}')
+    progs.write_text("NODE r [] { !u }; NODE u [] { !r };\n")
+    with pytest.raises(SystemExit) as info:
+        main(["validate", *flags, str(graph), str(progs)])
+    assert info.value.code == 2
+    assert "not a non-negative integer: '-1'" in capsys.readouterr().err
+
+
 def test_validate_oracle_too_large(capsys, office_json, s2_progs):
     code, _, err = run(
         capsys, "validate", "--oracle", "--max-atoms", "1", office_json, s2_progs

@@ -8,6 +8,7 @@ on purpose and is skipped by the import check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,62 @@ def test_dead_helpers_are_found():
 
 def test_no_dead_private_helpers():
     assert dead_helpers({p.name: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+# ---------------------------------------------------------------------------
+# Methods of private classes: a class nothing outside the package builds has
+# no callers but the ones in src and tests, so a method none of them names is
+# left over.  Names are not resolved to classes: any attribute of the same
+# name keeps a method alive.
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def name_counts(tree: ast.AST) -> Counter:
+    """How often each name is read, imported or taken as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def dead_methods(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """`module:Class.method` for each method of a private top-level class in
+    sources, dunders aside, that nothing in sources or readers names outside
+    the method itself."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    counts = sum(
+        (name_counts(t) for t in [*trees.values(), *map(ast.parse, readers.values())]),
+        Counter(),
+    )
+    dead = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, FUNCTIONS) and not fn.name.startswith("__")
+                        and counts[fn.name] == name_counts(fn)[fn.name]):
+                    dead.append(f"{module}:{cls.name}.{fn.name}")
+    return sorted(dead)
+
+
+def test_dead_methods_are_found():
+    sources = {
+        "a.py": "class _Budget:\n"
+                "    def __init__(self): self.spend()\n"
+                "    def spend(self): pass\n"
+                "    def finish(self): self.finish()\n"
+                "    def report(self): pass\n"
+                "class Public:\n    def unused(self): pass\n",
+    }
+    readers = {"test_a.py": "from a import _Budget\n_Budget().report()\n"}
+    assert dead_methods(sources, readers) == ["a.py:_Budget.finish"]
+
+
+def test_no_dead_private_methods():
+    read = {p.name: p.read_text(encoding="utf-8") for p in TESTS}
+    assert dead_methods({p.name: p.read_text(encoding="utf-8") for p in SOURCES}, read) == []
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,13 @@ def test_bad_atom_order_rejected():
         SolverConfig(atom_order="sideways")
 
 
+@pytest.mark.parametrize("field", ["max_atoms", "max_branches"])
+def test_negative_limits_rejected(field):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: -1})
+    assert getattr(SolverConfig(**{field: 0}), field) == 0
+
+
 # --- narrowing rules --------------------------------------------------------
 
 INTERVALS = [(low, high) for low in range(3) for high in range(low, 3)]
@@ -421,6 +428,17 @@ def test_enumerate_limit_one_equals_find():
             done += 1
         else:
             assert first == []
+
+
+def test_enumerate_limit_zero_and_negative():
+    # r and u negate each other on two isolated nodes: 3 x 3 faithful
+    # assignments, none of them found under a limit of 0.
+    g = build_graph(["a", "b"])
+    shapes = parse_shapes("NODE r [] { !u }; NODE u [] { !r };")
+    assert len(enumerate_faithful_assignments(g, shapes)) == 9
+    assert enumerate_faithful_assignments(g, shapes, limit=0) == []
+    with pytest.raises(ValueError):
+        enumerate_faithful_assignments(g, shapes, limit=-1)
 
 
 def test_solver_stats_populated():
