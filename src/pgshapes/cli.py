@@ -285,7 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "validate" and args.all and args.normalize:
+        # The listing would range over the fresh atoms normalizing adds.
+        parser.error("validate: --all cannot be combined with --normalize")
     try:
         return args.func(args)
     except BudgetExceeded as exc:

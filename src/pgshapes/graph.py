@@ -11,6 +11,7 @@ built on first use, so calls that only import and export never pay for them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -51,10 +52,10 @@ def _ident(raw: object) -> str:
 
 def _index_labels(labels: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
     """Each label to the elements carrying it."""
-    index: dict[str, list[str]] = {}
+    index: dict[str, list[str]] = defaultdict(list)
     for x, names in labels.items():
         for name in names:
-            index.setdefault(name, []).append(x)
+            index[name].append(x)
     return {name: frozenset(xs) for name, xs in index.items()}
 
 
@@ -273,25 +274,39 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None) -> Proper
     if clash:
         raise IdClash(f"ids used as both node and edge: {sorted(clash)}")
 
-    tables = {OUTGOING: {**base._out, **dict.fromkeys(nodes, ())},
-              INCOMING: {**base._in, **dict.fromkeys(nodes, ())}}
-    added: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    out = {**base._out, **dict.fromkeys(nodes, ())}
+    in_ = {**base._in, **dict.fromkeys(nodes, ())}
     for e, (src, dst) in endpoints.items():
         if e not in edge_set:
             raise DanglingEdge(f"endpoints given for unknown edge {e!r}")
-        if src not in tables[OUTGOING] or dst not in tables[OUTGOING]:
+        if src not in out or dst not in out:
             raise DanglingEdge(f"edge {e!r} endpoint not a node: ({src}, {dst})")
-        added.setdefault((OUTGOING, src), []).append((e, dst))
-        added.setdefault((INCOMING, dst), []).append((e, src))
     if len(endpoints) != len(edge_set):
         raise DanglingEdge(f"edges without endpoints: {sorted(edge_set - endpoints.keys())}")
-    for (direction, n), pairs in added.items():
-        tables[direction][n] = tuple(sorted((*tables[direction][n], *pairs)))
+    # Edge ids are unique, so a node's pairs sort by edge id.  Taken in
+    # sorted id order, each node's new pairs come sorted, and join its old
+    # ones at either end unless the two runs interleave.
+    ordered = sorted(edges)
+    added_out: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    added_in: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for e in ordered:
+        src, dst = endpoints[e]
+        added_out[src].append((e, dst))
+        added_in[dst].append((e, src))
+    for table, added in ((out, added_out), (in_, added_in)):
+        for n, pairs in added.items():
+            old = table[n]
+            if not old or old[-1] < pairs[0]:
+                table[n] = (*old, *pairs)
+            elif pairs[-1] < old[0]:
+                table[n] = (*pairs, *old)
+            else:
+                table[n] = tuple(sorted((*old, *pairs)))
 
     g = PropertyGraph(
-        tuple(sorted((*base._nodes, *nodes))), tuple(sorted((*base._edges, *edges))),
+        tuple(sorted((*base._nodes, *nodes))), tuple(sorted((*base._edges, *ordered))),
         {**base._endpoints, **endpoints}, {**base._labels, **labels},
-        {**base._props, **props}, {**base._keys, **keys}, tables[OUTGOING], tables[INCOMING],
+        {**base._props, **props}, {**base._keys, **keys}, out, in_,
     )
     if base._by_label is not None:
         fresh = _index_labels(labels)

@@ -20,9 +20,14 @@ computing gates in ascending order without recursion.  Atoms are built in
 canonical order, shapes by name and each one's elements from the graph's
 sorted node or edge ids, with no sort.
 
-Paths have one engine: each path object compiles once into a Thompson
-automaton over the graph's per-label adjacency, and a search over (node,
-state) pairs finds what a source reaches in O(|Q| * (|V| + |E|)).
+Paths have one engine.  A path that is one label step is a lookup in the
+label's adjacency.  Any other path object compiles into a Thompson
+automaton over the graph's per-label adjacency, and its first evaluation
+answers every source at once: the strongly connected components of the
+product of graph and automaton, taken in reverse topological order, give
+each (node, state) pair the bitset of nodes it reaches.  All sources
+together cost O(|Q| * (|V| + |E|)) plus the bitset unions; an evaluation
+without a shared cache pays that once for its one source.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterator, Mapping
 
 from .errors import DomainMismatch, UnknownElement
@@ -76,6 +81,7 @@ from .shapes import (
     TypeIs,
     ValuePredicate,
     conjuncts,
+    strongly_connected,
 )
 from .values import Value, compare_sets, compare_values
 
@@ -227,18 +233,90 @@ def eval_path(
     """Nodes reachable from n over p.  Independent of any assignment."""
     if not g.has_node(n):
         raise UnknownElement(f"no such node: {n!r}")
-    return _reach(g, n, p, _cache if _cache is not None else {})
+    return _reach(g, n, p, _cache if _cache is not None else {})[0]
 
 
-def _reach(g, n, p, cache) -> frozenset[str]:
-    """eval_path without the node check.  `cache` maps id(p) to p, its
-    automaton and its results by source node: keyed by identity, because
-    hashing a PathExpr recurses through the whole expression."""
-    _, automaton, results = cache.get(id(p)) or cache.setdefault(
-        id(p), (p, _automaton(g, p), {}))
-    if n not in results:
-        results[n] = _search(automaton, n)
-    return results[n]
+def _reach(g, n, p, cache) -> tuple[frozenset[str], tuple[str, ...]]:
+    """eval_path without the node check: the nodes n reaches over p, as a
+    set and in node order.
+
+    The first evaluation of a path object answers every source, and `cache`
+    maps id(p) to p and those answers (keyed by identity, because hashing a
+    PathExpr recurses through the whole expression).  A path that is one
+    label step reads the label's adjacency; any other path costs one pass,
+    O(|Q| * (|V| + |E|)) plus the bitset unions, for all sources together.
+    """
+    entry = cache.get(id(p))
+    if entry is None:
+        if type(p) is EdgeLabel:
+            adjacency = g.label_adjacency(p.name, OUTGOING)
+            found = {x: _both(sorted({m for _, m in pairs})) for x, pairs in adjacency.items()}
+        else:
+            found = _every_source(g, p)
+        entry = cache[id(p)] = (p, found)
+    return entry[1].get(n, _NOWHERE)
+
+
+def _both(members) -> tuple[frozenset[str], tuple[str, ...]]:
+    """Nodes listed in node order, as a set and as that tuple."""
+    members = tuple(members)
+    return frozenset(members), members
+
+
+_NOWHERE = _both(())
+
+
+def _every_source(g, p) -> dict[str, tuple[frozenset[str], tuple[str, ...]]]:
+    """The nodes each node reaches over p, from one pass over the product
+    of the graph and p's automaton (Purdom, BIT 1970; Nuutila, 1995).
+
+    Product vertex (node i, state s) is s * |V| + i, with start state 0.
+    strongly_connected emits each component after every component it
+    reaches, so one sweep in emit order gives every vertex the bitset (bit i
+    for node i of the sorted g.nodes) of the nodes at which it reaches an
+    accepting state: its component's accepting members' bits, OR'd with its
+    successors' bitsets.  Each distinct bitset of a start vertex is listed
+    once, shared by every source it belongs to; the vertex bitsets are
+    dropped with the pass.
+    """
+    automaton = _automaton(g, p)
+    nodes = g.nodes
+    width = len(nodes)
+    position = {x: i for i, x in enumerate(nodes)}
+    number = {s: i for i, s in enumerate(automaton)}  # the start state is 0
+    succ: list = [()] * (width * len(number))
+    own = [0] * len(succ)  # the bit an accepting vertex contributes itself
+    for s, (accepting, steps) in automaton.items():
+        base = number[s] * width
+        if accepting:
+            own[base:base + width] = [1 << i for i in range(width)]
+        for adjacency, t in steps:
+            into = number[t] * width
+            for x, pairs in adjacency.items():
+                v = base + position[x]
+                if not succ[v]:
+                    succ[v] = []
+                succ[v] += [into + position[m] for _, m in pairs]
+    bits = [0] * len(succ)
+    for component in strongly_connected(succ):
+        b = 0
+        for v in component:
+            b |= own[v]
+            for w in succ[v]:
+                b |= bits[w]
+        for v in component:
+            bits[v] = b
+    # Bit i is flag i of the reversed binary digits, so compress lists the
+    # members in node order.
+    flags = bytes.maketrans(b"01", b"\0\1")
+    listed: dict[int, tuple] = {}
+    reached = {}
+    for x, b in zip(nodes, bits):
+        both = listed.get(b)
+        if both is None:
+            both = listed[b] = _both(compress(nodes, bin(b)[:1:-1].encode().translate(flags)))
+        reached[x] = both
+    return reached
 
 
 def _automaton(g, p) -> dict:
@@ -295,23 +373,6 @@ def _automaton(g, p) -> dict:
         out[s] = (1 in closure, steps)
         pending += (t for _, t in steps)
     return out
-
-
-def _search(automaton: dict, n: str) -> frozenset[str]:
-    """The nodes at which an accepting state is reached from (n, start):
-    each (node, state) pair is visited once."""
-    seen, todo, reached = {(n, 0)}, [(n, 0)], set()
-    while todo:
-        x, s = todo.pop()
-        accepting, moves = automaton[s]
-        if accepting:
-            reached.add(x)
-        for adjacency, t in moves:
-            for _, m in adjacency.get(x, ()):
-                if (m, t) not in seen:
-                    seen.add((m, t))
-                    todo.append((m, t))
-    return frozenset(reached)
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +466,17 @@ def _leaf(g, x, c, cache) -> bool:
         return c.element == x
     if t is PathCmp:
         return compare_sets(
-            c.op, _reach(g, x, c.first, cache), _reach(g, x, c.second, cache)
+            c.op, _reach(g, x, c.first, cache)[0], _reach(g, x, c.second, cache)[0]
         )
     if t is PathKeyCmp:
         left = frozenset(
             v
-            for m in _reach(g, x, c.first_path, cache)
+            for m in _reach(g, x, c.first_path, cache)[1]
             for v in g.property_values(m, c.first_key)
         )
         right = frozenset(
             v
-            for m in _reach(g, x, c.second_path, cache)
+            for m in _reach(g, x, c.second_path, cache)[1]
             for v in g.property_values(m, c.second_key)
         )
         return compare_sets(c.op, left, right)
@@ -621,18 +682,25 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
             # per object.  Every operand is grounded before folding, so a
             # reference outside the atom set raises even beside a false
             # operand.  An operand >= k :l . d (k >= 1) at a node without an
-            # l edge grounds nothing and makes the chain no; found from the
-            # node's edges, such operands cost nothing where they are absent.
-            chain, plain, stepping = chains.get(id(c)) or chains.setdefault(id(c), _chain(c))
+            # l edge grounds nothing and makes the chain no.  The labels l
+            # the node has come from their adjacencies or from its edges,
+            # whichever are fewer: a chain may hold one such label per
+            # target, and a node may have many edges.
+            chain, plain, stepping = chains.get(id(c)) or chains.setdefault(id(c), _chain(g, c))
             if stepping and kind == NODE:
-                have = {l for e, _ in g.adjacent_edges(x, OUTGOING) for l in g.labels_of(e)}
-                if not stepping.keys() <= have:
-                    for i in sorted(plain + [i for l in have if l in stepping for i in stepping[l]]):
+                edges = g.adjacent_edges(x, OUTGOING)
+                if len(stepping) <= len(edges):
+                    have = [where for adjacency, where in stepping.values() if x in adjacency]
+                else:
+                    labels = {l for e, _ in edges for l in g.labels_of(e)}
+                    have = [stepping[l][1] for l in labels if l in stepping]
+                if len(have) < len(stepping):
+                    for i in sorted(plain + [i for where in have for i in where]):
                         ground(chain[i], x, kind)
                     return _NO
             return at_least(len(chain), [ground(k, x, kind) for k in chain])
         if t is QualPath:
-            reached = sorted(_reach(g, x, c.path, cache))
+            reached = _reach(g, x, c.path, cache)[1]
             return at_least(c.count, [at(c.inner, m, NODE) for m in reached])
         if t is QualIncoming or t is QualOutgoing:
             pool = g.adjacent_edges(x, INCOMING if t is QualIncoming else OUTGOING)
@@ -642,14 +710,16 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
     return ground
 
 
-def _chain(c) -> tuple[list, list[int], dict[str, list[int]]]:
+def _chain(g, c) -> tuple[list, list[int], dict[str, tuple[Mapping, list[int]]]]:
     """c's conjuncts; the positions of those that are not >= k :l . d with
-    k >= 1; and the positions of those that are, by the label l."""
+    k >= 1; and, by the label l, the positions of those that are, with l's
+    outgoing adjacency in g."""
     chain, plain, stepping = conjuncts(c), [], {}
     for i, k in enumerate(chain):
         steps = isinstance(k, QualPath) and k.count >= 1 and isinstance(k.path, EdgeLabel)
         (stepping.setdefault(k.path.name, []) if steps else plain).append(i)
-    return chain, plain, stepping
+    return chain, plain, {l: (g.label_adjacency(l, OUTGOING), where)
+                          for l, where in stepping.items()}
 
 
 class GroundInstance:

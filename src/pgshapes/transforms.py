@@ -31,7 +31,7 @@ from .semantics import (
     Assignment,
     Atom,
     FaithfulnessVerdict,
-    eval_path,
+    _reach,
     is_strictly_faithful,
     target_atoms,
 )
@@ -103,6 +103,21 @@ class _Fresh:
         self.taken.add(out)
         return out
 
+    def names(self, prefix: str, count: int) -> list[str]:
+        """The names `count` calls of name(prefix) would give, from one
+        scan of the taken names."""
+        clash = {x for x in self.taken if x.startswith(prefix)}
+        start = self.counters.get(prefix, 0)
+        numbers = range(start, start + count)
+        if clash:
+            numbers = [i for i in range(start, start + count + len(clash))
+                       if f"{prefix}{i}" not in clash][:count]
+        out = [f"{prefix}{i}" for i in numbers]
+        if numbers:
+            self.counters[prefix] = numbers[-1] + 1
+        self.taken.update(out)
+        return out
+
 
 def _rewrite(c, path_labels, marker):
     """Swap composite paths for their labels (path_labels maps id(path) to
@@ -156,15 +171,15 @@ def eliminate_paths(
     path_map = {text: labels.name("__p") for text in composite}
     marker = labels.name("__m")
 
-    ends: dict[str, tuple[str, str]] = {}
-    tags: dict[str, frozenset[str]] = {}
+    pairs: list[tuple[str, str]] = []
+    labelings: list[frozenset[str]] = []
     cache: dict = {}
     for text, p in composite.items():
-        labels_of_p = frozenset((path_map[text], marker))
-        for n in g.nodes:
-            for m in sorted(eval_path(g, n, p, cache)):
-                eid = ids.name("__pe")
-                ends[eid], tags[eid] = (n, m), labels_of_p
+        start = len(pairs)
+        pairs += [(n, m) for n in g.nodes for m in _reach(g, n, p, cache)[1]]
+        labelings += [frozenset((path_map[text], marker))] * (len(pairs) - start)
+    fresh = ids.names("__pe", len(pairs))
+    ends, tags = dict(zip(fresh, pairs)), dict(zip(fresh, labelings))
 
     path_labels = {key: path_map[text] for key, text in texts.items()}
     rebuilt = [

@@ -127,6 +127,21 @@ def test_validate_normalize(capsys, office_json, s2_progs, person_progs):
     )
 
 
+@pytest.mark.parametrize("flags", [
+    ["--normalize", "--all"],
+    ["--all", "--normalize", "--json"],
+])
+def test_validate_refuses_all_with_normalize(capsys, office_json, s2_progs, flags):
+    # The listing would range over the atoms of the fresh edges and shapes,
+    # far more assignments than the input has.
+    with pytest.raises(SystemExit) as info:
+        main(["validate", *flags, office_json, s2_progs])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--all cannot be combined with --normalize" in err
+
+
 def test_validate_budget_exhausted(capsys, tmp_path, office_json):
     progs = tmp_path / "loop.progs"
     progs.write_text("NODE loop [] { loop };\n")

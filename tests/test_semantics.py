@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pgshapes import semantics
 from pgshapes import shapes as S
 from pgshapes.errors import DomainMismatch, UnknownElement
 from pgshapes.fixtures import (
@@ -21,6 +22,7 @@ from pgshapes.semantics import (
     UNKNOWN,
     Assignment,
     Atom,
+    GroundInstance,
     TruthValue,
     atoms,
     eval_edge_constraint,
@@ -34,6 +36,7 @@ from pgshapes.semantics import (
     sorted_atoms,
     target_elements,
 )
+from pgshapes.parser import parse_shapes
 from pgshapes.shapes import Shape, link_shapes
 from pgshapes.values import DateValue, IntValue, StrValue
 
@@ -151,6 +154,100 @@ def test_long_sequence_path_needs_no_recursion():
     for n in g.nodes:
         assert eval_path(g, n, long_path, cache) == eval_path(g, n, S.Seq(knows, knows))
         assert eval_path(g, n, S.Inverse(long_path), cache) == {n}
+
+
+def _components_in_a_dag(rng, blocks: int):
+    """Cycles of 1-4 nodes (a one-node cycle is a self-loop) joined forward
+    by random edges, plus two isolated nodes.  Ids are shuffled, so the
+    sorted node order follows neither the cycles nor the DAG."""
+    ids = iter(rng.sample(range(1000), 4 * blocks + 2))
+    groups, ends, labels = [], {}, {}
+
+    def edge(a, b, label):
+        e = f"e{len(ends)}"
+        ends[e], labels[e] = (a, b), [label]
+
+    for _ in range(blocks):
+        group = [f"n{next(ids)}" for _ in range(rng.randint(1, 4))]
+        label = rng.choice("ab")
+        for a, b in zip(group, group[1:] + group[:1]):
+            edge(a, b, label)
+        for earlier in groups:
+            if rng.random() < 0.3:
+                edge(rng.choice(earlier), rng.choice(group), rng.choice("ab"))
+        groups.append(group)
+    nodes = [x for group in groups for x in group] + [f"n{next(ids)}" for _ in range(2)]
+    return build_graph(nodes, list(ends), endpoints=ends, labelings=labels)
+
+
+def _mixed_path(rng, depth: int):
+    """An operator at every level above `depth` 0, inverses weighted up,
+    over labels a and b and one no edge carries."""
+    if depth == 0:
+        return S.EdgeLabel(rng.choice(("a", "a", "b", "missing")))
+    op = rng.choice((S.Inverse, S.Inverse, S.Seq, S.Alt, S.Star, S.Plus, S.Opt))
+    if op in (S.Seq, S.Alt):
+        return op(_mixed_path(rng, depth - 1), _mixed_path(rng, depth - 1))
+    return op(_mixed_path(rng, depth - 1))
+
+
+def test_every_source_matches_the_relational_oracle_across_components(monkeypatch):
+    # The product of each graph and path has many strongly connected
+    # components joined by a DAG; every source's set comes from one pass.
+    from oracle import relation
+
+    passes = []
+    monkeypatch.setattr(semantics, "strongly_connected", lambda succ: passes.append(
+        S.strongly_connected(succ)) or passes[-1])
+    rng = random.Random(1970)
+    fixed = [
+        S.Star(S.EdgeLabel("a")),
+        S.Plus(S.Inverse(S.Alt(S.EdgeLabel("a"), S.Inverse(S.EdgeLabel("b"))))),
+        S.Inverse(S.Seq(S.Star(S.EdgeLabel("b")), S.Inverse(S.Plus(S.EdgeLabel("a"))))),
+        S.Seq(S.EdgeLabel("a"), S.EdgeLabel("missing")),
+        S.Star(S.EdgeLabel("missing")),
+        S.Opt(S.Inverse(S.Inverse(S.EdgeLabel("b")))),
+    ]
+    joined = 0
+    for _ in range(30):
+        g = _components_in_a_dag(rng, rng.randint(2, 6))
+        paths = fixed + [_mixed_path(rng, rng.randint(1, 3)) for _ in range(4)]
+        cache: dict = {}
+        passes.clear()
+        for p in paths:
+            pairs = relation(g, p)
+            for n in g.nodes:
+                assert eval_path(g, n, p, cache) == {m for a, m in pairs if a == n}, (n, p)
+        assert len(passes) == len(paths)  # one pass per path, not per source
+        joined += max(sum(len(c) > 1 for c in components) for components in passes) > 1
+    assert joined >= 20, joined
+
+
+def test_a_path_object_is_condensed_once_per_cache(monkeypatch):
+    # 300 nodes with two :knows and one :worksFor edge each: every source
+    # of each closure path is answered by one pass over the product.
+    rng = random.Random(1995)
+    people = [f"p{i:03}" for i in range(300)]
+    ends = {}
+    for x in people:
+        for label in ("knows", "knows", "worksFor"):
+            ends[f"{label}-{len(ends)}"] = (x, rng.choice(people))
+    g = build_graph(people, list(ends), endpoints=ends,
+                    labelings={e: [e.split("-")[0]] for e in ends})
+    shapes = parse_shapes(
+        "NODE Reach [] { >= 2 (:knows || ^:worksFor)+ . true };\n"
+        "NODE Circle [] { >= 3 ^(:knows/:worksFor)* . true };\n"
+        "NODE Taste [] { cmp(subseteq, :knows, :knows*) };\n"
+    )
+    composite = {id(p) for sh in shapes for p in S.constraint_paths(sh.constraint)
+                 if not isinstance(p, S.EdgeLabel)}
+    passes = []
+    monkeypatch.setattr(semantics, "strongly_connected", lambda succ: passes.append(
+        len(succ)) or S.strongly_connected(succ))
+    GroundInstance(g, shapes)
+    assert len(passes) == len(composite) == 3
+    # Each pass covers the whole product, not one source's part of it.
+    assert min(passes) >= len(g.nodes)
 
 
 def test_predicates_match_oracle():

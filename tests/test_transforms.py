@@ -11,7 +11,7 @@ from pgshapes.fixtures import (
     role_pair_shapes,
     works_since_shape,
 )
-from pgshapes.graph import EDGE, NODE, build_graph
+from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, build_graph
 from pgshapes import semantics
 from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
@@ -53,6 +53,7 @@ from pgshapes.solver import SolverConfig, brute_force_conformance, find_faithful
 from pgshapes.sugar import desugar_shapes
 from pgshapes.transforms import (
     TransformTrace,
+    _Fresh,
     eliminate_paths,
     fold_operators,
     is_normalized,
@@ -154,6 +155,42 @@ def test_eliminate_fresh_names_dodge_existing():
     assert set(g2.edges) - set(g.edges) == {"__pe1", "__pe2"}
     assert g2.endpoints("__pe1") == ("n1", "n1")
     assert g2.endpoints("__pe2") == ("n2", "n2")
+
+
+def test_fresh_names_in_one_batch_are_the_names_one_by_one():
+    taken = {"__pe0", "__pe2", "__pe3", "__pe7", "__p1", "__pex", "x"}
+    for count in (0, 1, 2, 5, 40):
+        one, batch = _Fresh(taken), _Fresh(taken)
+        one.name("__pe"), batch.name("__pe")
+        assert batch.names("__pe", count) == [one.name("__pe") for _ in range(count)]
+        assert batch.taken == one.taken
+        assert batch.name("__pe") == one.name("__pe")
+
+
+def test_eliminated_graph_is_one_build_of_all_its_rows():
+    # Old edge ids sort before, between and after the fresh __pe ids, and
+    # one of them takes a name the fresh edges skip.
+    ids = ["A", "__pd", "__pe1", "__pf", "b", "e3"]
+    ends = {e: (n, m) for e, n, m in zip(ids, "xyzxwy", "yzxxyw")}
+    g = build_graph(["w", "x", "y", "z"], ids, endpoints=ends,
+                    labelings={e: ["knows"] for e in ids})
+    shapes = parse_shapes(
+        "NODE s [] { >= 1 :knows* . true & >= 1 ^(:knows/:knows) . true };\n")
+    graphs = [g] + [eliminate_paths(*gen_instance(random.Random(i)))[0] for i in range(30)]
+    for base in graphs:
+        g2, _, trace = eliminate_paths(base, shapes)
+        assert trace.fresh_edges
+        whole = build_graph(
+            g2.nodes, g2.edges, endpoints={e: g2.endpoints(e) for e in g2.edges},
+            labelings={x: g2.labels_of(x) for x in g2.nodes + g2.edges},
+            properties={(x, k): g2.property_values(x, k)
+                        for x in g2.nodes + g2.edges for k in g2.property_keys(x)})
+        assert g2 == whole
+        for n in whole.nodes:
+            for d in (OUTGOING, INCOMING):
+                assert g2.adjacent_edges(n, d) == whole.adjacent_edges(n, d)
+        for name in (*trace.fresh_labels, "knows"):
+            assert g2.by_label.get(name) == whole.by_label.get(name)
 
 
 def test_eliminate_preserves_conformance_random():
@@ -379,8 +416,8 @@ def test_normalize_many_targets_builds_a_balanced_root():
 def test_the_root_grounds_and_settles_in_work_linear_in_the_nodes(monkeypatch):
     # The root is a node shape, so it is grounded at every node, over one
     # >= 1 :__tK conjunct per target, and only the fresh node has __tK edges.
-    # Path searches and the literals the fixed point reads must grow with
-    # the nodes, not with nodes times targets.
+    # Path evaluations, the label checks of the chain and the literals the
+    # fixed point reads must grow with the nodes, not with nodes times targets.
     work = {}
 
     def counted(name, real, size):
@@ -389,8 +426,20 @@ def test_the_root_grounds_and_settles_in_work_linear_in_the_nodes(monkeypatch):
             return real(*args)
         return call
 
-    monkeypatch.setattr(semantics, "_search", counted("searches", semantics._search,
-                                                      lambda *a: 1))
+    class Checked(dict):
+        def __contains__(self, x):
+            work["checks"] += 1
+            return super().__contains__(x)
+
+    def chain(g, c):
+        chain, plain, stepping = real_chain(g, c)
+        return chain, plain, {l: (Checked(adjacency), where)
+                              for l, (adjacency, where) in stepping.items()}
+
+    real_chain = semantics._chain
+    monkeypatch.setattr(semantics, "_chain", chain)
+    monkeypatch.setattr(semantics, "_reach", counted("paths", semantics._reach,
+                                                     lambda *a: 1))
     monkeypatch.setattr(semantics, "_gate_value", counted("reads", semantics._gate_value,
                                                           lambda gate, _: len(gate[1])))
     for n in (100, 200, 400):
@@ -398,11 +447,13 @@ def test_the_root_grounds_and_settles_in_work_linear_in_the_nodes(monkeypatch):
         g = build_graph(people, labelings={x: ["Person"] for x in people})
         shapes = link_shapes([Shape("t", NODE, HasLabel("Person"), TargetLabel("Person"))])
         g2, s2, root, _ = normalize_instance(g, shapes)
-        work.update(searches=0, reads=0)
+        work.update(paths=0, checks=0, reads=0)
         ground = GroundInstance(g2, s2)
         values = ground.least_fixed_point()
         assert values[ground.index[root]] is TRUE
-        assert work["searches"] <= n and work["reads"] <= 4 * n, (n, work)
+        # The fresh node reads each of its n conjuncts' paths once.
+        assert 0 < work["paths"] <= n and work["reads"] <= 4 * n, (n, work)
+        assert work["checks"] <= 2 * n, (n, work)
     assert find_faithful_assignment(g2, s2).witness[root] is TRUE
 
 
