@@ -6,13 +6,18 @@ may not overlap.  Ids are opaque text tokens; integer tokens are accepted on
 input and normalized to their decimal text.
 
 The label indexes (each label's elements, each edge label's adjacency) are
-built on first use, so calls that only import and export never pay for them.
+built on first use, so calls that only import and export never pay for them;
+a label's adjacency is built one direction at a time, for the direction
+asked.  Path elimination hands its fresh labels' indexes in ready-made: it
+lists every fresh edge grouped by label and source anyway, so the graph it
+returns builds no table for them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -57,6 +62,18 @@ def _index_labels(labels: Mapping[str, frozenset[str]]) -> dict[str, frozenset[s
         for name in names:
             index[name].append(x)
     return {name: frozenset(xs) for name, xs in index.items()}
+
+
+def _label_table(g: PropertyGraph, label: str, direction: str) -> dict[str, tuple]:
+    """label_adjacency's table for one label and direction, built from the
+    label's edges."""
+    near, far = (0, 1) if direction == OUTGOING else (1, 0)
+    table: dict[str, list] = {}
+    # Edge ids are unique, so id order is adjacent_edges' pair order.
+    for e in sorted(x for x in g.by_label.get(label, ()) if x in g._endpoints):
+        ends = g._endpoints[e]
+        table.setdefault(ends[near], []).append((e, ends[far]))
+    return {n: tuple(pairs) for n, pairs in table.items()}
 
 
 class PropertyGraph:
@@ -161,20 +178,19 @@ class PropertyGraph:
 
     def label_adjacency(self, label: str, direction: str) -> Mapping[str, tuple]:
         """Per node, the adjacent_edges pairs whose edge carries `label`;
-        nodes without one are absent.  Each label is indexed on first use."""
+        nodes without one are absent.
+
+        Each (label, direction) table is built on its first use, so a label
+        read only outgoing never builds its incoming side.  The fresh labels
+        of path elimination come with their outgoing tables already built.
+        """
         if direction not in (OUTGOING, INCOMING):
             raise ValueError(f"bad direction: {direction!r}")
-        if label not in self._label_adj:
-            tables: dict[str, dict] = {OUTGOING: {}, INCOMING: {}}
-            # Edge ids are unique, so id order is adjacent_edges' pair order.
-            for e in sorted(x for x in self.by_label.get(label, ()) if x in self._endpoints):
-                src, dst = self._endpoints[e]
-                tables[OUTGOING].setdefault(src, []).append((e, dst))
-                tables[INCOMING].setdefault(dst, []).append((e, src))
-            self._label_adj[label] = {
-                d: {n: tuple(pairs) for n, pairs in t.items()} for d, t in tables.items()
-            }
-        return self._label_adj[label][direction]
+        tables = self._label_adj.setdefault(label, {})
+        table = tables.get(direction)
+        if table is None:
+            table = tables[direction] = _label_table(self, label, direction)
+        return table
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PropertyGraph):
@@ -257,13 +273,21 @@ def build_graph(
     return _assemble(node_ids, edge_ids, ends, label_map, prop_map, keys, base)
 
 
-def _assemble(nodes, edges, endpoints, labels, props, keys, base=None) -> PropertyGraph:
+def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
+              out_rows=None, label_index=None, label_tables=None) -> PropertyGraph:
     """base plus normalized rows: text ids, (source, destination) per edge
     in input order, frozensets of labels and of values, sorted key tuples.
     Checks the id invariants, in this order: duplicate node ids, duplicate
     edge ids, ids used as both, endpoints in input order, edges without
     endpoints.  Base's built label indexes carry over, for the labels no
-    new row carries."""
+    new row carries.
+
+    A caller that already holds the new edges grouped may hand them in:
+    out_rows, each source's (edge, destination) pairs in edge id order;
+    label_index, each label a new row carries to those rows' ids; and
+    label_tables, label_adjacency tables of labels that no base element
+    carries.  The index and tables take effect where base's label index is
+    built, as it is once anything has read labels from base."""
     base = base or PropertyGraph((), (), {}, {}, {}, {}, {}, {})
     node_set, edge_set = set(nodes), set(edges)
     if len(node_set) != len(nodes) or not node_set.isdisjoint(base._out):
@@ -276,24 +300,31 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None) -> Proper
 
     out = {**base._out, **dict.fromkeys(nodes, ())}
     in_ = {**base._in, **dict.fromkeys(nodes, ())}
-    for e, (src, dst) in endpoints.items():
-        if e not in edge_set:
-            raise DanglingEdge(f"endpoints given for unknown edge {e!r}")
-        if src not in out or dst not in out:
-            raise DanglingEdge(f"edge {e!r} endpoint not a node: ({src}, {dst})")
-    if len(endpoints) != len(edge_set):
+    # Checked as whole sets; the scan in input order only names the failure.
+    end_nodes = set(chain.from_iterable(endpoints.values()))
+    if endpoints.keys() != edge_set or not out.keys() >= end_nodes:
+        for e, (src, dst) in endpoints.items():
+            if e not in edge_set:
+                raise DanglingEdge(f"endpoints given for unknown edge {e!r}")
+            if src not in out or dst not in out:
+                raise DanglingEdge(f"edge {e!r} endpoint not a node: ({src}, {dst})")
         raise DanglingEdge(f"edges without endpoints: {sorted(edge_set - endpoints.keys())}")
     # Edge ids are unique, so a node's pairs sort by edge id.  Taken in
     # sorted id order, each node's new pairs come sorted, and join its old
     # ones at either end unless the two runs interleave.
     ordered = sorted(edges)
-    added_out: dict[str, list[tuple[str, str]]] = defaultdict(list)
     added_in: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for e in ordered:
-        src, dst = endpoints[e]
-        added_out[src].append((e, dst))
-        added_in[dst].append((e, src))
-    for table, added in ((out, added_out), (in_, added_in)):
+    if out_rows is None:
+        out_rows = defaultdict(list)
+        for e in ordered:
+            src, dst = endpoints[e]
+            out_rows[src].append((e, dst))
+            added_in[dst].append((e, src))
+    else:
+        for e in ordered:
+            src, dst = endpoints[e]
+            added_in[dst].append((e, src))
+    for table, added in ((out, out_rows), (in_, added_in)):
         for n, pairs in added.items():
             old = table[n]
             if not old or old[-1] < pairs[0]:
@@ -308,9 +339,14 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None) -> Proper
         {**base._endpoints, **endpoints}, {**base._labels, **labels},
         {**base._props, **props}, {**base._keys, **keys}, out, in_,
     )
-    if base._by_label is not None:
-        fresh = _index_labels(labels)
-        g._by_label = {**base._by_label, **{
-            name: xs | base._by_label.get(name, xs) for name, xs in fresh.items()}}
+    old_index = base._by_label
+    if old_index is not None:
+        fresh = _index_labels(labels) if label_index is None else label_index
+        g._by_label = {**old_index, **{
+            name: old_index[name] | xs if name in old_index else xs
+            for name, xs in fresh.items()}}
+        # A carried label has the same edges in both graphs, so the two
+        # share its direction tables, whichever graph builds one.
         g._label_adj = {name: t for name, t in base._label_adj.items() if name not in fresh}
+        g._label_adj.update(label_tables or {})
     return g

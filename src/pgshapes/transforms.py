@@ -21,11 +21,13 @@ counts and flip verdicts on shapes that bound them from above.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
 
 from .errors import NotNormalized, PathsPresent
-from .graph import EDGE, NODE, PropertyGraph, _assemble
+from .graph import EDGE, NODE, OUTGOING, PropertyGraph, _assemble
 from .printer import render_path
 from .semantics import (
     Assignment,
@@ -171,15 +173,35 @@ def eliminate_paths(
     path_map = {text: labels.name("__p") for text in composite}
     marker = labels.name("__m")
 
-    pairs: list[tuple[str, str]] = []
-    labelings: list[frozenset[str]] = []
+    # Each path's reach rows, one per source in node order; the fresh edges
+    # take their names in that (path, source, reached node) order.
     cache: dict = {}
-    for text, p in composite.items():
-        start = len(pairs)
-        pairs += [(n, m) for n in g.nodes for m in _reach(g, n, p, cache)[1]]
-        labelings += [frozenset((path_map[text], marker))] * (len(pairs) - start)
-    fresh = ids.names("__pe", len(pairs))
-    ends, tags = dict(zip(fresh, pairs)), dict(zip(fresh, labelings))
+    reached = [[_reach(g, n, p, cache)[1] for n in g.nodes] for p in composite.values()]
+    fresh = ids.names("__pe", sum(map(len, chain.from_iterable(reached))))
+    # The graph's rows and label tables, grouped as the walk lists them:
+    # each source's outgoing pairs, and each label's elements and outgoing
+    # table.  Pairs sort by edge name, as text ("__pe10" < "__pe9").
+    ends, tags, out_rows = {}, {}, defaultdict(list)
+    index, tables = {}, {}
+    stop = 0
+    for label, rows in zip(path_map.values(), reached):
+        first, table = stop, {}
+        for n, ms in zip(g.nodes, rows):
+            if ms:
+                start, stop = stop, stop + len(ms)
+                names = fresh[start:stop]
+                ends.update(zip(names, zip(repeat(n), ms)))
+                table[n] = pairs = tuple(sorted(zip(names, ms)))
+                out_rows[n] += pairs
+        tables[label] = {OUTGOING: table}
+        if stop > first:  # a label indexes only the elements that carry it
+            block = fresh[first:stop]
+            tags.update(dict.fromkeys(block, frozenset((label, marker))))
+            index[label] = frozenset(block)
+    if fresh:
+        index[marker] = frozenset(fresh)
+    for pairs in out_rows.values():
+        pairs.sort()
 
     path_labels = {key: path_map[text] for key, text in texts.items()}
     rebuilt = [
@@ -193,7 +215,8 @@ def eliminate_paths(
         path_labels=tuple(path_map.items()),
         marker=marker,
     )
-    return _assemble((), tuple(ends), ends, tags, {}, {}, g), link_shapes(rebuilt), trace
+    g2 = _assemble((), tuple(ends), ends, tags, {}, {}, g, out_rows, index, tables)
+    return g2, link_shapes(rebuilt), trace
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pgshapes.fixtures import (
     works_since_shape,
 )
 from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, build_graph
-from pgshapes import semantics
+from pgshapes import graph, semantics
 from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
     FALSE,
@@ -191,6 +191,101 @@ def test_eliminated_graph_is_one_build_of_all_its_rows():
                 assert g2.adjacent_edges(n, d) == whole.adjacent_edges(n, d)
         for name in (*trace.fresh_labels, "knows"):
             assert g2.by_label.get(name) == whole.by_label.get(name)
+
+
+def _one_build(g):
+    """g's rows in one build_graph call."""
+    return build_graph(
+        g.nodes, g.edges, endpoints={e: g.endpoints(e) for e in g.edges},
+        labelings={x: g.labels_of(x) for x in g.nodes + g.edges},
+        properties={(x, k): g.property_values(x, k)
+                    for x in g.nodes + g.edges for k in g.property_keys(x)})
+
+
+def _assert_tables_match_one_build(g, labels):
+    whole = _one_build(g)
+    assert g == whole
+    assert dict(g.by_label) == dict(whole.by_label)
+    for n in whole.nodes:
+        for d in (OUTGOING, INCOMING):
+            assert g.adjacent_edges(n, d) == whole.adjacent_edges(n, d)
+    for name in {*whole.by_label, *labels}:
+        for d in (OUTGOING, INCOMING):
+            assert g.label_adjacency(name, d) == whole.label_adjacency(name, d), (name, d)
+
+
+def test_prefilled_tables_match_one_build_through_every_step():
+    # Elimination hands the graph its fresh labels' indexes ready-made.
+    # They must equal one build's after elimination and after the whole
+    # pipeline, whether the eliminated graph's tables were read before the
+    # reduction built on it or not, and after a build on the eliminated
+    # graph whose new row carries a fresh label.
+    ids = ["A", "__pd", "__pe1", "__pf", "b", "e3"]
+    ends = {e: (n, m) for e, n, m in zip(ids, "xyzxwy", "yzxxyw")}
+    g = build_graph(["w", "x", "y", "z"], ids, endpoints=ends,
+                    labelings={e: ["knows"] for e in ids})
+    shapes = parse_shapes(
+        "NODE s [id x] { >= 1 :knows* . true & >= 1 ^(:knows/:knows) . true };\n")
+    cases = [(g, shapes)] + [(eliminate_paths(*gen_instance(random.Random(i)))[0], shapes)
+                             for i in range(30)]
+    cases += [gen_instance(random.Random(f"tables:{i}"), sugar=True) for i in range(30)]
+    for base, shapes in cases:
+        g3, _, _, (t1, _, t3) = normalize_instance(base, shapes)
+        _assert_tables_match_one_build(g3, (*t1.fresh_labels, *t3.fresh_labels))
+
+        g1, s1, t1 = eliminate_paths(base, shapes)
+        _assert_tables_match_one_build(g1, t1.fresh_labels)
+        g3, _, _, t3 = reduce_to_single_target(g1, fold_operators(s1)[0])
+        _assert_tables_match_one_build(g3, (*t1.fresh_labels, *t3.fresh_labels))
+
+        for _, label in t1.path_labels:
+            g1 = eliminate_paths(base, shapes)[0]  # its tables as elimination left them
+            n = g1.nodes[0]
+            grown = build_graph([], ["x-new"], {"x-new": (n, n)}, {"x-new": [label]}, base=g1)
+            _assert_tables_match_one_build(grown, t1.fresh_labels)
+
+
+def test_grounding_a_normalized_instance_builds_no_fresh_path_table(monkeypatch):
+    # Elimination hands the graph each __pK label's outgoing table, and
+    # grounding reads label tables only outgoing, so it builds none of the
+    # __pK tables and no incoming side at all.
+    built = []
+
+    def counted(g, label, direction):
+        built.append((label, direction))
+        return real_table(g, label, direction)
+
+    real_table = graph._label_table
+    monkeypatch.setattr(graph, "_label_table", counted)
+    g = office_graph()
+    g.label_adjacency("worksFor", OUTGOING)
+    assert built == [("worksFor", OUTGOING)] and set(g._label_adj["worksFor"]) == {OUTGOING}
+
+    # 300 nodes in blocks of ten: knows stays inside a block, and everyone
+    # works for the block's first node, an Org.
+    rng = random.Random(16)
+    nodes = [f"n{i}" for i in range(300)]
+    ends = {}
+    for i, x in enumerate(nodes):
+        block = nodes[i - i % 10:i - i % 10 + 10]
+        for y in rng.sample(block, 2):
+            ends[f"k{len(ends)}"] = (x, y)
+        ends[f"w{i}"] = (x, block[0])
+    labelings = {e: ["knows" if e[0] == "k" else "worksFor"] for e in ends}
+    labelings.update({x: ["Person" if i % 10 else "Org"] for i, x in enumerate(nodes)})
+    shapes = parse_shapes(
+        "NODE Reach [:Person] { >= 1 (:knows || :worksFor)+ . :Org };\n"
+        "NODE Circle [:Org] { >= 3 ^(:knows/:worksFor)* . :Person };\n"
+        "NODE Near [:Person] { >= 1 :knows/:knows . true };\n")
+    g = build_graph(nodes, ends, ends, labelings)
+    g2, s2, root, (t1, _, _) = normalize_instance(g, shapes)
+    assert len(t1.fresh_edges) > 3000
+    built.clear()
+    result = find_faithful_assignment(g2, s2)
+    assert result.witness[root] is TRUE
+    fresh = {label for _, label in t1.path_labels}
+    assert len(fresh) == 3 and not fresh & {label for label, _ in built}, built
+    assert {d for _, d in built} == {OUTGOING}
 
 
 def test_eliminate_preserves_conformance_random():
