@@ -8,12 +8,19 @@ evaluation total in the presence of recursive (even negated) references.
 
 Constraints have one evaluator: _grounding writes each connective's rule
 once, turning a constraint at an element into a circuit with one gate kind,
-"at least k of these literals hold", whose inputs are the atoms, and _leaf
-decides the core forms that read no assignment; both switch once on the
-subterm's type, grounding to the leaf forms first.  A subterm shared by two
-paths to it is one gate, so the circuit grows with the constraint, not with
-its unfolding; a GroundInstance keeps only the gates its equations read,
-so every variable that is not an atom has a reader.  The least fixed
+"at least k of these literals hold", whose inputs are the atoms.  It
+compiles each (constraint object, kind) once, at its first use, into a
+function from an element to a literal: the switch on each subterm's type,
+its conjunct split, its path and the memo of its operands are settled
+then, and _leaf turns each core form that reads no assignment into a test
+once.  Validation runs that function at every element of the shape's kind.
+A shape reference compiles through the caller's resolver: a GroundInstance
+reads the atom's id as its block's start plus the element's place in its
+kind's sorted ids, with no atom built or hashed, and eval_node_constraint /
+eval_edge_constraint read the assignment they are given.  A subterm shared
+by two paths to it is one gate, so the circuit grows with the constraint,
+not with its unfolding; a GroundInstance keeps only the gates its equations
+read, so every variable that is not an atom has a reader.  The least fixed
 point, the search, brute force, is_strictly_faithful and
 eval_node_constraint / eval_edge_constraint all read that circuit,
 computing gates in ascending order without recursion.  Atoms are built in
@@ -36,8 +43,9 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from typing import Iterator, Mapping
+from functools import cached_property
+from itertools import accumulate, compress, repeat
+from typing import Callable, Iterator, Mapping
 
 from .errors import DomainMismatch, UnknownElement
 from .graph import EDGE, INCOMING, NODE, OUTGOING, PropertyGraph
@@ -233,12 +241,18 @@ def eval_path(
     """Nodes reachable from n over p.  Independent of any assignment."""
     if not g.has_node(n):
         raise UnknownElement(f"no such node: {n!r}")
-    return _reach(g, n, p, _cache if _cache is not None else {})[0]
+    return _reached(g, n, p, _cache if _cache is not None else {})[0]
 
 
-def _reach(g, n, p, cache) -> tuple[frozenset[str], tuple[str, ...]]:
+def _reached(g, n, p, cache) -> tuple[frozenset[str], tuple[str, ...]]:
     """eval_path without the node check: the nodes n reaches over p, as a
-    set and in node order.
+    set and in node order."""
+    return _reach(g, p, cache).get(n, _NOWHERE)
+
+
+def _reach(g, p, cache) -> dict[str, tuple[frozenset[str], tuple[str, ...]]]:
+    """Each source's answer to _reached over p; a node that reaches nothing
+    may be absent.
 
     The first evaluation of a path object answers every source, and `cache`
     maps id(p) to p and those answers (keyed by identity, because hashing a
@@ -254,7 +268,7 @@ def _reach(g, n, p, cache) -> tuple[frozenset[str], tuple[str, ...]]:
         else:
             found = _every_source(g, p)
         entry = cache[id(p)] = (p, found)
-    return entry[1].get(n, _NOWHERE)
+    return entry[1]
 
 
 def _both(members) -> tuple[frozenset[str], tuple[str, ...]]:
@@ -425,20 +439,25 @@ def eval_edge_constraint(
 
 
 def _eval_at(g, sigma, c, x, kind, cache) -> TruthValue:
-    """c at x under sigma: grounded with the atoms it reads as inputs,
-    which resolve to None where sigma gives no value."""
+    """c at x under sigma: grounded with the atoms it reads as inputs, and
+    a reference to an atom sigma gives no value raises DomainMismatch."""
     gates: list = []
     inputs: dict[Atom, int] = {}
 
-    def resolve(atom: Atom) -> int | None:
-        if atom not in sigma:
-            return None
-        if atom not in inputs:
-            inputs[atom] = len(gates)
-            gates.append(None)
-        return inputs[atom]
+    def reference(name: str, atom_kind: str) -> Callable[[str], int]:
+        def variable(y: str) -> int:
+            atom = Atom(name, y, atom_kind)
+            if atom not in sigma:
+                raise _outside(atom)
+            v = inputs.get(atom)
+            if v is None:
+                v = inputs[atom] = len(gates)
+                gates.append(None)
+            return 2 * v
 
-    lit = _grounding(g, resolve, gates, cache)(c, x, kind)
+        return variable
+
+    lit = _grounding(g, reference, gates, cache)(c, kind)(x)
     values = [UNKNOWN] * len(gates)
     for atom, v in inputs.items():
         values[v] = sigma[atom]
@@ -448,43 +467,53 @@ def _eval_at(g, sigma, c, x, kind, cache) -> TruthValue:
     return _gate_value(_equation(lit, gates), values)
 
 
-def _leaf(g, x, c, cache) -> bool:
-    """Whether a core form that reads no assignment holds at x: these are
-    the only forms grounding folds, so every folded constant is yes or no.
-    One switch on the form's type, the commonest forms first."""
+def _leaf(g, c, cache) -> Callable[[str], bool]:
+    """The test x -> whether c holds at x, for a core form that reads no
+    assignment: these are the only forms grounding folds, so every folded
+    constant is yes or no.  One switch on the form's type, made once per
+    subterm; a form that is not core raises when the test runs."""
     t = type(c)
     if t is HasLabel:
-        return c.label in g.labels_of(x)
+        return _labelled(g, c).__contains__
     if t is QualKey:
-        hits = sum(
-            1 for v in g.property_values(x, c.key) if matches_predicate(c.predicate, v)
-        )
-        return hits >= c.count
-    if t is Top:
-        return True
-    if t is Exact:
-        return c.element == x
-    if t is PathCmp:
-        return compare_sets(
-            c.op, _reach(g, x, c.first, cache)[0], _reach(g, x, c.second, cache)[0]
-        )
-    if t is PathKeyCmp:
-        left = frozenset(
-            v
-            for m in _reach(g, x, c.first_path, cache)[1]
-            for v in g.property_values(m, c.first_key)
-        )
-        right = frozenset(
-            v
-            for m in _reach(g, x, c.second_path, cache)[1]
-            for v in g.property_values(m, c.second_key)
-        )
-        return compare_sets(c.op, left, right)
-    if t is KeyCmp:
-        return compare_sets(
-            c.op, g.property_values(x, c.first_key), g.property_values(x, c.second_key)
-        )
-    raise TypeError(f"cannot evaluate {t.__name__} (desugar first)")
+        key, predicate, count = c.key, c.predicate, c.count
+
+        def holds(x: str) -> bool:
+            hits = sum(1 for v in g.property_values(x, key) if matches_predicate(predicate, v))
+            return hits >= count
+    elif t is Top:
+        def holds(x: str) -> bool:
+            return True
+    elif t is Exact:
+        def holds(x: str) -> bool:
+            return c.element == x
+    elif t is PathCmp:
+        def holds(x: str) -> bool:
+            return compare_sets(
+                c.op, _reached(g, x, c.first, cache)[0], _reached(g, x, c.second, cache)[0]
+            )
+    elif t is PathKeyCmp:
+        def holds(x: str) -> bool:
+            left = frozenset(
+                v
+                for m in _reached(g, x, c.first_path, cache)[1]
+                for v in g.property_values(m, c.first_key)
+            )
+            right = frozenset(
+                v
+                for m in _reached(g, x, c.second_path, cache)[1]
+                for v in g.property_values(m, c.second_key)
+            )
+            return compare_sets(c.op, left, right)
+    elif t is KeyCmp:
+        def holds(x: str) -> bool:
+            return compare_sets(
+                c.op, g.property_values(x, c.first_key), g.property_values(x, c.second_key)
+            )
+    else:
+        def holds(x: str) -> bool:
+            raise TypeError(f"cannot evaluate {t.__name__} (desugar first)")
+    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +593,21 @@ def is_strictly_faithful(
 # The inputs of a circuit have no gate (None) while grounding runs: in a
 # GroundInstance they are the atoms, variables 0 .. atoms - 1, and each takes
 # its equation as its gate only once every atom is grounded.  _grounding
-# holds the rule for each connective once and grounds an operand that moves
-# to another element once per (subterm, element), so a shared subterm is one
-# gate, built after every gate it reads.  Every subterm that reads no input
-# is a _leaf, folded to a constant, so paths, labels, keys and value
-# predicates are evaluated once per instance, never again per assignment.
+# holds the rule for each connective once and compiles each (constraint
+# object, kind) once into a function x -> literal, which holds its type's
+# rule, its operands' functions and its path; an operand that moves to
+# another element runs once per (subterm, element) behind a memo, so a
+# shared subterm is one gate, built after every gate it reads.  Every
+# subterm that reads no input is a _leaf, folded to a constant, so paths,
+# labels, keys and value predicates are evaluated once per instance, never
+# again per assignment.  A path count over a label test or true counts the
+# reached nodes in the label's set, or all of them, with no literal per node.
 
 _YES, _NO = -1, -2
 # The core forms that can read the assignment; _leaf decides all others.
 _READERS = frozenset({ShapeRef, Not, And, QualPath, QualIncoming, QualOutgoing, Src, Dst})
+# The operands whose compiled function needs no memo (see moved).
+_UNMEMOISED = frozenset({ShapeRef, HasLabel, Top})
 
 
 def _equation(lit: int, gates: list) -> tuple:
@@ -606,17 +641,18 @@ def _gate_value(gate: tuple, values) -> TruthValue:
     return FALSE if len(lits) - refuted < k else UNKNOWN
 
 
-def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None):
-    """The function that grounds constraint c at element x of kind `kind`
-    into the circuit `gates` and returns its literal.
+def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = None):
+    """The compiler of constraints into the circuit `gates`: compiled(c,
+    kind) is the function x -> literal that grounds c at an element x of
+    kind `kind`, appending the gates it builds.
 
-    A reference to an atom reads input resolve(atom), and resolve returns
-    None for an atom outside the instance.  Paths are evaluated through
-    `cache` (see _reach).
+    reference(name, kind) compiles a shape reference: the function x -> the
+    literal of atom (name, x), which raises DomainMismatch for an atom
+    outside the instance.  Paths are evaluated through `cache` (see _reach).
     """
     cache = {} if cache is None else cache
-    chains: dict[int, tuple] = {}
-    moved: dict[tuple, int] = {}
+    functions: dict[tuple, Callable[[str], int]] = {}
+    memoised: dict[tuple, Callable[[str], int]] = {}
     inlined: set[int] = set()
 
     def at_least(count: int, lits: list[int]) -> int:
@@ -629,6 +665,8 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
         copying a shared gate into every reader would nest its copies, and
         the circuit would grow with the unfolding again.
         """
+        if count == 1 and len(lits) == 1:  # the one literal itself
+            return lits[0]
         pending = []
         for lit in lits:
             if lit >= 0:
@@ -655,29 +693,49 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
         gates.append((count, tuple(flat)))
         return 2 * len(gates) - 2
 
-    def at(c: Constraint, x: str, kind: str) -> int:
-        """ground for an operand that moves to element x: once per
-        (subterm, element)."""
-        key = (id(c), x, kind)
-        lit = moved.get(key)
-        if lit is None:
-            lit = moved[key] = ground(c, x, kind)
-        return lit
+    def moved(c: Constraint, kind: str) -> Callable[[str], int]:
+        """compiled(c, kind) for an operand that moves to other elements,
+        run once per element, so that a shared subterm is one gate.  A
+        reference, a label test or true builds no gate and costs less than
+        a memo, so it runs as it is."""
+        if type(c) in _UNMEMOISED:
+            return compiled(c, kind)
+        key = (id(c), kind)
+        ground = memoised.get(key)
+        if ground is None:
+            run, memo = compiled(c, kind), {}
 
-    def ground(c: Constraint, x: str, kind: str) -> int:
+            def ground(x: str) -> int:
+                lit = memo.get(x)
+                if lit is None:
+                    lit = memo[x] = run(x)
+                return lit
+
+            memoised[key] = ground
+        return ground
+
+    def compiled(c: Constraint, kind: str) -> Callable[[str], int]:
+        """c's function x -> literal at elements of kind `kind`, built at
+        its first use and kept by the object's identity."""
+        key = (id(c), kind)
+        ground = functions.get(key)
+        if ground is not None:
+            return ground
         # One switch on the type, first to the forms that read no assignment.
         t = type(c)
         if t not in _READERS:
-            return _YES if _leaf(g, x, c, cache) else _NO
-        if t is ShapeRef:
-            atom = Atom(c.name, x, kind)
-            v = resolve(atom)
-            if v is None:
-                raise DomainMismatch(f"assignment has no value for {atom}")
-            return 2 * v
-        if t is Not and type(c.inner) is not Not:
-            return ground(c.inner, x, kind) ^ 1
-        if t is And or t is Not:
+            holds = _leaf(g, c, cache)
+
+            def ground(x: str) -> int:
+                return _YES if holds(x) else _NO
+        elif t is ShapeRef:
+            ground = reference(c.name, kind)
+        elif t is Not and type(c.inner) is not Not:
+            operand = compiled(c.inner, kind)
+
+            def ground(x: str) -> int:
+                return operand(x) ^ 1
+        elif t is And or t is Not:
             # A conjunction chain (| included) comes apart on a list, once
             # per object.  Every operand is grounded before folding, so a
             # reference outside the atom set raises even beside a false
@@ -686,28 +744,77 @@ def _grounding(g: PropertyGraph, resolve, gates: list, cache: dict | None = None
             # the node has come from their adjacencies or from its edges,
             # whichever are fewer: a chain may hold one such label per
             # target, and a node may have many edges.
-            chain, plain, stepping = chains.get(id(c)) or chains.setdefault(id(c), _chain(g, c))
-            if stepping and kind == NODE:
-                edges = g.adjacent_edges(x, OUTGOING)
-                if len(stepping) <= len(edges):
-                    have = [where for adjacency, where in stepping.values() if x in adjacency]
-                else:
-                    labels = {l for e, _ in edges for l in g.labels_of(e)}
-                    have = [stepping[l][1] for l in labels if l in stepping]
-                if len(have) < len(stepping):
-                    for i in sorted(plain + [i for where in have for i in where]):
-                        ground(chain[i], x, kind)
-                    return _NO
-            return at_least(len(chain), [ground(k, x, kind) for k in chain])
-        if t is QualPath:
-            reached = _reach(g, x, c.path, cache)[1]
-            return at_least(c.count, [at(c.inner, m, NODE) for m in reached])
-        if t is QualIncoming or t is QualOutgoing:
-            pool = g.adjacent_edges(x, INCOMING if t is QualIncoming else OUTGOING)
-            return at_least(c.count, [at(c.inner, e, EDGE) for e, _ in pool])
-        return at(c.inner, g.endpoints(x)[0 if t is Src else 1], NODE)  # Src or Dst
+            chain, plain, stepping = _chain(g, c)
+            operands = list(map(compiled, chain, repeat(kind)))
+            width = len(chain)
 
-    return ground
+            def ground(x: str) -> int:
+                return at_least(width, [operand(x) for operand in operands])
+
+            if stepping and kind == NODE:
+                steps, every = list(stepping.values()), ground
+
+                def ground(x: str) -> int:
+                    edges = g.adjacent_edges(x, OUTGOING)
+                    if len(steps) <= len(edges):
+                        have = [where for adjacency, where in steps if x in adjacency]
+                    else:
+                        labels = {l for e, _ in edges for l in g.labels_of(e)}
+                        have = [stepping[l][1] for l in labels if l in stepping]
+                    if len(have) < len(steps):
+                        for i in sorted(plain + [i for where in have for i in where]):
+                            operands[i](x)
+                        return _NO
+                    return every(x)
+        elif t is Src or t is Dst:
+            operand, end = moved(c.inner, NODE), 0 if t is Src else 1
+
+            def ground(x: str) -> int:
+                return operand(g.endpoints(x)[end])
+        elif t is QualPath:
+            # The path's answers are read at its first run.  Over a label
+            # test or true the count is of the reached nodes in the label's
+            # set, or of all of them, which is what grounding each would
+            # fold to.
+            least, path, reach = c.count, c.path, None
+            inner = type(c.inner)
+            if inner is HasLabel or inner is Top:
+                members = _labelled(g, c.inner) if inner is HasLabel else None
+
+                def ground(x: str) -> int:
+                    nonlocal reach
+                    if reach is None:
+                        reach = _reach(g, path, cache)
+                    reached = reach.get(x, _NOWHERE)[0]
+                    held = len(reached if members is None else members.intersection(reached))
+                    return _YES if held >= least else _NO
+            else:
+                operand = moved(c.inner, NODE)
+
+                def ground(x: str) -> int:
+                    nonlocal reach
+                    if reach is None:
+                        reach = _reach(g, path, cache)
+                    return at_least(least, list(map(operand, reach.get(x, _NOWHERE)[1])))
+        else:  # QualIncoming or QualOutgoing
+            least, direction = c.count, INCOMING if t is QualIncoming else OUTGOING
+            operand = moved(c.inner, EDGE)
+
+            def ground(x: str) -> int:
+                return at_least(least, [operand(e) for e, _ in g.adjacent_edges(x, direction)])
+        functions[key] = ground
+        return ground
+
+    return compiled
+
+
+def _labelled(g: PropertyGraph, c: HasLabel) -> frozenset[str]:
+    """The nodes and edges at which label test c holds."""
+    return g.by_label.get(c.label, frozenset())
+
+
+def _outside(atom: Atom) -> DomainMismatch:
+    return DomainMismatch(f"assignment has no value for {atom}")
 
 
 def _chain(g, c) -> tuple[list, list[int], dict[str, tuple[Mapping, list[int]]]]:
@@ -727,28 +834,49 @@ class GroundInstance:
 
     Atoms are variables 0 .. atoms - 1 in canonical (shape, element) order.
     They are built in that order, shapes by name and each one's elements
-    from the sorted id tuple of its kind, and grounded shape by shape in it,
-    each subterm through one switch on its type.  `gates[i]` is atom i's
-    equation; the variables after them are the shared gates those
-    equations read, each after every gate it reads.  Every variable that is
-    not an atom has a reader.  `readers[v]` lists the gates that read
-    variable v, and `targets` holds the sorted ids of the target atoms.
-    Paths are evaluated through one shared cache.
+    from the sorted id tuple of its kind, and grounded shape by shape in it:
+    each shape's constraint is compiled once and run at each element.  A
+    reference to shape s at x reads variable (the start of s's block) + (x's
+    place in its kind's sorted ids), with no atom built or hashed.
+    `gates[i]` is atom i's equation; the variables after them are the shared
+    gates those equations read, each after every gate it reads.  Every
+    variable that is not an atom has a reader.  `readers[v]` lists the gates
+    that read variable v, and `targets` holds the sorted ids of the target
+    atoms.  Paths are evaluated through one shared cache.
     """
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet):
         blocks = _blocks(g, shapes)
         self.atoms = tuple(Atom(s.name, x, s.kind) for s, xs in blocks for x in xs)
-        self.index = index = {a: i for i, a in enumerate(self.atoms)}
         # A target's id is its block's start plus its place in the sorted ids.
-        targets, start = [], 0
+        targets, start, starts = [], 0, {}
         for s, xs in blocks:
             targets += sorted(start + bisect_left(xs, x) for x in target_elements(g, s))
+            starts[s.name, s.kind] = start, xs
             start += len(xs)
         self.targets = tuple(targets)
+        literals: dict[tuple, Callable[[str], int]] = {}
+
+        def reference(name: str, kind: str) -> Callable[[str], int]:
+            """x -> 2 * (name's block start + x's place in it), one table
+            per shape."""
+            if (name, kind) not in literals:
+                if (name, kind) in starts:
+                    first, xs = starts[name, kind]
+                    table = dict(zip(xs, range(2 * first, 2 * (first + len(xs)), 2)))
+                    literals[name, kind] = table.__getitem__
+                else:
+                    def outside(x: str) -> int:
+                        raise _outside(Atom(name, x, kind))
+
+                    literals[name, kind] = outside
+            return literals[name, kind]
+
         self.gates = gates = [None] * len(self.atoms)
-        ground = _grounding(g, index.get, gates)
-        roots = [ground(s.constraint, x, s.kind) for s, xs in blocks for x in xs]
+        compiled = _grounding(g, reference, gates)
+        roots: list[int] = []
+        for s, xs in blocks:
+            roots += map(compiled(s.constraint, s.kind), xs)
         # Only now do the atoms take their gates, so that inlining never
         # mistook a reference to an atom for a gate.  An atom whose equation
         # is a gate's literal takes over that gate's (k, literals).
@@ -762,13 +890,22 @@ class GroundInstance:
                 for lit in gates[v][1]:
                     live[lit >> 1] = True
         if not all(live):
-            number = [i - 1 for i in accumulate(live)]
-            gates[:] = [(k, tuple(2 * number[lit >> 1] | lit & 1 for lit in lits))
-                        for (k, lits), kept in zip(gates, live) if kept]
+            # renumbered[lit] is lit's literal once the dead gates are gone.
+            number = [2 * i - 2 for i in accumulate(live)]
+            renumbered = [0] * (2 * len(number))
+            renumbered[0::2] = number
+            renumbered[1::2] = [lit + 1 for lit in number]
+            relit = renumbered.__getitem__
+            gates[:] = [(k, tuple(map(relit, lits))) for k, lits in compress(gates, live)]
         self.readers: list[list[int]] = [[] for _ in gates]
         for v, (_, lits) in enumerate(gates):
             for lit in lits:
                 self.readers[lit >> 1].append(v)
+
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """Each atom's id, built on first read: grounding never reads it."""
+        return {a: i for i, a in enumerate(self.atoms)}
 
     def evaluate(self, values) -> list[TruthValue]:
         """Every atom's equation under `values`, a sequence indexed by atom

@@ -33,7 +33,7 @@ from .semantics import (
     Assignment,
     Atom,
     FaithfulnessVerdict,
-    _reach,
+    _reached,
     is_strictly_faithful,
     target_atoms,
 )
@@ -176,7 +176,7 @@ def eliminate_paths(
     # Each path's reach rows, one per source in node order; the fresh edges
     # take their names in that (path, source, reached node) order.
     cache: dict = {}
-    reached = [[_reach(g, n, p, cache)[1] for n in g.nodes] for p in composite.values()]
+    reached = [[_reached(g, n, p, cache)[1] for n in g.nodes] for p in composite.values()]
     fresh = ids.names("__pe", sum(map(len, chain.from_iterable(reached))))
     # The graph's rows and label tables, grouped as the walk lists them:
     # each source's outgoing pairs, and each label's elements and outgoing

@@ -445,6 +445,40 @@ def test_nesting_limit_names_the_crossing_token():
             parse_shapes(prefix + "(" + deep + ") };")
 
 
+DEEPEST = {  # each form nested as deep as the parser accepts: (open, close, levels)
+    "at_least": (">= 1 :k . (", ")", 50),
+    "not_and": ("! (:P & ", ")", 50),
+    "or_count": ("(:Q | >= 1 :k . ", ")", 50),
+    "exactly": ("= 1 :k . (", ")", 50),
+    "at_most": ("<= 1 :k . (", ")", 50),
+    "edge_src": (">= 1 ->[ src (", ") ]", 33),
+}
+
+
+@pytest.mark.parametrize("form", sorted(DEEPEST))
+def test_validate_the_deepest_nesting_at_the_default_recursion_limit(capsys, tmp_path, form):
+    # Grounding recurses once per nesting level; at the deepest level the
+    # parser accepts, validate must still decide, not overflow the stack.
+    opening, closing, levels = DEEPEST[form]
+    text = f"NODE s [:P] {{ {opening * levels}s{closing * levels} }};\n"
+    parse_shapes(text)
+    with pytest.raises(ShapeSyntaxError):
+        parse_shapes(f"NODE s [:P] {{ {opening * (levels + 1)}s{closing * (levels + 1)} }};\n")
+    graph, progs = tmp_path / "cycle.json", tmp_path / "deep.progs"
+    graph.write_bytes(export_graph_json(build_graph(
+        ["a", "b"], ["e", "f"], endpoints={"e": ("a", "b"), "f": ("b", "a")},
+        labelings={"a": ["P"], "b": ["Q"], "e": ["k"], "f": ["k"]},
+    )))
+    progs.write_text(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, _, err = run(capsys, "validate", str(graph), str(progs))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1), err
+
+
 @pytest.mark.parametrize(
     "exc", [RuntimeError("lost\nits way"), RecursionError("too deep")]
 )

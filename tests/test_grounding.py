@@ -2,9 +2,11 @@
 metamorphic checks far above the oracle's 12-atom cap."""
 
 import dataclasses
+import datetime
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -23,6 +25,7 @@ from pgshapes.semantics import (
     Assignment,
     Atom,
     GroundInstance,
+    eval_node_constraint,
     is_strictly_faithful,
     least_fixed_point,
     sorted_atoms,
@@ -208,6 +211,63 @@ def test_grounding_rejects_references_outside_the_atom_set():
     ])
     with pytest.raises(DomainMismatch):
         GroundInstance(g, bad)
+
+
+MISSING = S.ShapeRef("missing")
+
+
+@pytest.mark.parametrize("constraint, at_a, at_b", [
+    # Beside a false operand: every operand is grounded.
+    (S.And(S.Not(S.Top()), MISSING), "missing(a)", "missing(b)"),
+    # A path that reaches nothing grounds no operand.
+    (S.QualPath(1, S.EdgeLabel("zz"), MISSING), None, None),
+    # At a the count reaches b; b has no :k edge, so its chain is no
+    # without grounding the count.
+    (S.And(S.QualPath(1, S.EdgeLabel("k"), MISSING), S.HasLabel("P")), "missing(b)", None),
+    # At b the chain is no, but its other operand is still grounded.
+    (S.And(S.QualPath(1, S.EdgeLabel("k"), S.Top()), MISSING), "missing(a)", "missing(b)"),
+], ids=["beside_false", "reaches_nothing", "count_then_label", "count_then_reference"])
+def test_a_reference_outside_the_atom_set_raises_where_it_is_grounded(constraint, at_a, at_b):
+    g = build_graph(["a", "b"], ["e"], endpoints={"e": ("a", "b")}, labelings={"e": ["k"]})
+    shapes = ShapeSet([Shape("s", NODE, constraint, S.Nothing())])
+    sigma = {Atom("s", x, NODE): UNKNOWN for x in g.nodes}
+    # Nodes ground in id order, so the instance raises at a first if at all.
+    first = at_a or at_b
+    for x, named in (("a", at_a), ("b", at_b)):
+        if named is None:
+            assert eval_node_constraint(g, sigma, x, constraint) is FALSE
+        else:
+            with pytest.raises(DomainMismatch, match=rf"no value for {re.escape(named)}$"):
+                eval_node_constraint(g, sigma, x, constraint)
+    if first is None:
+        assert [v.word for v in least_fixed_point(g, shapes).values()] == ["no", "no"]
+    else:
+        with pytest.raises(DomainMismatch, match=rf"no value for {re.escape(first)}$"):
+            GroundInstance(g, shapes)
+
+
+def test_a_reference_to_a_shape_of_the_other_kind_raises():
+    g = build_graph(["a", "b"], ["e"], endpoints={"e": ("a", "b")}, labelings={"e": ["k"]})
+    shapes = ShapeSet([
+        Shape("n", NODE, S.QualOutgoing(1, S.ShapeRef("n")), S.Nothing()),
+        Shape("t", EDGE, S.Top(), S.Nothing()),
+    ])
+    with pytest.raises(DomainMismatch, match=r"no value for n\(e\)$"):
+        GroundInstance(g, shapes)
+    crossed = ShapeSet([Shape("n", NODE, S.ShapeRef("t"), S.Nothing()),
+                        Shape("t", EDGE, S.Top(), S.Nothing())])
+    with pytest.raises(DomainMismatch, match=r"no value for t\(a\)$"):
+        GroundInstance(g, crossed)
+
+
+def test_the_atom_index_is_built_on_first_read():
+    # Grounding resolves references by block offset, so a run that never
+    # asks for an atom's id hashes no atom for it.
+    g, shapes = large_instance(random.Random(7317))
+    ground = GroundInstance(g, shapes)
+    assert "index" not in vars(ground)
+    assert ground.index == {atom: i for i, atom in enumerate(ground.atoms)}
+    assert ground.index is ground.index
 
 
 def test_every_shared_gate_has_a_reader():
@@ -675,3 +735,108 @@ def test_randgen_circuits_are_unchanged():
     grounds = [GroundInstance(g, s) for g, s in instances]
     assert sum(len(ground.gates) > len(ground.atoms) for ground in grounds) == 2
     assert tuple(ground_digest(g, s) for g, s in instances) == GOLDEN_INSTANCES
+
+
+# Golden circuits at the benchmark's sizes, on instances built here: the
+# recursive shapes over 60 nodes of next chains, a typed sparse graph of 100
+# nodes, and closure and inverse paths over 40 nodes.
+
+RECURSIVE_TEXT = """\
+NODE Chain [] { :Seed | >= 1 :next . Chain };
+NODE Lost [] { ! Chain & (! >= 1 :next . true | >= 1 :next . Lost) };
+NODE Warm [] { >= 1 :knows* . Chain | >= 1 :next . Warm };
+NODE Safe [:Person] { Warm | ! Lost | >= 1 :next . Safe };
+"""
+SPARSE_TEXT = """\
+NODE PersonShape [:Person] { >= 1 key name . string & <= 1 :worksFor . :Org };
+NODE OrgShape [:Org] { ! :Person & >= 1 key name . string };
+EDGE WorksShape [:worksFor] { src :Person & >= 1 key since . date };
+"""
+CLOSURE_TEXT = """\
+NODE Reach [:Member] { >= 2 (:knows || ^:worksFor)+ . :Org };
+NODE Circle [:Hub] { >= 3 ^(:knows/:worksFor)* . :Person };
+NODE Taste [:Member] { cmp(subseteq, :likes, :knows*) };
+"""
+
+
+def labelled_graph(ids, labelled, edges, properties=None):
+    """Nodes `ids`, `labelled` mapping each element to its labels, and
+    `edges` a list of (source, label, destination), named e0, e1, ..."""
+    names = [f"e{i}" for i in range(len(edges))]
+    return build_graph(
+        ids, names,
+        endpoints={e: (a, b) for e, (a, _, b) in zip(names, edges)},
+        labelings={**labelled, **{e: [l] for e, (_, l, _) in zip(names, edges)}},
+        properties=properties or {},
+    )
+
+
+def chains_instance():
+    """Three 20-node next chains of :Person nodes, the first and the last
+    ending at a :Seed node; every node knows one other both ways."""
+    rng = random.Random(1701)
+    ids = [f"n{i:02d}" for i in range(60)]
+    edges = [(ids[i], "next", ids[i + 1]) for i in range(59) if (i + 1) % 20]
+    paired = ids[:]
+    rng.shuffle(paired)
+    for a, b in zip(paired[::2], paired[1::2]):
+        edges += [(a, "knows", b), (b, "knows", a)]
+    labelled = {x: ["Person"] for x in ids}
+    labelled["n19"] = labelled["n59"] = ["Person", "Seed"]
+    return labelled_graph(ids, labelled, edges), parse_shapes(RECURSIVE_TEXT)
+
+
+def sparse_instance():
+    """70 people and 30 organisations: most people work for one org, some
+    for two or none, some orgs are people too, some names and dates are
+    missing or mistyped, and a few worksFor edges leave an org."""
+    rng = random.Random(1702)
+    people = [f"p{i:02d}" for i in range(70)]
+    orgs = [f"o{i:02d}" for i in range(30)]
+    labelled = {x: ["Person"] for x in people}
+    labelled |= {x: ["Org", "Person"] if i % 10 == 0 else ["Org"] for i, x in enumerate(orgs)}
+    properties = {}
+    for x in people + orgs:
+        if rng.random() < 0.9:
+            properties[(x, "name")] = [rng.choice(("Ada", "Bo", "Cy", 7))]
+    edges = []
+    for x in people + orgs[:3]:
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            edges.append((x, "worksFor", rng.choice(orgs + people[:5])))
+    for i in range(len(edges)):
+        if rng.random() < 0.85:
+            properties[(f"e{i}", "since")] = [datetime.date(2000 + i % 20, 1, 1)]
+    return labelled_graph(people + orgs, labelled, edges, properties), parse_shapes(SPARSE_TEXT)
+
+
+def closure_instance():
+    """40 nodes, each knowing two others, working for one and liking one,
+    labelled :Member, :Hub, :Org and :Person at random."""
+    rng = random.Random(1703)
+    ids = [f"c{i:02d}" for i in range(40)]
+    edges = []
+    for x in ids:
+        edges += [(x, "knows", y) for y in rng.sample(ids, 2)]
+        edges += [(x, "worksFor", rng.choice(ids)), (x, "likes", rng.choice(ids))]
+    labelled = {x: [l for l in ("Member", "Hub", "Org", "Person") if rng.random() < 0.4]
+                for x in ids}
+    return labelled_graph(ids, labelled, edges), parse_shapes(CLOSURE_TEXT)
+
+
+GOLDEN_BENCHMARK_SHAPED = {  # name: (instance, atoms, variables, digest)
+    "chains": (chains_instance, 240, 240,
+               "c957724ddc20bfdfaa340de6bcfed71e67697160dc50f312728ecbc2165552f2"),
+    "sparse": (sparse_instance, 275, 275,
+               "d1478c7e56da91001aa7accd0d7fef2fcfeef158af5d376d7a5a07b7b24dc407"),
+    "closure": (closure_instance, 120, 120,
+                "58cf838209b24966cc973944c13753ca123c8c0fb020f3ebaad515585ba0168f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BENCHMARK_SHAPED))
+def test_benchmark_shaped_circuits_are_unchanged(name):
+    build, atoms, gates, digest = GOLDEN_BENCHMARK_SHAPED[name]
+    g, shapes = build()
+    ground = GroundInstance(g, shapes)
+    assert (len(ground.atoms), len(ground.gates)) == (atoms, gates)
+    assert ground_digest(g, shapes) == digest

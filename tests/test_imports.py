@@ -175,7 +175,11 @@ RECURSION_SITES = {
         "_Parser.predicate_atom", "_Parser.path", "_Parser.path_seq",
         "_Parser.path_prefix", "_Parser.path_postfix", "_Parser.path_primary",
     },
-    "semantics.py": {"matches_predicate", "_grounding.ground", "_grounding.at"},
+    # Grounding recurses at compile time through these two.  The compiled
+    # functions recurse into each other through variables, which this
+    # static call graph cannot see; MAX_NESTING bounds that recursion too,
+    # and tests/test_cli.py validates the deepest nesting the parser accepts.
+    "semantics.py": {"matches_predicate", "_grounding.compiled", "_grounding.moved"},
     "printer.py": {"render_target"},
     "transforms.py": {"_conjunction"},
 }
