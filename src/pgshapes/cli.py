@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -202,6 +203,7 @@ def _count(text: str) -> int:
     return n
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgshapes",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ShapeSyntaxError
 from .graph import EDGE, NODE
@@ -87,6 +87,8 @@ from .values import (
     NEQ,
     SET_COMPARATORS,
     StrValue,
+    ESCAPES,
+    VALUE_TYPES,
     Value,
     parse_date,
 )
@@ -96,14 +98,24 @@ KEYWORDS = frozenset(
      "int", "string", "date", "any"}
 )
 
+# The spellings of names and integers; printer.py writes bare only what
+# these match.
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+INT_PATTERN = r"-?[0-9]+"
+
 # One token at a position, alternatives tried in order: operators (the
-# multi-character ones first), then dates before integers before names.
-# Strings are scanned by hand for their escapes.
+# multi-character ones first), then dates before integers before names.  A
+# string's escapes are decoded after the match; a string that does not
+# close matches no alternative.
+_STRING_OPEN = r'"(?:[^"\\\n]|\\[\s\S])*'
 _TOKEN = re.compile(
-    r"(?P<space>[ \t\r]+)|(?P<newline>\n)"
+    rf"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<STRING>{_STRING_OPEN}\")"
     r"|(?P<op><-\[|->\[|>=|<=|!=|\|\||[!&|=<>(){}\[\];.,:/*+?^])"
-    r"|(?P<DATE>[0-9]{4}-[0-9]{2}-[0-9]{2})|(?P<INT>-?[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<DATE>[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}})|(?P<INT>{INT_PATTERN})"
+    rf"|(?P<IDENT>{IDENT_PATTERN})"
 )
+_STRING_PREFIX = re.compile(_STRING_OPEN)
+_ESCAPE = re.compile(r"\\([\s\S])")
 
 PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
 
@@ -115,13 +127,17 @@ COUNTING_FORMS = {
     "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
 }
 
+# The prefix operators of constraints and of paths, and the postfix ones.
+_PREFIX = {"!": Not, "src": Src, "dst": Dst}
+_PATH_PREFIX = {"^": Inverse, "?": Opt}
+_PATH_POSTFIX = {"*": Star, "+": Plus}
+
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # op text, or IDENT/KW/INT/DATE/STRING/EOF
-    text: str
+class Token(NamedTuple):
+    kind: str  # an operator's or keyword's own text, or IDENT/INT/DATE/STRING/EOF
+    text: str  # a string's text with its escapes decoded
     start: int
     end: int
     line: int
@@ -132,100 +148,75 @@ class Token:
         return Span(self.start, self.end, self.line, self.column)
 
 
+def _unescape(body: str, start: int, line: int, column: int) -> str:
+    """The text of a string body that begins at offset `start`."""
+    def decode(m: re.Match) -> str:
+        if m[1] not in ESCAPES:
+            raise ShapeSyntaxError(
+                f"bad string escape \\{m[1]}",
+                span=Span(start + m.start(), start + m.end(), line, column + m.start()),
+            )
+        return ESCAPES[m[1]]
+
+    return _ESCAPE.sub(decode, body) if "\\" in body else body
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
+    i, line, line_start, n = 0, 1, 0, len(text)
     while i < n:
-        start, start_line, start_col = i, line, col
-        if text[i] == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    if j + 1 >= n:
-                        break
-                    esc = text[j + 1]
-                    if esc == "n":
-                        out.append("\n")
-                    elif esc == "t":
-                        out.append("\t")
-                    elif esc == "r":
-                        out.append("\r")
-                    elif esc in ('"', "\\"):
-                        out.append(esc)
-                    else:
-                        raise ShapeSyntaxError(
-                            f"bad string escape \\{esc}",
-                            span=Span(j, j + 2, line, col + (j - i)),
-                        )
-                    j += 2
-                else:
-                    if text[j] == "\n":
-                        break
-                    out.append(text[j])
-                    j += 1
-            if j >= n or text[j] != '"':
-                raise ShapeSyntaxError(
-                    "unterminated string",
-                    span=Span(start, min(j + 1, n), start_line, start_col),
-                )
-            lexeme = text[start:j + 1]
-            tokens.append(Token("STRING", "".join(out), start, j + 1,
-                                start_line, start_col))
-            col += len(lexeme)
-            i = j + 1
-            continue
+        start, column = i, i - line_start + 1
         m = _TOKEN.match(text, i)
         if m is None:
-            raise ShapeSyntaxError(
-                f"unexpected character {text[i]!r}",
-                span=Span(start, start + 1, start_line, start_col),
-            )
-        kind, lexeme, i = m.lastgroup, m.group(), m.end()
-        if kind == "newline":
-            line, col = line + 1, 1
+            if text[i] != '"':
+                raise ShapeSyntaxError(f"unexpected character {text[i]!r}",
+                                       span=Span(i, i + 1, line, column))
+            j = _STRING_PREFIX.match(text, i).end()  # stops at a newline, a last backslash or the end
+            _unescape(text[i + 1:j], i + 1, line, column + 1)
+            raise ShapeSyntaxError("unterminated string",
+                                   span=Span(i, min(j + 1, n), line, column))
+        kind, i = m.lastgroup, m.end()
+        if kind == "space":
             continue
-        if kind == "op":
+        if kind == "newline":
+            line, line_start = line + 1, i
+            continue
+        lexeme = m[0]
+        if kind == "STRING":
+            lexeme = _unescape(lexeme[1:-1], start + 1, line, column + 1)
+        elif kind == "op" or lexeme in KEYWORDS:
             kind = lexeme
-        elif kind == "IDENT" and lexeme in KEYWORDS:
-            kind = "KW"
-        if kind != "space":
-            tokens.append(Token(kind, lexeme, start, i, start_line, start_col))
-        col += len(lexeme)
-    tokens.append(Token("EOF", "", n, n, line, col))
+        tokens.append(Token(kind, lexeme, start, i, line, column))
+    tokens.append(Token("EOF", "", n, n, line, n - line_start + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def take(self, kind: str | None = None) -> Token | None:
+        """The next token, consumed, if it is of `kind` (of any kind but
+        EOF when `kind` is None); None otherwise."""
         t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
+        if t.kind == "EOF" or (kind is not None and t.kind != kind):
+            return None
+        self.pos += 1
         return t
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
+    def expect(self, kind: str) -> Token:
+        t = self.take(kind)
+        if t is None:
             got = self.peek()
-            wanted = text or kind
-            self.fail(f"expected {wanted!r}, found {got.text or got.kind!r}", got)
-        return self.next()
+            self.fail(f"expected {kind!r}, found {got.text or got.kind!r}", got)
+        return t
 
     def fail(self, message: str, token: Token):
         raise ShapeSyntaxError(message, span=token.span)
@@ -249,27 +240,35 @@ class _Parser:
         prev = self.tokens[max(self.pos - 1, 0)]
         return Span(start.start, prev.end, start.line, start.column)
 
+    def chain(self, op: str, operand, form):
+        """operand { op operand }, grouped to the left."""
+        start = self.peek()
+        left = operand()
+        while self.take(op):
+            left = form(left, operand(), span=self.span_from(start))
+        return left
+
+    def element_id(self) -> Token:
+        tok = self.take("IDENT") or self.take("INT")
+        if tok is None:
+            self.fail("expected an element id", self.peek())
+        return tok
+
     # -- document ----------------------------------------------------------
 
     def document(self) -> list[Shape]:
         shapes = []
-        while not self.at("EOF"):
+        while self.peek().kind != "EOF":
             shapes.append(self.shape())
         return shapes
 
     def shape(self) -> Shape:
-        head = self.peek()
-        if self.at("KW", "NODE"):
-            kind = NODE
-        elif self.at("KW", "EDGE"):
-            kind = EDGE
-        else:
-            self.fail("expected NODE or EDGE", head)
-        self.next()
-        name_tok = self.peek()
-        if name_tok.kind != "IDENT":
-            self.fail("expected a shape name", name_tok)
-        self.next()
+        head = self.take("NODE") or self.take("EDGE")
+        if head is None:
+            self.fail("expected NODE or EDGE", self.peek())
+        name = self.take("IDENT")
+        if name is None:
+            self.fail("expected a shape name", self.peek())
         self.expect("[")
         target = self.target()
         self.expect("]")
@@ -277,43 +276,36 @@ class _Parser:
         constraint = self.or_constraint()
         self.expect("}")
         self.expect(";")
-        return Shape(name_tok.text, kind, constraint, target,
-                     span=self.span_from(head))
+        kind = NODE if head.kind == "NODE" else EDGE
+        return Shape(name.text, kind, constraint, target, span=self.span_from(head))
 
     # -- targets -----------------------------------------------------------
 
     def target(self) -> Target:
         start = self.peek()
-        if self.at("]"):
+        if start.kind == "]":
             return Nothing(span=start.span)
         first = self.plain_target()
-        if self.at("&") or self.at("|"):
-            op = self.next()
-            second = self.plain_target()
-            if self.at("&") or self.at("|"):
-                self.fail("target combinators do not chain", self.peek())
-            cls = TargetAnd if op.kind == "&" else TargetOr
-            return cls(first, second, span=self.span_from(start))
-        return first
+        op = self.take("&") or self.take("|")
+        if op is None:
+            return first
+        second = self.plain_target()
+        if self.peek().kind in ("&", "|"):
+            self.fail("target combinators do not chain", self.peek())
+        form = TargetAnd if op.kind == "&" else TargetOr
+        return form(first, second, span=self.span_from(start))
 
     def plain_target(self) -> Target:
         start = self.peek()
-        if self.at(":"):
-            self.next()
+        if self.take(":"):
             label = self.expect("IDENT")
             return TargetLabel(label.text, span=self.span_from(start))
-        if self.at("KW", "id"):
-            self.next()
-            tok = self.peek()
-            if tok.kind not in ("IDENT", "INT"):
-                self.fail("expected an element id", tok)
-            self.next()
-            return TargetExact(tok.text, span=self.span_from(start))
-        if self.at("KW", "key"):
-            self.next()
+        if self.take("id"):
+            element = self.element_id()
+            return TargetExact(element.text, span=self.span_from(start))
+        if self.take("key"):
             key = self.expect("IDENT")
-            if self.at("="):
-                self.next()
+            if self.take("="):
                 value = self.value()
                 return TargetKeyValue(value, key.text, span=self.span_from(start))
             return TargetKey(key.text, span=self.span_from(start))
@@ -322,69 +314,41 @@ class _Parser:
     # -- constraints -------------------------------------------------------
 
     def or_constraint(self) -> Constraint:
-        start = self.peek()
-        left = self.and_constraint()
-        while self.at("|"):
-            self.next()
-            right = self.and_constraint()
-            left = Or(left, right, span=self.span_from(start))
-        return left
+        return self.chain("|", self.and_constraint, Or)
 
     def and_constraint(self) -> Constraint:
-        start = self.peek()
-        left = self.unary_constraint()
-        while self.at("&"):
-            self.next()
-            right = self.unary_constraint()
-            left = And(left, right, span=self.span_from(start))
-        return left
+        return self.chain("&", self.unary_constraint, And)
 
     def unary_constraint(self) -> Constraint:
         start = self.peek()
-        if self.at("!"):
-            with self.nested(start):
-                self.next()
-                inner = self.unary_constraint()
-            return Not(inner, span=self.span_from(start))
-        if self.at(">=") or self.at("<=") or self.at("="):
-            with self.nested(start):
+        form = _PREFIX.get(start.kind)
+        if form is None and start.kind not in COUNTING_FORMS:
+            return self.primary_constraint()
+        with self.nested(start):
+            self.take()
+            if form is None:
                 return self.counting(start)
-        if self.at("KW", "src"):
-            with self.nested(start):
-                self.next()
-                inner = self.unary_constraint()
-            return Src(inner, span=self.span_from(start))
-        if self.at("KW", "dst"):
-            with self.nested(start):
-                self.next()
-                inner = self.unary_constraint()
-            return Dst(inner, span=self.span_from(start))
-        return self.primary_constraint()
+            inner = self.unary_constraint()
+        return form(inner, span=self.span_from(start))
 
     def counting(self, start: Token) -> Constraint:
-        op = self.next().kind  # ">=", "<=", or "="
+        """The rest of a counting form after its operator `start`."""
+        path_form, in_form, out_form, key_form = COUNTING_FORMS[start.kind]
         count_tok = self.expect("INT")
         count = self.integer(count_tok)
         if count < 0:
             self.fail("count must not be negative", count_tok)
-        path_form, in_form, out_form, key_form = COUNTING_FORMS[op]
-        if self.at("<-["):
-            self.next()
+        arrow = self.take("<-[") or self.take("->[")
+        if arrow:
             inner = self.or_constraint()
             self.expect("]")
-            return in_form(count, inner, span=self.span_from(start))
-        if self.at("->["):
-            self.next()
-            inner = self.or_constraint()
-            self.expect("]")
-            return out_form(count, inner, span=self.span_from(start))
-        if self.at("KW", "key"):
-            self.next()
+            form = in_form if arrow.kind == "<-[" else out_form
+            return form(count, inner, span=self.span_from(start))
+        if self.take("key"):
             key = self.expect("IDENT")
             self.expect(".")
             predicate = self.predicate_atom()
-            return key_form(count, key.text, predicate,
-                            span=self.span_from(start))
+            return key_form(count, key.text, predicate, span=self.span_from(start))
         path = self.path()
         self.expect(".")
         inner = self.unary_constraint()
@@ -392,130 +356,99 @@ class _Parser:
 
     def primary_constraint(self) -> Constraint:
         start = self.peek()
-        if self.at("("):
+        if start.kind == "(":
             with self.nested(start):
-                self.next()
+                self.take()
                 inner = self.or_constraint()
                 self.expect(")")
             return inner
-        if self.at("KW", "true"):
-            self.next()
+        if self.take("true"):
             return Top(span=start.span)
-        if self.at("KW", "id"):
-            self.next()
-            tok = self.peek()
-            if tok.kind not in ("IDENT", "INT"):
-                self.fail("expected an element id", tok)
-            self.next()
-            return Exact(tok.text, span=self.span_from(start))
-        if self.at(":"):
-            self.next()
+        if self.take("id"):
+            element = self.element_id()
+            return Exact(element.text, span=self.span_from(start))
+        if self.take(":"):
             label = self.expect("IDENT")
             return HasLabel(label.text, span=self.span_from(start))
-        if self.at("KW", "cmp"):
-            return self.cmp_constraint()
-        if self.at("IDENT"):
-            tok = self.next()
-            return ShapeRef(tok.text, span=tok.span)
+        if self.take("cmp"):
+            return self.cmp_constraint(start)
+        if self.take("IDENT"):
+            return ShapeRef(start.text, span=start.span)
         self.fail("expected a constraint", start)
 
-    def cmp_constraint(self) -> Constraint:
-        start = self.expect("KW", "cmp")
+    def cmp_constraint(self, start: Token) -> Constraint:
+        """The rest of a cmp(...) form after its keyword `start`."""
         self.expect("(")
-        op_tok = self.peek()
-        if op_tok.kind not in ("IDENT", "KW") or op_tok.text not in SET_COMPARATORS:
-            self.fail("expected a set comparator name", op_tok)
-        self.next()
+        op = self.peek()
+        if op.kind != "IDENT" or op.text not in SET_COMPARATORS:
+            self.fail("expected a set comparator name", op)
+        self.take()
         self.expect(",")
         first = self.cmp_operand()
         self.expect(",")
         second = self.cmp_operand()
         self.expect(")")
         span = self.span_from(start)
-        op = op_tok.text
-        if first[0] == "key" and second[0] == "key":
-            return KeyCmp(op, first[1], second[1], span=span)
-        if first[0] == "path" and second[0] == "path":
-            return PathCmp(op, first[1], second[1], span=span)
-        if first[0] == "pathkey" and second[0] == "pathkey":
-            return PathKeyCmp(op, first[1], first[2], second[1], second[2],
-                              span=span)
-        self.fail(
-            "cmp operands must both be keys, both paths, or both path keys",
-            start,
-        )
+        if first[0] != second[0]:
+            self.fail(
+                "cmp operands must both be keys, both paths, or both path keys",
+                start,
+            )
+        if first[0] == "key":
+            return KeyCmp(op.text, first[1], second[1], span=span)
+        if first[0] == "path":
+            return PathCmp(op.text, first[1], second[1], span=span)
+        return PathKeyCmp(op.text, first[1], first[2], second[1], second[2], span=span)
 
     def cmp_operand(self):
-        if self.at("KW", "key"):
-            self.next()
-            key = self.expect("IDENT")
-            return ("key", key.text)
+        if self.take("key"):
+            return ("key", self.expect("IDENT").text)
         path = self.path()
-        if self.at("KW", "key"):
-            self.next()
-            key = self.expect("IDENT")
-            return ("pathkey", path, key.text)
+        if self.take("key"):
+            return ("pathkey", path, self.expect("IDENT").text)
         return ("path", path)
 
     # -- paths ---------------------------------------------------------------
 
     def path(self) -> PathExpr:
-        start = self.peek()
-        left = self.path_seq()
-        while self.at("||"):
-            self.next()
-            right = self.path_seq()
-            left = Alt(left, right, span=self.span_from(start))
-        return left
+        return self.chain("||", self.path_seq, Alt)
 
     def path_seq(self) -> PathExpr:
-        start = self.peek()
-        left = self.path_prefix()
-        while self.at("/"):
-            self.next()
-            right = self.path_prefix()
-            left = Seq(left, right, span=self.span_from(start))
-        return left
+        return self.chain("/", self.path_prefix, Seq)
 
     def path_prefix(self) -> PathExpr:
         start = self.peek()
-        if self.at("^"):
-            with self.nested(start):
-                self.next()
-                inner = self.path_prefix()
-            return Inverse(inner, span=self.span_from(start))
-        if self.at("?"):
-            with self.nested(start):
-                self.next()
-                inner = self.path_prefix()
-            return Opt(inner, span=self.span_from(start))
-        return self.path_postfix()
+        form = _PATH_PREFIX.get(start.kind)
+        if form is None:
+            return self.path_postfix()
+        with self.nested(start):
+            self.take()
+            inner = self.path_prefix()
+        return form(inner, span=self.span_from(start))
 
     def path_postfix(self) -> PathExpr:
         start = self.peek()
         p = self.path_primary()
         depth = self.depth
-        while self.at("*") or self.at("+"):
+        while (form := _PATH_POSTFIX.get(self.peek().kind)) is not None:
             # Each repetition wraps the tree once more without recursing.
             self.depth += 1
             if self.depth > MAX_NESTING:
                 self.fail(f"nesting deeper than {MAX_NESTING} levels", self.peek())
-            op = self.next()
-            cls = Star if op.kind == "*" else Plus
-            p = cls(p, span=self.span_from(start))
+            self.take()
+            p = form(p, span=self.span_from(start))
         self.depth = depth
         return p
 
     def path_primary(self) -> PathExpr:
         start = self.peek()
-        if self.at("("):
+        if start.kind == "(":
             with self.nested(start):
-                self.next()
+                self.take()
                 inner = self.path()
                 self.expect(")")
             return inner
-        if self.at(":"):
-            self.next()
+        if self.take(":"):
             label = self.expect("IDENT")
             return EdgeLabel(label.text, span=self.span_from(start))
         self.fail("expected a path", start)
@@ -524,55 +457,43 @@ class _Parser:
 
     def predicate_atom(self) -> ValuePredicate:
         start = self.peek()
-        if self.at("!"):
+        if start.kind == "!":
             with self.nested(start):
-                self.next()
+                self.take()
                 inner = self.predicate_atom()
             return PredNot(inner, span=self.span_from(start))
-        if self.at("("):
+        if start.kind == "(":
             with self.nested(start):
-                self.next()
+                self.take()
                 inner = self.predicate_and()
                 self.expect(")")
             return inner
-        if self.at("KW", "any"):
-            self.next()
+        if self.take("any"):
             return AnyValue(span=start.span)
-        for kw in ("int", "string", "date"):
-            if self.at("KW", kw):
-                self.next()
-                return TypeIs(kw, span=start.span)
-        for sym, op in PRED_OPS.items():
-            if self.at(sym):
-                self.next()
-                value = self.value()
-                return Cmp(op, value, span=self.span_from(start))
+        if start.kind in VALUE_TYPES:
+            self.take()
+            return TypeIs(start.kind, span=start.span)
+        if start.kind in PRED_OPS:
+            self.take()
+            value = self.value()
+            return Cmp(PRED_OPS[start.kind], value, span=self.span_from(start))
         self.fail("expected a value predicate", start)
 
     def predicate_and(self) -> ValuePredicate:
-        start = self.peek()
-        left = self.predicate_atom()
-        while self.at("&"):
-            self.next()
-            right = self.predicate_atom()
-            left = PredAnd(left, right, span=self.span_from(start))
-        return left
+        return self.chain("&", self.predicate_atom, PredAnd)
 
     # -- values ----------------------------------------------------------------
 
     def value(self) -> Value:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
+        if self.take("INT"):
             return IntValue(self.integer(tok))
-        if tok.kind == "DATE":
-            self.next()
+        if self.take("DATE"):
             try:
                 return DateValue(parse_date(tok.text))
             except ValueError:
                 self.fail("not a calendar date", tok)
-        if tok.kind == "STRING":
-            self.next()
+        if self.take("STRING"):
             return StrValue(tok.text)
         self.fail("expected a value", tok)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .graph import NODE
-from .parser import COUNTING_FORMS, KEYWORDS, PRED_OPS
+from .parser import COUNTING_FORMS, IDENT_PATTERN, INT_PATTERN, KEYWORDS, PRED_OPS
 from .shapes import (
     Alt,
     And,
@@ -65,8 +65,9 @@ from .shapes import (
 from .sugar import desugar_form
 from .values import value_text
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ID_RE = re.compile(r"-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*")
+# A bare name or element id is one token to the parser.
+_IDENT_RE = re.compile(IDENT_PATTERN)
+_ID_RE = re.compile(f"{INT_PATTERN}|{IDENT_PATTERN}")
 
 _PRED_SYMBOL = {op: symbol for symbol, op in PRED_OPS.items()}
 

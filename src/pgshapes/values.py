@@ -44,7 +44,12 @@ _VALUE_CLASSES = (IntValue, StrValue, DateValue)
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SLASH_DATE = re.compile(r"([0-9]{2})/([0-9]{2})/([0-9]{4})")
-_ESCAPED = re.compile(r'["\\\n\t\r]')  # what quote_string escapes
+
+# The escapes of a quoted string: the character each one stands for, by the
+# letter after its backslash.
+ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE_OF = {char: "\\" + letter for letter, char in ESCAPES.items()}
+_ESCAPED = re.compile("[" + re.escape("".join(_ESCAPE_OF)) + "]")
 
 
 def parse_date(text: str) -> datetime.date:
@@ -86,22 +91,11 @@ def value_text(v: Value) -> str:
 
 
 def quote_string(s: str) -> str:
-    if not _ESCAPED.search(s):
-        return f'"{s}"'
-    out = ['"']
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _ESCAPED.sub(_escape, s) + '"'
+
+
+def _escape(m: re.Match) -> str:
+    return _ESCAPE_OF[m[0]]
 
 
 def value_sort_key(v: Value) -> tuple:

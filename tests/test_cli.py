@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from pgshapes import cli
 from pgshapes.asp import export_asp
 from pgshapes.cli import main
 from pgshapes.errors import ShapeSyntaxError
@@ -140,6 +141,23 @@ def test_validate_refuses_all_with_normalize(capsys, office_json, s2_progs, flag
     out, err = capsys.readouterr()
     assert out == ""
     assert "--all cannot be combined with --normalize" in err
+
+
+def test_main_runs_again_in_the_same_process(capsys, office_json, s2_progs):
+    # The argument parser is built once per process: each call still reads
+    # only its own arguments, also after a usage error.
+    code, out, _ = run(capsys, "validate", "--json", office_json, s2_progs)
+    assert (code, json.loads(out)["conforms"]) == (0, True)
+    code, plain, _ = run(capsys, "validate", office_json, s2_progs)
+    assert (code, plain.splitlines()[0]) == (0, "SATISFIABLE")
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--all", "--normalize", office_json, s2_progs])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "validate", office_json, s2_progs)[:2] == (0, plain)
+    code, out, _ = run(capsys, "validate", "--json", office_json, s2_progs)
+    assert (code, json.loads(out)["conforms"]) == (0, True)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_validate_budget_exhausted(capsys, tmp_path, office_json):

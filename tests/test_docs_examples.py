@@ -1,5 +1,6 @@
-"""The files under docs/examples stay in sync with the code that emits them."""
+"""The files under docs stay in sync with the code that emits or reads them."""
 
+import re
 from pathlib import Path
 
 from pgshapes.asp import export_asp
@@ -11,9 +12,10 @@ from pgshapes.fixtures import (
     works_since_shape,
 )
 from pgshapes.jsonio import export_graph_json, import_graph_json
-from pgshapes.parser import parse_shapes
+from pgshapes.parser import KEYWORDS, parse_shapes
 from pgshapes.printer import render_shapes
 from pgshapes.shapes import link_shapes
+from pgshapes.values import SET_COMPARATORS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -46,3 +48,15 @@ def test_progs_examples_render_from_fixtures():
         text = DOCS.joinpath(name).read_text()
         assert text == render_shapes(shapes)
         parse_shapes(text)
+
+
+def grammar_production(name):
+    """The quoted terminals of one production of docs/grammar.ebnf."""
+    grammar = DOCS.parent.joinpath("grammar.ebnf").read_text()
+    (body,) = re.findall(rf"^{name}\s+=(.*?);\s*$", grammar, re.M | re.S)
+    return re.findall(r'"([^"]*)"', body)
+
+
+def test_grammar_lists_the_keywords_and_comparators():
+    assert sorted(grammar_production("keyword")) == sorted(KEYWORDS)
+    assert tuple(grammar_production("comparator")) == SET_COMPARATORS

@@ -1,5 +1,8 @@
+import dataclasses
 import datetime
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -20,7 +23,7 @@ from pgshapes.printer import (
 )
 from pgshapes.shapes import Shape, link_shapes
 from pgshapes.sugar import desugar_constraint, desugar_targets
-from pgshapes.values import DateValue, IntValue, StrValue
+from pgshapes.values import DateValue, IntValue, StrValue, quote_string
 
 from randgen import gen_graph, gen_shapes
 
@@ -342,3 +345,178 @@ def test_roundtrip_fixpoint_on_generated_corpus():
         assert again == ss, text
         assert render_shapes(again) == text
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# Exact errors and spans: one input per place the parser raises, and every
+# node of one document that uses every form.
+
+
+SYNTAX_ERRORS = [  # (case, text, str(error), (start, end, line, column))
+    ('unexpected character', 'NODE s [] { # };',
+     "unexpected character '#'", (12, 13, 1, 13)),
+    ('bad escape', 'NODE s [] {\n  >= 1 key k . = "bad \\q" };',
+     'bad string escape \\q', (34, 36, 2, 23)),
+    ('bad escape before the end', 'NODE s [] { >= 1 key k . = "a\\q',
+     'bad string escape \\q', (29, 31, 1, 30)),
+    ('backslash before a newline', 'NODE s [] { >= 1 key k . = "a\\\n" };',
+     'bad string escape \\\n', (29, 31, 1, 30)),
+    ('unterminated at a newline', 'NODE s [] { >= 1 key k . = "open\n };',
+     'unterminated string', (27, 33, 1, 28)),
+    ('unterminated at the end', 'NODE s [] { >= 1 key k . = "open',
+     'unterminated string', (27, 32, 1, 28)),
+    ('unterminated after a trailing backslash', 'NODE s [] { >= 1 key k . = "open\\',
+     'unterminated string', (27, 33, 1, 28)),
+    ('expected a token at the end', 'NODE s [] { true }',
+     "expected ';', found 'EOF'", (18, 18, 1, 19)),
+    ('expected a token, found a string', 'NODE s [] { true } "";',
+     "expected ';', found 'STRING'", (19, 21, 1, 20)),
+    ('expected an IDENT', 'NODE s [:true] { true };',
+     "expected 'IDENT', found 'true'", (9, 13, 1, 10)),
+    ('expected NODE or EDGE', 'GRAPH s [] { true };',
+     'expected NODE or EDGE', (0, 5, 1, 1)),
+    ('expected a shape name', 'NODE true [] { true };',
+     'expected a shape name', (5, 9, 1, 6)),
+    ('target combinators do not chain', 'NODE s [:A & :B | :C] { true };',
+     'target combinators do not chain', (16, 17, 1, 17)),
+    ('element id in a target', 'NODE s [id ] { true };',
+     'expected an element id', (11, 12, 1, 12)),
+    ('element id in a constraint', 'NODE s [] { id "x" };',
+     'expected an element id', (15, 18, 1, 16)),
+    ('expected a target', 'NODE s [true] { true };',
+     'expected a target', (8, 12, 1, 9)),
+    ('negative count', 'NODE s [] { >= -1 :r . true };',
+     'count must not be negative', (15, 17, 1, 16)),
+    ('expected a constraint', 'NODE s [] { };',
+     'expected a constraint', (12, 13, 1, 13)),
+    ('set comparator', 'NODE s [] { cmp(almost, key a, key b) };',
+     'expected a set comparator name', (16, 22, 1, 17)),
+    ('cmp operands', 'NODE s [] { cmp(eq, key a, :r) };',
+     'cmp operands must both be keys, both paths, or both path keys', (12, 15, 1, 13)),
+    ('expected a path', 'NODE s [] { >= 1 true . true };',
+     'expected a path', (17, 21, 1, 18)),
+    ('expected a value predicate', 'NODE s [] { >= 1 key k . true };',
+     'expected a value predicate', (25, 29, 1, 26)),
+    ('not a calendar date', 'NODE s [] { >= 1 key k . = 2020-13-01 };',
+     'not a calendar date', (27, 37, 1, 28)),
+    ('expected a value', 'NODE s [] { >= 1 key k . = true };',
+     'expected a value', (27, 31, 1, 28)),
+    ("nesting by brackets", "NODE s [] { " + "(" * 101 + "true" + ")" * 101 + " };",
+     'nesting deeper than 100 levels', (112, 113, 1, 113)),
+    ("nesting by repetitions", "NODE s [] { >= 1 :r" + "*" * 101 + " . true };",
+     'nesting deeper than 100 levels', (118, 119, 1, 119)),
+    ("integer too long", "NODE s [] { >= " + "1" * 5000 + " :r . true };",
+     f"integer over {sys.get_int_max_str_digits()} digits", (15, 5015, 1, 16)),
+]
+
+
+@pytest.mark.parametrize("case, text, message, span", SYNTAX_ERRORS,
+                         ids=[case[0] for case in SYNTAX_ERRORS])
+def test_each_syntax_error_has_its_message_and_span(case, text, message, span):
+    with pytest.raises(ShapeSyntaxError) as err:
+        parse_shape_document(text)
+    got = err.value.span
+    assert (str(err.value), (got.start, got.end, got.line, got.column)) == (message, span)
+
+
+EVERY_FORM = (
+    'NODE a [:A & key k] {\n'
+    '  !:B & (c | id n1) | true & >= 2 :r / ^:q* || ?(:s+) . a\n'
+    '    | <= 1 <-[ :C ] & = 0 ->[ id 7 ]\n'
+    '};\n'
+    'EDGE e [id 9 | key w = "x\\"\\\\\\n\\t\\r"] {\n'
+    '  src :A & dst !:B\n'
+    '  & = 1 key w . !(int & string & date & any & = 1 & != 2020-02-29)\n'
+    '  & >= 1 key v . (< -3 & <= "" & > 0 & >= 2020-01-01)\n'
+    '  & cmp(subseteq, key v, key w) | cmp(eq, :r / :q, ^:r)\n'
+    '  | cmp(disjoint, :r key v, (:q) key w)\n'
+    '};\n'
+    'NODE c [key k] { true };\n'
+    'NODE b [] { :X };\n'
+    'NODE d [] { <= 3 :r . true & = 1 :r . b & >= 1 <-[ true ] & >= 2 ->[ b ]\n'
+    '  & <= 2 key k . any & <= 0 ->[ b ] & = 2 <-[ b ] };\n'
+)
+
+EVERY_FORM_NODES = [  # (type, start, end, line, column), fields in order
+    ('Shape', 0, 119, 1, 1), ('Or', 24, 116, 2, 3), ('Or', 24, 79, 2, 3),
+    ('And', 24, 41, 2, 3), ('Not', 24, 27, 2, 3), ('HasLabel', 25, 27, 2, 4),
+    ('Or', 31, 40, 2, 10), ('ShapeRef', 31, 32, 2, 10), ('Exact', 35, 40, 2, 14),
+    ('And', 44, 79, 2, 23), ('Top', 44, 48, 2, 23), ('QualPath', 51, 79, 2, 30),
+    ('Alt', 56, 75, 2, 35), ('Seq', 56, 65, 2, 35), ('EdgeLabel', 56, 58, 2, 35),
+    ('Inverse', 61, 65, 2, 40), ('Star', 62, 65, 2, 41),
+    ('EdgeLabel', 62, 64, 2, 41), ('Opt', 69, 75, 2, 48), ('Plus', 71, 74, 2, 50),
+    ('EdgeLabel', 71, 73, 2, 50), ('ShapeRef', 78, 79, 2, 57),
+    ('And', 86, 116, 3, 7), ('AtMostIncoming', 86, 99, 3, 7),
+    ('HasLabel', 95, 97, 3, 16), ('ExactlyOutgoing', 102, 116, 3, 23),
+    ('Exact', 110, 114, 3, 31), ('TargetAnd', 8, 18, 1, 9),
+    ('TargetLabel', 8, 10, 1, 9), ('TargetKey', 13, 18, 1, 14),
+    ('Shape', 120, 398, 5, 1), ('Or', 162, 395, 6, 3), ('Or', 162, 355, 6, 3),
+    ('And', 162, 331, 6, 3), ('And', 162, 299, 6, 3), ('And', 162, 245, 6, 3),
+    ('And', 162, 178, 6, 3), ('Src', 162, 168, 6, 3), ('HasLabel', 166, 168, 6, 7),
+    ('Dst', 171, 178, 6, 12), ('Not', 175, 178, 6, 16),
+    ('HasLabel', 176, 178, 6, 17), ('ExactlyKey', 183, 245, 7, 5),
+    ('PredNot', 195, 245, 7, 17), ('PredAnd', 197, 244, 7, 19),
+    ('PredAnd', 197, 228, 7, 19), ('PredAnd', 197, 222, 7, 19),
+    ('PredAnd', 197, 216, 7, 19), ('PredAnd', 197, 209, 7, 19),
+    ('TypeIs', 197, 200, 7, 19), ('TypeIs', 203, 209, 7, 25),
+    ('TypeIs', 212, 216, 7, 34), ('AnyValue', 219, 222, 7, 41),
+    ('Cmp', 225, 228, 7, 47), ('Cmp', 231, 244, 7, 53), ('QualKey', 250, 299, 8, 5),
+    ('PredAnd', 264, 298, 8, 19), ('PredAnd', 264, 282, 8, 19),
+    ('PredAnd', 264, 276, 8, 19), ('Cmp', 264, 268, 8, 19),
+    ('Cmp', 271, 276, 8, 26), ('Cmp', 279, 282, 8, 34), ('Cmp', 285, 298, 8, 40),
+    ('KeyCmp', 304, 331, 9, 5), ('PathCmp', 334, 355, 9, 35),
+    ('Seq', 342, 349, 9, 43), ('EdgeLabel', 342, 344, 9, 43),
+    ('EdgeLabel', 347, 349, 9, 48), ('Inverse', 351, 354, 9, 52),
+    ('EdgeLabel', 352, 354, 9, 53), ('PathKeyCmp', 360, 395, 10, 5),
+    ('EdgeLabel', 374, 376, 10, 19), ('EdgeLabel', 385, 387, 10, 30),
+    ('TargetOr', 128, 156, 5, 9), ('TargetExact', 128, 132, 5, 9),
+    ('TargetKeyValue', 135, 156, 5, 16), ('Shape', 399, 423, 12, 1),
+    ('Top', 416, 420, 12, 18), ('TargetKey', 407, 412, 12, 9),
+    ('Shape', 424, 441, 13, 1), ('HasLabel', 436, 438, 13, 13),
+    ('Nothing', 432, 433, 13, 9), ('Shape', 442, 567, 14, 1),
+    ('And', 454, 564, 14, 13), ('And', 454, 550, 14, 13), ('And', 454, 535, 14, 13),
+    ('And', 454, 514, 14, 13), ('And', 454, 499, 14, 13), ('And', 454, 481, 14, 13),
+    ('AtMostPath', 454, 468, 14, 13), ('EdgeLabel', 459, 461, 14, 18),
+    ('Top', 464, 468, 14, 23), ('ExactlyPath', 471, 481, 14, 30),
+    ('EdgeLabel', 475, 477, 14, 34), ('ShapeRef', 480, 481, 14, 39),
+    ('QualIncoming', 484, 499, 14, 43), ('Top', 493, 497, 14, 52),
+    ('QualOutgoing', 502, 514, 14, 61), ('ShapeRef', 511, 512, 14, 70),
+    ('AtMostKey', 519, 535, 15, 5), ('AnyValue', 532, 535, 15, 18),
+    ('AtMostOutgoing', 538, 550, 15, 24), ('ShapeRef', 547, 548, 15, 33),
+    ('ExactlyIncoming', 553, 564, 15, 39), ('ShapeRef', 561, 562, 15, 47),
+    ('Nothing', 450, 451, 14, 9),
+]
+
+
+def syntax_nodes(node):
+    """(type, start, end, line, column) of `node` and then of each node in
+    its fields, in field order."""
+    if hasattr(node, "span"):
+        s = node.span
+        yield (type(node).__name__, s.start, s.end, s.line, s.column)
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            if f.name != "span":
+                yield from syntax_nodes(getattr(node, f.name))
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from syntax_nodes(item)
+
+
+def test_every_node_of_every_form_has_its_span():
+    document = parse_shape_document(EVERY_FORM)
+    assert list(syntax_nodes(document)) == EVERY_FORM_NODES
+    assert document[1].target.second.value == StrValue('x"\\\n\t\r')
+
+
+def test_quoted_strings_parse_back_unchanged():
+    # Every string of up to five characters over quotes, backslashes, the
+    # escaped control characters and a non-ASCII letter.
+    strings = [
+        "".join(chars) for n in range(6)
+        for chars in itertools.product('a"\\\n\t\ré', repeat=n)
+    ]
+    text = "".join(f"NODE s [key k = {quote_string(s)}] {{ true }};\n" for s in strings)
+    assert [sh.target.value for sh in parse_shape_document(text)] == [
+        StrValue(s) for s in strings
+    ]
