@@ -12,7 +12,8 @@ on standard error: branches, propagations and leaf checks so far), 4
 internal error: any other exception, reported as one
 `error: internal: <type>: <message>` line on standard error, so a crash
 never reads as a verdict.  A syntax error in a shape file names where it
-starts: `error: line L, column C: <message>`.
+starts: `error: line L, column C: <message>`.  An exit-2 or exit-4 message
+is one line: each run of whitespace in it, newlines included, is one space.
 """
 
 from __future__ import annotations
@@ -307,12 +308,17 @@ def main(argv: list[str] | None = None) -> int:
     except (PgShapesError, OSError, UnicodeDecodeError) as exc:
         span = exc.span if isinstance(exc, ShapeSyntaxError) else None
         where = "" if span is None else f"line {span.line}, column {span.column}: "
-        print(f"error: {where}{exc}", file=sys.stderr)
+        print(f"error: {where}{_one_line(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:
-        message = " ".join(str(exc).split())
-        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"error: internal: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return 4
+
+
+def _one_line(exc: BaseException) -> str:
+    """exc's message with each run of whitespace made one space: a message
+    that quotes a newline from its input still reports on one line."""
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

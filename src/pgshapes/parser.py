@@ -27,19 +27,12 @@ from .shapes import (
     Alt,
     And,
     AnyValue,
-    AtMostIncoming,
-    AtMostKey,
-    AtMostOutgoing,
-    AtMostPath,
     Cmp,
     Constraint,
+    COUNTING_FORMS,
     Dst,
     EdgeLabel,
     Exact,
-    ExactlyIncoming,
-    ExactlyKey,
-    ExactlyOutgoing,
-    ExactlyPath,
     HasLabel,
     Inverse,
     Not,
@@ -52,10 +45,6 @@ from .shapes import (
     Plus,
     PredAnd,
     PredNot,
-    QualIncoming,
-    QualKey,
-    QualOutgoing,
-    QualPath,
     Seq,
     Shape,
     ShapeRef,
@@ -118,14 +107,6 @@ _STRING_PREFIX = re.compile(_STRING_OPEN)
 _ESCAPE = re.compile(r"\\([\s\S])")
 
 PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
-
-# The counting forms by operator: over a path, incoming edges, outgoing
-# edges, and a key's values.
-COUNTING_FORMS = {
-    ">=": (QualPath, QualIncoming, QualOutgoing, QualKey),
-    "<=": (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey),
-    "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
-}
 
 # The prefix operators of constraints and of paths, and the postfix ones.
 _PREFIX = {"!": Not, "src": Src, "dst": Dst}

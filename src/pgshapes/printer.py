@@ -2,8 +2,6 @@
 
 parse(render(parse(t))) is structurally the identity: parentheses are
 emitted exactly where the grammar's precedence would otherwise regroup.
-Forms without concrete syntax (bottom, exists, forall) render as their
-core rewriting.
 """
 
 from __future__ import annotations
@@ -11,25 +9,17 @@ from __future__ import annotations
 import re
 
 from .graph import NODE
-from .parser import COUNTING_FORMS, IDENT_PATTERN, INT_PATTERN, KEYWORDS, PRED_OPS
+from .parser import IDENT_PATTERN, INT_PATTERN, KEYWORDS, PRED_OPS
 from .shapes import (
     Alt,
     And,
     AnyValue,
-    Bottom,
     Cmp,
     Constraint,
+    COUNTING_FORMS,
     Dst,
     EdgeLabel,
     Exact,
-    ExistsIncoming,
-    ExistsKey,
-    ExistsOutgoing,
-    ExistsPath,
-    ForallIncoming,
-    ForallKey,
-    ForallOutgoing,
-    ForallPath,
     HasLabel,
     Inverse,
     KeyCmp,
@@ -60,9 +50,7 @@ from .shapes import (
     TypeIs,
     ValuePredicate,
     fold,
-    rewrite,
 )
-from .sugar import desugar_form
 from .values import value_text
 
 # A bare name or element id is one token to the parser.
@@ -154,12 +142,7 @@ def render_target(q: Target) -> str:
     raise TypeError(f"not a target: {q!r}")
 
 
-# Sugar without a concrete form renders as its core rewriting.
-_UNSPOKEN = (Bottom, ExistsPath, ExistsIncoming, ExistsOutgoing, ExistsKey,
-             ForallPath, ForallIncoming, ForallOutgoing, ForallKey)
-
 def render_constraint(c: Constraint) -> str:
-    c = rewrite(c, lambda k: desugar_form(k) if isinstance(k, _UNSPOKEN) else k)
     return fold(c, _constraint)[0]
 
 

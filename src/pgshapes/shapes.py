@@ -393,12 +393,9 @@ class Dst(Constraint):
     inner: Constraint
 
 
-# Sugared constraint forms.  These never reach evaluation; desugar first.
-
-
-@dataclass(frozen=True)
-class Bottom(Constraint):
-    pass
+# Sugared constraint forms, each with a core reading (sugar.desugar_form):
+# `a | b` is `!(!a & !b)`, `<= n B` is `!(>= n+1 B)`, and `= n B` is
+# `>= n B & !(>= n+1 B)`.  These never reach evaluation; desugar first.
 
 
 @dataclass(frozen=True)
@@ -463,52 +460,14 @@ class ExactlyKey(Constraint):
     predicate: ValuePredicate
 
 
-@dataclass(frozen=True)
-class ExistsPath(Constraint):
-    path: PathExpr
-    inner: Constraint
-
-
-@dataclass(frozen=True)
-class ExistsIncoming(Constraint):
-    operand_kind = EDGE
-    inner: Constraint
-
-
-@dataclass(frozen=True)
-class ExistsOutgoing(Constraint):
-    operand_kind = EDGE
-    inner: Constraint
-
-
-@dataclass(frozen=True)
-class ExistsKey(Constraint):
-    key: str
-    predicate: ValuePredicate
-
-
-@dataclass(frozen=True)
-class ForallPath(Constraint):
-    path: PathExpr
-    inner: Constraint
-
-
-@dataclass(frozen=True)
-class ForallIncoming(Constraint):
-    operand_kind = EDGE
-    inner: Constraint
-
-
-@dataclass(frozen=True)
-class ForallOutgoing(Constraint):
-    operand_kind = EDGE
-    inner: Constraint
-
-
-@dataclass(frozen=True)
-class ForallKey(Constraint):
-    key: str
-    predicate: ValuePredicate
+# The counting forms by operator: over a path, incoming edges, outgoing
+# edges, and a key's values.  The parser, the printer and the desugaring
+# read this one table.
+COUNTING_FORMS = {
+    ">=": (QualPath, QualIncoming, QualOutgoing, QualKey),
+    "<=": (AtMostPath, AtMostIncoming, AtMostOutgoing, AtMostKey),
+    "=": (ExactlyPath, ExactlyIncoming, ExactlyOutgoing, ExactlyKey),
+}
 
 
 CORE_CONSTRAINTS = (

@@ -1,10 +1,12 @@
 """Rewrites from sugared forms to the core language.
 
-Constraint sugar reduces to negation, conjunction, and at-least counting;
-target combinators reduce to plain targets plus constraint surgery or
-utility shapes.  Constraint desugaring rewrites operands first and then
-the form itself, so idempotence is identity: a sugar-free constraint comes
-back as the very same object.
+Constraint sugar reduces to negation, conjunction, and at-least counting:
+`a | b` reads `!(!a & !b)`, an at-most count `<= n B` reads `!(>= n+1 B)`,
+and an exact count `= n B` reads `>= n B & !(>= n+1 B)` (the operators of
+shapes.COUNTING_FORMS).  Target combinators reduce to plain targets plus
+constraint surgery or utility shapes.  Constraint desugaring rewrites
+operands first and then the form itself, so idempotence is identity: a
+sugar-free constraint comes back as the very same object.
 """
 
 from __future__ import annotations
@@ -13,36 +15,15 @@ from .errors import UnsupportedTarget
 from .shapes import (
     And,
     AnyValue,
-    AtMostIncoming,
-    AtMostKey,
-    AtMostOutgoing,
-    AtMostPath,
-    Bottom,
     Cmp,
-    CORE_CONSTRAINTS,
     Constraint,
-    ExactlyIncoming,
-    ExactlyKey,
-    ExactlyOutgoing,
-    ExactlyPath,
-    ExistsIncoming,
-    ExistsKey,
-    ExistsOutgoing,
-    ExistsPath,
-    ForallIncoming,
-    ForallKey,
-    ForallOutgoing,
-    ForallPath,
+    COUNTING_FORMS,
     HasLabel,
     Exact,
     Nothing,
     Not,
     Or,
-    PredNot,
-    QualIncoming,
     QualKey,
-    QualOutgoing,
-    QualPath,
     Shape,
     ShapeRef,
     ShapeSet,
@@ -60,6 +41,14 @@ from .shapes import (
 )
 from .values import EQ
 
+# Each at-most or exact counting form to its operator and to the at-least
+# form over the same kind of operand.
+_COUNTED = {
+    form: (symbol, at_least)
+    for symbol, forms in COUNTING_FORMS.items() if symbol != ">="
+    for form, at_least in zip(forms, COUNTING_FORMS[">="])
+}
+
 
 def desugar_constraint(c: Constraint) -> Constraint:
     """Rewrite every sugared form into core connectives."""
@@ -68,62 +57,21 @@ def desugar_constraint(c: Constraint) -> Constraint:
 
 def desugar_form(c: Constraint) -> Constraint:
     """One sugared form in core connectives; its operands are core already."""
-    if isinstance(c, CORE_CONSTRAINTS):
-        return c
-    if isinstance(c, Bottom):
-        return Not(Top())
     if isinstance(c, Or):
         return Not(And(Not(c.first), Not(c.second)))
-    if isinstance(c, AtMostPath):
-        return Not(QualPath(c.count + 1, c.path, c.inner))
-    if isinstance(c, AtMostIncoming):
-        return Not(QualIncoming(c.count + 1, c.inner))
-    if isinstance(c, AtMostOutgoing):
-        return Not(QualOutgoing(c.count + 1, c.inner))
-    if isinstance(c, AtMostKey):
-        return Not(QualKey(c.count + 1, c.key, c.predicate))
-    if isinstance(c, ExactlyPath):
-        return And(
-            QualPath(c.count, c.path, c.inner),
-            Not(QualPath(c.count + 1, c.path, c.inner)),
-        )
-    if isinstance(c, ExactlyIncoming):
-        return And(
-            QualIncoming(c.count, c.inner), Not(QualIncoming(c.count + 1, c.inner))
-        )
-    if isinstance(c, ExactlyOutgoing):
-        return And(
-            QualOutgoing(c.count, c.inner), Not(QualOutgoing(c.count + 1, c.inner))
-        )
-    if isinstance(c, ExactlyKey):
-        return And(
-            QualKey(c.count, c.key, c.predicate),
-            Not(QualKey(c.count + 1, c.key, c.predicate)),
-        )
-    if isinstance(c, ExistsPath):
-        return QualPath(1, c.path, c.inner)
-    if isinstance(c, ExistsIncoming):
-        return QualIncoming(1, c.inner)
-    if isinstance(c, ExistsOutgoing):
-        return QualOutgoing(1, c.inner)
-    if isinstance(c, ExistsKey):
-        return QualKey(1, c.key, c.predicate)
-    # Universal restriction: no witness against the body.
-    if isinstance(c, ForallPath):
-        return Not(QualPath(1, c.path, Not(c.inner)))
-    if isinstance(c, ForallIncoming):
-        return Not(QualIncoming(1, Not(c.inner)))
-    if isinstance(c, ForallOutgoing):
-        return Not(QualOutgoing(1, Not(c.inner)))
-    if isinstance(c, ForallKey):
-        return Not(QualKey(1, c.key, PredNot(c.predicate)))
-    return c
+    if type(c) not in _COUNTED:
+        return c
+    symbol, at_least = _COUNTED[type(c)]
+    # The same operands, shared by both halves of an exact count.
+    operands = dict(vars(c), span=None)
+    above = Not(at_least(**dict(operands, count=c.count + 1)))
+    return above if symbol == "<=" else And(at_least(**operands), above)
 
 
 def target_constraint(q: Target) -> Constraint:
     """The constraint satisfied by exactly the elements a plain target matches."""
     if isinstance(q, Nothing):
-        return Bottom()
+        return Not(Top())
     if isinstance(q, TargetExact):
         return Exact(q.element)
     if isinstance(q, TargetLabel):

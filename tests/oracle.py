@@ -167,8 +167,6 @@ def ref_eval(g: PropertyGraph, sigma, x: str, c, kind: str) -> Fraction:
 
     if isinstance(c, S.Top):
         return ONE
-    if isinstance(c, S.Bottom):
-        return ZERO
     if isinstance(c, S.ShapeRef):
         return sigma[(c.name, x)]
     if isinstance(c, S.Exact):
@@ -214,38 +212,6 @@ def ref_eval(g: PropertyGraph, sigma, x: str, c, kind: str) -> Fraction:
         return min(at_least(c.count, results, pool), at_most(c.count, results, pool))
     if isinstance(c, S.ExactlyKey):
         return ONE if key_hits(c.key, c.predicate) == c.count else ZERO
-    if isinstance(c, S.ExistsPath):
-        return at_least(1, *node_results(c.path, c.inner))
-    if isinstance(c, S.ExistsIncoming):
-        return at_least(1, *edge_results("in", c.inner))
-    if isinstance(c, S.ExistsOutgoing):
-        return at_least(1, *edge_results("out", c.inner))
-    if isinstance(c, S.ExistsKey):
-        return ONE if key_hits(c.key, c.predicate) >= 1 else ZERO
-    if isinstance(c, S.ForallPath):
-        results, pool = node_results(c.path, c.inner)
-        if any(r == ZERO for r in results):
-            return ZERO
-        if all(r == ONE for r in results):
-            return ONE
-        return HALF
-    if isinstance(c, S.ForallIncoming):
-        results, pool = edge_results("in", c.inner)
-        if any(r == ZERO for r in results):
-            return ZERO
-        if all(r == ONE for r in results):
-            return ONE
-        return HALF
-    if isinstance(c, S.ForallOutgoing):
-        results, pool = edge_results("out", c.inner)
-        if any(r == ZERO for r in results):
-            return ZERO
-        if all(r == ONE for r in results):
-            return ONE
-        return HALF
-    if isinstance(c, S.ForallKey):
-        ok = all(pred_holds(c.predicate, v) for v in g.property_values(x, c.key))
-        return ONE if ok else ZERO
     if isinstance(c, S.PathCmp):
         return (
             ONE

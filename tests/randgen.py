@@ -113,7 +113,7 @@ def gen_constraint(
         if pick == "top":
             return S.Top()
         if pick == "bottom":
-            return S.Bottom()
+            return S.Not(S.Top())
         if pick == "label":
             return S.HasLabel(rng.choice(labels))
         if pick == "key":
@@ -185,20 +185,21 @@ def gen_constraint(
         if kind == NODE:
             which = rng.randrange(3)
             if which == 0:
-                return S.ExistsPath(gen_path(rng), sub(NODE))
+                return S.QualPath(1, gen_path(rng), sub(NODE))
             if which == 1:
-                return S.ExistsIncoming(sub(EDGE))
-            return S.ExistsOutgoing(sub(EDGE))
-        return S.ExistsKey(rng.choice(KEYS), gen_predicate(rng))
+                return S.QualIncoming(1, sub(EDGE))
+            return S.QualOutgoing(1, sub(EDGE))
+        return S.QualKey(1, rng.choice(KEYS), gen_predicate(rng))
     if pick == "forall":
         if kind == NODE:
             which = rng.randrange(3)
             if which == 0:
-                return S.ForallPath(gen_path(rng), sub(NODE))
+                return S.Not(S.QualPath(1, gen_path(rng), S.Not(sub(NODE))))
             if which == 1:
-                return S.ForallIncoming(sub(EDGE))
-            return S.ForallOutgoing(sub(EDGE))
-        return S.ForallKey(rng.choice(KEYS), gen_predicate(rng))
+                return S.Not(S.QualIncoming(1, S.Not(sub(EDGE))))
+            return S.Not(S.QualOutgoing(1, S.Not(sub(EDGE))))
+        key = rng.choice(KEYS)
+        return S.Not(S.QualKey(1, key, S.PredNot(gen_predicate(rng))))
     if pick == "key_forms":
         which = rng.randrange(3)
         key, pred = rng.choice(KEYS), gen_predicate(rng)
@@ -206,7 +207,7 @@ def gen_constraint(
             return S.AtMostKey(rng.randint(0, 2), key, pred)
         if which == 1:
             return S.ExactlyKey(rng.randint(0, 2), key, pred)
-        return S.ExistsKey(key, pred)
+        return S.QualKey(1, key, pred)
     raise AssertionError(pick)
 
 

@@ -511,6 +511,22 @@ def test_internal_error_exits_four(capsys, monkeypatch, office_json, s2_progs, e
     assert err == f"error: internal: {type(exc).__name__}: {words}\n"
 
 
+def test_an_input_error_quoting_a_newline_is_one_line(capsys, tmp_path):
+    # A backslash before a line break in a shape file, and an endpoint id
+    # with a newline in a graph: the messages quote the newline.
+    progs = tmp_path / "bad.progs"
+    progs.write_text('NODE s [] { >= 1 key k . = "a\\\n" };\n')
+    code, _, err = run(capsys, "check", str(progs))
+    assert (code, err) == (2, "error: line 1, column 30: bad string escape \\\n")
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps({
+        "nodes": [{"id": "a"}],
+        "relationships": [{"id": "e", "start": "a", "end": "x\ny"}],
+    }))
+    code, _, err = run(capsys, "convert", str(graph))
+    assert (code, err) == (2, "error: edge 'e' endpoint not a node: (a, x y)\n")
+
+
 # --- long chains and shared subterms ----------------------------------------
 
 

@@ -457,8 +457,6 @@ def test_qual_key_is_two_valued_per_value_multiplicity():
 def test_eval_rejects_sugar_and_misplaced_forms():
     g = office_graph()
     with pytest.raises(TypeError):
-        eval_node_constraint(g, empty_sigma(), "100", S.Bottom())
-    with pytest.raises(TypeError):
         eval_node_constraint(g, empty_sigma(), "100", S.Or(S.Top(), S.Top()))
     # Misplaced forms are a linking error; the evaluator just fails the
     # element lookup they imply.

@@ -25,12 +25,12 @@ P = S.EdgeLabel("r")
 
 def test_rewrite_table():
     d = desugar_constraint
-    assert d(S.Bottom()) == S.Not(S.Top())
     assert d(S.Or(S.HasLabel("A"), S.HasLabel("B"))) == S.Not(
         S.And(S.Not(S.HasLabel("A")), S.Not(S.HasLabel("B")))
     )
     assert d(S.AtMostPath(2, P, TOP)) == S.Not(S.QualPath(3, P, TOP))
     assert d(S.AtMostIncoming(0, TOP)) == S.Not(S.QualIncoming(1, TOP))
+    assert d(S.AtMostOutgoing(1, TOP)) == S.Not(S.QualOutgoing(2, TOP))
     assert d(S.AtMostKey(1, "k", S.AnyValue())) == S.Not(
         S.QualKey(2, "k", S.AnyValue())
     )
@@ -40,20 +40,19 @@ def test_rewrite_table():
     assert d(S.ExactlyKey(0, "k", S.AnyValue())) == S.And(
         S.QualKey(0, "k", S.AnyValue()), S.Not(S.QualKey(1, "k", S.AnyValue()))
     )
-    assert d(S.ExistsPath(P, TOP)) == S.QualPath(1, P, TOP)
-    assert d(S.ExistsOutgoing(TOP)) == S.QualOutgoing(1, TOP)
-    assert d(S.ExistsKey("k", S.AnyValue())) == S.QualKey(1, "k", S.AnyValue())
-    assert d(S.ForallPath(P, S.HasLabel("A"))) == S.Not(
-        S.QualPath(1, P, S.Not(S.HasLabel("A")))
+    assert d(S.ExactlyIncoming(2, TOP)) == S.And(
+        S.QualIncoming(2, TOP), S.Not(S.QualIncoming(3, TOP))
     )
-    assert d(S.ForallIncoming(S.Top())) == S.Not(S.QualIncoming(1, S.Not(S.Top())))
-    assert d(S.ForallKey("k", S.TypeIs("int"))) == S.Not(
-        S.QualKey(1, "k", S.PredNot(S.TypeIs("int")))
+    assert d(S.ExactlyOutgoing(0, TOP)) == S.And(
+        S.QualOutgoing(0, TOP), S.Not(S.QualOutgoing(1, TOP))
     )
+    # An exact count holds its operand once, shared by both halves.
+    out = d(S.ExactlyPath(1, P, S.HasLabel("A")))
+    assert out.first.inner is out.second.inner.inner
 
 
 def test_desugar_rewrites_under_operators():
-    c = S.QualPath(1, P, S.Or(S.Top(), S.Bottom()))
+    c = S.QualPath(1, P, S.Or(S.Top(), S.Not(S.Top())))
     out = desugar_constraint(c)
     assert is_sugar_free(out)
     assert out == S.QualPath(
@@ -98,7 +97,7 @@ def test_desugar_preserves_meaning():
 
 
 def test_target_constraint_forms():
-    assert target_constraint(S.Nothing()) == S.Bottom()
+    assert target_constraint(S.Nothing()) == S.Not(S.Top())
     assert target_constraint(S.TargetExact("100")) == S.Exact("100")
     assert target_constraint(S.TargetLabel("A")) == S.HasLabel("A")
     assert target_constraint(S.TargetKey("k")) == S.QualKey(1, "k", S.AnyValue())
