@@ -5,12 +5,12 @@ Node ids and edge ids share one namespace-disjointness rule: the two id sets
 may not overlap.  Ids are opaque text tokens; integer tokens are accepted on
 input and normalized to their decimal text.
 
-The label indexes (each label's elements, each edge label's adjacency) are
-built on first use, so calls that only import and export never pay for them;
-a label's adjacency is built one direction at a time, for the direction
-asked.  Path elimination hands its fresh labels' indexes in ready-made: it
-lists every fresh edge grouped by label and source anyway, so the graph it
-returns builds no table for them.
+Every index is built on first read, so calls that only import and export
+never pay for one: each label's elements, and the adjacency tables of
+adjacent_edges (over every edge) and label_adjacency (over one label's),
+one direction at a time.  Path elimination hands its fresh labels' indexes
+in ready-made: it lists every fresh edge grouped by label and source
+anyway, so the graph it returns builds no table for them.
 """
 
 from __future__ import annotations
@@ -64,13 +64,15 @@ def _index_labels(labels: Mapping[str, frozenset[str]]) -> dict[str, frozenset[s
     return {name: frozenset(xs) for name, xs in index.items()}
 
 
-def _label_table(g: PropertyGraph, label: str, direction: str) -> dict[str, tuple]:
+def _label_table(g: PropertyGraph, label: str | None, direction: str) -> dict[str, tuple]:
     """label_adjacency's table for one label and direction, built from the
-    label's edges."""
+    label's edges; with label None, adjacent_edges' table, from every edge."""
     near, far = (0, 1) if direction == OUTGOING else (1, 0)
     table: dict[str, list] = {}
     # Edge ids are unique, so id order is adjacent_edges' pair order.
-    for e in sorted(x for x in g.by_label.get(label, ()) if x in g._endpoints):
+    edges = g.edges if label is None else sorted(
+        x for x in g.by_label.get(label, ()) if x in g._endpoints)
+    for e in edges:
         ends = g._endpoints[e]
         table.setdefault(ends[near], []).append((e, ends[far]))
     return {n: tuple(pairs) for n, pairs in table.items()}
@@ -80,21 +82,20 @@ class PropertyGraph:
     """Validated immutable graph.  Construct through build_graph()."""
 
     __slots__ = (
-        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_keys", "_out", "_in",
+        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_keys", "_node_set",
         "_by_label", "_label_adj",
     )
 
-    def __init__(self, nodes, edges, endpoints, labels, props, keys, out, in_):
+    def __init__(self, nodes, edges, endpoints, labels, props, keys, node_set):
         self._nodes = nodes
         self._edges = edges
         self._endpoints = endpoints
         self._labels = labels
         self._props = props
         self._keys = keys
-        self._out = out
-        self._in = in_
+        self._node_set = node_set
         self._by_label = None
-        self._label_adj: dict = {}
+        self._label_adj: dict = {}  # label (None: every edge) -> direction -> table
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -107,13 +108,13 @@ class PropertyGraph:
         return self._edges
 
     def has_node(self, x: str) -> bool:
-        return x in self._out
+        return x in self._node_set
 
     def has_edge(self, x: str) -> bool:
         return x in self._endpoints
 
     def __contains__(self, x: str) -> bool:
-        return x in self._out or x in self._endpoints
+        return x in self._node_set or x in self._endpoints
 
     def kind_of(self, x: str) -> str:
         if self.has_node(x):
@@ -154,20 +155,16 @@ class PropertyGraph:
             yield x, labels.get(x, none), [(key, props[x, key]) for key in keys.get(x, ())]
 
     def adjacent_edges(self, n: str, direction: str) -> tuple[tuple[str, str], ...]:
-        """(edge, other endpoint) pairs at node n, in the given direction.
+        """(edge, other endpoint) pairs at node n, in the given direction,
+        in edge id order.
 
-        A self-loop shows up in both directions.
+        A self-loop shows up in both directions.  Each direction's table
+        is built over every edge on its first read, like a label's.
         """
-        if direction == OUTGOING:
-            table = self._out
-        elif direction == INCOMING:
-            table = self._in
-        else:
-            raise ValueError(f"bad direction: {direction!r}")
-        try:
-            return table[n]
-        except KeyError:
-            raise UnknownElement(f"no such node: {n!r}") from None
+        pairs = self._table(None, direction).get(n)
+        if pairs is None and n not in self._node_set:
+            raise UnknownElement(f"no such node: {n!r}")
+        return pairs or ()
 
     @property
     def by_label(self) -> Mapping[str, frozenset[str]]:
@@ -180,16 +177,22 @@ class PropertyGraph:
         """Per node, the adjacent_edges pairs whose edge carries `label`;
         nodes without one are absent.
 
-        Each (label, direction) table is built on its first use, so a label
-        read only outgoing never builds its incoming side.  The fresh labels
-        of path elimination come with their outgoing tables already built.
+        Each (label, direction) table is built on its first use, as
+        adjacent_edges' are, so a label read only outgoing never builds its
+        incoming side.  Path elimination's fresh labels come with their
+        outgoing tables already built.
         """
-        if direction not in (OUTGOING, INCOMING):
-            raise ValueError(f"bad direction: {direction!r}")
-        tables = self._label_adj.setdefault(label, {})
-        table = tables.get(direction)
-        if table is None:
-            table = tables[direction] = _label_table(self, label, direction)
+        return self._table(label, direction)
+
+    def _table(self, label: str | None, direction: str) -> Mapping[str, tuple]:
+        """The cached _label_table for (label, direction), built on first use."""
+        try:
+            return self._label_adj[label][direction]
+        except KeyError:
+            if direction not in (OUTGOING, INCOMING):
+                raise ValueError(f"bad direction: {direction!r}") from None
+        table = _label_table(self, label, direction)
+        self._label_adj.setdefault(label, {})[direction] = table
         return table
 
     def __eq__(self, other) -> bool:
@@ -223,12 +226,12 @@ def build_graph(
     element's own kind).  properties maps (element, key) to a non-empty
     collection of values; plain int/str/date are coerced.  With a base graph
     the result is base plus the given elements, which alone may get labels
-    and properties: base's tables are copied, and only the new rows are
+    and properties: base's rows are copied, and only the new rows are
     validated, with the errors one build of all the rows would raise.
 
     Each row is normalized once here (ids to text, label kinds checked,
     values coerced), so those errors come first; _assemble then checks the
-    id invariants and builds the tables, as it does for import_graph_json.
+    id invariants and merges the rows, as it does for import_graph_json.
     """
     node_ids = [_ident(n) for n in nodes]
     edge_ids = [_ident(e) for e in edges]
@@ -274,70 +277,45 @@ def build_graph(
 
 
 def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
-              out_rows=None, label_index=None, label_tables=None) -> PropertyGraph:
+              label_index=None, label_tables=None) -> PropertyGraph:
     """base plus normalized rows: text ids, (source, destination) per edge
     in input order, frozensets of labels and of values, sorted key tuples.
     Checks the id invariants, in this order: duplicate node ids, duplicate
     edge ids, ids used as both, endpoints in input order, edges without
-    endpoints.  Base's built label indexes carry over, for the labels no
-    new row carries.
+    endpoints.  It builds no index: base's built label indexes carry over,
+    for the labels no new row carries, and the new graph builds the rest
+    on first read, adjacent_edges' tables included.
 
     A caller that already holds the new edges grouped may hand them in:
-    out_rows, each source's (edge, destination) pairs in edge id order;
     label_index, each label a new row carries to those rows' ids; and
     label_tables, label_adjacency tables of labels that no base element
     carries.  The index and tables take effect where base's label index is
     built, as it is once anything has read labels from base."""
-    base = base or PropertyGraph((), (), {}, {}, {}, {}, {}, {})
+    base = base or PropertyGraph((), (), {}, {}, {}, {}, frozenset())
     node_set, edge_set = set(nodes), set(edges)
-    if len(node_set) != len(nodes) or not node_set.isdisjoint(base._out):
+    if len(node_set) != len(nodes) or not node_set.isdisjoint(base._node_set):
         raise IdClash("duplicate node id")
     if len(edge_set) != len(edges) or not edge_set.isdisjoint(base._endpoints):
         raise IdClash("duplicate edge id")
-    clash = node_set & (edge_set | base._endpoints.keys()) | edge_set & base._out.keys()
+    clash = node_set & (edge_set | base._endpoints.keys()) | edge_set & base._node_set
     if clash:
         raise IdClash(f"ids used as both node and edge: {sorted(clash)}")
 
-    out = {**base._out, **dict.fromkeys(nodes, ())}
-    in_ = {**base._in, **dict.fromkeys(nodes, ())}
+    node_set |= base._node_set
     # Checked as whole sets; the scan in input order only names the failure.
     end_nodes = set(chain.from_iterable(endpoints.values()))
-    if endpoints.keys() != edge_set or not out.keys() >= end_nodes:
+    if endpoints.keys() != edge_set or not node_set >= end_nodes:
         for e, (src, dst) in endpoints.items():
             if e not in edge_set:
                 raise DanglingEdge(f"endpoints given for unknown edge {e!r}")
-            if src not in out or dst not in out:
+            if src not in node_set or dst not in node_set:
                 raise DanglingEdge(f"edge {e!r} endpoint not a node: ({src}, {dst})")
         raise DanglingEdge(f"edges without endpoints: {sorted(edge_set - endpoints.keys())}")
-    # Edge ids are unique, so a node's pairs sort by edge id.  Taken in
-    # sorted id order, each node's new pairs come sorted, and join its old
-    # ones at either end unless the two runs interleave.
-    ordered = sorted(edges)
-    added_in: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    if out_rows is None:
-        out_rows = defaultdict(list)
-        for e in ordered:
-            src, dst = endpoints[e]
-            out_rows[src].append((e, dst))
-            added_in[dst].append((e, src))
-    else:
-        for e in ordered:
-            src, dst = endpoints[e]
-            added_in[dst].append((e, src))
-    for table, added in ((out, out_rows), (in_, added_in)):
-        for n, pairs in added.items():
-            old = table[n]
-            if not old or old[-1] < pairs[0]:
-                table[n] = (*old, *pairs)
-            elif pairs[-1] < old[0]:
-                table[n] = (*pairs, *old)
-            else:
-                table[n] = tuple(sorted((*old, *pairs)))
 
     g = PropertyGraph(
-        tuple(sorted((*base._nodes, *nodes))), tuple(sorted((*base._edges, *ordered))),
+        tuple(sorted((*base._nodes, *nodes))), tuple(sorted((*base._edges, *edges))),
         {**base._endpoints, **endpoints}, {**base._labels, **labels},
-        {**base._props, **props}, {**base._keys, **keys}, out, in_,
+        {**base._props, **props}, {**base._keys, **keys}, node_set,
     )
     old_index = base._by_label
     if old_index is not None:
@@ -346,7 +324,9 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
             name: old_index[name] | xs if name in old_index else xs
             for name, xs in fresh.items()}}
         # A carried label has the same edges in both graphs, so the two
-        # share its direction tables, whichever graph builds one.
-        g._label_adj = {name: t for name, t in base._label_adj.items() if name not in fresh}
+        # share its direction tables, whichever graph builds one.  The
+        # all-edge tables (key None) are base's edges only: never carried.
+        g._label_adj = {name: t for name, t in base._label_adj.items()
+                        if name is not None and name not in fresh}
         g._label_adj.update(label_tables or {})
     return g

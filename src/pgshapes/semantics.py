@@ -740,10 +740,9 @@ def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = No
             # per object.  Every operand is grounded before folding, so a
             # reference outside the atom set raises even beside a false
             # operand.  An operand >= k :l . d (k >= 1) at a node without an
-            # l edge grounds nothing and makes the chain no.  The labels l
-            # the node has come from their adjacencies or from its edges,
-            # whichever are fewer: a chain may hold one such label per
-            # target, and a node may have many edges.
+            # l edge grounds nothing and makes the chain no.  Once per chain,
+            # the labels l a node has are read from their adjacencies, or from
+            # its edges if the graph has fewer edges than nodes times labels l.
             chain, plain, stepping = _chain(g, c)
             operands = list(map(compiled, chain, repeat(kind)))
             width = len(chain)
@@ -753,13 +752,14 @@ def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = No
 
             if stepping and kind == NODE:
                 steps, every = list(stepping.values()), ground
+                by_label = len(steps) * len(g.nodes) <= len(g.edges)
 
                 def ground(x: str) -> int:
-                    edges = g.adjacent_edges(x, OUTGOING)
-                    if len(steps) <= len(edges):
+                    if by_label:
                         have = [where for adjacency, where in steps if x in adjacency]
                     else:
-                        labels = {l for e, _ in edges for l in g.labels_of(e)}
+                        labels = {l for e, _ in g.adjacent_edges(x, OUTGOING)
+                                  for l in g.labels_of(e)}
                         have = [stepping[l][1] for l in labels if l in stepping]
                     if len(have) < len(steps):
                         for i in sorted(plain + [i for where in have for i in where]):

@@ -21,7 +21,6 @@ counts and flip verdicts on shapes that bound them from above.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -178,10 +177,9 @@ def eliminate_paths(
     cache: dict = {}
     reached = [[_reached(g, n, p, cache)[1] for n in g.nodes] for p in composite.values()]
     fresh = ids.names("__pe", sum(map(len, chain.from_iterable(reached))))
-    # The graph's rows and label tables, grouped as the walk lists them:
-    # each source's outgoing pairs, and each label's elements and outgoing
-    # table.  Pairs sort by edge name, as text ("__pe10" < "__pe9").
-    ends, tags, out_rows = {}, {}, defaultdict(list)
+    # The graph's rows, and each label's elements and outgoing table as the
+    # walk lists them.  Pairs sort by edge name, as text ("__pe10" < "__pe9").
+    ends, tags = {}, {}
     index, tables = {}, {}
     stop = 0
     for label, rows in zip(path_map.values(), reached):
@@ -191,8 +189,7 @@ def eliminate_paths(
                 start, stop = stop, stop + len(ms)
                 names = fresh[start:stop]
                 ends.update(zip(names, zip(repeat(n), ms)))
-                table[n] = pairs = tuple(sorted(zip(names, ms)))
-                out_rows[n] += pairs
+                table[n] = tuple(sorted(zip(names, ms)))
         tables[label] = {OUTGOING: table}
         if stop > first:  # a label indexes only the elements that carry it
             block = fresh[first:stop]
@@ -200,8 +197,6 @@ def eliminate_paths(
             index[label] = frozenset(block)
     if fresh:
         index[marker] = frozenset(fresh)
-    for pairs in out_rows.values():
-        pairs.sort()
 
     path_labels = {key: path_map[text] for key, text in texts.items()}
     rebuilt = [
@@ -215,7 +210,7 @@ def eliminate_paths(
         path_labels=tuple(path_map.items()),
         marker=marker,
     )
-    g2 = _assemble((), tuple(ends), ends, tags, {}, {}, g, out_rows, index, tables)
+    g2 = _assemble((), tuple(ends), ends, tags, {}, {}, g, index, tables)
     return g2, link_shapes(rebuilt), trace
 
 

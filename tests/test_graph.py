@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from pgshapes.asp import export_asp
 from pgshapes.errors import DanglingEdge, IdClash, KindMismatch, UnknownElement
-from pgshapes.fixtures import office_graph
+from pgshapes.fixtures import office_graph, person_label_shape, works_since_shape
 from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, Label, build_graph
 from pgshapes.jsonio import export_graph_json, import_graph_json
+from pgshapes.shapes import link_shapes
+from pgshapes.solver import find_faithful_assignment
 from pgshapes.values import DateValue, IntValue, StrValue
 
 from randgen import gen_graph
@@ -85,8 +88,13 @@ def test_unknown_element_rejected():
         g.property_values("b", "k")
     with pytest.raises(UnknownElement):
         g.kind_of("b")
+    with pytest.raises(ValueError):  # before any table is read
+        g.adjacent_edges("a", "sideways")
+    with pytest.raises(ValueError):
+        g.adjacent_edges("b", "sideways")
     with pytest.raises(UnknownElement):
         g.adjacent_edges("b", OUTGOING)
+    assert g.adjacent_edges("a", OUTGOING) == () == g.adjacent_edges("a", INCOMING)
 
 
 def test_value_sets_are_nonempty_and_coerced():
@@ -102,6 +110,13 @@ def test_self_loop_appears_in_both_directions():
     g = build_graph(["a"], ["e"], endpoints={"e": ("a", "a")})
     assert g.adjacent_edges("a", OUTGOING) == (("e", "a"),)
     assert g.adjacent_edges("a", INCOMING) == (("e", "a"),)
+    for d in (OUTGOING, INCOMING):
+        with pytest.raises(UnknownElement):  # an edge id is no node
+            g.adjacent_edges("e", d)
+        with pytest.raises(UnknownElement):
+            g.adjacent_edges("b", d)
+    with pytest.raises(ValueError):  # also once the tables are built
+        g.adjacent_edges("a", "sideways")
 
 
 def test_multi_edges_kept_apart():
@@ -111,6 +126,9 @@ def test_multi_edges_kept_apart():
     )
     assert g.adjacent_edges("a", OUTGOING) == (("e1", "b"), ("e2", "b"))
     assert g.adjacent_edges("b", INCOMING) == (("e1", "a"), ("e2", "a"))
+    assert g.adjacent_edges("a", INCOMING) == () == g.adjacent_edges("b", OUTGOING)
+    with pytest.raises(UnknownElement):
+        g.adjacent_edges("e1", INCOMING)
 
 
 def test_adjacency_indexes_cover_every_edge_once():
@@ -173,6 +191,12 @@ def test_import_and_export_build_no_label_index():
     g = import_graph_json(export_graph_json(office_graph()))
     export_graph_json(g)
     assert g._by_label is None and not g._label_adj
+    shapes = link_shapes([person_label_shape(), works_since_shape()])
+    export_asp(g, shapes)
+    assert g._by_label is None and not g._label_adj
+    # Shapes that count no edges and step along no label build no adjacency.
+    assert not find_faithful_assignment(g, shapes).conforms
+    assert not g._label_adj
 
 
 def _rows(g):
@@ -214,6 +238,8 @@ def test_building_on_a_base_equals_a_full_build():
     graphs = [office_graph()] + [gen_graph(rng, max_nodes=8, max_edges=12) for _ in range(60)]
     for g in graphs:
         g.label_adjacency("knows", OUTGOING)  # a built base index must not leak
+        for n in g.nodes:  # nor a built base adjacency
+            g.adjacent_edges(n, OUTGOING), g.adjacent_edges(n, INCOMING)
         nodes, endpoints, labelings = _extension(rng, g, rng.randint(0, 6))
         grown = build_graph(nodes, endpoints, endpoints, labelings, base=g)
         expected = _rebuilt(g, nodes, endpoints, labelings)

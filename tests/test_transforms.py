@@ -235,6 +235,8 @@ def test_prefilled_tables_match_one_build_through_every_step():
 
         g1, s1, t1 = eliminate_paths(base, shapes)
         _assert_tables_match_one_build(g1, t1.fresh_labels)
+        # That read every node's adjacent_edges both ways, so the reduction
+        # builds on a graph whose adjacency tables are built.
         g3, _, _, t3 = reduce_to_single_target(g1, fold_operators(s1)[0])
         _assert_tables_match_one_build(g3, (*t1.fresh_labels, *t3.fresh_labels))
 
