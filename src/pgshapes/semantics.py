@@ -43,7 +43,6 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, compress, repeat
 from typing import Callable, Iterator, Mapping
 
@@ -176,11 +175,6 @@ def _blocks(g: PropertyGraph, shapes: ShapeSet) -> list[tuple[Shape, tuple[str, 
     """Each shape in name order with its kind's sorted ids: canonical order."""
     return [(s, g.nodes if s.kind == NODE else g.edges)
             for s in sorted(shapes, key=lambda s: s.name)]
-
-
-def sorted_atoms(g: PropertyGraph, shapes: ShapeSet) -> tuple[Atom, ...]:
-    """Every atom in canonical (shape, element) order, built in that order."""
-    return tuple(Atom(s.name, x, s.kind) for s, xs in _blocks(g, shapes) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +413,10 @@ def eval_node_constraint(
     sigma: Mapping[Atom, TruthValue],
     n: str,
     c: Constraint,
-    _cache: dict | None = None,
 ) -> TruthValue:
     if not g.has_node(n):
         raise UnknownElement(f"no such node: {n!r}")
-    return _eval_at(g, sigma, c, n, NODE, _cache)
+    return _eval_at(g, sigma, c, n, NODE)
 
 
 def eval_edge_constraint(
@@ -431,14 +424,13 @@ def eval_edge_constraint(
     sigma: Mapping[Atom, TruthValue],
     e: str,
     c: Constraint,
-    _cache: dict | None = None,
 ) -> TruthValue:
     if not g.has_edge(e):
         raise UnknownElement(f"no such edge: {e!r}")
-    return _eval_at(g, sigma, c, e, EDGE, _cache)
+    return _eval_at(g, sigma, c, e, EDGE)
 
 
-def _eval_at(g, sigma, c, x, kind, cache) -> TruthValue:
+def _eval_at(g, sigma, c, x, kind) -> TruthValue:
     """c at x under sigma: grounded with the atoms it reads as inputs, and
     a reference to an atom sigma gives no value raises DomainMismatch."""
     gates: list = []
@@ -457,7 +449,7 @@ def _eval_at(g, sigma, c, x, kind, cache) -> TruthValue:
 
         return variable
 
-    lit = _grounding(g, reference, gates, cache)(c, kind)(x)
+    lit = _grounding(g, reference, gates)(c, kind)(x)
     values = [UNKNOWN] * len(gates)
     for atom, v in inputs.items():
         values[v] = sigma[atom]
@@ -641,16 +633,16 @@ def _gate_value(gate: tuple, values) -> TruthValue:
     return FALSE if len(lits) - refuted < k else UNKNOWN
 
 
-def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = None):
+def _grounding(g: PropertyGraph, reference, gates: list):
     """The compiler of constraints into the circuit `gates`: compiled(c,
     kind) is the function x -> literal that grounds c at an element x of
     kind `kind`, appending the gates it builds.
 
     reference(name, kind) compiles a shape reference: the function x -> the
     literal of atom (name, x), which raises DomainMismatch for an atom
-    outside the instance.  Paths are evaluated through `cache` (see _reach).
+    outside the instance.  Paths share one cache (see _reach).
     """
-    cache = {} if cache is None else cache
+    cache: dict = {}
     functions: dict[tuple, Callable[[str], int]] = {}
     memoised: dict[tuple, Callable[[str], int]] = {}
     inlined: set[int] = set()
@@ -743,7 +735,7 @@ def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = No
             # l edge grounds nothing and makes the chain no.  Once per chain,
             # the labels l a node has are read from their adjacencies, or from
             # its edges if the graph has fewer edges than nodes times labels l.
-            chain, plain, stepping = _chain(g, c)
+            chain, plain, stepping = _chain(c)
             operands = list(map(compiled, chain, repeat(kind)))
             width = len(chain)
 
@@ -751,8 +743,10 @@ def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = No
                 return at_least(width, [operand(x) for operand in operands])
 
             if stepping and kind == NODE:
-                steps, every = list(stepping.values()), ground
-                by_label = len(steps) * len(g.nodes) <= len(g.edges)
+                every = ground
+                by_label = len(stepping) * len(g.nodes) <= len(g.edges)
+                steps = [(g.label_adjacency(l, OUTGOING), where)
+                         for l, where in stepping.items()] if by_label else []
 
                 def ground(x: str) -> int:
                     if by_label:
@@ -760,8 +754,8 @@ def _grounding(g: PropertyGraph, reference, gates: list, cache: dict | None = No
                     else:
                         labels = {l for e, _ in g.adjacent_edges(x, OUTGOING)
                                   for l in g.labels_of(e)}
-                        have = [stepping[l][1] for l in labels if l in stepping]
-                    if len(have) < len(steps):
+                        have = [stepping[l] for l in labels if l in stepping]
+                    if len(have) < len(stepping):
                         for i in sorted(plain + [i for where in have for i in where]):
                             operands[i](x)
                         return _NO
@@ -817,16 +811,14 @@ def _outside(atom: Atom) -> DomainMismatch:
     return DomainMismatch(f"assignment has no value for {atom}")
 
 
-def _chain(g, c) -> tuple[list, list[int], dict[str, tuple[Mapping, list[int]]]]:
+def _chain(c) -> tuple[list, list[int], dict[str, list[int]]]:
     """c's conjuncts; the positions of those that are not >= k :l . d with
-    k >= 1; and, by the label l, the positions of those that are, with l's
-    outgoing adjacency in g."""
+    k >= 1; and, by the label l, the positions of those that are."""
     chain, plain, stepping = conjuncts(c), [], {}
     for i, k in enumerate(chain):
         steps = isinstance(k, QualPath) and k.count >= 1 and isinstance(k.path, EdgeLabel)
         (stepping.setdefault(k.path.name, []) if steps else plain).append(i)
-    return chain, plain, {l: (g.label_adjacency(l, OUTGOING), where)
-                          for l, where in stepping.items()}
+    return chain, plain, stepping
 
 
 class GroundInstance:
@@ -901,11 +893,6 @@ class GroundInstance:
         for v, (_, lits) in enumerate(gates):
             for lit in lits:
                 self.readers[lit >> 1].append(v)
-
-    @cached_property
-    def index(self) -> dict[Atom, int]:
-        """Each atom's id, built on first read: grounding never reads it."""
-        return {a: i for i, a in enumerate(self.atoms)}
 
     def evaluate(self, values) -> list[TruthValue]:
         """Every atom's equation under `values`, a sequence indexed by atom

@@ -579,14 +579,6 @@ def constraint_references(c: Constraint) -> frozenset[str]:
     )
 
 
-def operator_count(c: Constraint) -> int:
-    """The core objects in c that have operands, each object counted once."""
-    return sum(
-        1 for sub in iter_constraints(c)
-        if isinstance(sub, CORE_CONSTRAINTS) and _children(sub)
-    )
-
-
 def is_sugar_free(c: Constraint) -> bool:
     return all(isinstance(sub, CORE_CONSTRAINTS) for sub in iter_constraints(c))
 

@@ -391,14 +391,6 @@ class _Network:
         """Literal lit of variable v (4v .. 4v + 3) as a representative's."""
         return 4 * self.root[v] + ((lit & 3) ^ 3 * self.negated[v])
 
-    def domain(self, v: int) -> tuple[int, int]:
-        """The interval [low, high] of truth codes variable v can still take."""
-        value = self.value
-        w = 4 * self.root[v]
-        low = 2 if value[w + 2] == 1 else 1 if value[w] == 1 else 0
-        high = 0 if value[w] == 0 else 1 if value[w + 2] == 0 else 2
-        return (2 - high, 2 - low) if self.negated[v] else (low, high)
-
     def values(self) -> list[TruthValue]:
         """The atoms' values once every atom is decided."""
         value, root, negated, pinned = self.value, self.root, self.negated, self.pinned

@@ -140,9 +140,18 @@ def desugar_shapes(shapes) -> ShapeSet:
         for sh in shapes
     ):
         return shapes
+    shapes = list(shapes)
+    taken = {sh.name for sh in shapes}
     flat: list[Shape] = []
     for sh in shapes:
-        flat.extend(desugar_targets(sh))
+        first, *arms = desugar_targets(sh)
+        flat.append(first)
+        for arm in arms:  # the other shape keeps a clashing name
+            name = arm.name
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            flat.append(Shape(name, arm.kind, arm.constraint, arm.target))
     return link_shapes(
         [
             Shape(

@@ -358,7 +358,13 @@ def _conjunction(conjuncts: list):
 
 
 def normalize_instance(g: PropertyGraph, shapes: ShapeSet):
-    """Pipeline: eliminate paths, fold operators, reduce to one target."""
+    """Pipeline: eliminate paths, fold operators, reduce to one target.
+
+    The output has one target, label paths and folded operators, yet
+    is_normalized accepts it only for at most one node target and no edge
+    counting: the root keeps a conjunct per target (so grounding it stays
+    linear in the nodes), an edge target's conjunct nests a count, and the
+    marker guard on edge counts comes after folding."""
     g1, s1, t1 = eliminate_paths(g, shapes)
     s2, t2 = fold_operators(s1)
     g3, s3, root, t3 = reduce_to_single_target(g1, s2)

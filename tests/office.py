@@ -1,18 +1,19 @@
-"""A small built-in employment graph and shapes over it.
+"""A small employment graph and shapes over it, for the tests.
 
 The graph has two employees and a company: Tim works for Wernham Hogg and is
 a colleague of Gareth (in both directions), who also works for the company.
 It is small enough to trace by hand and rich enough to exercise labels,
-multi-valued properties, edge properties, and dates, so the documentation,
-the golden interop files, and a good share of the tests all use it.
+multi-valued properties, edge properties, and dates, so a good share of the
+tests use it, and the files under docs/examples are its renderings
+(tests/test_docs_examples.py keeps them in sync).
 """
 
 from __future__ import annotations
 
 import datetime
 
-from .graph import PropertyGraph, build_graph
-from .shapes import (
+from pgshapes.graph import EDGE, NODE, PropertyGraph, build_graph
+from pgshapes.shapes import (
     And,
     Cmp,
     HasLabel,
@@ -28,9 +29,8 @@ from .shapes import (
     TypeIs,
     link_shapes,
 )
-from .shapes import EdgeLabel as PathLabel
-from .graph import EDGE, NODE
-from .values import DateValue, GEQ, STRING, StrValue
+from pgshapes.shapes import EdgeLabel as PathLabel
+from pgshapes.values import DateValue, GEQ, STRING, StrValue
 
 
 def office_graph() -> PropertyGraph:

@@ -1,8 +1,9 @@
 """Seeded random graphs, paths, constraints, and shape sets for the tests.
 
-All functions take an explicit random.Random so failures reproduce from the
+The generators take an explicit random.Random so failures reproduce from the
 seed alone.  Sizes stay small on purpose: brute-force conformance has to
-stay feasible as the oracle.
+stay feasible as the oracle.  operator_count measures a constraint the way
+the folding bound counts it.
 """
 
 from __future__ import annotations
@@ -296,3 +297,11 @@ def gen_instance(
         if free > max_free:
             continue
         return g, shapes
+
+
+def operator_count(c: S.Constraint) -> int:
+    """The core objects in c that have operands, each object counted once."""
+    return sum(
+        1 for sub in S.iter_constraints(c)
+        if isinstance(sub, S.CORE_CONSTRAINTS) and S._children(sub)
+    )

@@ -11,13 +11,6 @@ from pathlib import Path
 
 from pgshapes.asp import export_asp
 from pgshapes.errors import UnsupportedTarget
-from pgshapes.fixtures import (
-    employee_colleague_shape,
-    office_graph,
-    person_label_shape,
-    role_pair_shapes,
-    works_since_shape,
-)
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.parser import parse_shape_document, parse_shapes
 from pgshapes.printer import render_shapes
@@ -43,7 +36,6 @@ from pgshapes.shapes import (
     Top,
     constraint_paths,
     link_shapes,
-    operator_count,
 )
 from pgshapes.sugar import desugar_shapes
 from pgshapes.solver import (
@@ -61,7 +53,14 @@ from pgshapes.transforms import (
 )
 from pgshapes.values import DateValue, IntValue, StrValue
 
-from randgen import gen_graph, gen_instance, gen_shapes
+from office import (
+    employee_colleague_shape,
+    office_graph,
+    person_label_shape,
+    role_pair_shapes,
+    works_since_shape,
+)
+from randgen import gen_graph, gen_instance, gen_shapes, operator_count
 
 DEEP = SolverConfig(atom_order="dependency")
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"

@@ -7,12 +7,6 @@ import pytest
 
 from pgshapes.asp import export_asp
 from pgshapes.errors import NameCollision
-from pgshapes.fixtures import (
-    employee_colleague_shape,
-    office_graph,
-    role_pair_shapes,
-    works_since_shape,
-)
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.shapes import (
     AtMostKey,
@@ -26,6 +20,12 @@ from pgshapes.shapes import (
 )
 from pgshapes.values import GEQ, StrValue, quote_string
 
+from office import (
+    employee_colleague_shape,
+    office_graph,
+    role_pair_shapes,
+    works_since_shape,
+)
 from randgen import gen_instance
 
 

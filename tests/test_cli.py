@@ -10,11 +10,12 @@ from pgshapes import cli
 from pgshapes.asp import export_asp
 from pgshapes.cli import main
 from pgshapes.errors import ShapeSyntaxError
-from pgshapes.fixtures import office_graph, role_pair_shapes
 from pgshapes.graph import build_graph
 from pgshapes.jsonio import export_graph_json
 from pgshapes.parser import MAX_NESTING, parse_shapes
 from pgshapes.values import IntValue
+
+from office import office_graph, role_pair_shapes
 
 S1_LINE = "NODE s1 [:Employee] { >= 1 :colleagueOf . :Person };"
 S2_TEXT = (
@@ -178,6 +179,8 @@ def test_validate_budget_exhausted(capsys, tmp_path, office_json):
 @pytest.mark.parametrize("nodes, flags", [
     ('{"id": "a"}, {"id": "b"}', ["--budget", "-1"]),
     ("", ["--oracle", "--max-atoms", "-1"]),
+    ('{"id": "a"}', ["--budget", "ten"]),
+    ('{"id": "b"}', ["--oracle", "--max-atoms", "1.5"]),
 ])
 def test_validate_negative_limits_are_usage_errors(capsys, tmp_path, nodes, flags):
     graph, progs = tmp_path / "graph.json", tmp_path / "pair.progs"
@@ -186,7 +189,7 @@ def test_validate_negative_limits_are_usage_errors(capsys, tmp_path, nodes, flag
     with pytest.raises(SystemExit) as info:
         main(["validate", *flags, str(graph), str(progs)])
     assert info.value.code == 2
-    assert "not a non-negative integer: '-1'" in capsys.readouterr().err
+    assert f"not a non-negative integer: {flags[-1]!r}" in capsys.readouterr().err
 
 
 def test_validate_oracle_too_large(capsys, office_json, s2_progs):
@@ -240,6 +243,15 @@ def test_check_counts(capsys, tmp_path):
     assert run(capsys, "check", str(progs))[1] == "1 shape, 1 cycle\n"
     progs.write_text("")
     assert run(capsys, "check", str(progs)) == (0, "0 shapes, 0 cycles\n", "")
+
+
+def test_an_arm_name_a_shape_already_has_is_not_a_clash(capsys, tmp_path, office_json):
+    # The arms of p's target would be p__t0 and p__t1; the first is taken.
+    progs = tmp_path / "arms.progs"
+    progs.write_text("NODE p [:Person | :Org] { true };\nNODE p__t0 [] { true };\n")
+    assert run(capsys, "check", str(progs)) == (0, "2 shapes, 0 cycles\n", "")
+    code, out, err = run(capsys, "validate", office_json, str(progs))
+    assert (code, out.splitlines()[0], err) == (0, "SATISFIABLE", "")
 
 
 def test_check_unknown_reference(capsys, tmp_path):

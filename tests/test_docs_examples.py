@@ -4,18 +4,19 @@ import re
 from pathlib import Path
 
 from pgshapes.asp import export_asp
-from pgshapes.fixtures import (
+from pgshapes.jsonio import export_graph_json, import_graph_json
+from pgshapes.parser import KEYWORDS, parse_shapes
+from pgshapes.printer import render_shapes
+from pgshapes.shapes import link_shapes
+from pgshapes.values import SET_COMPARATORS
+
+from office import (
     employee_colleague_shape,
     office_graph,
     person_label_shape,
     role_pair_shapes,
     works_since_shape,
 )
-from pgshapes.jsonio import export_graph_json, import_graph_json
-from pgshapes.parser import KEYWORDS, parse_shapes
-from pgshapes.printer import render_shapes
-from pgshapes.shapes import link_shapes
-from pgshapes.values import SET_COMPARATORS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 

@@ -5,13 +5,13 @@ import pytest
 
 from pgshapes.asp import export_asp
 from pgshapes.errors import DanglingEdge, IdClash, KindMismatch, UnknownElement
-from pgshapes.fixtures import office_graph, person_label_shape, works_since_shape
 from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, Label, build_graph
 from pgshapes.jsonio import export_graph_json, import_graph_json
 from pgshapes.shapes import link_shapes
 from pgshapes.solver import find_faithful_assignment
 from pgshapes.values import DateValue, IntValue, StrValue
 
+from office import office_graph, person_label_shape, works_since_shape
 from randgen import gen_graph
 
 
@@ -37,6 +37,12 @@ def test_int_ids_normalize_to_text():
     g = build_graph([1, 2], [3], endpoints={3: (1, 2)})
     assert g.nodes == ("1", "2")
     assert g.endpoints("3") == ("1", "2")
+    with pytest.raises(ValueError, match="empty element id"):
+        build_graph([""])
+    with pytest.raises(TypeError, match="bool is not an element id"):
+        build_graph([True])
+    with pytest.raises(TypeError, match="not an element id: 1.5"):
+        build_graph([1.5])
 
 
 def test_duplicate_ids_rejected():
@@ -74,6 +80,10 @@ def test_label_namespaces_are_disjoint():
         labelings={"a": [Label("thing", NODE)], "e": [Label("thing", EDGE)]},
     )
     assert g.labels_of("a") == {"thing"} == g.labels_of("e")
+    with pytest.raises(ValueError, match="bad label kind: 'vertex'"):
+        Label("thing", "vertex")
+    with pytest.raises(TypeError, match="not a label: 7"):
+        build_graph(["a"], labelings={"a": [7]})
 
 
 def test_unknown_element_rejected():
@@ -88,6 +98,8 @@ def test_unknown_element_rejected():
         g.property_values("b", "k")
     with pytest.raises(UnknownElement):
         g.kind_of("b")
+    with pytest.raises(UnknownElement):
+        g.property_keys("b")
     with pytest.raises(ValueError):  # before any table is read
         g.adjacent_edges("a", "sideways")
     with pytest.raises(ValueError):
@@ -104,6 +116,8 @@ def test_value_sets_are_nonempty_and_coerced():
     assert g.property_values("a", "k") == {IntValue(1), StrValue("x")}
     with pytest.raises(TypeError):
         build_graph(["a"], properties={("a", "k"): [True]})
+    with pytest.raises(TypeError, match="not a property key: 3"):
+        build_graph(["a"], properties={("a", 3): [1]})
 
 
 def test_self_loop_appears_in_both_directions():

@@ -10,11 +10,11 @@ import re
 
 import pytest
 
+import office
 import oracle
-from pgshapes import cli, fixtures
+from pgshapes import cli
 from pgshapes import shapes as S
 from pgshapes.errors import BudgetExceeded, DomainMismatch
-from pgshapes.fixtures import office_graph
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.jsonio import export_graph_json
 from pgshapes.parser import parse_shapes
@@ -25,10 +25,10 @@ from pgshapes.semantics import (
     Assignment,
     Atom,
     GroundInstance,
+    atoms,
     eval_node_constraint,
     is_strictly_faithful,
     least_fixed_point,
-    sorted_atoms,
 )
 from pgshapes.shapes import Shape, ShapeSet, link_shapes
 from pgshapes.solver import (
@@ -40,6 +40,7 @@ from pgshapes.solver import (
 from pgshapes.sugar import desugar_shapes
 from pgshapes.transforms import normalize_instance
 
+from office import office_graph
 from oracle import FROM_TV, HALF, ONE, ref_eval, ref_targets, sigma_from_assignment
 from randgen import NODE_LABELS, gen_constraint, gen_graph, gen_shapes
 
@@ -198,8 +199,25 @@ def test_grounding_folds_reference_free_subterms():
             assert not ds and eq in ((0, ()), (1, ()))  # a constant
     # Where the label is missing the conjunction folds to no and reads nothing.
     no_person = [x for x in g.nodes if "Person" not in g.labels_of(x)]
+    index = {atom: i for i, atom in enumerate(ground.atoms)}
     for x in no_person:
-        assert deps[ground.index[Atom("sA", x, NODE)]] == ()
+        assert deps[index[Atom("sA", x, NODE)]] == ()
+
+
+def test_a_chain_builds_no_label_table_it_does_not_read():
+    # 60 nodes and 19 edges: two step labels times 60 nodes pass the edge
+    # count, so the conjunction reads each node's own edges.  It is grounded
+    # only at the nodes 59 reaches over c, which have no a or b edge, so no
+    # path of it is read and neither label's table is built.
+    nodes = [str(i) for i in range(60)]
+    ends = {f"e{i}": (str(i), str(i + 1)) for i in range(10)}
+    labels = {e: ["ab"[i % 2]] for i, e in enumerate(ends)}
+    for i in range(50, 59):
+        ends[f"c{i}"], labels[f"c{i}"] = ("59", str(i)), ["c"]
+    g = build_graph(nodes, list(ends), ends, labels)
+    shapes = parse_shapes("NODE s [] { >= 1 :c . (>= 1 :a . true & >= 1 :b . true) };\n")
+    assert GroundInstance(g, shapes).least_fixed_point() == [FALSE] * 60
+    assert set(g._label_adj) == {None, "c"}
 
 
 def test_grounding_rejects_references_outside_the_atom_set():
@@ -266,8 +284,6 @@ def test_the_atom_index_is_built_on_first_read():
     g, shapes = large_instance(random.Random(7317))
     ground = GroundInstance(g, shapes)
     assert "index" not in vars(ground)
-    assert ground.index == {atom: i for i, atom in enumerate(ground.atoms)}
-    assert ground.index is ground.index
 
 
 def test_every_shared_gate_has_a_reader():
@@ -444,7 +460,7 @@ def test_normalizing_keeps_the_verdict_far_above_the_oracle_cap():
     for round_ in range(40):
         g, sugared = recursive_instance(rng, sugar=round_ % 2 == 1)
         shapes = desugar_shapes(sugared)
-        if not 100 <= len(sorted_atoms(g, shapes)) <= 300:
+        if not 100 <= len(atoms(g, shapes)) <= 300:
             continue
         report = decided(g, shapes)
         g2, shapes2, root, _ = normalize_instance(g, sugared)
@@ -494,7 +510,7 @@ def test_faithfulness_verdict_order_far_above_the_oracle_cap(monkeypatch):
     failed = []
     for _ in range(150):
         g, shapes = large_instance(rng, shapes=6)
-        if not 100 <= len(sorted_atoms(g, shapes)) <= 300:
+        if not 100 <= len(atoms(g, shapes)) <= 300:
             continue
         memoize_oracle_paths(g, monkeypatch)
         lfp = least_fixed_point(g, shapes)
@@ -521,7 +537,7 @@ def test_propagating_search_far_above_the_oracle_cap():
     verdicts = []
     for _ in range(80):
         g, shapes = recursive_instance(rng)
-        if not 100 <= len(sorted_atoms(g, shapes)) <= 300:
+        if not 100 <= len(atoms(g, shapes)) <= 300:
             continue
         report = decided(g, shapes)
         if report is None:
@@ -629,12 +645,13 @@ def test_a_gate_inlined_into_one_reader_stays_for_the_next():
     assert_every_gate_is_read(ground)
     atoms = len(ground.atoms)
     assert len(ground.gates) == atoms + 4  # r & u and r | u, at 2 and 3
+    index = {atom: i for i, atom in enumerate(ground.atoms)}
 
     def lit(shape, x):
-        return 2 * ground.index[Atom(shape, x, NODE)]
+        return 2 * index[Atom(shape, x, NODE)]
 
     def equation(shape, x):
-        return ground.gates[ground.index[Atom(shape, x, NODE)]]
+        return ground.gates[index[Atom(shape, x, NODE)]]
 
     assert equation("s", "0") == (1, tuple(lit(a, x) for x in "23" for a in "ru"))
     k, lits = equation("s", "1")
@@ -663,21 +680,21 @@ def ground_digest(g, shapes) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-GOLDEN_FIXTURES = {  # fixtures shape set over office_graph(): digest
+GOLDEN_FIXTURES = {  # office shape set over office_graph(): digest
     "person_label": (
-        lambda: [fixtures.person_label_shape()],
+        lambda: [office.person_label_shape()],
         "963ffe58e3a85f0eda4e93fa418d372cab285a049935083633a64075ebdf053a"),
     "colleague": (
-        lambda: [fixtures.employee_colleague_shape()],
+        lambda: [office.employee_colleague_shape()],
         "e67f0578c6ac45b06274fc70d58f5ed09648e34061fd5fb80e3d6318880385b1"),
     "colleague_untargeted": (
-        lambda: [fixtures.employee_colleague_shape(False)],
+        lambda: [office.employee_colleague_shape(False)],
         "e590ca5d23876b4e2ba5341fd442b76d5588e1d9359cb0d03a3a1c82f9749098"),
     "role_pair": (
-        fixtures.role_pair_shapes,
+        office.role_pair_shapes,
         "3612b0f76777d1cbf1f6d9bee1bf7be660444891193c484745e37b6cddd2b5f1"),
     "works_since": (
-        lambda: [fixtures.works_since_shape()],
+        lambda: [office.works_since_shape()],
         "d17d08d5ac1320c0d4f9fd9902a93299de57143f5c51c1dbdbc700c52c700ee5"),
 }
 

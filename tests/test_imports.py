@@ -1,10 +1,12 @@
 """Every name a package module takes with `from ... import` is used there,
-every private top-level name is used somewhere in the package, and the only
-functions that can call themselves are the ones listed in RECURSION_SITES.
+every name the package does not export is read by the package or the
+benchmark, and the only functions that can call themselves are the ones
+listed in RECURSION_SITES.
 
 Deleting a duplicate helper tends to leave its imports, or helpers only it
-called, behind; this keeps them from piling up.  `__init__.py` re-exports
-on purpose and is skipped by the import check.
+called, behind; and a helper only the tests read belongs with the tests.
+This keeps both from piling up.  `__init__.py` re-exports on purpose and is
+skipped by the import check.
 """
 
 import ast
@@ -13,11 +15,20 @@ from pathlib import Path
 
 import pytest
 
+import pgshapes
 from pgshapes.shapes import strongly_connected
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pgshapes"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pgshapes"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# The benchmark drives the package from outside, so what it reads is used.
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+EXPORTED = frozenset(pgshapes.__all__)
+
+
+def texts(paths) -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in paths}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,8 +58,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Top-level names with one leading underscore, by defining statement."""
+def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Top-level names other than dunders, by defining statement."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,7 +70,7 @@ def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 out[name] = node
     return out
 
@@ -80,17 +91,21 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """`module:name` for each private top-level name that nothing but its
-    own definition refers to."""
+def dead_helpers(sources: dict[str, str], readers: dict[str, str],
+                 exported=frozenset()) -> list[str]:
+    """`module:name` for each top-level name of sources outside `exported`
+    that nothing but its own definition refers to: no other module of
+    sources, no module of readers, and no other statement of its own."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
+    outside = [referenced_names(ast.parse(text)) for text in readers.values()]
     dead = []
     for module, tree in trees.items():
         elsewhere = set().union(
-            *(referenced_names(t) for m, t in trees.items() if m != module)
+            *outside, *(referenced_names(t) for m, t in trees.items() if m != module)
         )
-        for name, node in private_definitions(tree).items():
-            if name not in elsewhere and name not in referenced_names(tree, skip=node):
+        for name, node in definitions(tree).items():
+            if (name not in exported and name not in elsewhere
+                    and name not in referenced_names(tree, skip=node)):
                 dead.append(f"{module}:{name}")
     return sorted(dead)
 
@@ -98,23 +113,27 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
 def test_dead_helpers_are_found():
     sources = {
         "a.py": "def _used(): pass\ndef _dead(): _dead()\n_shared = 1\n"
-                "_table: dict = {}\nx = _used()\n",
-        "b.py": "from a import _shared\nclass _Gone: pass\n",
+                "_table: dict = {}\nx = _used()\n__all__ = ['api', 'x']\n"
+                "def api(): pass\ndef timed(): pass\ndef tested(): pass\n",
+        "b.py": "from a import _shared\nclass _Gone: pass\nclass Kept: pass\n",
     }
-    assert dead_helpers(sources) == ["a.py:_dead", "a.py:_table", "b.py:_Gone"]
+    # Tests are not readers: a name only they read is left over.
+    readers = {"bench.py": "import a, b\na.timed(b.Kept())\n"}
+    assert dead_helpers(sources, readers, exported={"api", "x"}) == [
+        "a.py:_dead", "a.py:_table", "a.py:tested", "b.py:_Gone",
+    ]
 
 
 def test_no_dead_private_helpers():
-    assert dead_helpers({p.name: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+    # Private here means outside pgshapes.__all__.
+    assert dead_helpers(texts(SOURCES), texts(BENCHMARK), EXPORTED) == []
 
 
 # ---------------------------------------------------------------------------
-# Methods of private classes: a class nothing outside the package builds has
-# no callers but the ones in src and tests, so a method none of them names is
-# left over.  Names are not resolved to classes: any attribute of the same
-# name keeps a method alive.
-
-TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# Methods of the classes the package does not export: only the package and
+# the benchmark build them, so a method neither names is left over.  Names
+# are not resolved to classes: any attribute of the same name keeps a method
+# alive.
 
 
 def name_counts(tree: ast.AST) -> Counter:
@@ -125,10 +144,11 @@ def name_counts(tree: ast.AST) -> Counter:
     )
 
 
-def dead_methods(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """`module:Class.method` for each method of a private top-level class in
-    sources, dunders aside, that nothing in sources or readers names outside
-    the method itself."""
+def dead_methods(sources: dict[str, str], readers: dict[str, str],
+                 exported=frozenset()) -> list[str]:
+    """`module:Class.method` for each method of a top-level class of sources
+    outside `exported`, dunders aside, that nothing in sources or readers
+    names outside the method itself."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     counts = sum(
         (name_counts(t) for t in [*trees.values(), *map(ast.parse, readers.values())]),
@@ -137,7 +157,7 @@ def dead_methods(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
     dead = []
     for module, tree in trees.items():
         for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef) or not cls.name.startswith("_"):
+            if not isinstance(cls, ast.ClassDef) or cls.name in exported:
                 continue
             for fn in cls.body:
                 if (isinstance(fn, FUNCTIONS) and not fn.name.startswith("__")
@@ -153,15 +173,20 @@ def test_dead_methods_are_found():
                 "    def spend(self): pass\n"
                 "    def finish(self): self.finish()\n"
                 "    def report(self): pass\n"
-                "class Public:\n    def unused(self): pass\n",
+                "    def peek(self): pass\n"
+                "class Public:\n    def unused(self): pass\n"
+                "class Internal:\n    def probe(self): pass\n",
     }
-    readers = {"test_a.py": "from a import _Budget\n_Budget().report()\n"}
-    assert dead_methods(sources, readers) == ["a.py:_Budget.finish"]
+    # Tests are not readers: a method only they call is left over.
+    readers = {"bench.py": "from a import _Budget\n_Budget().report()\n"}
+    assert dead_methods(sources, readers, exported={"Public"}) == [
+        "a.py:Internal.probe", "a.py:_Budget.finish", "a.py:_Budget.peek",
+    ]
 
 
 def test_no_dead_private_methods():
-    read = {p.name: p.read_text(encoding="utf-8") for p in TESTS}
-    assert dead_methods({p.name: p.read_text(encoding="utf-8") for p in SOURCES}, read) == []
+    # Private here means outside pgshapes.__all__.
+    assert dead_methods(texts(SOURCES), texts(BENCHMARK), EXPORTED) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import pytest
 
 from pgshapes import graph
 from pgshapes.errors import DanglingEdge, IdClash, PgShapesError, SchemaError
-from pgshapes.fixtures import office_graph
 from pgshapes.graph import INCOMING, OUTGOING, build_graph
 from pgshapes.jsonio import export_graph_json, import_graph_json
 from pgshapes.values import DateValue, value_sort_key
 
+from office import office_graph
 from randgen import gen_graph
 
 
@@ -190,6 +190,8 @@ MALFORMED = {
         (SchemaError, "nodes[0], key 'k': string value must be JSON text"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "soon"}]}}], "relationships": []}':
         (SchemaError, "nodes[0], key 'k': not a date: 'soon'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": 20200102}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': date value must be ISO text"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02\\n"}]}}], "relationships": []}':
         (SchemaError, "nodes[0], key 'k': not a date: '2020-01-02\\n'"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "٢٠٢٠-01-02"}]}}], "relationships": []}':

@@ -8,13 +8,6 @@ import pytest
 from pgshapes import semantics
 from pgshapes import shapes as S
 from pgshapes.errors import DomainMismatch, UnknownElement
-from pgshapes.fixtures import (
-    employee_colleague_shape,
-    office_graph,
-    person_label_shape,
-    role_pair_shapes,
-    works_since_shape,
-)
 from pgshapes.graph import EDGE, NODE, build_graph, Label
 from pgshapes.semantics import (
     FALSE,
@@ -33,13 +26,19 @@ from pgshapes.semantics import (
     is_strictly_faithful,
     least_fixed_point,
     matches_predicate,
-    sorted_atoms,
     target_elements,
 )
 from pgshapes.parser import parse_shapes
 from pgshapes.shapes import Shape, link_shapes
 from pgshapes.values import DateValue, IntValue, StrValue
 
+from office import (
+    employee_colleague_shape,
+    office_graph,
+    person_label_shape,
+    role_pair_shapes,
+    works_since_shape,
+)
 from oracle import FROM_TV, path_nodes, pred_holds, ref_eval
 from randgen import gen_constraint, gen_graph, gen_instance, gen_path, gen_predicate
 
@@ -107,6 +106,10 @@ def test_office_paths():
         eval_path(g, "999", WORKS)
     with pytest.raises(UnknownElement):
         eval_path(g, "200", WORKS)  # edges are not path sources
+    with pytest.raises(UnknownElement):
+        eval_node_constraint(g, {}, "200", S.Top())
+    with pytest.raises(UnknownElement):
+        eval_edge_constraint(g, {}, "100", S.Top())
 
 
 def _full_path(rng, depth: int):
@@ -497,7 +500,7 @@ def test_eval_is_monotone_in_knowledge_order():
     rng = random.Random(161803)
     for _ in range(150):
         g, shapes = gen_instance(rng, sugar=False)
-        all_atoms = sorted_atoms(g, shapes)
+        all_atoms = GroundInstance(g, shapes).atoms
         lower = {}
         upper = {}
         for a in all_atoms:
@@ -615,7 +618,7 @@ def test_atoms_enumeration():
     } | {
         Atom("s2", n, NODE) for n in ("100", "101", "102")
     }
-    ordered = sorted_atoms(g, shapes)
+    ordered = GroundInstance(g, shapes).atoms
     assert ordered[0] == Atom("s1", "100", NODE)
     assert ordered[-1] == Atom("s2", "102", NODE)
 
@@ -638,7 +641,7 @@ def test_atoms_are_built_in_canonical_order(seed):
     shapes = link_shapes(
         Shape(name, rng.choice((NODE, EDGE)), S.Top(), S.Nothing()) for name in names
     )
-    got = sorted_atoms(g, shapes)
+    got = GroundInstance(g, shapes).atoms
     assert got == tuple(sorted(atoms(g, shapes), key=Atom.sort_key))
     assert len(got) == sum(len(g.nodes if s.kind == NODE else g.edges) for s in shapes)
 
@@ -676,7 +679,7 @@ def test_lfp_satisfies_equations_and_is_least():
     checked_least = 0
     for _ in range(60):
         g, shapes = gen_instance(rng, sugar=False, max_atoms=8, max_free=6)
-        ordered = sorted_atoms(g, shapes)
+        ordered = GroundInstance(g, shapes).atoms
         lfp = least_fixed_point(g, shapes)
         for a in ordered:
             assert evaluate_atom(g, shapes, lfp, a) is lfp[a]

@@ -10,7 +10,7 @@ from pgshapes.shapes import Shape, ShapeSet, Span, link_shapes
 from pgshapes.sugar import desugar_constraint
 from pgshapes.values import IntValue
 
-from randgen import gen_graph, gen_shapes
+from randgen import gen_graph, gen_shapes, operator_count
 
 
 def node_shape(name, constraint, target=None, kind=NODE):
@@ -41,6 +41,11 @@ def test_predicate_validation():
         S.TypeIs("float")
     with pytest.raises(ValueError):
         S.Cmp("approx", IntValue(1))
+    p = S.EdgeLabel("r")
+    for bad in (lambda: S.PathCmp("approx", p, p), lambda: S.PathKeyCmp("approx", p, "k", p, "k"),
+                lambda: S.KeyCmp("approx", "k", "k")):
+        with pytest.raises(ValueError, match="bad set comparator: 'approx'"):
+            bad()
     S.TypeIs("date")
     S.Cmp("geq", IntValue(1))
 
@@ -51,7 +56,7 @@ def test_constraint_walks():
         S.Not(S.QualOutgoing(2, S.ShapeRef("e1"))),
     )
     assert S.constraint_references(c) == {"s1", "e1"}
-    assert S.operator_count(c) == 4  # And, QualPath, Not, QualOutgoing
+    assert operator_count(c) == 4  # And, QualPath, Not, QualOutgoing
     paths = list(S.constraint_paths(c))
     assert paths == [S.Seq(S.EdgeLabel("r"), S.EdgeLabel("q"))]
     assert S.is_sugar_free(c)
@@ -247,7 +252,7 @@ def test_fold_visits_shared_subterms_once():
     assert len(seen) == len({id(node) for node in seen}) == 4 * 30 + 1
     assert size > 2 ** 30  # the tree the DAG unfolds to
     assert sum(1 for _ in S.iter_constraints(c)) == 4 * 30 + 1
-    assert S.operator_count(c) == 4 * 30
+    assert operator_count(c) == 4 * 30
     assert S.rewrite(c, lambda k: k) is c
     assert link_shapes([node_shape("s", c)]).references == {"s": frozenset()}
 

@@ -7,13 +7,6 @@ from types import SimpleNamespace
 import pytest
 
 from pgshapes.errors import BudgetExceeded, TooLarge
-from pgshapes.fixtures import (
-    employee_colleague_shape,
-    office_graph,
-    person_label_shape,
-    role_pair_shapes,
-    works_since_shape,
-)
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.parser import parse_shapes
 from pgshapes.semantics import (
@@ -25,7 +18,6 @@ from pgshapes.semantics import (
     GroundInstance,
     is_strictly_faithful,
     least_fixed_point,
-    sorted_atoms,
 )
 from pgshapes.shapes import (
     And,
@@ -49,6 +41,13 @@ from pgshapes.solver import (
     find_faithful_assignment,
 )
 
+from office import (
+    employee_colleague_shape,
+    office_graph,
+    person_label_shape,
+    role_pair_shapes,
+    works_since_shape,
+)
 from oracle import ONE, ref_conforms, ref_eval, ref_targets, sigma_from_assignment
 from randgen import gen_instance
 from test_grounding import grounded_reads
@@ -57,7 +56,7 @@ from test_grounding import grounded_reads
 def all_faithful_by_product(g, shapes):
     """Ground truth: filter the full value product through the oracle, no
     pinning at all."""
-    ordered = sorted_atoms(g, shapes)
+    ordered = GroundInstance(g, shapes).atoms
     targets = [(sh.name, x) for sh in shapes for x in ref_targets(g, sh)]
     hits = []
     for combo in product(VALUE_ORDER, repeat=len(ordered)):
@@ -280,6 +279,16 @@ def at_least_verdict(k, values):
     return 0 if len(values) - values.count(0) < k else 1
 
 
+def domain(net, v):
+    """The interval [low, high] of truth codes variable v can still take in
+    the network: its representative's bits, read through its sign."""
+    value = net.value
+    w = 4 * net.root[v]
+    low = 2 if value[w + 2] == 1 else 1 if value[w] == 1 else 0
+    high = 0 if value[w] == 0 else 1 if value[w + 2] == 0 else 2
+    return (2 - high, 2 - low) if net.negated[v] else (low, high)
+
+
 def check_narrowing(k, literals, nvars):
     """Propagate `var 0 = at least k of literals` from every box of
     intervals over nvars variables; a literal is (variable, negated).  No
@@ -308,7 +317,7 @@ def check_narrowing(k, literals, nvars):
             net.narrow(v, low, high) for v, (low, high) in enumerate(box)
         ) and net.propagate() is None
         assert ok or not inside, (k, literals, box)
-        domains = [net.domain(v) for v in range(nvars)]
+        domains = [domain(net, v) for v in range(nvars)]
         for values in inside:
             assert all(
                 low <= x <= high for x, (low, high) in zip(values, domains)
@@ -428,6 +437,57 @@ def test_enumerate_limit_one_equals_find():
             done += 1
         else:
             assert first == []
+
+
+# A 3-CNF formula as a graph: a Var node per variable and a Clause node per
+# clause, with a pos or neg edge to the variable of each of its literals.
+# tv and fv are a variable's two values; every clause is a target.
+CNF_SHAPES = (
+    "NODE tv [] { :Var & ! fv };\n"
+    "NODE fv [] { :Var & ! tv };\n"
+    "NODE C [:Clause] { >= 1 :pos . tv | >= 1 :neg . fv };\n"
+)
+
+
+def cnf_graph(rng, nvars):
+    """Random 3-CNF at 4.26 clauses per variable, as a graph."""
+    nodes = [f"x{v}" for v in range(1, nvars + 1)]
+    labels, ends = {x: ["Var"] for x in nodes}, {}
+    for j in range(round(4.26 * nvars)):
+        clause = f"c{j}"
+        nodes.append(clause)
+        labels[clause] = ["Clause"]
+        for v in rng.sample(range(1, nvars + 1), 3):
+            edge = f"{clause}-{v}"
+            ends[edge] = (clause, f"x{v}")
+            labels[edge] = ["pos" if rng.random() < 0.5 else "neg"]
+    return build_graph(nodes, list(ends), ends, labels)
+
+
+def test_enumeration_past_a_conflict_matches_plain_enumeration():
+    # After the first leaf the search backtracks depth first, and on these
+    # formulas it meets conflicts there too.  Its list, order included, is
+    # plain enumeration over the atoms the fixed point leaves open: each
+    # variable's tv and fv, with the targets at yes.
+    shapes = parse_shapes(CNF_SHAPES)
+    listed = []
+    for seed in range(6):
+        g = cnf_graph(random.Random(f"t:{seed}:4"), 4)
+        ground = GroundInstance(g, shapes)
+        targets = set(ground.targets)
+        values = [TRUE if i in targets else v
+                  for i, v in enumerate(ground.least_fixed_point()[:len(ground.atoms)])]
+        free = [i for i, v in enumerate(values) if v is UNKNOWN]
+        assert len(free) == 8
+        expected = []
+        for combo in product(VALUE_ORDER, repeat=len(free)):
+            for i, v in zip(free, combo):
+                values[i] = v
+            if ground.holds(values):
+                expected.append(Assignment(dict(zip(ground.atoms, values))))
+        assert enumerate_faithful_assignments(g, shapes) == expected
+        listed.append(len(expected))
+    assert max(listed) > 1, listed
 
 
 def test_enumerate_limit_zero_and_negative():

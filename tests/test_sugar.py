@@ -13,7 +13,7 @@ from pgshapes.semantics import (
     eval_node_constraint,
 )
 from pgshapes.shapes import Shape, is_sugar_free
-from pgshapes.sugar import desugar_constraint, desugar_targets, target_constraint
+from pgshapes.sugar import desugar_constraint, desugar_shapes, desugar_targets, target_constraint
 from pgshapes.values import EQ, IntValue
 
 from oracle import FROM_TV, ref_eval
@@ -126,6 +126,20 @@ def test_target_disjunction_adds_utility_shapes():
     assert out[0].constraint == phi and out[0].target == S.Nothing()
     assert out[1] == Shape("s__t0", NODE, S.ShapeRef("s"), S.TargetLabel("A"))
     assert out[2] == Shape("s__t1", NODE, S.ShapeRef("s"), S.TargetKey("k"))
+
+
+def test_an_arm_takes_a_name_no_other_shape_has():
+    # Shapes p__t0 and p__t0_ are the user's: p's first arm grows
+    # underscores until its name is free, and its second arm keeps its name.
+    arms = S.TargetOr(S.TargetLabel("Person"), S.TargetLabel("Org"))
+    shapes = desugar_shapes([
+        Shape("p", NODE, S.Top(), arms),
+        Shape("p__t0", NODE, S.Top(), S.Nothing()),
+        Shape("p__t0_", NODE, S.Top(), S.Nothing()),
+    ])
+    assert shapes.names == ("p", "p__t0__", "p__t1", "p__t0", "p__t0_")
+    assert shapes.get("p__t0__") == Shape("p__t0__", NODE, S.ShapeRef("p"), S.TargetLabel("Person"))
+    assert shapes.get("p__t0").constraint == S.Top()
 
 
 def test_target_disjunction_skips_empty_arms():

@@ -5,12 +5,6 @@ import random
 import pytest
 
 from pgshapes.errors import DomainMismatch, NotNormalized, PathsPresent
-from pgshapes.fixtures import (
-    employee_colleague_shape,
-    office_graph,
-    role_pair_shapes,
-    works_since_shape,
-)
 from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, build_graph
 from pgshapes import graph, semantics
 from pgshapes.parser import parse_shapes
@@ -43,11 +37,11 @@ from pgshapes.shapes import (
     ShapeRef,
     TargetExact,
     TargetLabel,
+    TargetOr,
     Top,
     TypeIs,
     constraint_paths,
     link_shapes,
-    operator_count,
 )
 from pgshapes.solver import SolverConfig, brute_force_conformance, find_faithful_assignment
 from pgshapes.sugar import desugar_shapes
@@ -63,7 +57,13 @@ from pgshapes.transforms import (
 )
 from pgshapes.values import STRING
 
-from randgen import gen_instance
+from office import (
+    employee_colleague_shape,
+    office_graph,
+    role_pair_shapes,
+    works_since_shape,
+)
+from randgen import gen_instance, operator_count
 
 DEEP = SolverConfig(atom_order="dependency")
 
@@ -528,10 +528,9 @@ def test_the_root_grounds_and_settles_in_work_linear_in_the_nodes(monkeypatch):
             work["checks"] += 1
             return super().__contains__(x)
 
-    def chain(g, c):
-        chain, plain, stepping = real_chain(g, c)
-        return chain, plain, {l: (Checked(adjacency), where)
-                              for l, (adjacency, where) in stepping.items()}
+    def chain(c):
+        chain, plain, stepping = real_chain(c)
+        return chain, plain, Checked(stepping)
 
     real_chain = semantics._chain
     monkeypatch.setattr(semantics, "_chain", chain)
@@ -547,7 +546,7 @@ def test_the_root_grounds_and_settles_in_work_linear_in_the_nodes(monkeypatch):
         work.update(paths=0, checks=0, reads=0)
         ground = GroundInstance(g2, s2)
         values = ground.least_fixed_point()
-        assert values[ground.index[root]] is TRUE
+        assert values[ground.atoms.index(root)] is TRUE
         # The fresh node reads each of its n conjuncts' paths once.
         assert 0 < work["paths"] <= n and work["reads"] <= 4 * n, (n, work)
         assert work["checks"] <= 2 * n, (n, work)
@@ -607,6 +606,11 @@ def test_verify_requires_normal_form():
     ])
     with pytest.raises(PathsPresent):
         verify_normalized(g, pathful, Assignment({}))
+    sugared = link_shapes([Shape("s", NODE, AtMostPath(1, EdgeLabel("a"), Top()), Nothing())])
+    compound = link_shapes([
+        Shape("s", NODE, HasLabel("A"), TargetOr(TargetLabel("A"), TargetLabel("B"))),
+    ])
+    assert not is_normalized(sugared) and not is_normalized(compound)
 
 
 def test_verify_empty_set():
