@@ -64,20 +64,16 @@ def _write_text(path: str, groups: Iterable[Iterable[str]]) -> None:
 
 
 # The solver builds every assignment in canonical (shape, element) order,
-# so both listings keep the order they are given.
+# so both listings keep the order they are given.  They read its rows, which
+# the solver's assignments give from their blocks with no Atom built.
 def _assignment_lines(sigma: Assignment) -> list[str]:
-    return [f"{atom} = {v.word}" for atom, v in sigma.items()]
+    return [f"{shape}({x}) = {v.word}" for shape, x, _, v in sigma._rows()]
 
 
 def _assignment_json(sigma: Assignment) -> list[dict]:
     return [
-        {
-            "shape": atom.shape,
-            "element": atom.element,
-            "kind": atom.kind,
-            "value": v.word,
-        }
-        for atom, v in sigma.items()
+        {"shape": shape, "element": x, "kind": kind, "value": v.word}
+        for shape, x, kind, v in sigma._rows()
     ]
 
 
@@ -86,12 +82,8 @@ def _report_json(report: ValidationReport) -> dict:
         "conforms": report.conforms,
         "witness": _assignment_json(report.witness) if report.witness else None,
         "violated_targets": [
-            {
-                "shape": atom.shape,
-                "element": atom.element,
-                "kind": atom.kind,
-                "fixed_point": report.fixed_point[atom].word,
-            }
+            {"shape": atom.shape, "element": atom.element, "kind": atom.kind,
+             "fixed_point": report.fixed_point[atom].word}
             for atom in report.violated_targets
         ],
         "stats": dataclasses.asdict(report.stats),
@@ -114,15 +106,8 @@ def _cmd_validate(args) -> int:
     if args.all:
         found = enumerate_faithful_assignments(g, shapes, config=config)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "conforms": bool(found),
-                        "assignments": [_assignment_json(s) for s in found],
-                    },
-                    indent=2,
-                )
-            )
+            assignments = [_assignment_json(s) for s in found]
+            print(json.dumps({"conforms": bool(found), "assignments": assignments}, indent=2))
             return 0 if found else 1
         if not found:
             print("UNSATISFIABLE")
@@ -142,10 +127,8 @@ def _cmd_validate(args) -> int:
         return 0
     print("UNSATISFIABLE")
     for atom in report.violated_targets:
-        if args.explain:
-            print(f"violated target: {atom} = {report.fixed_point[atom].word}")
-        else:
-            print(f"violated target: {atom}")
+        explained = f" = {report.fixed_point[atom].word}" if args.explain else ""
+        print(f"violated target: {atom}{explained}")
     return 1
 
 

@@ -23,9 +23,11 @@ not with its unfolding; a GroundInstance keeps only the gates its equations
 read, so every variable that is not an atom has a reader.  The least fixed
 point, the search, brute force, is_strictly_faithful and
 eval_node_constraint / eval_edge_constraint all read that circuit,
-computing gates in ascending order without recursion.  Atoms are built in
-canonical order, shapes by name and each one's elements from the graph's
-sorted node or edge ids, with no sort.
+computing gates in ascending order without recursion.  Atoms are numbered
+in canonical order, shapes by name and each one's elements from the graph's
+sorted node or edge ids, with no sort.  Grounding, search and printing read
+only those numbers; an Atom is built when a caller reads one
+(GroundInstance.atoms, an Assignment iterated or compared, a violated target).
 
 Paths have one engine.  A path that is one label step is a lookup in the
 label's adjacency.  Any other path object compiles into a Thompson
@@ -43,7 +45,9 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 from .errors import DomainMismatch, UnknownElement
@@ -100,16 +104,17 @@ class TruthValue(enum.IntEnum):
     UNKNOWN = 1
     TRUE = 2
 
+    # A member is its int code: it indexes a tuple without enum's `value`.
     def negate(self) -> "TruthValue":
-        return TruthValue(2 - self.value)
+        return (TRUE, UNKNOWN, FALSE)[self]
 
     @property
     def word(self) -> str:
-        return ("no", "maybe", "yes")[self.value]
+        return ("no", "maybe", "yes")[self]
 
     @property
     def numeric_text(self) -> str:
-        return ("0", "0.5", "1")[self.value]
+        return ("0", "0.5", "1")[self]
 
 
 FALSE, UNKNOWN, TRUE = TruthValue.FALSE, TruthValue.UNKNOWN, TruthValue.TRUE
@@ -131,9 +136,14 @@ class Atom:
 
 
 class Assignment(Mapping):
-    """An immutable total map from atoms to truth values."""
+    """An immutable total map from atoms to truth values.
 
-    __slots__ = ("_values",)
+    The solver's assignments (_by_id) hold a grounding's blocks and a value
+    per atom id.  They build their dict of Atoms when iterated or compared;
+    a lookup before that reads the atom's block (GroundInstance.blocks).
+    """
+
+    __slots__ = ("_blocks", "_ids", "_dict")
 
     def __init__(self, values: Mapping[Atom, TruthValue]):
         checked = dict(values)  # copying a dict reuses its keys' hashes
@@ -141,26 +151,50 @@ class Assignment(Mapping):
             if not isinstance(atom, Atom):
                 raise TypeError(f"not an atom: {atom!r}")
             if type(v) is not TruthValue:
+                if type(v) is not int:  # bool and float compare equal to codes
+                    raise TypeError(f"not a truth value: {v!r}")
                 checked[atom] = TruthValue(v)
-        self._values = checked
+        self._blocks, self._ids, self._dict = None, None, checked
+
+    @classmethod
+    def _by_id(cls, blocks, values: list[TruthValue]) -> "Assignment":
+        """values[i] for atom i of blocks, with no Atom built."""
+        sigma = cls.__new__(cls)
+        sigma._blocks, sigma._ids, sigma._dict = blocks, values, None
+        return sigma
+
+    def _atoms(self) -> dict[Atom, TruthValue]:
+        if self._dict is None:
+            self._dict = dict(zip(map(Atom, *_columns(self._blocks)), self._ids))
+        return self._dict
 
     def __getitem__(self, atom: Atom) -> TruthValue:
-        return self._values[atom]
+        if self._dict is None and type(atom) is Atom and type(atom.element) is str:
+            start, xs = self._blocks.get((atom.shape, atom.kind), (0, ()))
+            i = bisect_left(xs, atom.element)
+            if i < len(xs) and xs[i] == atom.element:
+                return self._ids[start + i]
+            raise KeyError(atom)
+        return self._atoms()[atom]
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._values)
+        return iter(self._atoms())
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._ids if self._dict is None else self._dict)
 
     def items(self):
-        return self._values.items()
+        return self._atoms().items()
+
+    def _rows(self) -> Iterator[tuple[str, str, str, TruthValue]]:
+        """(shape, element, kind, value) of every atom, in order."""
+        if self._blocks is not None:
+            return zip(*_columns(self._blocks), self._ids)
+        return ((a.shape, a.element, a.kind, v) for a, v in self._dict.items())
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{a}={self._values[a].word}"
-            for a in sorted(self._values, key=Atom.sort_key)
-        )
+        rows = sorted(self._rows(), key=itemgetter(0, 1))
+        inner = ", ".join(f"{shape}({x})={v.word}" for shape, x, _, v in rows)
         return f"Assignment({inner})"
 
 
@@ -175,6 +209,13 @@ def _blocks(g: PropertyGraph, shapes: ShapeSet) -> list[tuple[Shape, tuple[str, 
     """Each shape in name order with its kind's sorted ids: canonical order."""
     return [(s, g.nodes if s.kind == NODE else g.edges)
             for s in sorted(shapes, key=lambda s: s.name)]
+
+
+def _columns(blocks) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
+    """The shape, element and kind of each atom of blocks, in id order."""
+    return (chain.from_iterable(repeat(s, len(xs)) for (s, _), (_, xs) in blocks.items()),
+            chain.from_iterable(xs for _, xs in blocks.values()),
+            chain.from_iterable(repeat(k, len(xs)) for (_, k), (_, xs) in blocks.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -538,42 +579,28 @@ def is_strictly_faithful(
     verdict names the first failure.
     """
     ground = GroundInstance(g, shapes)
-    given, wanted = frozenset(sigma), frozenset(ground.atoms)
+    atoms = ground.atoms
+    given, wanted = frozenset(sigma), frozenset(atoms)
     if given != wanted:
-        missing = sorted(wanted - given, key=Atom.sort_key)
-        extra = sorted(given - wanted, key=Atom.sort_key)
-        parts = []
-        if missing:
-            parts.append(f"missing {', '.join(map(str, missing[:3]))}")
-        if extra:
-            parts.append(f"extra {', '.join(map(str, extra[:3]))}")
+        parts = [f"{word} {', '.join(map(str, sorted(odd, key=Atom.sort_key)[:3]))}"
+                 for word, odd in (("missing", wanted - given), ("extra", given - wanted))
+                 if odd]
         raise DomainMismatch("assignment domain is not the atom set: "
                              + "; ".join(parts))
-    values = [sigma[a] for a in ground.atoms]
-    evaluated = ground.evaluate(values)
-    for cond, kind in ((1, NODE), (2, EDGE)):
-        for i, atom in enumerate(ground.atoms):
-            if atom.kind != kind:
-                continue
-            expected = evaluated[i]
-            if values[i] is not expected:
-                return FaithfulnessVerdict(
-                    False,
-                    cond,
-                    atom,
-                    f"{atom} is {values[i].word} but evaluates {expected.word}",
-                )
-    for cond, kind in ((3, NODE), (4, EDGE)):
-        for i in ground.targets:
-            atom = ground.atoms[i]
-            if atom.kind == kind and values[i] is not TRUE:
-                return FaithfulnessVerdict(
-                    False,
-                    cond,
-                    atom,
-                    f"target {atom} is {values[i].word}, not yes",
-                )
-    return FaithfulnessVerdict(True)
+    values = [sigma[a] for a in atoms]
+    # (condition, atom id, detail) of every failure; the least is reported.
+    failures = [
+        (1 + (atoms[i].kind == EDGE), i, f"{atoms[i]} is {v.word} but evaluates {e.word}")
+        for i, (v, e) in enumerate(zip(values, ground.evaluate(values))) if v is not e
+    ]
+    failures += [
+        (3 + (atoms[i].kind == EDGE), i, f"target {atoms[i]} is {values[i].word}, not yes")
+        for i in ground.targets if values[i] is not TRUE
+    ]
+    if not failures:
+        return FaithfulnessVerdict(True)
+    cond, i, detail = min(failures)
+    return FaithfulnessVerdict(False, cond, atoms[i], detail)
 
 
 # ---------------------------------------------------------------------------
@@ -824,12 +851,12 @@ def _chain(c) -> tuple[list, list[int], dict[str, list[int]]]:
 class GroundInstance:
     """One (graph, shapes) pair compiled into one circuit.
 
-    Atoms are variables 0 .. atoms - 1 in canonical (shape, element) order.
-    They are built in that order, shapes by name and each one's elements
-    from the sorted id tuple of its kind, and grounded shape by shape in it:
-    each shape's constraint is compiled once and run at each element.  A
-    reference to shape s at x reads variable (the start of s's block) + (x's
-    place in its kind's sorted ids), with no atom built or hashed.
+    Atoms are variables 0 .. atom_count - 1 in canonical (shape, element)
+    order, shapes by name, each with its kind's sorted ids, and are grounded
+    in that order, each shape's constraint compiled once and run at each
+    element.  `blocks` maps each shape's (name, kind) to its first atom id
+    and those ids: atom (s, x) is s's first id + x's place in them.  Only
+    `atoms` builds Atoms, on first read.
     `gates[i]` is atom i's equation; the variables after them are the shared
     gates those equations read, each after every gate it reads.  Every
     variable that is not an atom has a reader.  `readers[v]` lists the gates
@@ -839,22 +866,21 @@ class GroundInstance:
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet):
         blocks = _blocks(g, shapes)
-        self.atoms = tuple(Atom(s.name, x, s.kind) for s, xs in blocks for x in xs)
         # A target's id is its block's start plus its place in the sorted ids.
-        targets, start, starts = [], 0, {}
+        targets, start, self.blocks = [], 0, {}
         for s, xs in blocks:
             targets += sorted(start + bisect_left(xs, x) for x in target_elements(g, s))
-            starts[s.name, s.kind] = start, xs
+            self.blocks[s.name, s.kind] = start, xs
             start += len(xs)
-        self.targets = tuple(targets)
+        self.atom_count, self.targets = start, tuple(targets)
         literals: dict[tuple, Callable[[str], int]] = {}
 
         def reference(name: str, kind: str) -> Callable[[str], int]:
             """x -> 2 * (name's block start + x's place in it), one table
             per shape."""
             if (name, kind) not in literals:
-                if (name, kind) in starts:
-                    first, xs = starts[name, kind]
+                if (name, kind) in self.blocks:
+                    first, xs = self.blocks[name, kind]
                     table = dict(zip(xs, range(2 * first, 2 * (first + len(xs)), 2)))
                     literals[name, kind] = table.__getitem__
                 else:
@@ -864,7 +890,7 @@ class GroundInstance:
                     literals[name, kind] = outside
             return literals[name, kind]
 
-        self.gates = gates = [None] * len(self.atoms)
+        self.gates = gates = [None] * start
         compiled = _grounding(g, reference, gates)
         roots: list[int] = []
         for s, xs in blocks:
@@ -894,10 +920,26 @@ class GroundInstance:
             for lit in lits:
                 self.readers[lit >> 1].append(v)
 
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """Every atom, in id order."""
+        return tuple(map(Atom, *_columns(self.blocks)))
+
+    def atom(self, i: int) -> Atom:
+        """Atom i, built from its block."""
+        for (name, kind), (start, xs) in self.blocks.items():
+            if i < start + len(xs):
+                return Atom(name, xs[i - start], kind)
+        raise IndexError("atom id out of range")
+
+    def assignment(self, values: list[TruthValue]) -> Assignment:
+        """The assignment of values[i] to atom i, with no Atom built."""
+        return Assignment._by_id(self.blocks, values[:self.atom_count])
+
     def evaluate(self, values) -> list[TruthValue]:
         """Every atom's equation under `values`, a sequence indexed by atom
         id: the shared gates first, in ascending order."""
-        atoms, gates = len(self.atoms), self.gates
+        atoms, gates = self.atom_count, self.gates
         full = list(values) + [UNKNOWN] * (len(gates) - atoms)
         for v in range(atoms, len(gates)):
             full[v] = _gate_value(gates[v], full)
@@ -944,4 +986,4 @@ def least_fixed_point(g: PropertyGraph, shapes: ShapeSet) -> Assignment:
     at unknown or false.
     """
     ground = GroundInstance(g, shapes)
-    return Assignment(dict(zip(ground.atoms, ground.least_fixed_point())))
+    return ground.assignment(ground.least_fixed_point())

@@ -10,7 +10,9 @@ enumeration.
 Each instance is grounded once into a circuit of at-least gates
 (semantics.GroundInstance): the least fixed point, the dependency order,
 the search's constraints and every leaf check read that circuit by
-variable id, and brute force checks its leaves against it too.
+variable id, and brute force checks its leaves against it too.  Values
+stay lists by atom id up to the report, whose assignments hold them with
+the grounding's blocks: a run builds Atoms only for its violated targets.
 
 The search writes each three-valued variable as two bits and each gate as
 at-least constraints over them (_Network), propagates them in both
@@ -106,7 +108,7 @@ def _dependency_order(ground: GroundInstance) -> tuple[int, ...]:
     reads = [[lit >> 1 for lit in lits] for _, lits in ground.gates]
     return tuple(
         v for component in strongly_connected(reads) for v in sorted(component)
-        if v < len(ground.atoms)
+        if v < ground.atom_count
     )
 
 
@@ -118,15 +120,13 @@ class _Instance:
 
     def __init__(self, g: PropertyGraph, shapes: ShapeSet, config: SolverConfig):
         self.ground = GroundInstance(g, shapes)
-        self.atoms = self.ground.atoms
+        self.count = self.ground.atom_count
         self.targets = self.ground.targets
-        if config.atom_order == "dependency":
-            self.order = _dependency_order(self.ground)
-        else:
-            self.order = tuple(range(len(self.atoms)))
+        dependency = config.atom_order == "dependency"
+        self.order = _dependency_order(self.ground) if dependency else range(self.count)
         self.lfp = self.ground.least_fixed_point()
         self.limit = config.max_branches
-        self.stats = SolverStats(atoms=len(self.atoms), targets=len(self.targets))
+        self.stats = SolverStats(atoms=self.count, targets=len(self.targets))
         self.started = time.monotonic()
 
     def pin(self, forced: Iterable[tuple[int, TruthValue]]) -> None:
@@ -147,24 +147,21 @@ class _Instance:
         self.stats.branches += 1
         if self.limit is not None and self.stats.branches > self.limit:
             self.finish()
-            raise BudgetExceeded(
-                f"branch limit {self.limit} exhausted", stats=self.stats
-            )
+            raise BudgetExceeded(f"branch limit {self.limit} exhausted", stats=self.stats)
 
     def finish(self) -> None:
         self.stats.elapsed = time.monotonic() - self.started
 
-    def report(self, witness: Assignment | None) -> ValidationReport:
-        """Finish the run: it conforms with the witness, or fails on the
-        targets the fixed point does not make true."""
+    def report(self, witness: list[TruthValue] | None) -> ValidationReport:
+        """Finish the run: it conforms with the witness, values by atom id,
+        or fails on the targets the fixed point does not make true."""
         self.finish()
-        violated = () if witness is not None else tuple(
-            self.atoms[i] for i in self.targets if self.lfp[i] is not TRUE
-        )
-        fixed_point = Assignment(dict(zip(self.atoms, self.lfp)))
-        return ValidationReport(
-            witness is not None, witness, violated, fixed_point, self.stats
-        )
+        ground, lfp = self.ground, self.lfp
+        if witness is not None:
+            return ValidationReport(True, ground.assignment(witness), (),
+                                    ground.assignment(lfp), self.stats)
+        violated = tuple(ground.atom(i) for i in self.targets if lfp[i] is not TRUE)
+        return ValidationReport(False, None, violated, ground.assignment(lfp), self.stats)
 
 
 # Truth values by their int codes (false 0, unknown 1, true 2).
@@ -237,7 +234,7 @@ class _Network:
         stats: SolverStats,
     ):
         gates = ground.gates
-        self.atom_count = atoms = len(ground.atoms)
+        self.atom_count = atoms = ground.atom_count
         self.atom_lits = 4 * atoms
         self.stats = stats
         nvars = len(gates)
@@ -394,14 +391,12 @@ class _Network:
     def values(self) -> list[TruthValue]:
         """The atoms' values once every atom is decided."""
         value, root, negated, pinned = self.value, self.root, self.negated, self.pinned
-        out = []
-        for a in range(self.atom_count):
-            if a in pinned:
-                out.append(pinned[a])
-            else:
-                code = value[4 * root[a]] + value[4 * root[a] + 2]
-                out.append(_TRUTH[2 - code if negated[a] else code])
-        return out
+        # A representative's bits sum to its int code; negation is 2 - code.
+        return [
+            pinned[a] if a in pinned
+            else _TRUTH[abs(2 * negated[a] - value[4 * root[a]] - value[4 * root[a] + 2])]
+            for a in range(self.atom_count)
+        ]
 
     def _set(self, lit: int, why) -> None:
         """Set an open literal true at the current level with a reason."""
@@ -635,8 +630,9 @@ class _Network:
             self._imply(clause[0], clause)
 
 
-def _search(inst: _Instance) -> Iterator[Assignment]:
-    """All strictly faithful assignments, lexicographically by atom order.
+def _search(inst: _Instance) -> Iterator[list[TruthValue]]:
+    """All strictly faithful assignments, lexicographically by atom order,
+    each as its values by atom id.
 
     Pins the targets and the atoms the fixed point decides, and yields
     nothing if that refutes a target.  Each open atom in the search order
@@ -671,7 +667,7 @@ def _search(inst: _Instance) -> Iterator[Assignment]:
     first side explored, and the depth-first walk, which learning no longer
     reorders, meets the remaining assignments in order.
     """
-    inst.pin(enumerate(inst.lfp[:len(inst.atoms)]))
+    inst.pin(enumerate(inst.lfp[:inst.count]))
     if inst.refuted:
         return
     ground, stats, pinned = inst.ground, inst.stats, inst.pinned
@@ -720,7 +716,7 @@ def _search(inst: _Instance) -> Iterator[Assignment]:
         stats.leaf_checks += 1
         values = net.values()
         if ground.holds(values):
-            yield Assignment(dict(zip(inst.atoms, values)))
+            yield values
         learning = False
         if not retreat():
             return
@@ -736,7 +732,7 @@ def enumerate_faithful_assignments(
     if limit is not None and limit < 0:
         raise ValueError(f"limit must not be negative: {limit}")
     inst = _Instance(g, shapes, config or SolverConfig())
-    return list(islice(_search(inst), limit))
+    return list(map(inst.ground.assignment, islice(_search(inst), limit)))
 
 
 def find_faithful_assignment(
@@ -771,22 +767,20 @@ def brute_force_conformance(
     config = config or SolverConfig()
     count = sum(len(g.nodes if s.kind == NODE else g.edges) for s in shapes)
     if count > config.max_atoms:
-        raise TooLarge(
-            f"{count} atoms exceed the brute-force cap {config.max_atoms}"
-        )
+        raise TooLarge(f"{count} atoms exceed the brute-force cap {config.max_atoms}")
     inst = _Instance(g, shapes, config)
     # An atom whose gate reads nothing is a constant.
-    gates = enumerate(inst.ground.gates[:len(inst.atoms)])
+    gates = enumerate(inst.ground.gates[:inst.count])
     inst.pin((i, FALSE if k > 0 else TRUE) for i, (k, lits) in gates if not lits)
     witness = None
     if not inst.refuted:
-        values = [inst.pinned.get(i) for i in range(len(inst.atoms))]
-        free = [i for i in range(len(inst.atoms)) if i not in inst.pinned]
+        values = [inst.pinned.get(i) for i in range(inst.count)]
+        free = [i for i in range(inst.count) if i not in inst.pinned]
         for combo in product(VALUE_ORDER, repeat=len(free)):
             inst.stats.leaf_checks += 1
             for i, v in zip(free, combo):
                 values[i] = v
             if inst.ground.holds(values):
-                witness = Assignment(dict(zip(inst.atoms, values)))
+                witness = values
                 break
     return inst.report(witness)

@@ -1,9 +1,11 @@
 """The grounded instance: its fixed point against the reference oracle, and
 metamorphic checks far above the oracle's 12-atom cap."""
 
+import contextlib
 import dataclasses
 import datetime
 import hashlib
+import io
 import json
 import random
 import re
@@ -18,6 +20,7 @@ from pgshapes.errors import BudgetExceeded, DomainMismatch
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.jsonio import export_graph_json
 from pgshapes.parser import parse_shapes
+from pgshapes.printer import render_shapes
 from pgshapes.semantics import (
     FALSE,
     TRUE,
@@ -278,12 +281,36 @@ def test_a_reference_to_a_shape_of_the_other_kind_raises():
         GroundInstance(g, crossed)
 
 
-def test_the_atom_index_is_built_on_first_read():
-    # Grounding resolves references by block offset, so a run that never
-    # asks for an atom's id hashes no atom for it.
-    g, shapes = large_instance(random.Random(7317))
+@pytest.mark.parametrize("seed", [7317, 7327])
+def test_a_run_builds_atoms_only_for_its_violated_targets(seed, monkeypatch, tmp_path):
+    # Grounding, the fixed point, the search and the printed witness work by
+    # atom id.  Seed 7317 violates one target and 7327 conforms.
+    g, shapes = large_instance(random.Random(seed))
+    graph, progs = tmp_path / "g.json", tmp_path / "s.progs"
+    graph.write_bytes(export_graph_json(g))
+    progs.write_text(render_shapes(shapes), encoding="utf-8")
+    built = []
+    init = Atom.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Atom, "__init__", counting)
     ground = GroundInstance(g, shapes)
-    assert "index" not in vars(ground)
+    least_fixed_point(g, shapes)
+    assert built == []
+    report = find_faithful_assignment(g, shapes)
+    violated = len(report.violated_targets)
+    assert (report.conforms, len(built)) == (seed == 7327, violated)
+    for flags in ([], ["--explain"], ["--json"]):
+        del built[:]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["validate", str(graph), str(progs), *flags])
+        assert (code, len(built)) == (1 - report.conforms, violated)
+        if report.conforms and not flags:
+            assert len(out.getvalue().splitlines()) == 1 + ground.atom_count
 
 
 def test_every_shared_gate_has_a_reader():

@@ -77,9 +77,14 @@ def test_assignment_validates():
     sig = Assignment({a: TRUE})
     assert sig[a] is TRUE
     # Raw enum codes coerce; anything outside the three values is rejected.
+    assert [Assignment({a: code})[a] for code in (0, 1, 2)] == [FALSE, UNKNOWN, TRUE]
     assert Assignment({a: 2})[a] is TRUE
     with pytest.raises(ValueError):
         Assignment({a: 7})
+    # A bool or a float equal to a code is not one: True would read maybe.
+    for value in (True, False, 2.0, 1.0, "yes", None):
+        with pytest.raises(TypeError):
+            Assignment({a: value})
     with pytest.raises(TypeError):
         Assignment({("s", "100"): TRUE})
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from pgshapes import cli
 from pgshapes.errors import BudgetExceeded, TooLarge
 from pgshapes.graph import EDGE, NODE, build_graph
 from pgshapes.parser import parse_shapes
@@ -296,7 +297,7 @@ def check_narrowing(k, literals, nvars):
     reported conflict needs a box without one."""
     eq = (k, tuple(2 * v + negated for v, negated in literals))
     ground = SimpleNamespace(
-        atoms=range(nvars), gates=[eq] + [(1, ())] * (nvars - 1)
+        atom_count=nvars, gates=[eq] + [(1, ())] * (nvars - 1)
     )
     net = _Network(ground, [UNKNOWN] + [FALSE] * (nvars - 1), {}, SolverStats())
     assert len(net.constraints) == 1
@@ -567,3 +568,35 @@ def test_dependency_order_on_a_long_chain():
     assert default.conforms and ordered.conforms
     assert is_strictly_faithful(g, shapes, ordered.witness).ok
     assert default.witness == ordered.witness
+
+
+def test_id_built_assignments_equal_eagerly_built_ones():
+    # The engines' assignments hold values by atom id and the grounding's
+    # blocks.  Before anything iterates them, their repr, CLI lines and
+    # lookups come from the blocks; each must match an Assignment built from
+    # a dict of Atoms.
+    checked = 0
+    for seed in range(80):
+        g, shapes = gen_instance(random.Random(f"ids:{seed}"))
+        atoms = GroundInstance(g, shapes).atoms
+        reports = [find_faithful_assignment(g, shapes), brute_force_conformance(g, shapes)]
+        found = enumerate_faithful_assignments(g, shapes, limit=20)
+        lfp = least_fixed_point(g, shapes)
+        sigmas = [r.witness for r in reports if r.witness is not None] + found
+        for sigma in [*sigmas, reports[0].fixed_point, lfp]:
+            text, lines, size = repr(sigma), cli._assignment_lines(sigma), len(sigma)
+            values = [sigma[a] for a in atoms]
+            for a in atoms[:1]:
+                for missing in (Atom(a.shape, a.element + "?", a.kind),
+                                Atom(a.shape, a.element, EDGE if a.kind == NODE else NODE),
+                                Atom(a.shape + "?", a.element, a.kind)):
+                    with pytest.raises(KeyError):
+                        sigma[missing]
+            eager = Assignment(dict(sigma.items()))
+            assert sigma == eager and list(eager) == list(atoms)
+            assert (text, size) == (repr(eager), len(eager))
+            assert lines == [f"{atom} = {v.word}" for atom, v in eager.items()]
+            assert values == [eager[a] for a in atoms]
+            checked += 1
+        assert reports[0].fixed_point == lfp == reports[1].fixed_point
+    assert checked > 200
