@@ -18,7 +18,7 @@ import re
 from itertools import chain
 from typing import Iterator
 
-from .errors import NameCollision, UnencodableValue
+from .errors import NameCollision, TooLarge, UnencodableValue
 from .graph import EDGE, PropertyGraph
 from .shapes import (
     Alt,
@@ -63,6 +63,14 @@ from .shapes import (
 )
 from .sugar import desugar_shapes
 from .values import DateValue, IntValue, StrValue, Value, quote_string, value_sort_key
+
+# The most bytes of constraint terms a fact base may spell.  A term spells
+# out its whole subterm, so k nested exact counts spell about 2^k bytes, and
+# the renderer holds every term in memory.  Terms are rendered as they are
+# sized only up to _EAGER_BYTES; past that they are only sized, and are
+# rendered once the whole is known to fit under the ceiling.
+MAX_TERM_BYTES = 2 ** 30
+_EAGER_BYTES = 2 ** 24
 
 _BARE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _DIGITS = re.compile(r"[0-9]+")
@@ -131,7 +139,8 @@ def _predicate(v: ValuePredicate, operands: list) -> str:
 
 class _Renderer:
     """Terms for one fact base, one fold per constraint or path; every
-    constraint and path term rendered is collected on the way."""
+    constraint and path term rendered is collected on the way, and `size`
+    counts the bytes of the constraint terms folded, each object once."""
 
     def __init__(self, labels: dict[str, str], keys: dict[str, str],
                  shape_names: dict[str, str]):
@@ -140,6 +149,8 @@ class _Renderer:
         self.shape_names = shape_names
         self.constraint_terms: set[str] = set()
         self.path_terms: set[str] = set()
+        self.size = 0
+        self.eager = _EAGER_BYTES           # past this, terms are only sized
 
     def path(self, p: PathExpr) -> str:
         return fold(p, self._path, "PathExpr")
@@ -150,11 +161,21 @@ class _Renderer:
         self.path_terms.add(term)
         return term
 
-    def constraint(self, c: Constraint) -> str:
+    def constraint(self, c: Constraint) -> str | int:
+        """c's term, or only its length once the terms folded so far take
+        more than `eager` bytes."""
         return fold(c, self._constraint)
 
-    def _constraint(self, c: Constraint, operands: list) -> str:
+    def _constraint(self, c: Constraint, operands: list) -> str | int:
+        if self.size > self.eager:
+            # The term's own text, with its operands' lengths added.
+            n = len(self._term(c, [""] * len(operands))) + sum(
+                o if type(o) is int else len(o) for o in operands
+            )
+            self.size += n
+            return n
         term = self._term(c, operands)
+        self.size += len(term)
         self.constraint_terms.add(term)
         return term
 
@@ -235,10 +256,19 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
                 f"shape name {name!r} lowercases to the reserved term 'top'"
             )
     r = _Renderer(label_map, key_map, shape_map)
+    terms = [r.constraint(sh.constraint) for sh in core]
+    if r.size > MAX_TERM_BYTES:
+        raise TooLarge(
+            f"the constraint terms would take {r.size} bytes, over the "
+            f"ceiling of {MAX_TERM_BYTES} bytes"
+        )
+    if any(type(term) is int for term in terms):    # some were only sized
+        r.size, r.eager = 0, MAX_TERM_BYTES
+        terms = [r.constraint(sh.constraint) for sh in core]
     shape_rows = sorted(
         ("edgeshape" if sh.kind == EDGE else "nodeshape", shape_map[sh.name],
-         r.constraint(sh.constraint), r.target(sh.target))
-        for sh in core
+         term, r.target(sh.target))
+        for sh, term in zip(core, terms)
     )
 
     # Each id's sort key and token, once per element rather than per fact.

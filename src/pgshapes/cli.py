@@ -7,13 +7,14 @@ canonical form).
 
 Exit codes are the machine contract: 0 conforms or success, 1 does not
 conform, 2 usage, I/O, or parse errors (including instances over the
-brute-force cap), 3 search budget exhausted (followed by a `progress:` line
-on standard error: branches, propagations and leaf checks so far), 4
-internal error: any other exception, reported as one
-`error: internal: <type>: <message>` line on standard error, so a crash
-never reads as a verdict.  A syntax error in a shape file names where it
-starts: `error: line L, column C: <message>`.  An exit-2 or exit-4 message
-is one line: each run of whitespace in it, newlines included, is one space.
+brute-force cap and fact bases over the export ceiling), 3 search budget
+exhausted (followed by a `progress:` line on standard error: branches,
+propagations and leaf checks so far), 4 internal error: any other
+exception, reported as one `error: internal: <type>: <message>` line on
+standard error, so a crash never reads as a verdict.  A syntax error in a
+shape file names where it starts: `error: line L, column C: <message>`.
+An exit-2 or exit-4 message is one line: each run of whitespace in it,
+newlines included, is one space.
 """
 
 from __future__ import annotations

@@ -60,7 +60,9 @@ class PathsPresent(PgShapesError):
 
 
 class TooLarge(PgShapesError):
-    """The instance exceeds the brute-force atom cap."""
+    """An input exceeds a size ceiling that is checked before the work
+    starts: the brute-force atom cap, or the bytes of constraint terms a
+    fact export may spell."""
 
 
 class BudgetExceeded(PgShapesError):

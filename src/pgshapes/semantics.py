@@ -908,13 +908,17 @@ class GroundInstance:
                 for lit in gates[v][1]:
                     live[lit >> 1] = True
         if not all(live):
-            # renumbered[lit] is lit's literal once the dead gates are gone.
-            number = [2 * i - 2 for i in accumulate(live)]
-            renumbered = [0] * (2 * len(number))
-            renumbered[0::2] = number
-            renumbered[1::2] = [lit + 1 for lit in number]
-            relit = renumbered.__getitem__
-            gates[:] = [(k, tuple(map(relit, lits))) for k, lits in compress(gates, live)]
+            # A dead tail goes as it is; only a dead gate below a live one
+            # moves the gates above it.  renumbered[lit] is lit's literal
+            # once the dead gates are gone.
+            del gates[len(live) - live[::-1].index(True):]
+            if not all(live[:len(gates)]):
+                number = [2 * i - 2 for i in accumulate(live)]
+                renumbered = [0] * (2 * len(number))
+                renumbered[0::2] = number
+                renumbered[1::2] = [lit + 1 for lit in number]
+                relit = renumbered.__getitem__
+                gates[:] = [(k, tuple(map(relit, lits))) for k, lits in compress(gates, live)]
         self.readers: list[list[int]] = [[] for _ in gates]
         for v, (_, lits) in enumerate(gates):
             for lit in lits:
@@ -928,7 +932,7 @@ class GroundInstance:
     def atom(self, i: int) -> Atom:
         """Atom i, built from its block."""
         for (name, kind), (start, xs) in self.blocks.items():
-            if i < start + len(xs):
+            if 0 <= i < start + len(xs):
                 return Atom(name, xs[i - start], kind)
         raise IndexError("atom id out of range")
 

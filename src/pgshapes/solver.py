@@ -18,9 +18,13 @@ The search writes each three-valued variable as two bits and each gate as
 at-least constraints over them (_Network), propagates them in both
 directions and learns clauses from conflicts, as a CDCL SAT solver does,
 but decides atoms in the canonical order and values in the canonical order
-and never restarts.  Propagation and learning remove only values that no
-strictly faithful assignment takes, so the witness is the one plain
-enumeration finds (see _search).
+and never restarts.  Its set-up reads only the part of the circuit the
+fixed point leaves open, each gate where it sits: one walk from the open
+atoms finds the open gates and the decided gates they read, then one pass
+merges the gates that copy or negate one operand and one more writes the
+rest as constraints, target clauses and their watches.  Propagation and
+learning remove only values that no strictly faithful assignment takes,
+so the witness is the one plain enumeration finds (see _search).
 
 Soundness of the pinning shortcuts:
  - every target atom is pinned to yes (faithfulness demands it);
@@ -168,31 +172,21 @@ class _Instance:
 _TRUTH = (FALSE, UNKNOWN, TRUE)
 
 
-def _bounds(v: int, low: int, high: int) -> tuple[int, ...]:
-    """The literals that confine variable v to [low, high], both bits of
-    each bound that a bound fixes."""
-    lits = ()
-    if low:
-        lits += (4 * v,) if low == 1 else (4 * v, 4 * v + 2)
-    if high < 2:
-        lits += (4 * v + 3,) if high == 1 else (4 * v + 3, 4 * v + 1)
-    return lits
-
-
 class _Network:
     """The circuit of one search as at-least constraints over pairs of bits,
     propagated and learned from as in a CDCL SAT solver.
 
     Its variables are the circuit's (semantics.GroundInstance): atoms
     0 .. atoms - 1, then the shared gates.  Each entry of `constraints` is
-    a gate read off the circuit as (out, k, pos, neg): out is the verdict
-    "at least k of the operands hold", pos lists the variables read as they
-    are and neg those read negated.  Only variables the least fixed point
-    leaves unknown get a constraint, and only those an open atom reads,
-    through open gates: a decided variable keeps its value in every total
-    extension of the fixed point (every gate is monotone in the knowledge
-    order), so its gate holds whatever the open atoms take, and one that an
-    open gate reads is bound to its value.
+    a variable out whose gate (k, literals) is read where it sits in the
+    circuit: out is the verdict "at least k of the operands hold", literal
+    2w reading variable w as it is and 2w + 1 reading it negated.  Only
+    variables the least fixed point leaves unknown get a constraint, and
+    only those an open atom reads, through open gates, in the order one
+    walk from the open atoms meets them: a decided variable keeps its value
+    in every total extension of the fixed point (every gate is monotone in
+    the knowledge order), so its gate holds whatever the open atoms take,
+    and one that an open gate reads is bound to its value.
 
     Bits.  Variable v is two bits, "v is at least unknown" (bit 2v) and "v
     is true" (bit 2v + 1), the second implying the first: false is (0, 0),
@@ -238,21 +232,21 @@ class _Network:
         self.atom_lits = 4 * atoms
         self.stats = stats
         nvars = len(gates)
-        # The gates of the open variables that open atoms read, through open
-        # gates; a decided gate they read is bound to its value below.
+        # The open variables that open atoms read, through open gates, one
+        # walk that reads each gate where it is; `decided` collects the
+        # decided gates they read, which are bound to their values below.
         self.constraints = constraints = []
         work = [i for i in range(atoms) if lfp[i] is UNKNOWN]
-        visited = set(work)
+        visited = bytearray(nvars)
+        decided = []
         while work:
             out = work.pop()
-            k, lits = gates[out]
-            pos = tuple(lit >> 1 for lit in lits if not lit & 1)
-            constraints.append((out, k, pos, tuple(lit >> 1 for lit in lits if lit & 1)))
-            for lit in lits:
+            constraints.append(out)
+            for lit in gates[out][1]:
                 w = lit >> 1
-                if w >= atoms and w not in visited and lfp[w] is UNKNOWN:
-                    visited.add(w)
-                    work.append(w)
+                if w >= atoms and not visited[w]:
+                    visited[w] = 1
+                    (work if lfp[w] is UNKNOWN else decided).append(w)
 
         # A constraint "out = at least 1 of one operand" makes out equal to
         # the operand or to its negation: both become one representative
@@ -271,54 +265,65 @@ class _Network:
                 v = root[v]
             return v, flip
 
-        unknown = []
-        for out, k, pos, neg in constraints:
-            if k == 1 and len(pos) + len(neg) == 1:
-                (x,) = pos or neg
-                (r, fr), (q, fq) = find(out), find(x)
+        unknown, merged, rest = [], [], []
+        for out in constraints:
+            k, lits = gates[out]
+            if k == 1 and len(lits) == 1:
+                (r, fr), (q, fq) = find(out), find(lits[0] >> 1)
                 if r != q:
-                    root[q], negated[q] = r, fr ^ fq ^ bool(neg)
-                elif fr ^ fq != bool(neg):
+                    root[q], negated[q] = r, fr ^ fq ^ lits[0] & 1
+                    merged.append(q)
+                elif fr ^ fq != lits[0] & 1:
                     unknown.append(r)
+            else:
+                rest.append(out)
         # used[w]: representative w carries bits (it is merged or occurs in
         # a constraint); a pinned atom that is not read keeps no bits.
         used = bytearray(nvars)
-        for v in range(nvars):
-            if root[v] != v:
-                root[v], negated[v] = find(v)
-                used[root[v]] = 1
+        for v in merged:
+            root[v], negated[v] = find(v)
+            used[root[v]] = 1
         self.root, self.negated = root, negated
 
         # Two Boolean constraints per remaining constraint, over literals of
         # representatives: the "true" layer, then the "at least unknown"
-        # layer.  Negating a variable swaps its layers and negates its bits,
+        # layer, each with the operands read as they are before the negated
+        # ones.  Negating a variable swaps its layers and negates its bits,
         # which is literal ^ 3.  A target's out is pinned true, and operand
         # bits of the true layer imply those of the other, so a target needs
         # only the true layer, and when one operand is needed that is a
-        # clause.
+        # clause of "is true" and "is false" literals, no two complementary,
+        # watched at once unless it is a unit.
         self.lits: list[tuple[int, ...]] = []
         self.out: list[int] = []
         self.need: list[int] = []
         # Constraints by operand literal and by out bit; () where none.
         self.occurs: list = [()] * (4 * nvars)
         self.outs: list = [()] * (2 * nvars)
-        occurs, outs = self.occurs, self.outs
-        clauses = []
-        for out, k, pos, neg in constraints:
-            if k == 1 and len(pos) + len(neg) == 1:
-                continue
+        self.clauses: list[list[int]] = []
+        self.watches: dict[int, list[int]] = {}
+        occurs, outs, clauses, watches = self.occurs, self.outs, self.clauses, self.watches
+        units = []
+        for out in rest:
+            k, operands = gates[out]
             target = pinned.get(out) is TRUE
-            for layer, plain, inverted in ((1, 2, 1), (0, 0, 3))[:2 - target]:
+            ordered = sorted(operands, key=(1).__and__)
+            for plain in (2, 0)[:2 - target]:
                 lits = tuple(
-                    [4 * root[x] + (plain ^ 3 * negated[x]) for x in pos]
-                    + [4 * root[x] + (inverted ^ 3 * negated[x]) for x in neg]
+                    4 * root[x >> 1] + (plain ^ 3 * (negated[x >> 1] ^ x & 1)) for x in ordered
                 )
                 for lit in lits:
                     used[lit >> 2] = 1
                 if target and k == 1:
-                    clauses.append(lits)
+                    clause = list(dict.fromkeys(lits))
+                    if len(clause) == 1:
+                        units.append(clause)
+                    else:
+                        for lit in clause[:2]:
+                            watches.setdefault(lit, []).append(len(clauses))
+                        clauses.append(clause)
                     continue
-                o = 4 * root[out] + (2 * layer ^ 3 * negated[out])
+                o = 4 * root[out] + (plain ^ 3 * negated[out])
                 used[o >> 2] = 1
                 c = len(self.lits)
                 self.lits.append(lits)
@@ -343,28 +348,16 @@ class _Network:
         self.trail: list[int] = []
         self.head = 0                         # trail literals propagated
         self.levels: list[int] = []           # trail length at each decision
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
         self.seen: list[bool] | None = None
         self.conflict = None
         self.pinned = pinned
-        # Clauses are watched while every literal is open, then the known
-        # bits are set and wait on the trail for propagate().
-        units = []
-        for lits in clauses:
-            clause = list(dict.fromkeys(lits))
-            if len(clause) == 1:
-                units.append(clause)
-            elif not any(lit ^ 1 in lits for lit in clause):
-                self.add_clause(clause)
-        decided = [(v, lfp[v]) for v in range(atoms, nvars) if lfp[v] is not UNKNOWN]
-        bounds = [(v, 1, 1) for v in unknown]
-        bounds += (
-            (i, int(value), int(value))
-            for i, value in [*pinned.items(), *decided] if used[root[i]]
-        )
-        for v, low, high in bounds:
-            if not self.narrow(v, low, high):
+        # The known bits wait on the trail for propagate(): the variables
+        # equal to their negation, then the pinned atoms and decided gates.
+        bounds = [(v, UNKNOWN) for v in unknown]
+        known = [*pinned.items(), *((v, lfp[v]) for v in sorted(decided))]
+        bounds += ((i, x) for i, x in known if used[root[i]])
+        for v, x in bounds:
+            if not self.narrow(v, x, x):
                 self.conflict = []
                 return
         value, need, slack, out = self.value, self.need, self.slack, self.out
@@ -383,10 +376,6 @@ class _Network:
                 self.conflict = self._revise(c)
                 if self.conflict is not None:
                     return
-
-    def literal(self, v: int, lit: int) -> int:
-        """Literal lit of variable v (4v .. 4v + 3) as a representative's."""
-        return 4 * self.root[v] + ((lit & 3) ^ 3 * self.negated[v])
 
     def values(self) -> list[TruthValue]:
         """The atoms' values once every atom is decided."""
@@ -465,10 +454,12 @@ class _Network:
                 self._set(companion, (lit ^ 1,))
 
     def narrow(self, v: int, low: int, high: int) -> bool:
-        """Confine variable v to [low, high] at the current level; False if
-        that contradicts what is already known."""
-        for lit in _bounds(v, low, high):
-            lit = self.literal(v, lit)
+        """Confine variable v to [low, high] at the current level, setting
+        both bits of each bound that a bound fixes, read through v's
+        representative; False if that contradicts what is already known."""
+        base, flip = 4 * self.root[v], 3 * self.negated[v]
+        for bit in ((), (0,), (0, 2))[low] + ((3, 1), (3,), ())[high]:
+            lit = base + (bit ^ flip)
             if self.value[lit] == 0:
                 return False
             if self.value[lit] < 0:
@@ -674,8 +665,10 @@ def _search(inst: _Instance) -> Iterator[list[TruthValue]]:
     net = _Network(ground, inst.lfp, pinned, stats)
     value = net.value
     # Even positions hold an atom's "true" literal, odd ones its "false".
+    root, negated = net.root, net.negated
     choices = [
-        net.literal(a, lit) for a in inst.order if a not in pinned for lit in (2, 1)
+        4 * root[a] + (lit ^ 3 * negated[a])
+        for a in inst.order if a not in pinned for lit in (2, 1)
     ]
     frames: list[int] = []      # choice position of each level's decision
     position = 0

@@ -2,12 +2,18 @@
 
 import datetime
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pgshapes.asp import export_asp
-from pgshapes.errors import NameCollision
+import pgshapes
+from pgshapes import asp
+from pgshapes.asp import MAX_TERM_BYTES, export_asp
+from pgshapes.errors import NameCollision, TooLarge
 from pgshapes.graph import EDGE, NODE, build_graph
+from pgshapes.jsonio import export_graph_json
 from pgshapes.shapes import (
     AtMostKey,
     Cmp,
@@ -229,3 +235,72 @@ def test_target_exact_rendering():
     g = build_graph(["100"])
     lines = fact_lines(export_asp(g, link_shapes([s])))
     assert "nodeshape(s, top, exact(100))." in lines
+
+
+@pytest.mark.parametrize("eager", [0, 40])
+def test_terms_past_the_eager_bytes_are_sized_then_rendered_alike(eager, monkeypatch):
+    # Past the eager bytes the export only sizes the terms, and renders them
+    # all once they fit under the ceiling: the same text, and the same size
+    # as the rendered terms' lengths, which a ceiling of -1 reports.
+    rng = random.Random(7)
+    instances = [gen_instance(rng, sugar=True) for _ in range(40)]
+
+    def outcomes():
+        texts = [export_asp(g, shapes) for g, shapes in instances]
+        messages = []
+        with monkeypatch.context() as patch:
+            patch.setattr(asp, "MAX_TERM_BYTES", -1)
+            for g, shapes in instances:
+                with pytest.raises(TooLarge) as info:
+                    export_asp(g, shapes)
+                messages.append(str(info.value))
+        return texts, messages
+
+    rendered = outcomes()
+    monkeypatch.setattr(asp, "_EAGER_BYTES", eager)
+    assert outcomes() == rendered
+    for (g, shapes), text, message in zip(instances, *rendered):
+        # A ceiling the terms just meet: every term is rendered in the end.
+        monkeypatch.setattr(asp, "MAX_TERM_BYTES", int(message.split()[5]))
+        assert export_asp(g, shapes) == text
+
+
+# Runs `pgshapes` argv[2:] under a 1 GiB address-space cap that the child
+# sets on itself, and prints the exit code and the seconds main() took.
+CAPPED_CLI = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from pgshapes.cli import main
+started = time.monotonic()
+code = main(sys.argv[2:])
+print(code, time.monotonic() - started)
+"""
+
+
+@pytest.mark.parametrize("k", [22, 30])
+def test_nested_exact_counts_stop_at_the_export_ceiling(k, tmp_path):
+    # `= 1 :knows . c` spells c twice, so k levels spell about 2^k bytes of
+    # terms: 22 levels once ran out of memory under the cap.  The export
+    # sizes its terms first and exits 2 before it renders any.
+    graph, progs = tmp_path / "g.json", tmp_path / "s.progs"
+    graph.write_bytes(export_graph_json(build_graph(
+        ["a", "b"], ["e"], endpoints={"e": ("a", "b")},
+        labelings={"a": ["Person"], "e": ["knows"]},
+    )))
+    progs.write_text(
+        "NODE s [:Person] { " + "= 1 :knows . ( " * k + ":Person" + " )" * k + " };\n"
+    )
+    src = str(Path(pgshapes.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, src, "export-asp", str(graph), str(progs)],
+        capture_output=True, text=True, timeout=60,
+    )
+    code, seconds = run.stdout.split()
+    assert code == "2" and float(seconds) < 1.0, run.stderr
+    size = int(run.stderr.split(" bytes")[0].rsplit(" ", 1)[1])
+    assert size > MAX_TERM_BYTES
+    assert run.stderr == (
+        f"error: the constraint terms would take {size} bytes, over the ceiling "
+        f"of {MAX_TERM_BYTES} bytes\n"
+    )

@@ -9,12 +9,13 @@ import io
 import json
 import random
 import re
+from itertools import product
 
 import pytest
 
 import office
 import oracle
-from pgshapes import cli
+from pgshapes import cli, semantics
 from pgshapes import shapes as S
 from pgshapes.errors import BudgetExceeded, DomainMismatch
 from pgshapes.graph import EDGE, NODE, build_graph
@@ -693,6 +694,59 @@ def test_a_gate_inlined_into_one_reader_stays_for_the_next():
             sh = shapes.get(atom.shape)
             want = ref_eval(g, ref_sigma, atom.element, sh.constraint, sh.kind)
             assert FROM_TV[got] == want
+
+
+@pytest.mark.parametrize("case", ["dead_tail", "dead_below_live"])
+def test_dead_gates_go_and_every_equation_stays(case, monkeypatch):
+    # Each t(x) of the wide shapes takes over its `r | u` gate, the last
+    # gates grounded, so the dead gates are a tail and are cut off without
+    # renumbering.  On one node, a takes over `r & s`, which s still reads:
+    # a dead gate below a live one, so the live one is renumbered.
+    if case == "dead_tail":
+        g = build_graph(["p0", "p1"], labelings={"p0": ["Person"], "p1": ["Person"]})
+        shapes = parse_shapes(
+            "NODE r [] { ! u };\nNODE u [] { ! r };\nNODE t [:Person] { r | u };\n")
+    else:
+        g = build_graph(["x"])
+        shapes = parse_shapes(
+            "NODE a [] { r & s };\nNODE s [] { a | (r & s) };\nNODE r [] { ! s };\n")
+    renumbered = []
+    accumulate = semantics.accumulate
+    monkeypatch.setattr(semantics, "accumulate",
+                        lambda live: renumbered.append(live) or accumulate(live))
+    ground = GroundInstance(g, shapes)
+    atoms = ground.atom_count
+    assert bool(renumbered) == (case == "dead_below_live")
+    assert len(ground.gates) == atoms + (case == "dead_below_live")
+    for v, (_, lits) in enumerate(ground.gates):
+        assert all(lit >> 1 < (len(ground.gates) if v < atoms else v) for lit in lits)
+    assert_every_gate_is_read(ground)
+    # Every total assignment through the oracle: holds() is faithfulness,
+    # and the fixed point is a solution of the equations below every other.
+    lfp = tuple(ground.least_fixed_point()[:atoms])
+    keys = [(a.shape, a.element) for a in ground.atoms]
+    targets = [(sh.name, x) for sh in shapes for x in ref_targets(g, sh)]
+    solutions = []
+    for values in product((TRUE, FALSE, UNKNOWN), repeat=atoms):
+        sigma = dict(zip(keys, map(FROM_TV.get, values)))
+        solves = all(
+            ref_eval(g, sigma, a.element, shapes.get(a.shape).constraint, a.kind) == sigma[key]
+            for a, key in zip(ground.atoms, keys)
+        )
+        assert ground.holds(list(values)) == (solves and all(sigma[t] == ONE for t in targets))
+        if solves:
+            solutions.append(values)
+            assert all(low is UNKNOWN or low is v for low, v in zip(lfp, values))
+    assert lfp in solutions and len(solutions) > 1
+
+
+def test_atom_ids_outside_the_atoms_raise():
+    g = build_graph(["a", "b"], labelings={"a": ["P"]})
+    ground = GroundInstance(g, parse_shapes("NODE s [:P] { true };\nNODE t [] { s };\n"))
+    assert [ground.atom(i) for i in range(4)] == list(ground.atoms)
+    for i in (-1, -4, -5, 4):
+        with pytest.raises(IndexError):
+            ground.atom(i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Conformance search: backtracking engine vs plain enumeration vs oracle."""
 
+import hashlib
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -35,6 +36,7 @@ from pgshapes.solver import (
     VALUE_ORDER,
     SolverConfig,
     SolverStats,
+    _Instance,
     _Network,
     brute_force_conformance,
     conforms,
@@ -51,7 +53,7 @@ from office import (
 )
 from oracle import ONE, ref_conforms, ref_eval, ref_targets, sigma_from_assignment
 from randgen import gen_instance
-from test_grounding import grounded_reads
+from test_grounding import grounded_reads, knows_graph, recursive_instance
 
 
 def all_faithful_by_product(g, shapes):
@@ -489,6 +491,88 @@ def test_enumeration_past_a_conflict_matches_plain_enumeration():
         assert enumerate_faithful_assignments(g, shapes) == expected
         listed.append(len(expected))
     assert max(listed) > 1, listed
+
+
+# --- the network a search starts from ---------------------------------------
+
+NETWORK_DIGEST = "71f51f72b5726dadb22334d87d0120c5af055031da8622c67a9790747bd4c11c"
+
+
+def cycle_instance(n):
+    """Two-colouring of an n-cycle: every Red and Blue atom stays open."""
+    nodes = [f"v{i}" for i in range(n)]
+    edges = [f"e{i}" for i in range(n)]
+    return build_graph(
+        nodes, edges,
+        endpoints={e: (nodes[i], nodes[(i + 1) % n]) for i, e in enumerate(edges)},
+        labelings={**{x: ["V"] for x in nodes}, **{e: ["e"] for e in edges}},
+    ), parse_shapes(
+        "NODE Red [] { ! Blue & ! >= 1 :e . Red };\n"
+        "NODE Blue [] { ! Red & ! >= 1 :e . Blue };\n"
+        "NODE Col [:V] { Red | Blue };\n"
+    )
+
+
+def wide_instance(n):
+    """n persons, each a free choice between r and u."""
+    nodes = [f"p{i}" for i in range(n)]
+    return build_graph(nodes, labelings={x: ["Person"] for x in nodes}), parse_shapes(
+        "NODE r [] { ! u };\nNODE u [] { ! r };\nNODE t [:Person] { r | u };\n"
+    )
+
+
+def network_text(g, shapes):
+    """Everything a search reads from the _Network it starts from."""
+    inst = _Instance(g, shapes, SolverConfig())
+    inst.pin(enumerate(inst.lfp[:inst.count]))
+    if inst.refuted:
+        return "refuted"
+    net = _Network(inst.ground, inst.lfp, inst.pinned, inst.stats)
+    return repr((
+        net.lits, net.out, net.need,
+        [tuple(cs) for cs in net.occurs], [tuple(cs) for cs in net.outs],
+        net.clauses, sorted(net.watches.items()), net.trail, net.value,
+        net.root, net.negated, net.conflict,
+    ))
+
+
+def test_network_build_is_pinned():
+    # The constraints, clauses, watches, trail and bounds a search starts
+    # from, on seeded random instances and on the benchmark's three
+    # search-hard families at small sizes.  Their order decides the order
+    # of every propagation, so a faster build has to keep all of it.
+    h = hashlib.sha256()
+    instances = [gen_instance(random.Random(f"pinned:{seed}")) for seed in range(200)]
+    instances += [cycle_instance(5), cycle_instance(9), wide_instance(10),
+                  (cnf_graph(random.Random("network"), 8), parse_shapes(CNF_SHAPES))]
+    instances += [recursive_instance(random.Random(f"network:{seed}")) for seed in range(12)]
+    # An open gate that reads a decided shared gate (c & r at 2 and 3), and a
+    # target equal to an atom equal to its own negation: a conflict at once.
+    instances += [
+        (knows_graph(4, lambda i: (2, 3) if i < 2 else ()), parse_shapes(
+            "NODE s [] { u | >= 1 :knows . (c & r) };\nNODE c [] { :P };\n"
+            "NODE r [] { ! u };\nNODE u [] { ! r };\n")),
+        (build_graph(["a"], labelings={"a": ["P"]}),
+         parse_shapes("NODE t [:P] { r };\nNODE r [] { ! r };\n")),
+    ]
+    for g, shapes in instances:
+        h.update(network_text(g, shapes).encode() + b"\n")
+    assert h.hexdigest() == NETWORK_DIGEST
+
+
+def test_decided_gates_are_bound_in_variable_order():
+    # The walk meets s(1) before s(0), so it meets the gate `c & r` at 3
+    # before the one at 2.  Both are decided (c is no everywhere), and the
+    # network binds them lowest variable first, as a scan would.
+    g = knows_graph(4, lambda i: (i + 2,) if i < 2 else ())
+    inst = _Instance(g, parse_shapes(
+        "NODE s [] { u | >= 1 :knows . (c & r) };\nNODE c [] { :P };\n"
+        "NODE r [] { ! u };\nNODE u [] { ! r };\n"), SolverConfig())
+    inst.pin(enumerate(inst.lfp[:inst.count]))
+    net = _Network(inst.ground, inst.lfp, inst.pinned, inst.stats)
+    gates = range(inst.count, len(inst.ground.gates))
+    assert [inst.lfp[v] for v in gates] == [FALSE, FALSE]
+    assert net.trail == [lit for v in gates for lit in (4 * v + 3, 4 * v + 1)]
 
 
 def test_enumerate_limit_zero_and_negative():
