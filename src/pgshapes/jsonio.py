@@ -7,6 +7,14 @@ wrappers like {"type": "int", "value": 30} so readers never have to guess,
 and dates travel as ISO text.  Unknown fields are skipped with a warning
 rather than rejected, so documents from richer exporters still load.
 
+Import decodes the common shape of an element inline: string "id",
+"start" and "end", a "labels" list, and keys that each hold one string,
+int or YYYY-MM-DD date entry.  Each distinct label list, and each distinct
+single int or date value, is decoded once per document, and the elements
+that repeat it share its frozenset.  Every other input (integer ids,
+"label", multi-valued keys, extra fields, DD/MM/YYYY dates, anything
+malformed) goes through the helpers, which raise every error and warning.
+
 Export output is canonical: the bytes of json.dumps(doc, sort_keys=True,
 indent=2, ensure_ascii=False) plus a newline, which the writer emits element
 by element in the schema's fixed key order, without the generic encoder.
@@ -15,6 +23,7 @@ import(export(G)) is the identity.
 
 from __future__ import annotations
 
+import datetime
 import json
 import re
 import sys
@@ -123,7 +132,14 @@ def _decode_value(raw: object, where: str) -> Value:
 def import_graph_json(data: bytes | str) -> PropertyGraph:
     """Read a graph document.  Raises SchemaError on malformed input and
     DanglingEdge / IdClash when the document violates graph invariants.
-    Each element decodes once, straight into rows for graph._assemble."""
+    Each element decodes once, straight into rows for graph._assemble.
+
+    String ids and endpoints, "labels" lists and keys with one string, int
+    or ISO date entry decode inline; label lists and single int and date
+    values are decoded once per document and shared by the rows that repeat
+    them.  Any other shape goes through _id_field, _decode_labels and
+    _decode_values, so errors come in document order and warnings name
+    this function's caller."""
     try:
         if isinstance(data, str):
             data = data.encode("utf-8")  # fails on a lone surrogate
@@ -155,34 +171,81 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
 
     ids: dict[str, list[str]] = {"nodes": [], "relationships": []}
     endpoints, labels, props, keys = {}, {}, {}, {}  # the other rows _assemble takes
+    # Decoded once per document: each label list, by its entries, and each
+    # key's one int or date entry, by its payload, so equal rows share one
+    # frozenset.  A payload's type is checked before it is looked up, so
+    # true or 1.0 never reads the entry of 1.
+    label_sets: dict[tuple, frozenset[str]] = {}
+    int_sets: dict[int, frozenset[Value]] = {}
+    date_sets: dict[str, frozenset[Value]] = {}
     for name, fields in _FIELDS.items():
+        edges = name == "relationships"
+        xs = ids[name]
         for i, obj in enumerate(doc[name]):
-            # The `nodes[i]` text is built only for an error; a key's one
-            # string or int entry is decoded here, with no call and no set.
+            # The common shape decodes here, with no call; any other goes
+            # through the helpers, which raise and warn.  The `nodes[i]`
+            # text is built only for an error or a warning.
             if not isinstance(obj, dict):
                 raise SchemaError(f"{name}[{i}]: must be an object")
             if not obj.keys() <= fields:
                 _warn_unknown(obj, fields, f"{name}[{i}]")
-            x = _id_field(obj, "id", name, i)
-            ids[name].append(x)
-            if name == "relationships":
-                endpoints[x] = (_id_field(obj, "start", name, i), _id_field(obj, "end", name, i))
-            names = _decode_labels(obj, name, i)
+            x = obj.get("id")
+            if type(x) is not str or not x:
+                x = _id_field(obj, "id", name, i)
+            xs.append(x)
+            if edges:
+                src, dst = obj.get("start"), obj.get("end")
+                if type(src) is not str or not src:
+                    src = _id_field(obj, "start", name, i)
+                if type(dst) is not str or not dst:
+                    dst = _id_field(obj, "end", name, i)
+                endpoints[x] = (src, dst)
+            raw = obj.get("labels")
+            if type(raw) is list and "label" not in obj:
+                row = tuple(raw)
+                try:
+                    names = label_sets.get(row)
+                except TypeError:  # an unhashable entry, which is no label
+                    names = None
+                if names is None:
+                    names = label_sets[row] = _decode_labels(obj, name, i)
+            else:
+                names = _decode_labels(obj, name, i)
             if names:
                 labels[x] = names
             raw = obj.get("properties", {})
             if not isinstance(raw, dict):
                 raise SchemaError(f"{name}[{i}]: 'properties' must be an object")
             for key, entries in raw.items():
-                entry = entries[0] if type(entries) is list and len(entries) == 1 else None
-                if type(entry) is dict and len(entry) == 2 and key:
-                    tag, payload = entry.get("type"), entry.get("value")
-                    if tag == STRING and type(payload) is str:
-                        props[x, key] = frozenset((StrValue(payload),))
-                        continue
-                    if tag == INT and type(payload) is int:
-                        props[x, key] = frozenset((IntValue(payload),))
-                        continue
+                if type(entries) is list and len(entries) == 1 and key:
+                    entry = entries[0]
+                    if type(entry) is dict and len(entry) == 2:
+                        tag, payload = entry.get("type"), entry.get("value")
+                        if tag == STRING and type(payload) is str:
+                            props[x, key] = frozenset((StrValue(payload),))
+                            continue
+                        if tag == INT and type(payload) is int:
+                            values = int_sets.get(payload)
+                            if values is None:
+                                values = int_sets[payload] = frozenset((IntValue(payload),))
+                            props[x, key] = values
+                            continue
+                        if tag == DATE and type(payload) is str:
+                            values = date_sets.get(payload)
+                            if (values is None and len(payload) == 10
+                                    and payload[4] == payload[7] == "-"):
+                                # YYYY-MM-DD in ASCII digits, as parse_date
+                                # reads it, is all fromisoformat takes of
+                                # this length with these dashes.
+                                try:
+                                    day = datetime.date.fromisoformat(payload)
+                                except ValueError:
+                                    pass
+                                else:
+                                    values = date_sets[payload] = frozenset((DateValue(day),))
+                            if values is not None:
+                                props[x, key] = values
+                                continue
                 props[x, key] = _decode_values(entries, name, i, key)
             if raw:
                 keys[x] = tuple(sorted(raw))

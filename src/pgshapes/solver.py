@@ -307,7 +307,11 @@ class _Network:
         for out in rest:
             k, operands = gates[out]
             target = pinned.get(out) is TRUE
-            ordered = sorted(operands, key=(1).__and__)
+            ordered = operands
+            for x in operands:
+                if x & 1:
+                    ordered = sorted(operands, key=(1).__and__)
+                    break
             for plain in (2, 0)[:2 - target]:
                 lits = tuple(
                     4 * root[x >> 1] + (plain ^ 3 * (negated[x >> 1] ^ x & 1)) for x in ordered
@@ -315,7 +319,8 @@ class _Network:
                 for lit in lits:
                     used[lit >> 2] = 1
                 if target and k == 1:
-                    clause = list(dict.fromkeys(lits))
+                    # Only operands with one representative can repeat a literal.
+                    clause = list(dict.fromkeys(lits)) if len(set(lits)) < len(lits) else list(lits)
                     if len(clause) == 1:
                         units.append(clause)
                     else:

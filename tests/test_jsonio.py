@@ -11,7 +11,7 @@ from pgshapes import graph
 from pgshapes.errors import DanglingEdge, IdClash, PgShapesError, SchemaError
 from pgshapes.graph import INCOMING, OUTGOING, build_graph
 from pgshapes.jsonio import export_graph_json, import_graph_json
-from pgshapes.values import DateValue, value_sort_key
+from pgshapes.values import DateValue, IntValue, StrValue, value_sort_key
 
 from office import office_graph
 from randgen import gen_graph
@@ -168,6 +168,10 @@ MALFORMED = {
         (SchemaError, "nodes[0]: 'labels' must be a list"),
     '{"nodes": [{"id": "1", "labels": [""]}], "relationships": []}':
         (SchemaError, "nodes[0]: label must be a non-empty string"),
+    '{"nodes": [{"id": "1", "labels": [["A"]]}], "relationships": []}':
+        (SchemaError, "nodes[0]: label must be a non-empty string"),
+    '{"nodes": [{"id": "1", "labels": [{}]}], "relationships": []}':
+        (SchemaError, "nodes[0]: label must be a non-empty string"),
     '{"nodes": [{"id": "1", "properties": []}], "relationships": []}':
         (SchemaError, "nodes[0]: 'properties' must be an object"),
     '{"nodes": [{"id": "1", "properties": {"k": {}}}], "relationships": []}':
@@ -192,6 +196,10 @@ MALFORMED = {
         (SchemaError, "nodes[0], key 'k': not a date: 'soon'"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": 20200102}]}}], "relationships": []}':
         (SchemaError, "nodes[0], key 'k': date value must be ISO text"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-02-30"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': day is out of range for month"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-13-01"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': month must be in 1..12"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02\\n"}]}}], "relationships": []}':
         (SchemaError, "nodes[0], key 'k': not a date: '2020-01-02\\n'"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "٢٠٢٠-01-02"}]}}], "relationships": []}':
@@ -214,6 +222,14 @@ PRECEDENCE = {
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1, "x": 2}, '
     '{"value": 1}]}}], "relationships": []}':
         (SchemaError, "nodes[0], key 'k': value entry needs 'type' and 'value'"),
+    # A value seen once is looked up only for a payload of its own type.
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1}]}}, '
+    '{"id": "2", "properties": {"k": [{"type": "int", "value": true}]}}], "relationships": []}':
+        (SchemaError, "nodes[1], key 'k': int value must be a JSON integer"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1}]}}, '
+    '{"id": "2", "properties": {"k": [{"type": "int", "value": 1}]}}, '
+    '{"id": "3", "properties": {"k": [{"type": "int", "value": 1.0}]}}], "relationships": []}':
+        (SchemaError, "nodes[2], key 'k': int value must be a JSON integer"),
     '{"nodes": [{"id": "1", "labels": ["A"], "label": "B", "properties": []}], "relationships": []}':
         (SchemaError, "nodes[0]: give either 'labels' or 'label', not both"),
     '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "start": 1, "end": 1.0}]}':
@@ -358,6 +374,25 @@ def test_unknown_field_warnings_name_the_caller():
     ]
     for w in caught:
         assert (w.filename, w.lineno) == (__file__, load.__code__.co_firstlineno + 1)
+
+
+def test_equal_values_and_label_lists_are_shared():
+    def node(x, tag, payload):
+        return {"id": x, "labels": ["A", "B"], "properties": {"k": [{"type": tag, "value": payload}]}}
+
+    doc = {"nodes": [node("1", "int", 7), node("2", "int", 7),
+                     node("3", "date", "2020-08-02"), node("4", "date", "2020-08-02"),
+                     node("5", "string", "2020-08-02"),
+                     node("6", "date", "02/08/2020"), node("7", "date", "02/08/2020")],
+           "relationships": []}
+    g = import_graph_json(json.dumps(doc))
+    values = {x: g.property_values(x, "k") for x in g.nodes}
+    assert values["1"] is values["2"]
+    assert values["1"] == {IntValue(7)}
+    assert values["3"] is values["4"]
+    assert values["3"] == values["6"] == values["7"] == {DateValue(datetime.date(2020, 8, 2))}
+    assert values["5"] == {StrValue("2020-08-02")}
+    assert g.labels_of("1") is g.labels_of("7")
 
 
 def test_not_utf8():

@@ -575,6 +575,23 @@ def test_decided_gates_are_bound_in_variable_order():
     assert net.trail == [lit for v in gates for lit in (4 * v + 3, 4 * v + 1)]
 
 
+@pytest.mark.parametrize("target, clauses, trail", [
+    ("r | s", [], [10]),
+    ("r | s | p", [[10, 9]], []),
+])
+def test_target_clauses_repeat_no_literal(target, clauses, trail):
+    # r and s both equal q, and p equals ! q: all four share one
+    # representative, so the target's operands r and s read one literal.
+    g = build_graph(["a"], labelings={"a": ["P"]})
+    inst = _Instance(g, parse_shapes(
+        f"NODE t [:P] {{ {target} }};\nNODE r [] {{ q }};\nNODE s [] {{ ! p }};\n"
+        "NODE q [] { ! p };\nNODE p [] { ! q };\n"), SolverConfig())
+    inst.pin(enumerate(inst.lfp[:inst.count]))
+    net = _Network(inst.ground, inst.lfp, inst.pinned, inst.stats)
+    assert (net.clauses, net.trail) == (clauses, trail)
+    assert net.watches == {lit: [0] for clause in clauses for lit in clause}
+
+
 def test_enumerate_limit_zero_and_negative():
     # r and u negate each other on two isolated nodes: 3 x 3 faithful
     # assignments, none of them found under a limit of 0.
