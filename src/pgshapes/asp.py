@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterator
 
 from .errors import NameCollision, TooLarge, UnencodableValue
-from .graph import EDGE, PropertyGraph
+from .graph import EDGE, PropertyGraph, _Memo
 from .shapes import (
     Alt,
     And,
@@ -243,7 +243,10 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
     core = desugar_shapes(shapes)
 
     elements = (*g.nodes, *g.edges)
-    rows = list(g._rows(elements))
+    # Each id's sort key and token, once per element rather than per fact.
+    arg = {x: _arg_key(x) for x in elements}
+    tok = {x: _id_token(x) for x in elements}
+    rows = list(g._rows(sorted(elements, key=arg.__getitem__)))
     labels = {name for _, names, _ in rows for name in names}
     keys = {key for _, _, props in rows for key, _ in props}
     shape_labels, shape_keys = mentioned_names(core)
@@ -271,29 +274,15 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
         for sh, term in zip(core, terms)
     )
 
-    # Each id's sort key and token, once per element rather than per fact.
-    arg = {x: _arg_key(x) for x in elements}
-    tok = {x: _id_token(x) for x in elements}
+    label_facts, property_facts = _element_facts(rows, arg, tok, label_map, key_map, keys)
     groups = {
         "edges": _facts(
             ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).\n")
             for e in g.edges
             for src, dst in [g.endpoints(e)]
         ),
-        "labels": _facts(
-            ((arg[x], label_map[lab]), f"label({tok[x]}, {label_map[lab]}).\n")
-            for x, names, _ in rows
-            for lab in names
-        ),
-        "properties": _facts(
-            (
-                (arg[x], key_map[key], value_sort_key(v)),
-                f"property({tok[x]}, {key_map[key]}, {_value_term(v)}).\n",
-            )
-            for x, _, props in rows
-            for key, values in props
-            for v in values
-        ),
+        "labels": label_facts,
+        "properties": property_facts,
         "constraint terms": [
             s for t in sorted(r.constraint_terms) for s in ("constraint(", t, ").\n")
         ],
@@ -308,6 +297,37 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
         [("\n% " if i else "% ") + name + "\n", *pieces]
         for i, (name, pieces) in enumerate(written)
     )
+
+
+def _element_facts(rows, arg, tok, label_map, key_map, keys) -> tuple[list[str], list[str]]:
+    """Label and property facts of rows in arg order, as if sorted by (arg,
+    label) and (arg, key, value), then by text: a run of ids equal as numbers
+    ("7", "007") sorts its facts together.  Each label and value set sorts once."""
+    label_order = _Memo(lambda names: sorted(label_map[lab] for lab in names))
+    value_order = _Memo(lambda values: [f"{_value_term(v)}).\n" for v in (
+        values if len(values) == 1 else sorted(values, key=value_sort_key))])
+    tokens = [key_map[key] for key in sorted(keys)]
+    resort = tokens != sorted(tokens)   # keys come in text, not token, order
+    label_facts, property_facts, last = [], [], None
+    for i, (x, names, props) in enumerate(rows):
+        if arg[x] != last:  # a run starts: its first row and facts
+            last, start, labels_at, properties_at = arg[x], i, len(label_facts), len(property_facts)
+        t = tok[x]
+        for lab in label_order[names]:
+            label_facts.append(f"label({t}, {lab}).\n")
+        for key, values in sorted(props, key=lambda row: key_map[row[0]]) if resort else props:
+            for term in value_order[values]:
+                property_facts.append(f"property({t}, {key_map[key]}, {term}")
+        if start < i and (i + 1 == len(rows) or arg[rows[i + 1][0]] != last):
+            # A run of ids equal as numbers ends: its facts, sorted together.
+            label_facts[labels_at:] = _facts(
+                (label_map[lab], f"label({tok[x]}, {label_map[lab]}).\n")
+                for x, names, _ in rows[start:i + 1] for lab in names)
+            property_facts[properties_at:] = _facts(
+                ((key_map[key], value_sort_key(v)),
+                 f"property({tok[x]}, {key_map[key]}, {_value_term(v)}).\n")
+                for x, _, props in rows[start:i + 1] for key, values in props for v in values)
+    return label_facts, property_facts
 
 
 def _facts(keyed) -> list[str]:

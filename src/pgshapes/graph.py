@@ -149,7 +149,8 @@ class PropertyGraph:
 
     def _rows(self, xs: Iterable[str]) -> Iterator[tuple[str, frozenset[str], list]]:
         """(x, labels, [(key, values) in key order]) for each id in xs, read
-        from the tables with no membership check: the exports' walk."""
+        from the tables with no membership check: the exports' walk, which
+        renders each distinct label set, key and value set once per call."""
         labels, keys, props, none = self._labels, self._keys, self._props, frozenset()
         for x in xs:
             yield x, labels.get(x, none), [(key, props[x, key]) for key in keys.get(x, ())]
@@ -210,6 +211,17 @@ class PropertyGraph:
         return (
             f"PropertyGraph(nodes={len(self._nodes)}, edges={len(self._edges)})"
         )
+
+
+class _Memo(dict):
+    """A missing key's value is made by render(key) on its first lookup."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
 
 
 def build_graph(

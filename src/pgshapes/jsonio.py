@@ -8,16 +8,17 @@ and dates travel as ISO text.  Unknown fields are skipped with a warning
 rather than rejected, so documents from richer exporters still load.
 
 Import decodes the common shape of an element inline: string "id",
-"start" and "end", a "labels" list, and keys that each hold one string,
-int or YYYY-MM-DD date entry.  Each distinct label list, and each distinct
-single int or date value, is decoded once per document, and the elements
+"start" and "end", a "labels" list, and keys whose entries are each one
+string, int or YYYY-MM-DD date.  Each distinct label list, and each
+distinct int or date value, is decoded once per document, and the elements
 that repeat it share its frozenset.  Every other input (integer ids,
-"label", multi-valued keys, extra fields, DD/MM/YYYY dates, anything
-malformed) goes through the helpers, which raise every error and warning.
+"label", extra fields, DD/MM/YYYY dates, anything malformed) goes through
+the helpers, which raise every error and warning.
 
 Export output is canonical: the bytes of json.dumps(doc, sort_keys=True,
 indent=2, ensure_ascii=False) plus a newline, which the writer emits element
-by element in the schema's fixed key order, without the generic encoder.
+by element in the schema's fixed key order, without the generic encoder,
+and renders each distinct label set, key and value set once per document.
 import(export(G)) is the identity.
 """
 
@@ -30,7 +31,7 @@ import sys
 import warnings
 
 from .errors import SchemaError
-from .graph import PropertyGraph, _assemble
+from .graph import PropertyGraph, _assemble, _Memo
 from .values import (
     DATE,
     INT,
@@ -134,10 +135,10 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
     DanglingEdge / IdClash when the document violates graph invariants.
     Each element decodes once, straight into rows for graph._assemble.
 
-    String ids and endpoints, "labels" lists and keys with one string, int
-    or ISO date entry decode inline; label lists and single int and date
-    values are decoded once per document and shared by the rows that repeat
-    them.  Any other shape goes through _id_field, _decode_labels and
+    String ids and endpoints, "labels" lists and keys whose entries are
+    string, int or ISO date values decode inline; label lists and int and
+    date values are decoded once per document and shared by the rows that
+    repeat them.  Any other shape goes through _id_field, _decode_labels and
     _decode_values, so errors come in document order and warnings name
     this function's caller."""
     try:
@@ -172,11 +173,11 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
     ids: dict[str, list[str]] = {"nodes": [], "relationships": []}
     endpoints, labels, props, keys = {}, {}, {}, {}  # the other rows _assemble takes
     # Decoded once per document: each label list, by its entries, and each
-    # key's one int or date entry, by its payload, so equal rows share one
-    # frozenset.  A payload's type is checked before it is looked up, so
-    # true or 1.0 never reads the entry of 1.
+    # int or date entry, by its payload, so equal rows share one frozenset.
+    # A payload's type is checked before it is looked up, so true or 1.0
+    # never reads the entry of 1.
     label_sets: dict[tuple, frozenset[str]] = {}
-    int_sets: dict[int, frozenset[Value]] = {}
+    int_sets = _Memo(lambda payload: frozenset((IntValue(payload),)))
     date_sets: dict[str, frozenset[Value]] = {}
     for name, fields in _FIELDS.items():
         edges = name == "relationships"
@@ -217,35 +218,42 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
             if not isinstance(raw, dict):
                 raise SchemaError(f"{name}[{i}]: 'properties' must be an object")
             for key, entries in raw.items():
-                if type(entries) is list and len(entries) == 1 and key:
-                    entry = entries[0]
-                    if type(entry) is dict and len(entry) == 2:
+                if type(entries) is list and entries and key:
+                    # One entry's value set is shared; several are merged.
+                    # An entry of any other shape sends the list to the helper.
+                    acc = None
+                    for entry in entries:
+                        if type(entry) is not dict or len(entry) != 2:
+                            break
                         tag, payload = entry.get("type"), entry.get("value")
                         if tag == STRING and type(payload) is str:
-                            props[x, key] = frozenset((StrValue(payload),))
-                            continue
-                        if tag == INT and type(payload) is int:
-                            values = int_sets.get(payload)
-                            if values is None:
-                                values = int_sets[payload] = frozenset((IntValue(payload),))
-                            props[x, key] = values
-                            continue
-                        if tag == DATE and type(payload) is str:
+                            values = frozenset((StrValue(payload),))
+                        elif tag == INT and type(payload) is int:
+                            values = int_sets[payload]
+                        elif tag == DATE and type(payload) is str:
                             values = date_sets.get(payload)
-                            if (values is None and len(payload) == 10
-                                    and payload[4] == payload[7] == "-"):
+                            if values is None:
                                 # YYYY-MM-DD in ASCII digits, as parse_date
                                 # reads it, is all fromisoformat takes of
                                 # this length with these dashes.
+                                if len(payload) != 10 or not payload[4] == payload[7] == "-":
+                                    break
                                 try:
                                     day = datetime.date.fromisoformat(payload)
                                 except ValueError:
-                                    pass
-                                else:
-                                    values = date_sets[payload] = frozenset((DateValue(day),))
-                            if values is not None:
-                                props[x, key] = values
-                                continue
+                                    break
+                                values = date_sets[payload] = frozenset((DateValue(day),))
+                        else:
+                            break
+                        if acc is None:
+                            acc = values
+                        elif type(acc) is frozenset:
+                            acc = {*acc, *values}
+                        else:
+                            acc |= values
+                    else:
+                        props[x, key] = acc if type(acc) is frozenset else frozenset(acc)
+                        continue
                 props[x, key] = _decode_values(entries, name, i, key)
             if raw:
                 keys[x] = tuple(sorted(raw))
@@ -260,34 +268,34 @@ def _value_json(v: Value) -> str:
     return _VALUE % (v.type_name, payload)
 
 
-def _element_json(x: str, names: frozenset[str], props: list,
-                  head: str = "", tail: str = "") -> str:
-    """Element x, with its labels and (key, values) rows, as a top-level
-    array item; head, tail: fields around the others."""
-    labels = ",\n        ".join(map(_quote, sorted(names)))
-    props = ",\n        ".join(
-        f"{_quote(key)}: [\n          "
-        + ",\n          ".join(map(_value_json, sorted(values, key=value_sort_key)))
-        + "\n        ]"
-        for key, values in props
-    )
-    labels = f"[\n        {labels}\n      ]" if labels else "[]"
-    props = f"{{\n        {props}\n      }}" if props else "{}"
-    return (
-        f'\n    {{\n      {head}"id": {_quote(x)},\n      "labels": {labels},'
-        f'\n      "properties": {props}{tail}\n    }}'
-    )
+def _values_json(vs: frozenset[Value]) -> str:
+    """A key's entries and the close of its array, after its header."""
+    if len(vs) == 1:
+        (v,) = vs
+        return _value_json(v) + "\n        ]"
+    return ",\n          ".join(map(_value_json, sorted(vs, key=value_sort_key))) + "\n        ]"
 
 
 def export_graph_json(g: PropertyGraph) -> bytes:
     """Serialize a graph to canonical UTF-8 JSON bytes (module docstring)."""
-    nodes = [_element_json(*row) for row in g._rows(g.nodes)]
-    rels = [
-        _element_json(
-            *row, f'"end": {_quote(dst)},\n      ', f',\n      "start": {_quote(src)}'
-        )
-        for row in g._rows(g.edges)
-        for src, dst in [g.endpoints(row[0])]
-    ]
-    nodes, rels = (f"[{','.join(xs)}\n  ]" if xs else "[]" for xs in (nodes, rels))
-    return f'{{\n  "nodes": {nodes},\n  "relationships": {rels}\n}}\n'.encode()
+    # Rendered once per call, looked up by the object, which import shares.
+    labels_json = _Memo(lambda names: "[\n        " + ",\n        ".join(
+        map(_quote, sorted(names))) + "\n      ]" if names else "[]")
+    key_json = _Memo(lambda key: f"{_quote(key)}: [\n          ")
+    values_json = _Memo(_values_json)
+    arrays = []
+    for xs in (g.nodes, g.edges):
+        items = []
+        for x, names, props in g._rows(xs):
+            props = ",\n        ".join([key_json[key] + values_json[vs] for key, vs in props])
+            props = f"{{\n        {props}\n      }}" if props else "{}"
+            head = tail = ""
+            if xs is g.edges:
+                src, dst = g._endpoints[x]
+                head, tail = f'"end": {_quote(dst)},\n      ', f',\n      "start": {_quote(src)}'
+            items.append(
+                f'\n    {{\n      {head}"id": {_quote(x)},\n      "labels": {labels_json[names]},'
+                f'\n      "properties": {props}{tail}\n    }}'
+            )
+        arrays.append(f"[{','.join(items)}\n  ]" if items else "[]")
+    return f'{{\n  "nodes": {arrays[0]},\n  "relationships": {arrays[1]}\n}}\n'.encode()

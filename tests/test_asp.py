@@ -13,7 +13,7 @@ from pgshapes import asp
 from pgshapes.asp import MAX_TERM_BYTES, export_asp
 from pgshapes.errors import NameCollision, TooLarge
 from pgshapes.graph import EDGE, NODE, build_graph
-from pgshapes.jsonio import export_graph_json
+from pgshapes.jsonio import export_graph_json, import_graph_json
 from pgshapes.shapes import (
     AtMostKey,
     Cmp,
@@ -24,7 +24,7 @@ from pgshapes.shapes import (
     Top,
     link_shapes,
 )
-from pgshapes.values import GEQ, StrValue, quote_string
+from pgshapes.values import GEQ, StrValue, quote_string, value_sort_key
 
 from office import (
     employee_colleague_shape,
@@ -147,6 +147,93 @@ def test_digit_ids_sort_by_value_at_any_length():
     assert lines == [
         f"label({x}, person)." for x in ("009", "9", "10", long_id, "a")
     ]
+
+
+def test_ids_equal_as_numbers_interleave_by_the_next_argument():
+    g = build_graph(
+        ["7", "007"],
+        labelings={"7": ["a"], "007": ["a", "b"]},
+        properties={("007", "a"): [1], ("7", "b"): [1], ("007", "c"): [1], ("7", "c"): [1]},
+    )
+    lines = fact_lines(export_asp(g, link_shapes([])))
+    assert lines == [
+        "label(007, a).", "label(7, a).", "label(007, b).",
+        "property(007, a, integer(1)).", "property(7, b, integer(1)).",
+        "property(007, c, integer(1)).", "property(7, c, integer(1)).",
+    ]
+
+
+def reference_graph_facts(g) -> dict[str, str]:
+    """The label and property groups as sorted (sort key, fact) pairs over
+    every fact of the group: the order the export must keep."""
+    elements = (*g.nodes, *g.edges)
+    labels = asp._rename_map({l for x in elements for l in g.labels_of(x)}, "labels")
+    keys = asp._rename_map({k for x in elements for k in g.property_keys(x)}, "keys")
+    arg, tok = asp._arg_key, asp._id_token
+    label_facts = sorted(
+        ((arg(x), labels[l]), f"label({tok(x)}, {labels[l]}).\n")
+        for x in elements
+        for l in g.labels_of(x)
+    )
+    property_facts = sorted(
+        (
+            (arg(x), keys[k], value_sort_key(v)),
+            f"property({tok(x)}, {keys[k]}, {asp._value_term(v)}).\n",
+        )
+        for x in elements
+        for k in g.property_keys(x)
+        for v in g.property_values(x, k)
+    )
+    return {"labels": "".join(f for _, f in label_facts),
+            "properties": "".join(f for _, f in property_facts)}
+
+
+def graph_fact_groups(g) -> dict[str, str]:
+    groups = {header.strip("\n% "): "".join(pieces)
+              for header, *pieces in asp._fact_groups(g, link_shapes([]))}
+    return {name: groups.get(name, "") for name in ("labels", "properties")}
+
+
+# Ids equal as numbers, and names that lowercasing reorders: "Zeta" sorts
+# before "alpha" and "zeta" after it, and quoted tokens come first.
+TIED_IDS = ("7", "007", "0007", "10", "010", "0", "00", "a", "Zed", "x y")
+REORDERED_NAMES = ("Zeta", "alpha", "Mid", "b", "_u", "x y")
+MIXED_VALUES = (-1, 7, 10, 100, "7", "a", "B", datetime.date(2020, 8, 2),
+                datetime.date(1999, 12, 31))
+
+
+def tie_graph(rng: random.Random):
+    ids = rng.sample(TIED_IDS, rng.randint(1, len(TIED_IDS)))
+    nodes = ids[:rng.randint(1, len(ids))]
+    edges = ids[len(nodes):]
+    return build_graph(
+        nodes, edges,
+        endpoints={e: (rng.choice(nodes), rng.choice(nodes)) for e in edges},
+        labelings={x: rng.sample(REORDERED_NAMES, rng.randint(0, 3)) for x in ids},
+        properties={
+            (x, key): [rng.choice(MIXED_VALUES) for _ in range(rng.randint(1, 4))]
+            for x in ids
+            for key in rng.sample(REORDERED_NAMES, rng.randint(0, 3))
+        },
+    )
+
+
+def test_graph_facts_match_the_sorted_reference():
+    rng = random.Random(2525)
+    interleaved = 0
+    for _ in range(300):
+        g = tie_graph(rng)
+        # Imported graphs share one frozenset per label list, int and date.
+        for h in (g, import_graph_json(export_graph_json(g))):
+            expected = reference_graph_facts(h)
+            assert graph_fact_groups(h) == expected
+        ids = [line[len("property("):].split(",")[0]
+               for line in expected["properties"].splitlines()]
+        runs = [x for i, x in enumerate(ids) if i == 0 or ids[i - 1] != x]
+        interleaved += len(runs) > len(set(runs))
+    # Some id's facts come in more than one run: a walk that wrote each
+    # element's facts together would fail here.
+    assert interleaved > 50
 
 
 def test_ids_and_labels_with_a_trailing_newline_quoted():

@@ -206,6 +206,28 @@ MALFORMED = {
         (SchemaError, "nodes[0], key 'k': not a date: '٢٠٢٠-01-02'"),
     '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "02/01/٢٠٢٠"}]}}], "relationships": []}':
         (SchemaError, "nodes[0], key 'k': not a date: '02/01/٢٠٢٠'"),
+    # A multi-valued list whose later entry is faulty.
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1}, '
+    '{"type": "int", "value": true}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': int value must be a JSON integer"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "string", "value": "a"}, '
+    '{"type": "date", "value": "2020-01-02"}, "x"]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': value entry must be an object"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "date", "value": "2020-01-02"}, '
+    '{"type": "date", "value": "2020-02-30"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': day is out of range for month"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1}, '
+    '{"type": "string", "value": "a"}, {"type": "int"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': value entry needs 'type' and 'value'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1}, '
+    '{"type": "float", "value": 1}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': unknown value type tag 'float'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "int", "value": 1}, '
+    '{"type": "int", "value": 2}, {"type": "date", "value": "soon"}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': not a date: 'soon'"),
+    '{"nodes": [{"id": "1", "properties": {"k": [{"type": "string", "value": "a"}, '
+    '{"type": "string", "value": 2}]}}], "relationships": []}':
+        (SchemaError, "nodes[0], key 'k': string value must be JSON text"),
     '{"nodes": [{"id": "1"}], "relationships": [{"id": "2", "end": "1"}]}':
         (SchemaError, "relationships[0]: missing 'start'"),
 }
@@ -395,6 +417,42 @@ def test_equal_values_and_label_lists_are_shared():
     assert g.labels_of("1") is g.labels_of("7")
 
 
+def test_multi_valued_keys_decode_inline_and_share_the_memos(monkeypatch):
+    def entry(tag, payload):
+        return {"type": tag, "value": payload}
+
+    doc = {"nodes": [
+        {"id": "1", "properties": {"k": [entry("int", 7)], "d": [entry("date", "2020-08-02")]}},
+        {"id": "2", "properties": {"k": [entry("int", 7), entry("date", "2020-08-02"),
+                                         entry("string", "7"), entry("int", 7)]}},
+    ], "relationships": []}
+    monkeypatch.setattr("pgshapes.jsonio._decode_values", None)  # never called
+    g = import_graph_json(json.dumps(doc))
+    day = DateValue(datetime.date(2020, 8, 2))
+    assert g.property_values("2", "k") == {IntValue(7), day, StrValue("7")}
+    shared = {v: v for v in g.property_values("2", "k")}
+    (seven,), (date,) = g.property_values("1", "k"), g.property_values("1", "d")
+    assert shared[IntValue(7)] is seven and shared[day] is date
+
+
+def test_multi_valued_warnings_name_the_caller():
+    doc = {"nodes": [{"id": "1", "properties": {"k": [
+        {"type": "int", "value": 1}, {"type": "int", "value": 2, "unit": "m"}]}}],
+        "relationships": []}
+
+    def load():
+        return import_graph_json(json.dumps(doc))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = load()
+    assert g.property_values("1", "k") == {IntValue(1), IntValue(2)}
+    assert [str(w.message) for w in caught] == [
+        "nodes[0], key 'k': ignoring unknown fields ['unit']"]
+    assert (caught[0].filename, caught[0].lineno) == (
+        __file__, load.__code__.co_firstlineno + 1)
+
+
 def test_not_utf8():
     with pytest.raises(SchemaError):
         import_graph_json(b"\xff\xfe{}")
@@ -481,6 +539,26 @@ def reference_export(g) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode()
 
 
+def shared_document(rng: random.Random) -> str:
+    """A document whose elements draw label lists, keys, ints and dates
+    from small pools, so import shares them and export renders them once."""
+    label_lists = [[odd_text(rng, 1) for _ in range(rng.randint(0, 3))] for _ in range(3)]
+    keys = [odd_text(rng, 1) for _ in range(3)]
+    pool = [*({"type": "int", "value": rng.randint(-5, 5)} for _ in range(3)),
+            *({"type": "date", "value": f"2020-0{rng.randint(1, 9)}-1{rng.randint(0, 9)}"}
+              for _ in range(3)),
+            {"type": "string", "value": odd_text(rng)}]
+
+    def element(x):
+        return {"id": x, "labels": rng.choice(label_lists), "properties": {
+            key: rng.sample(pool, rng.randint(1, 3)) for key in rng.sample(keys, rng.randint(0, 3))}}
+
+    nodes = [element(f"n{i}") for i in range(rng.randint(1, 30))]
+    rels = [{**element(f"e{i}"), "start": rng.choice(nodes)["id"], "end": rng.choice(nodes)["id"]}
+            for i in range(rng.randint(0, 30))]
+    return json.dumps({"nodes": nodes, "relationships": rels})
+
+
 def test_writer_matches_generic_encoder():
     rng = random.Random(8080)
     graphs = [build_graph([]), office_graph()] + [odd_graph(rng) for _ in range(300)]
@@ -489,6 +567,15 @@ def test_writer_matches_generic_encoder():
         out = export_graph_json(g)
         assert out == reference_export(g)
         assert import_graph_json(out) == g
+        # Imported, the graph shares its label sets, ints and dates.
+        assert export_graph_json(import_graph_json(out)) == out
+    shared = 0
+    for _ in range(100):
+        g = import_graph_json(shared_document(rng))
+        assert export_graph_json(g) == reference_export(g)
+        elements = g.nodes + g.edges
+        shared += len({id(g.labels_of(x)) for x in elements}) < len(elements)
+    assert shared > 80
 
 
 @pytest.mark.parametrize(
