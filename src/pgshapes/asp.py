@@ -1,6 +1,7 @@
 """Fact-base export of a graph plus shapes for answer-set solvers.
 
-Graphs become edge/3, label/2 and property/3 facts; shapes become one
+Graphs become edge/3, label/2 and property/3 facts, plus a node/1 fact
+for each node none of those name; shapes become one
 nodeshape/3 or edgeshape/3 fact each, plus constraint/1 and path/1 facts
 listing every sub-constraint and sub-path so solver rules can ground.
 
@@ -76,8 +77,10 @@ _BARE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _DIGITS = re.compile(r"[0-9]+")
 
 
-def _id_token(x: str) -> str:
-    if _DIGITS.fullmatch(x) or _BARE.fullmatch(x):
+def _id_token(x: str, key: tuple | None = None) -> str:
+    """Id x's token.  Given x's sort key, a digit id is known as one without
+    matching it again."""
+    if (key or _arg_key(x))[0] == 0 or _BARE.fullmatch(x):
         return x
     return quote_string(x)
 
@@ -245,7 +248,7 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
     elements = (*g.nodes, *g.edges)
     # Each id's sort key and token, once per element rather than per fact.
     arg = {x: _arg_key(x) for x in elements}
-    tok = {x: _id_token(x) for x in elements}
+    tok = {x: _id_token(x, arg[x]) for x in elements}
     rows = list(g._rows(sorted(elements, key=arg.__getitem__)))
     labels = {name for _, names, _ in rows for name in names}
     keys = {key for _, _, props in rows for key, _ in props}
@@ -275,7 +278,12 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
     )
 
     label_facts, property_facts = _element_facts(rows, arg, tok, label_map, key_map, keys)
+    ends = {x for e in g.edges for x in g.endpoints(e)}
     groups = {
+        # Rows come in arg order, and ids equal as numbers in text order, so
+        # the node facts are sorted as they come.
+        "nodes": [f"node({tok[x]}).\n" for x, names, props in rows
+                  if not names and not props and x not in ends and g.has_node(x)],
         "edges": _facts(
             ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).\n")
             for e in g.edges

@@ -490,7 +490,7 @@ def _eval_at(g, sigma, c, x, kind) -> TruthValue:
 
         return variable
 
-    lit = _grounding(g, reference, gates)(c, kind)(x)
+    [lit] = _grounding(g, reference, gates, [(c, kind, (x,))])
     values = [UNKNOWN] * len(gates)
     for atom, v in inputs.items():
         values[v] = sigma[atom]
@@ -660,10 +660,11 @@ def _gate_value(gate: tuple, values) -> TruthValue:
     return FALSE if len(lits) - refuted < k else UNKNOWN
 
 
-def _grounding(g: PropertyGraph, reference, gates: list):
-    """The compiler of constraints into the circuit `gates`: compiled(c,
-    kind) is the function x -> literal that grounds c at an element x of
-    kind `kind`, appending the gates it builds.
+def _grounding(g: PropertyGraph, reference, gates: list, jobs) -> list[int]:
+    """Ground each (constraint, kind, elements) of `jobs` into the circuit
+    `gates`, appending the gates it builds: the literal of the constraint at
+    each element, job after job.  Inside, compiled(c, kind) is the function
+    x -> literal that grounds c at an element x of kind `kind`.
 
     reference(name, kind) compiles a shape reference: the function x -> the
     literal of atom (name, x), which raises DomainMismatch for an atom
@@ -826,7 +827,16 @@ def _grounding(g: PropertyGraph, reference, gates: list):
         functions[key] = ground
         return ground
 
-    return compiled
+    try:
+        roots: list[int] = []
+        for c, kind, xs in jobs:
+            roots += map(compiled(c, kind), xs)
+        return roots
+    finally:
+        # compiled and moved reach themselves through these cells.  Emptied,
+        # they leave no cycle: the compiled functions, their tables and the
+        # path cache go by reference counting, not at a collection.
+        del compiled, moved
 
 
 def _labelled(g: PropertyGraph, c: HasLabel) -> frozenset[str]:
@@ -891,10 +901,7 @@ class GroundInstance:
             return literals[name, kind]
 
         self.gates = gates = [None] * start
-        compiled = _grounding(g, reference, gates)
-        roots: list[int] = []
-        for s, xs in blocks:
-            roots += map(compiled(s.constraint, s.kind), xs)
+        roots = _grounding(g, reference, gates, [(s.constraint, s.kind, xs) for s, xs in blocks])
         # Only now do the atoms take their gates, so that inlining never
         # mistook a reference to an atom for a gate.  An atom whose equation
         # is a gate's literal takes over that gate's (k, literals).

@@ -86,6 +86,30 @@ def test_empty_inputs_empty_document():
     assert export_asp(build_graph([]), link_shapes([])) == ""
 
 
+def test_a_node_no_other_fact_names_has_a_node_fact():
+    # Without its node fact, the graph with n1 exported as the empty graph,
+    # though `NODE s [id n1] { :P };` fails on the one and holds on the other.
+    shapes = link_shapes([Shape("s", NODE, HasLabel("P"), TargetExact("n1"))])
+    one, empty = build_graph(["n1"]), build_graph([])
+    assert export_asp(one, shapes) != export_asp(empty, shapes)
+    assert export_asp(one, link_shapes([])) == "% nodes\nnode(n1).\n"
+
+
+def test_node_facts_only_for_nodes_nothing_else_names():
+    g = build_graph(
+        ["007", "7", "a b", "c", "d", "e", "f", "10"], ["x"],
+        endpoints={"x": ("c", "d")},
+        labelings={"e": ["L"]},
+        properties={("f", "k"): [1]},
+    )
+    text = export_asp(g, link_shapes([]))
+    assert text.startswith(
+        '% nodes\nnode(007).\nnode(7).\nnode(10).\nnode("a b").\n\n% edges\n'
+    )
+    # Every node of office.json has a label: no group.
+    assert "% nodes" not in export_asp(office_graph(), link_shapes([]))
+
+
 def test_role_pair_shape_facts():
     text = export_asp(build_graph([]), role_pair_shapes())
     lines = fact_lines(text)
