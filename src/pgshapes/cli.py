@@ -102,13 +102,7 @@ def _cmd_validate(args) -> int:
     shapes = parse_shapes(_read_text(args.shapes))
     if args.normalize:
         g, shapes, _root, _traces = normalize_instance(g, shapes)
-    config = SolverConfig(
-        # Both orders take the same branches under CDCL; the switch stays
-        # while perfbench/spans.py, which mirrors it, passes atom_order.
-        atom_order="dependency" if args.normalize else "default",
-        max_atoms=args.max_atoms,
-        max_branches=args.budget,
-    )
+    config = SolverConfig(max_atoms=args.max_atoms, max_branches=args.budget)
 
     if args.all:
         found = enumerate_faithful_assignments(g, shapes, config=config)

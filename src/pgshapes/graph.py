@@ -1,5 +1,6 @@
 """Immutable property graph: directed multigraph with identified edges,
-label sets, and finitely multi-valued typed properties.
+label sets, and finitely multi-valued typed properties, stored once per
+element as one map from key to value set, in key order.
 
 Node ids and edge ids share one namespace-disjointness rule: the two id sets
 may not overlap.  Ids are opaque text tokens; integer tokens are accepted on
@@ -29,6 +30,8 @@ EDGE = "edge"
 
 OUTGOING = "outgoing"
 INCOMING = "incoming"
+
+_NO_VALUES, _NO_PROPS = frozenset(), MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,16 @@ class PropertyGraph:
     """Validated immutable graph.  Construct through build_graph()."""
 
     __slots__ = (
-        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_keys", "_node_set",
+        "_nodes", "_edges", "_endpoints", "_labels", "_props", "_node_set",
         "_by_label", "_label_adj",
     )
 
-    def __init__(self, nodes, edges, endpoints, labels, props, keys, node_set):
+    def __init__(self, nodes, edges, endpoints, labels, props, node_set):
         self._nodes = nodes
         self._edges = edges
         self._endpoints = endpoints
         self._labels = labels
-        self._props = props
-        self._keys = keys
+        self._props = props  # element -> {key: values}, keys sorted
         self._node_set = node_set
         self._by_label = None
         self._label_adj: dict = {}  # label (None: every edge) -> direction -> table
@@ -137,23 +139,25 @@ class PropertyGraph:
 
     def property_values(self, x: str, key: str) -> frozenset[Value]:
         """The value set of (x, key); empty when the key is absent."""
-        if x not in self:
+        props = self._props.get(x, _NO_PROPS)
+        if props is _NO_PROPS and x not in self:
             raise UnknownElement(f"no such element: {x!r}")
-        return self._props.get((x, key), frozenset())
+        return props.get(key, _NO_VALUES)
 
     def property_keys(self, x: str) -> tuple[str, ...]:
-        """The keys x has values under, sorted (indexed once at build)."""
-        if x not in self:
+        """The keys x has values under, sorted: its property map's order."""
+        props = self._props.get(x, _NO_PROPS)
+        if props is _NO_PROPS and x not in self:
             raise UnknownElement(f"no such element: {x!r}")
-        return self._keys.get(x, ())
+        return tuple(props)
 
-    def _rows(self, xs: Iterable[str]) -> Iterator[tuple[str, frozenset[str], list]]:
-        """(x, labels, [(key, values) in key order]) for each id in xs, read
-        from the tables with no membership check: the exports' walk, which
-        renders each distinct label set, key and value set once per call."""
-        labels, keys, props, none = self._labels, self._keys, self._props, frozenset()
+    def _rows(self, xs: Iterable[str]) -> Iterator[tuple[str, frozenset[str], Iterable]]:
+        """(x, labels, its property map's (key, values) items) for each id in
+        xs, read with no membership check: the exports' walk, which renders
+        each distinct label set, key and value set once per call."""
+        labels, props, none = self._labels, self._props, frozenset()
         for x in xs:
-            yield x, labels.get(x, none), [(key, props[x, key]) for key in keys.get(x, ())]
+            yield x, labels.get(x, none), props.get(x, _NO_PROPS).items()
 
     def adjacent_edges(self, n: str, direction: str) -> tuple[tuple[str, str], ...]:
         """(edge, other endpoint) pairs at node n, in the given direction,
@@ -270,7 +274,7 @@ def build_graph(
         if names:
             label_map[xid] = frozenset(names)
 
-    prop_map: dict[tuple[str, str], frozenset[Value]] = {}
+    prop_map: dict[str, dict[str, frozenset[Value]]] = {}
     for (x, key), raw_values in (properties or {}).items():
         xid = _ident(x)
         if xid not in kinds:
@@ -280,18 +284,15 @@ def build_graph(
         vals = frozenset(coerce_value(v) for v in raw_values)
         if not vals:
             raise ValueError(f"empty value set for ({xid!r}, {key!r})")
-        prop_map[(xid, key)] = vals
-    keys: dict[str, list[str]] = {}
-    for xid, key in prop_map:
-        keys.setdefault(xid, []).append(key)
-    keys = {x: tuple(sorted(ks)) for x, ks in keys.items()}
-    return _assemble(node_ids, edge_ids, ends, label_map, prop_map, keys, base)
+        prop_map.setdefault(xid, {})[key] = vals
+    return _assemble(node_ids, edge_ids, ends, label_map, prop_map, base)
 
 
-def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
+def _assemble(nodes, edges, endpoints, labels, props, base=None,
               label_index=None, label_tables=None) -> PropertyGraph:
     """base plus normalized rows: text ids, (source, destination) per edge
-    in input order, frozensets of labels and of values, sorted key tuples.
+    in input order, frozensets of labels, and per element with properties
+    one map from key to frozenset of values, which it stores in key order.
     Checks the id invariants, in this order: duplicate node ids, duplicate
     edge ids, ids used as both, endpoints in input order, edges without
     endpoints.  It builds no index: base's built label indexes carry over,
@@ -303,7 +304,7 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
     label_tables, label_adjacency tables of labels that no base element
     carries.  The index and tables take effect where base's label index is
     built, as it is once anything has read labels from base."""
-    base = base or PropertyGraph((), (), {}, {}, {}, {}, frozenset())
+    base = base or PropertyGraph((), (), {}, {}, {}, frozenset())
     node_set, edge_set = set(nodes), set(edges)
     if len(node_set) != len(nodes) or not node_set.isdisjoint(base._node_set):
         raise IdClash("duplicate node id")
@@ -313,6 +314,7 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
     if clash:
         raise IdClash(f"ids used as both node and edge: {sorted(clash)}")
 
+    props = {x: dict(sorted(row.items())) for x, row in props.items()}
     node_set |= base._node_set
     # Checked as whole sets; the scan in input order only names the failure.
     end_nodes = set(chain.from_iterable(endpoints.values()))
@@ -327,7 +329,7 @@ def _assemble(nodes, edges, endpoints, labels, props, keys, base=None,
     g = PropertyGraph(
         tuple(sorted((*base._nodes, *nodes))), tuple(sorted((*base._edges, *edges))),
         {**base._endpoints, **endpoints}, {**base._labels, **labels},
-        {**base._props, **props}, {**base._keys, **keys}, node_set,
+        {**base._props, **props}, node_set,
     )
     old_index = base._by_label
     if old_index is not None:

@@ -171,7 +171,7 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
     _warn_unknown(doc, _DOC_FIELDS, "document")
 
     ids: dict[str, list[str]] = {"nodes": [], "relationships": []}
-    endpoints, labels, props, keys = {}, {}, {}, {}  # the other rows _assemble takes
+    endpoints, labels, props = {}, {}, {}  # the other rows _assemble takes
     # Decoded once per document: each label list, by its entries, and each
     # int or date entry, by its payload, so equal rows share one frozenset.
     # A payload's type is checked before it is looked up, so true or 1.0
@@ -217,6 +217,7 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
             raw = obj.get("properties", {})
             if not isinstance(raw, dict):
                 raise SchemaError(f"{name}[{i}]: 'properties' must be an object")
+            row = {}  # in document order, as faults are reported; _assemble sorts it
             for key, entries in raw.items():
                 if type(entries) is list and entries and key:
                     # One entry's value set is shared; several are merged.
@@ -252,12 +253,12 @@ def import_graph_json(data: bytes | str) -> PropertyGraph:
                         else:
                             acc |= values
                     else:
-                        props[x, key] = acc if type(acc) is frozenset else frozenset(acc)
+                        row[key] = acc if type(acc) is frozenset else frozenset(acc)
                         continue
-                props[x, key] = _decode_values(entries, name, i, key)
-            if raw:
-                keys[x] = tuple(sorted(raw))
-    return _assemble(ids["nodes"], ids["relationships"], endpoints, labels, props, keys)
+                row[key] = _decode_values(entries, name, i, key)
+            if row:
+                props[x] = row
+    return _assemble(ids["nodes"], ids["relationships"], endpoints, labels, props)
 
 
 def _value_json(v: Value) -> str:

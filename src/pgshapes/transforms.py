@@ -210,7 +210,7 @@ def eliminate_paths(
         path_labels=tuple(path_map.items()),
         marker=marker,
     )
-    g2 = _assemble((), tuple(ends), ends, tags, {}, {}, g, index, tables)
+    g2 = _assemble((), tuple(ends), ends, tags, {}, g, index, tables)
     return g2, link_shapes(rebuilt), trace
 
 
@@ -337,7 +337,7 @@ def reduce_to_single_target(
         for sh in core
     ]
     rebuilt.append(Shape(root_name, NODE, root_constraint, TargetExact(n0)))
-    g2 = _assemble((n0,), tuple(ends), ends, tags, {}, {}, g)
+    g2 = _assemble((n0,), tuple(ends), ends, tags, {}, g)
     trace = TransformTrace(
         fresh_nodes=(n0,),
         fresh_edges=tuple(ends),

@@ -1,4 +1,5 @@
 import datetime
+import json
 import random
 
 import pytest
@@ -175,13 +176,26 @@ def test_equality_is_structural():
 
 
 def test_property_keys_index_matches_a_full_scan():
+    # Keys given in any order, to build_graph or in a document, come back
+    # sorted, and they are exactly the keys with values.
     rng = random.Random(1107)
+    pool = ("z", "k2", "a", "k1", "K", "10", "9", "\u00e9")
     for _ in range(100):
         g = gen_graph(rng, max_nodes=8, max_edges=12)
-        for x in g.nodes + g.edges:
-            assert g.property_keys(x) == tuple(
-                sorted(k for (y, k) in g._props if y == x)
-            )
+        xs = g.nodes + g.edges
+        rows = [((x, k), [rng.randint(0, 3)])
+                for x in xs for k in rng.sample(pool, rng.randint(0, 4))]
+        rng.shuffle(rows)
+        built = build_graph(g.nodes, g.edges, {e: g.endpoints(e) for e in g.edges},
+                            properties=dict(rows))
+        doc = json.loads(export_graph_json(built))
+        for obj in doc["nodes"] + doc["relationships"]:
+            obj["properties"] = dict(reversed(obj["properties"].items()))
+        imported = import_graph_json(json.dumps(doc))
+        for h in (g, built, imported):
+            for x in xs:
+                assert h.property_keys(x) == tuple(
+                    k for k in sorted(pool) if h.property_values(x, k))
 
 
 def test_label_adjacency_matches_filtered_adjacent_edges():
