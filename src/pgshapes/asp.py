@@ -252,7 +252,7 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
     rows = list(g._rows(sorted(elements, key=arg.__getitem__)))
     labels = {name for _, names, _ in rows for name in names}
     keys = {key for _, _, props in rows for key, _ in props}
-    shape_labels, shape_keys = mentioned_names(core)
+    shape_labels, shape_keys, _ = mentioned_names(core)
     label_map = _rename_map(labels | shape_labels, "labels")
     key_map = _rename_map(keys | shape_keys, "property keys")
     shape_map = _rename_map({sh.name for sh in core}, "shape names")

@@ -292,14 +292,15 @@ def _reach(g, p, cache) -> dict[str, tuple[frozenset[str], tuple[str, ...]]]:
     The first evaluation of a path object answers every source, and `cache`
     maps id(p) to p and those answers (keyed by identity, because hashing a
     PathExpr recurses through the whole expression).  A path that is one
-    label step reads the label's adjacency; any other path costs one pass,
-    O(|Q| * (|V| + |E|)) plus the bitset unions, for all sources together.
+    label step reads the label's answers from the graph, which builds them
+    once from the label's adjacency, or holds them from path elimination
+    for a fresh label; any other path costs one pass, O(|Q| * (|V| + |E|))
+    plus the bitset unions, for all sources together.
     """
     entry = cache.get(id(p))
     if entry is None:
         if type(p) is EdgeLabel:
-            adjacency = g.label_adjacency(p.name, OUTGOING)
-            found = {x: _both(sorted({m for _, m in pairs})) for x, pairs in adjacency.items()}
+            found = g._targets(p.name)
         else:
             found = _every_source(g, p)
         entry = cache[id(p)] = (p, found)

@@ -583,16 +583,19 @@ def is_sugar_free(c: Constraint) -> bool:
     return all(isinstance(sub, CORE_CONSTRAINTS) for sub in iter_constraints(c))
 
 
-def mentioned_names(core: Iterable[Shape]) -> tuple[set[str], set[str]]:
-    """The labels and the property keys that desugared shapes mention in
-    their targets, constraints and paths."""
+def mentioned_names(core: Iterable[Shape]) -> tuple[set[str], set[str], set[str]]:
+    """The labels, the property keys and the element ids that desugared
+    shapes mention in their targets, constraints and paths."""
     labels: set[str] = set()
     keys: set[str] = set()
+    ids: set[str] = set()
     for sh in core:
         if isinstance(sh.target, TargetLabel):
             labels.add(sh.target.label)
         elif isinstance(sh.target, (TargetKey, TargetKeyValue)):
             keys.add(sh.target.key)
+        elif isinstance(sh.target, TargetExact):
+            ids.add(sh.target.element)
         for c in iter_constraints(sh.constraint):
             if isinstance(c, HasLabel):
                 labels.add(c.label)
@@ -600,11 +603,13 @@ def mentioned_names(core: Iterable[Shape]) -> tuple[set[str], set[str]]:
                 keys.add(c.key)
             elif isinstance(c, (PathKeyCmp, KeyCmp)):
                 keys.update((c.first_key, c.second_key))
+            elif isinstance(c, Exact):
+                ids.add(c.element)
         for p in constraint_paths(sh.constraint):
             labels.update(
                 q.name for q in iter_paths(p) if isinstance(q, EdgeLabel)
             )
-    return labels, keys
+    return labels, keys, ids
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ grounded instance; on a normalized set every constraint is a single
 operator over atomic operands, so each atom's equation is one connective.
 
 Two rules keep the rewrites honest.  Fresh names never collide with any
-name already in use, per namespace.  And whenever a transform adds edges to
-the graph, those edges carry a fresh marker label and every incoming or
+name already in use, per namespace: a fresh id skips the graph's ids and
+every id a shape names, in a target or an `id` constraint, so no shape can
+select a made-up element.  And whenever a transform adds edges to the
+graph, those edges carry a fresh marker label and every incoming or
 outgoing edge-counting body in the pre-existing shapes is guarded with the
 marker's negation; without the guard the added edges would inflate edge
 counts and flip verdicts on shapes that bound them from above.
@@ -21,9 +23,10 @@ counts and flip verdicts on shapes that bound them from above.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import NotNormalized, PathsPresent
 from .graph import EDGE, NODE, OUTGOING, PropertyGraph, _assemble
@@ -89,15 +92,21 @@ class TransformTrace:
 
 
 class _Fresh:
-    """Counter-suffixed names skipping everything already taken."""
+    """Counter-suffixed names skipping everything already taken: the names
+    in `taken`, and the ids of `graph` when one is given, which is probed
+    per candidate name rather than copied."""
 
-    def __init__(self, taken):
+    def __init__(self, taken, graph: PropertyGraph | None = None):
         self.taken = set(taken)
+        self.graph = graph
         self.counters: dict[str, int] = {}
+
+    def _free(self, x: str) -> bool:
+        return x not in self.taken and (self.graph is None or x not in self.graph)
 
     def name(self, prefix: str) -> str:
         i = self.counters.get(prefix, 0)
-        while f"{prefix}{i}" in self.taken:
+        while not self._free(f"{prefix}{i}"):
             i += 1
         out = f"{prefix}{i}"
         self.counters[prefix] = i + 1
@@ -105,15 +114,16 @@ class _Fresh:
         return out
 
     def names(self, prefix: str, count: int) -> list[str]:
-        """The names `count` calls of name(prefix) would give, from one
-        scan of the taken names."""
-        clash = {x for x in self.taken if x.startswith(prefix)}
+        """The names `count` calls of name(prefix) would give; each name is
+        probed one at a time only if the next `count` are not all free."""
         start = self.counters.get(prefix, 0)
         numbers = range(start, start + count)
-        if clash:
-            numbers = [i for i in range(start, start + count + len(clash))
-                       if f"{prefix}{i}" not in clash][:count]
         out = [f"{prefix}{i}" for i in numbers]
+        if not self.taken.isdisjoint(out) or (
+                self.graph is not None and self.graph._holds_any(out)):
+            free = (i for i in itertools.count(start) if self._free(f"{prefix}{i}"))
+            numbers = list(itertools.islice(free, count))
+            out = [f"{prefix}{i}" for i in numbers]
         if numbers:
             self.counters[prefix] = numbers[-1] + 1
         self.taken.update(out)
@@ -167,30 +177,35 @@ def eliminate_paths(
     if not composite:
         return g, core, TransformTrace()
 
-    labels = _Fresh({*g.by_label, *mentioned_names(core)[0]})
-    ids = _Fresh({*g.nodes, *g.edges})
+    label_names, _, exact_ids = mentioned_names(core)
+    labels = _Fresh({*g.by_label, *label_names})
+    ids = _Fresh(exact_ids, g)
     path_map = {text: labels.name("__p") for text in composite}
     marker = labels.name("__m")
 
     # Each path's reach rows, one per source in node order; the fresh edges
     # take their names in that (path, source, reached node) order.
     cache: dict = {}
-    reached = [[_reached(g, n, p, cache)[1] for n in g.nodes] for p in composite.values()]
-    fresh = ids.names("__pe", sum(map(len, chain.from_iterable(reached))))
-    # The graph's rows, and each label's elements and outgoing table as the
-    # walk lists them.  Pairs sort by edge name, as text ("__pe10" < "__pe9").
+    reached = [[_reached(g, n, p, cache) for n in g.nodes] for p in composite.values()]
+    fresh = ids.names("__pe", sum(len(ms) for row in reached for _, ms in row))
+    # The graph's rows, and each label's elements, outgoing table and reach
+    # sets as the walk lists them.  Pairs sort by edge name, as text
+    # ("__pe10" < "__pe9").
     ends, tags = {}, {}
-    index, tables = {}, {}
+    index, tables, targets = {}, {}, {}
     stop = 0
     for label, rows in zip(path_map.values(), reached):
-        first, table = stop, {}
-        for n, ms in zip(g.nodes, rows):
+        first, table, label_targets = stop, {}, {}
+        for n, both in zip(g.nodes, rows):
+            ms = both[1]
             if ms:
                 start, stop = stop, stop + len(ms)
                 names = fresh[start:stop]
                 ends.update(zip(names, zip(repeat(n), ms)))
                 table[n] = tuple(sorted(zip(names, ms)))
+                label_targets[n] = both
         tables[label] = {OUTGOING: table}
+        targets[label] = label_targets
         if stop > first:  # a label indexes only the elements that carry it
             block = fresh[first:stop]
             tags.update(dict.fromkeys(block, frozenset((label, marker))))
@@ -210,7 +225,7 @@ def eliminate_paths(
         path_labels=tuple(path_map.items()),
         marker=marker,
     )
-    g2 = _assemble((), tuple(ends), ends, tags, {}, g, index, tables)
+    g2 = _assemble((), tuple(ends), ends, tags, {}, g, index, tables, targets)
     return g2, link_shapes(rebuilt), trace
 
 
@@ -296,8 +311,9 @@ def reduce_to_single_target(
     nothing; conformance is unchanged and hinges on the returned root atom.
     """
     core = desugar_shapes(shapes)
-    labels = _Fresh({*g.by_label, *mentioned_names(core)[0]})
-    ids = _Fresh({*g.nodes, *g.edges})
+    label_names, _, exact_ids = mentioned_names(core)
+    labels = _Fresh({*g.by_label, *label_names})
+    ids = _Fresh(exact_ids, g)
     snames = _Fresh(core.names)
 
     n0 = ids.name("__n")

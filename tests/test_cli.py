@@ -129,6 +129,20 @@ def test_validate_normalize(capsys, office_json, s2_progs, person_progs):
     )
 
 
+def test_normalize_makes_up_no_id_a_shape_names(capsys, tmp_path):
+    # Q targets __pe0, the first id of path elimination's pool of fresh edge
+    # ids.  No element has it, so Q selects nothing and the graph conforms,
+    # with or without --normalize: the fresh edges must take other ids.
+    g = build_graph(["a", "b"], ["e1"], {"e1": ("a", "b")}, {"a": ["X"], "e1": ["knows"]})
+    graph_path, shapes_path = tmp_path / "g.json", tmp_path / "s.progs"
+    graph_path.write_bytes(export_graph_json(g))
+    shapes_path.write_text("NODE P [:X] { >= 1 :knows* . true };\nEDGE Q [id __pe0] { :zz };\n")
+    argv = [str(graph_path), str(shapes_path)]
+    assert run(capsys, "validate", *argv)[0] == 0
+    code, out, _ = run(capsys, "validate", "--normalize", *argv)
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("flags", [
     ["--normalize", "--all"],
     ["--all", "--normalize", "--json"],

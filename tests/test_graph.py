@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pgshapes import graph
 from pgshapes.asp import export_asp
 from pgshapes.errors import DanglingEdge, IdClash, KindMismatch, UnknownElement
 from pgshapes.graph import EDGE, INCOMING, NODE, OUTGOING, Label, build_graph
@@ -336,3 +337,132 @@ def test_building_on_a_base_rejects_dangling_endpoints_like_a_full_build():
         assert str(grown.value) == str(full.value)
     with pytest.raises(UnknownElement):  # labels only go on the new elements
         build_graph(["n"], labelings={"100": ["Person"]}, base=g)
+
+
+LAYER_LABELS = ("knows", "likes", "fresh", "Person")
+LAYER_KEYS = ("k1", "k2")
+
+
+def _layer_rows(rng, step, size, nodes_so_far):
+    """size new rows for step: nodes x{step}_i, then edges y{step}_i between
+    any nodes so far, with labels and properties from small pools."""
+    nodes = [f"x{step}_{i}" for i in range(rng.randint(1, max(1, size // 3)))]
+    ends = [*nodes_so_far, *nodes]
+    endpoints = {f"y{step}_{i}": (rng.choice(ends), rng.choice(ends))
+                 for i in range(size - len(nodes))}
+    labelings = {x: rng.sample(LAYER_LABELS, rng.randint(0, 2)) for x in (*nodes, *endpoints)}
+    properties = {(x, key): [rng.choice((1, 2, "a", "b"))]
+                  for x in (*nodes, *endpoints) for key in LAYER_KEYS if rng.random() < 0.3}
+    return dict(nodes=nodes, edges=list(endpoints), endpoints=endpoints,
+                labelings=labelings, properties=properties)
+
+
+def _raises(read):
+    try:
+        read()
+    except UnknownElement as exc:
+        return f"UnknownElement: {exc}"
+    return "no error"
+
+
+def _reads(g):
+    """Every public read of g, its rows, both exports and a one-label
+    path's answers, as one comparable value."""
+    xs = g.nodes + g.edges
+    unknown = ("nope", "x9_0", "y9_0")
+    return {
+        "ids": (g.nodes, g.edges, repr(g)),
+        "member": [(x, g.has_node(x), g.has_edge(x), x in g) for x in (*xs, *unknown)],
+        "kinds": [g.kind_of(x) for x in xs],
+        "ends": [g.endpoints(e) for e in g.edges],
+        "labels": [g.labels_of(x) for x in xs],
+        "keys": [g.property_keys(x) for x in xs],
+        "values": [g.property_values(x, key) for x in xs for key in (*LAYER_KEYS, "k3")],
+        "rows": [(x, names, tuple(props)) for x, names, props in g._rows(xs)],
+        "by_label": dict(g.by_label),
+        "adjacent": [g.adjacent_edges(n, d) for n in g.nodes for d in (OUTGOING, INCOMING)],
+        "label_adjacency": [dict(g.label_adjacency(name, d))
+                            for name in LAYER_LABELS for d in (OUTGOING, INCOMING)],
+        "targets": [dict(g._targets(name)) for name in LAYER_LABELS],
+        "errors": [_raises(lambda: read(x)) for x in unknown for read in (
+            g.kind_of, g.endpoints, g.labels_of, g.property_keys,
+            lambda x: g.property_values(x, "k1"),
+            lambda x: g.adjacent_edges(x, OUTGOING))],
+        "json": export_graph_json(g),
+        "asp": export_asp(g, link_shapes([person_label_shape()])),
+    }
+
+
+def _kept(base_layers, new_size):
+    """Which layer a build on a two-layer base keeps shared, by where its
+    rows came from: "older" holds the first build's rows, "newer" the
+    other base layer, "new" the rows of this build."""
+    sizes = [layer.size() for layer in base_layers] + [new_size]
+    largest = sizes.index(max(sizes))
+    if largest == 2:
+        return "new"
+    return "older" if "x0_0" in base_layers[largest].node_set else "newer"
+
+
+# Row counts per step, and the layer each build on a two-layer base keeps:
+# the first step builds a one-layer graph, each later one builds on the
+# graph before.  Together they make each of the three layers the largest.
+LAYER_CHAINS = [
+    ([30, 4, 3], ["older"]),
+    ([4, 30, 3], ["newer"]),       # elimination, then the reduction
+    ([4, 3, 30], ["new"]),
+    ([20, 3, 12, 40], ["older", "new"]),
+    ([3, 25, 4, 6], ["newer", "newer"]),
+    ([6, 2], []),
+]
+
+
+@pytest.mark.parametrize("sizes, kept", LAYER_CHAINS)
+def test_a_chain_of_layered_builds_reads_like_one_full_build(sizes, kept):
+    rng = random.Random(f"layers:{sizes}")
+    for _ in range(6):
+        steps, graphs, snapshots, shared = [], [], {}, []
+        nodes_so_far = []
+        for step, size in enumerate(sizes):
+            rows = _layer_rows(rng, step, size, nodes_so_far)
+            nodes_so_far += rows["nodes"]
+            steps.append(rows)
+            if not graphs:
+                g = build_graph(**rows)
+            else:
+                base = graphs[-1]
+                base_layers = graph._layers(base)
+                g = build_graph(**rows, base=base)
+                reused = [old for old in base_layers for layer in g._layers
+                          if layer.endpoints is old.endpoints]
+                if len(base_layers) == 1:
+                    # A one-layer base's tables are shared as they are.
+                    assert len(reused) == 1 and reused[0].endpoints is base._endpoints
+                else:
+                    # The largest of the three layers is shared, not copied.
+                    which = _kept(base_layers, size)
+                    shared.append(which)
+                    assert len(reused) == (which != "new")
+                    if reused:
+                        assert reused[0] is max(base_layers, key=graph._Layer.size)
+            # Some graphs are read (indexes built, tuples merged) before the
+            # next build, so later builds meet both built and unbuilt bases.
+            if rng.random() < 0.5:
+                snapshots[step] = _reads(g)
+            graphs.append(g)
+        assert shared == kept
+
+        for step, g in enumerate(graphs):
+            rows = steps[:step + 1]
+            full = build_graph(
+                [x for r in rows for x in r["nodes"]], [e for r in rows for e in r["edges"]],
+                {e: ends for r in rows for e, ends in r["endpoints"].items()},
+                {x: names for r in rows for x, names in r["labelings"].items()},
+                {xk: vs for r in rows for xk, vs in r["properties"].items()})
+            assert type(full) is graph.PropertyGraph and (type(g) is graph.PropertyGraph) == (step == 0)
+            assert g == full and full == g
+            expected = _reads(full)
+            assert _reads(g) == expected
+            # What a graph read before the later builds, it reads after them.
+            if step in snapshots:
+                assert snapshots[step] == expected

@@ -167,6 +167,30 @@ def test_fresh_names_in_one_batch_are_the_names_one_by_one():
         assert batch.name("__pe") == one.name("__pe")
 
 
+def test_fresh_names_skip_the_graph_ids_without_copying_them():
+    g = build_graph(["__pe0", "__pe2"], ["x"], {"x": ("__pe0", "__pe2")})
+    for batch in (True, False):
+        ids = _Fresh({"__pe3"}, g)
+        names = ids.names("__pe", 3) if batch else [ids.name("__pe") for _ in range(3)]
+        assert names == ["__pe1", "__pe4", "__pe5"]
+        assert ids.name("__pe") == "__pe6" and ids.name("x") == "x0"
+        assert ids.taken == {"__pe1", "__pe3", "__pe4", "__pe5", "__pe6", "x0"}
+
+
+def test_fresh_ids_skip_every_id_the_shapes_name():
+    # Ids named by a target or by an `id` constraint are skipped like the
+    # graph's own, whether or not any element carries them.
+    g = build_graph(["a", "b"], ["e1"], {"e1": ("a", "b")}, {"a": ["X"], "e1": ["knows"]})
+    shapes = parse_shapes(
+        "NODE P [:X] { >= 1 :knows* . true & ! id __pe1 };\n"
+        "EDGE Q [id __pe0] { ! id __e0 };\n"
+        "NODE R [id __n0] { true };\n")
+    _, _, root, (t1, _, t3) = normalize_instance(g, shapes)
+    assert t1.fresh_edges == ("__pe2", "__pe3", "__pe4")
+    assert t3.fresh_nodes == ("__n1",) and root.element == "__n1"
+    assert t3.fresh_edges == ("__e1",)
+
+
 def test_eliminated_graph_is_one_build_of_all_its_rows():
     # Old edge ids sort before, between and after the fresh __pe ids, and
     # one of them takes a name the fresh edges skip.
