@@ -284,11 +284,7 @@ def _fact_groups(g: PropertyGraph, shapes: ShapeSet) -> Iterator[list[str]]:
         # the node facts are sorted as they come.
         "nodes": [f"node({tok[x]}).\n" for x, names, props in rows
                   if not names and not props and x not in ends and g.has_node(x)],
-        "edges": _facts(
-            ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).\n")
-            for e in g.edges
-            for src, dst in [g.endpoints(e)]
-        ),
+        "edges": _edge_facts(g, rows, arg, tok),
         "labels": label_facts,
         "properties": property_facts,
         "constraint terms": [
@@ -336,6 +332,27 @@ def _element_facts(rows, arg, tok, label_map, key_map, keys) -> tuple[list[str],
                  f"property({tok[x]}, {key_map[key]}, {_value_term(v)}).\n")
                 for x, _, props in rows[start:i + 1] for key, values in props for v in values)
     return label_facts, property_facts
+
+
+def _edge_facts(g: PropertyGraph, rows, arg, tok) -> list[str]:
+    """Edge facts sorted by their (source, edge, target) arg keys, then by
+    text.  Rows come in arg order, so while no two ids are equal as numbers
+    (every arg key is unique), bucketing the edges by source as rows list
+    them gives that order with no sort; otherwise every fact is sorted."""
+    endpoints = g._endpoints
+    outgoing: dict[str, list] = {}
+    last = None
+    for x, _, _ in rows:
+        if arg[x] == last:
+            return _facts(
+                ((arg[src], arg[e], arg[dst]), f"edge({tok[src]}, {tok[e]}, {tok[dst]}).\n")
+                for e in g.edges for src, dst in [g.endpoints(e)])
+        last = arg[x]
+        ends = endpoints.get(x)
+        if ends is not None:
+            outgoing.setdefault(ends[0], []).append((x, ends[1]))
+    return [f"edge({tok[x]}, {tok[e]}, {tok[dst]}).\n"
+            for x, _, _ in rows for e, dst in outgoing.get(x, ())]
 
 
 def _facts(keyed) -> list[str]:

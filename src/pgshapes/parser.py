@@ -5,20 +5,24 @@ Constraint operators bind ! over & over |; counting bodies after ``.`` and
 the src/dst operands take a single unary constraint, so conjunctions there
 need parentheses.  parse_shapes desugars and links, so its output contains
 core constraints and plain targets only.  Brackets and unary operators nest
-at most MAX_NESTING deep.  That bounds the parser's own recursion and every
-one left after it (tests/test_imports.py lists them): grounding reaches an
-operand that moves to another element, or sits under `!`, by a recursive
-call, while evaluation reads the grounded circuit without recursing.
-Chains of any length never depend on it: every other pass walks the tree on
-an explicit stack (shapes.fold) or takes a chain apart on a list
-(shapes.conjuncts).
+at most MAX_NESTING deep: _Parser.nest opens a level and fails past the
+limit, and the method that opened it closes it when its parse returns (a
+syntax error abandons the whole parse).  That bounds the parser's own
+recursion and every one left after it (tests/test_imports.py lists them):
+grounding reaches an operand that moves to another element, or sits under
+`!`, by a recursive call, while evaluation reads the grounded circuit
+without recursing.  Chains of any length never depend on it: every other
+pass walks the tree on an explicit stack (shapes.fold) or takes a chain
+apart on a list (shapes.conjuncts).
+
+The tokenizer is one finditer scan whose last two alternatives match what
+no token does, so the first of those is the first syntax error.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from contextlib import contextmanager
 from typing import NamedTuple
 
 from .errors import ShapeSyntaxError
@@ -94,16 +98,17 @@ INT_PATTERN = r"-?[0-9]+"
 
 # One token at a position, alternatives tried in order: operators (the
 # multi-character ones first), then dates before integers before names.  A
-# string's escapes are decoded after the match; a string that does not
-# close matches no alternative.
+# string's escapes are decoded after the match.  The last two alternatives
+# match only where no token does: a string that does not close, up to the
+# newline, last backslash or end that stops it, and any other character.
+# So the scan covers the whole text, and the first of them is the error.
 _STRING_OPEN = r'"(?:[^"\\\n]|\\[\s\S])*'
 _TOKEN = re.compile(
     rf"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<STRING>{_STRING_OPEN}\")"
     r"|(?P<op><-\[|->\[|>=|<=|!=|\|\||[!&|=<>(){}\[\];.,:/*+?^])"
     rf"|(?P<DATE>[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}})|(?P<INT>{INT_PATTERN})"
-    rf"|(?P<IDENT>{IDENT_PATTERN})"
+    rf"|(?P<IDENT>{IDENT_PATTERN})|(?P<unterminated>{_STRING_OPEN})|(?P<unexpected>[\s\S])"
 )
-_STRING_PREFIX = re.compile(_STRING_OPEN)
 _ESCAPE = re.compile(r"\\([\s\S])")
 
 PRED_OPS = {"=": EQ, "!=": NEQ, "<": LT, "<=": LEQ, ">": GT, ">=": GEQ}
@@ -144,30 +149,30 @@ def _unescape(body: str, start: int, line: int, column: int) -> str:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, line_start, n = 0, 1, 0, len(text)
-    while i < n:
-        start, column = i, i - line_start + 1
-        m = _TOKEN.match(text, i)
-        if m is None:
-            if text[i] != '"':
-                raise ShapeSyntaxError(f"unexpected character {text[i]!r}",
-                                       span=Span(i, i + 1, line, column))
-            j = _STRING_PREFIX.match(text, i).end()  # stops at a newline, a last backslash or the end
-            _unescape(text[i + 1:j], i + 1, line, column + 1)
-            raise ShapeSyntaxError("unterminated string",
-                                   span=Span(i, min(j + 1, n), line, column))
-        kind, i = m.lastgroup, m.end()
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
         if kind == "space":
             continue
+        start, end = m.span()
         if kind == "newline":
-            line, line_start = line + 1, i
+            line, line_start = line + 1, end
             continue
+        column = start - line_start + 1
         lexeme = m[0]
-        if kind == "STRING":
-            lexeme = _unescape(lexeme[1:-1], start + 1, line, column + 1)
-        elif kind == "op" or lexeme in KEYWORDS:
+        if kind == "op" or lexeme in KEYWORDS:
             kind = lexeme
-        tokens.append(Token(kind, lexeme, start, i, line, column))
+        elif kind == "STRING":
+            lexeme = _unescape(lexeme[1:-1], start + 1, line, column + 1)
+        elif kind == "unterminated":
+            _unescape(lexeme[1:], start + 1, line, column + 1)
+            raise ShapeSyntaxError("unterminated string",
+                                   span=Span(start, min(end + 1, len(text)), line, column))
+        elif kind == "unexpected":
+            raise ShapeSyntaxError(f"unexpected character {lexeme!r}",
+                                   span=Span(start, end, line, column))
+        tokens.append(Token(kind, lexeme, start, end, line, column))
+    n = len(text)
     tokens.append(Token("EOF", "", n, n, line, n - line_start + 1))
     return tokens
 
@@ -208,14 +213,12 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             self.fail(f"integer over {sys.get_int_max_str_digits()} digits", token)
 
-    @contextmanager
-    def nested(self, token: Token):
-        """One nesting level, opened at `token`, around the parse inside."""
+    def nest(self, token: Token):
+        """Open one nesting level at `token`.  The caller closes it with
+        `self.depth -= 1` once the parse inside returns."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels", token)
-        yield
-        self.depth -= 1
 
     def span_from(self, start: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
@@ -305,12 +308,11 @@ class _Parser:
         form = _PREFIX.get(start.kind)
         if form is None and start.kind not in COUNTING_FORMS:
             return self.primary_constraint()
-        with self.nested(start):
-            self.take()
-            if form is None:
-                return self.counting(start)
-            inner = self.unary_constraint()
-        return form(inner, span=self.span_from(start))
+        self.nest(start)
+        self.take()
+        inner = self.counting(start) if form is None else self.unary_constraint()
+        self.depth -= 1
+        return inner if form is None else form(inner, span=self.span_from(start))
 
     def counting(self, start: Token) -> Constraint:
         """The rest of a counting form after its operator `start`."""
@@ -338,10 +340,11 @@ class _Parser:
     def primary_constraint(self) -> Constraint:
         start = self.peek()
         if start.kind == "(":
-            with self.nested(start):
-                self.take()
-                inner = self.or_constraint()
-                self.expect(")")
+            self.nest(start)
+            self.take()
+            inner = self.or_constraint()
+            self.expect(")")
+            self.depth -= 1
             return inner
         if self.take("true"):
             return Top(span=start.span)
@@ -402,9 +405,10 @@ class _Parser:
         form = _PATH_PREFIX.get(start.kind)
         if form is None:
             return self.path_postfix()
-        with self.nested(start):
-            self.take()
-            inner = self.path_prefix()
+        self.nest(start)
+        self.take()
+        inner = self.path_prefix()
+        self.depth -= 1
         return form(inner, span=self.span_from(start))
 
     def path_postfix(self) -> PathExpr:
@@ -413,9 +417,7 @@ class _Parser:
         depth = self.depth
         while (form := _PATH_POSTFIX.get(self.peek().kind)) is not None:
             # Each repetition wraps the tree once more without recursing.
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                self.fail(f"nesting deeper than {MAX_NESTING} levels", self.peek())
+            self.nest(self.peek())
             self.take()
             p = form(p, span=self.span_from(start))
         self.depth = depth
@@ -424,10 +426,11 @@ class _Parser:
     def path_primary(self) -> PathExpr:
         start = self.peek()
         if start.kind == "(":
-            with self.nested(start):
-                self.take()
-                inner = self.path()
-                self.expect(")")
+            self.nest(start)
+            self.take()
+            inner = self.path()
+            self.expect(")")
+            self.depth -= 1
             return inner
         if self.take(":"):
             label = self.expect("IDENT")
@@ -439,15 +442,17 @@ class _Parser:
     def predicate_atom(self) -> ValuePredicate:
         start = self.peek()
         if start.kind == "!":
-            with self.nested(start):
-                self.take()
-                inner = self.predicate_atom()
+            self.nest(start)
+            self.take()
+            inner = self.predicate_atom()
+            self.depth -= 1
             return PredNot(inner, span=self.span_from(start))
         if start.kind == "(":
-            with self.nested(start):
-                self.take()
-                inner = self.predicate_and()
-                self.expect(")")
+            self.nest(start)
+            self.take()
+            inner = self.predicate_and()
+            self.expect(")")
+            self.depth -= 1
             return inner
         if self.take("any"):
             return AnyValue(span=start.span)

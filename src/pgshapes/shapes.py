@@ -12,24 +12,37 @@ typed `PathExpr` is a path (a sub-path inside a path expression), and any
 other field is data.  A form that moves evaluation from one kind of element
 to the other says so in its `operand_kind` (edges for the incoming and
 outgoing forms, nodes for src and dst); a form that holds a path evaluates
-its operand at nodes.  iter_constraints, iter_paths, constraint_paths,
-map_children, fold, rewrite, child_kind and kind_walk are built on that
-rule alone.
+its operand at nodes.  iter_constraints, constraint_paths, map_children,
+fold, rewrite, child_kind, kind_walk, mentioned_names and link_shapes are
+built on that rule alone.
+
+The rule is applied once per class, not per node.  Each field type has an
+operand table (_OPERANDS) that maps a class, on its first lookup, to a
+getter of its fields of that type as a tuple, so a walk reads a node's
+operands with one dict lookup and one call.  _FORMS adds what linking and
+kind_walk read off a constraint class: its operand kind, whether it holds a
+path, whether it is a core form, whether it has a count, and the kind its
+operands are evaluated at (child_kind's rule, applied there alone).
+
+link_shapes runs every check on kind_walk's list of each shape's (subterm,
+kind) pairs: kinds, references and counts.  The same loop collects the
+names referenced and notes whether every subterm is a core form;
+desugar_shapes reads the note (ShapeSet.sugar_free) instead of walking each
+linked shape again.
 
 Trees are DAGs: desugaring `= n p . c` shares `c` between two subtrees,
 so k nested exact counts hold 2^k paths to their innermost operand.  So
-every walk visits each object once, by identity, on an explicit stack, and
-other modules walk trees only through these functions (fold for per-node
-rules over their operands' results).
+every walk visits each object once, by identity, on a list used as an
+explicit stack, and other modules walk trees only through these functions
+(fold for per-node rules over their operands' results).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from dataclasses import dataclass, field, fields
 from itertools import count
-from operator import attrgetter
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from operator import attrgetter, is_
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import KindMismatch, UnknownShapeName
 from .graph import EDGE, NODE
@@ -96,70 +109,84 @@ class Opt(PathExpr):
     inner: PathExpr
 
 
-@cache
-def _typed_fields(cls: type, type_name: str) -> tuple[str, ...]:
-    """The fields of cls declared with type `type_name`, in order."""
-    return tuple(f.name for f in fields(cls) if f.type == type_name)
+def _no_operands(node) -> tuple:
+    return ()
 
 
-@cache
-def _getter(cls: type, type_name: str) -> Callable[[object], tuple]:
-    """An object of class cls to the tuple of its fields typed `type_name`."""
-    names = _typed_fields(cls, type_name)
-    get = attrgetter(*names) if names else lambda node: ()
-    return (lambda node: (get(node),)) if len(names) == 1 else get
+class _Operands(dict):
+    """Each class to a function from its objects to their fields typed
+    `type_name`, in order, as a tuple; `names` holds the fields' names.
+    Both are read off the class's declared field types on its first lookup,
+    so a walk pays one dict lookup per node."""
 
+    def __init__(self, type_name: str):
+        super().__init__()
+        self.type_name = type_name
+        self.names: dict[type, tuple[str, ...]] = {}
 
-def _operands(node, type_name: str) -> tuple:
-    return _getter(type(node), type_name)(node)
-
-
-_EMIT = object()  # on the walk's stack: the item below is complete
-
-
-def _walk(root, operands: Callable, pre: bool = False, key: Callable = id):
-    """Every item reachable from root through `operands`, once by `key`,
-    depth first and first operand first: as (item, its operands) after its
-    operands, or alone before them with `pre`.  A shared subterm is walked
-    once, and an explicit stack lets a chain of any length fit."""
-    seen = set()
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        if item is _EMIT:
-            yield stack.pop()
-            continue
-        item_key = key(item)
-        if item_key in seen:
-            continue
-        seen.add(item_key)
-        below = operands(item)
-        if pre:
-            yield item
+    def __missing__(self, cls: type) -> Callable[[object], tuple]:
+        names = tuple(f.name for f in fields(cls) if f.type == self.type_name)
+        if len(names) > 1:
+            get = attrgetter(*names)
+        elif names:
+            one = attrgetter(names[0])
+            get = lambda node: (one(node),)
         else:
-            stack += ((item, below), _EMIT)
-        stack.extend(reversed(below))
+            get = _no_operands
+        self.names[cls] = names
+        self[cls] = get
+        return get
+
+
+# Field type name -> its operand table.
+_OPERANDS = {name: _Operands(name) for name in ("Constraint", "PathExpr", "ValuePredicate")}
+_CONSTRAINTS = _OPERANDS["Constraint"]
+_PATHS = _OPERANDS["PathExpr"]
 
 
 def fold(root, rule: Callable, type_name: str = "Constraint"):
     """rule(node, results) at every object under root through the fields
     typed `type_name`, where results lists the rule's results at node's
-    operands; the result at root.  Each object is folded once, however many
-    paths lead to it, and a result is dropped after its last use."""
-    order = list(_walk(root, partial(_operands, type_name=type_name)))
-    last_use = {id(k): node for node, below in order for k in below}
-    done = {}
-    for node, below in order:
-        done[id(node)] = rule(node, [done[id(k)] for k in below])
-        for k in below:
-            if last_use[id(k)] is node:
-                done.pop(id(k), None)
-    return done[id(root)]
-
-
-def iter_paths(p: PathExpr) -> Iterator[PathExpr]:
-    """Pre-order walk over a path expression, each object once."""
-    return _walk(p, partial(_operands, type_name="PathExpr"), pre=True)
+    operands; the result at root.  Objects are folded operands first and
+    first operand first, each once however many paths lead to it.  A result
+    is dropped once its last reader has read it, so a fold that builds text
+    holds about two levels of a chain at a time."""
+    operands = _OPERANDS[type_name]
+    # One walk lists each object once, as (object, operands) after its
+    # operands, and alone again wherever another operand field holds it;
+    # `rereads` counts those listings.
+    order, rereads, entered, stack = [], {}, set(), [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # an entered object, its operands now listed
+            order.append(node)
+        elif id(node) in entered:
+            rereads[id(node)] = rereads.get(id(node), 0) + 1
+            order.append(node)
+        else:
+            entered.add(id(node))
+            below = operands[type(node)](node)
+            stack.append((node, below))
+            stack += reversed(below)
+    # A result waits on `results` until its reader takes it; one that is
+    # read again waits in `kept` until its last reread.
+    results, kept = [], {}
+    for item in order:
+        if type(item) is tuple:
+            node, below = item
+            if below:
+                result = rule(node, results[-len(below):])
+                del results[-len(below):]
+            else:
+                result = rule(node, [])
+            if id(node) in rereads:
+                kept[id(node)] = result
+        else:
+            left = rereads[id(item)] - 1
+            rereads[id(item)] = left
+            result = kept[id(item)] if left else kept.pop(id(item))
+        results.append(result)
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +516,74 @@ CORE_CONSTRAINTS = (
 )
 
 
-def iter_constraints(c: Constraint) -> Iterator[Constraint]:
-    """Pre-order walk over a constraint tree (core forms and sugar), each
-    object once."""
-    return _walk(c, _children, pre=True)
+class _Form(NamedTuple):
+    """What linking and kind_walk read off a constraint class."""
+
+    operands: Callable[[Constraint], tuple]  # its _CONSTRAINTS getter
+    operand_kind: str | None
+    holds_path: bool
+    core: bool                               # one of CORE_CONSTRAINTS
+    counted: bool                            # has a `count` field
+    inner: dict[str, str]                    # child_kind, by the form's kind
+
+
+class _Forms(dict):
+    """Each constraint class to its _Form, built on the class's first lookup."""
+
+    def __missing__(self, cls: type) -> _Form:
+        holds_path = _PATHS[cls] is not _no_operands
+        # A form that moves evaluation says where to; a path ends at nodes.
+        inner = {kind: cls.operand_kind or (NODE if holds_path else kind)
+                 for kind in (NODE, EDGE)}
+        form = self[cls] = _Form(
+            _CONSTRAINTS[cls], cls.operand_kind, holds_path, cls in CORE_CONSTRAINTS,
+            any(f.name == "count" for f in fields(cls)), inner,
+        )
+        return form
+
+
+_FORMS = _Forms()
+
+
+def iter_constraints(c: Constraint) -> list[Constraint]:
+    """The objects of a constraint tree (core forms and sugar), each once,
+    parents first and first operand first."""
+    out, seen, stack = [], set(), [c]
+    while stack:
+        sub = stack.pop()
+        if id(sub) not in seen:
+            seen.add(id(sub))
+            out.append(sub)
+            stack += reversed(_CONSTRAINTS[type(sub)](sub))
+    return out
 
 
 def _children(c: Constraint) -> tuple[Constraint, ...]:
-    return _operands(c, "Constraint")
+    return _CONSTRAINTS[type(c)](c)
 
 
 def constraint_paths(c: Constraint) -> Iterator[PathExpr]:
     """The path expressions held by the constraint objects inside c."""
     for sub in iter_constraints(c):
-        yield from _operands(sub, "PathExpr")
+        yield from _PATHS[type(sub)](sub)
 
 
 def _rebuilt(c, new: Sequence, field_type: str = "Constraint"):
     """c with its fields typed `field_type` set to `new`, in order; c itself
     when every one is unchanged."""
-    names = _typed_fields(type(c), field_type)
-    changed = {n: v for n, v in zip(names, new) if v is not getattr(c, n)}
-    return replace(c, **changed) if changed else c
+    table = _OPERANDS[field_type]
+    old = table[type(c)](c)
+    if all(map(is_, new, old)):
+        return c
+    changed = {n: v for n, v, o in zip(table.names[type(c)], new, old) if v is not o}
+    return type(c)(**{**vars(c), **changed})
 
 
 def map_children(c: Constraint, f: Callable, field_type: str = "Constraint"):
     """c rebuilt with f applied to each operand (each field typed
     `field_type`); c itself when f returns every one unchanged."""
-    return _rebuilt(c, [f(k) for k in _operands(c, field_type)], field_type)
+    operands = _OPERANDS[field_type][type(c)](c)
+    return _rebuilt(c, [f(k) for k in operands], field_type) if operands else c
 
 
 def map_paths(c: Constraint, f: Callable[[PathExpr], PathExpr]) -> Constraint:
@@ -528,33 +595,45 @@ def rewrite(c: Constraint, rule: Callable[[Constraint], Constraint]) -> Constrai
     """c rebuilt bottom-up: rule maps each object with its operands already
     rewritten.  A fold, so a shared subterm is rewritten once and its
     result stays shared."""
-    return fold(c, lambda node, new: rule(_rebuilt(node, new)))
+    return fold(c, lambda node, new: rule(_rebuilt(node, new) if new else node))
 
 
 def child_kind(c: Constraint, kind: str) -> str:
     """The kind of element c's operands are evaluated at, when c itself is
     evaluated at an element of `kind`."""
-    if c.operand_kind is not None:
-        return c.operand_kind
-    return NODE if _typed_fields(type(c), "PathExpr") else kind
+    return _FORMS[type(c)].inner[kind]
+
+
+_EMIT = object()  # on kind_walk's stack: the pair below is complete
 
 
 def kind_walk(
-    c: Constraint, kind: str, pre: bool = False, stop: Callable | None = None
-) -> Iterator[tuple]:
-    """Each (subterm, kind) pair under c, evaluated at an element of `kind`,
-    once (see _walk, which pairs each with its operands unless `pre`); the
-    operands of a subterm that `stop` holds for are not entered."""
-
-    def operands(item):
+    c: Constraint, kind: str, stop: Callable | None = None
+) -> tuple[list[tuple[Constraint, str]], list[tuple[Constraint, str]]]:
+    """The (subterm, kind) pairs under c, evaluated at an element of `kind`,
+    each once, depth first and first operand first: listed parents first,
+    and listed operands first.  The operands of a subterm that `stop` holds
+    for are not entered.  An explicit stack lets a chain of any length fit."""
+    pre, post, seen, stack = [], [], set(), [(c, kind)]
+    while stack:
+        item = stack.pop()
+        if item is _EMIT:
+            post.append(stack.pop())
+            continue
         sub, ctx = item
-        below = _children(sub)
-        if not below or (stop is not None and stop(sub)):
-            return ()
-        inner = child_kind(sub, ctx)
-        return [(k, inner) for k in below]
-
-    return _walk((c, kind), operands, pre, key=lambda item: (id(item[0]), item[1]))
+        if (id(sub), ctx) in seen:
+            continue
+        seen.add((id(sub), ctx))
+        pre.append(item)
+        form = _FORMS[type(sub)]
+        below = form.operands(sub)
+        if below and (stop is None or not stop(sub)):
+            stack += (item, _EMIT)
+            inner = form.inner[ctx]
+            stack += [(k, inner) for k in reversed(below)]
+        else:
+            post.append(item)
+    return pre, post
 
 
 def conjuncts(c, conj: type = And, neg: type = Not) -> list:
@@ -573,22 +652,18 @@ def conjuncts(c, conj: type = And, neg: type = Not) -> list:
     return out
 
 
-def constraint_references(c: Constraint) -> frozenset[str]:
-    return frozenset(
-        sub.name for sub in iter_constraints(c) if isinstance(sub, ShapeRef)
-    )
-
-
 def is_sugar_free(c: Constraint) -> bool:
-    return all(isinstance(sub, CORE_CONSTRAINTS) for sub in iter_constraints(c))
+    return all(_FORMS[type(sub)].core for sub in iter_constraints(c))
 
 
 def mentioned_names(core: Iterable[Shape]) -> tuple[set[str], set[str], set[str]]:
     """The labels, the property keys and the element ids that desugared
-    shapes mention in their targets, constraints and paths."""
+    shapes mention in their targets, constraints and paths: one walk over
+    every constraint and path object, each once."""
     labels: set[str] = set()
     keys: set[str] = set()
     ids: set[str] = set()
+    stack = []
     for sh in core:
         if isinstance(sh.target, TargetLabel):
             labels.add(sh.target.label)
@@ -596,19 +671,27 @@ def mentioned_names(core: Iterable[Shape]) -> tuple[set[str], set[str], set[str]
             keys.add(sh.target.key)
         elif isinstance(sh.target, TargetExact):
             ids.add(sh.target.element)
-        for c in iter_constraints(sh.constraint):
-            if isinstance(c, HasLabel):
-                labels.add(c.label)
-            elif isinstance(c, QualKey):
-                keys.add(c.key)
-            elif isinstance(c, (PathKeyCmp, KeyCmp)):
-                keys.update((c.first_key, c.second_key))
-            elif isinstance(c, Exact):
-                ids.add(c.element)
-        for p in constraint_paths(sh.constraint):
-            labels.update(
-                q.name for q in iter_paths(p) if isinstance(q, EdgeLabel)
-            )
+        stack.append(sh.constraint)
+    seen = set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        cls = type(x)
+        if cls is EdgeLabel:
+            labels.add(x.name)
+        elif cls is HasLabel:
+            labels.add(x.label)
+        elif cls is QualKey:
+            keys.add(x.key)
+        elif cls is PathKeyCmp or cls is KeyCmp:
+            keys.update((x.first_key, x.second_key))
+        elif cls is Exact:
+            ids.add(x.element)
+        # A constraint's operands and paths, or a path's sub-paths.
+        stack += _CONSTRAINTS[cls](x)
+        stack += _PATHS[cls](x)
     return labels, keys, ids
 
 
@@ -638,7 +721,9 @@ class ShapeSet:
     and solving require a linked set.
     """
 
-    __slots__ = ("_shapes", "_by_name", "_linked", "_references", "_cycle_count")
+    __slots__ = (
+        "_shapes", "_by_name", "_linked", "_references", "_cycle_count", "_sugar_free",
+    )
 
     def __init__(self, shapes: Iterable[Shape]):
         self._shapes = tuple(shapes)
@@ -651,6 +736,7 @@ class ShapeSet:
         self._linked = False
         self._references: dict[str, frozenset[str]] = {}
         self._cycle_count = 0
+        self._sugar_free = False
 
     @property
     def shapes(self) -> tuple[Shape, ...]:
@@ -673,6 +759,12 @@ class ShapeSet:
     def cycle_count(self) -> int:
         """Number of strongly connected reference components with a cycle."""
         return self._cycle_count
+
+    @property
+    def sugar_free(self) -> bool:
+        """Whether every constraint is in core forms, as linking noted
+        (False on a set that is not linked)."""
+        return self._sugar_free
 
     def get(self, name: str) -> Shape:
         try:
@@ -698,22 +790,24 @@ class ShapeSet:
         return f"ShapeSet({', '.join(self.names)})"
 
 
-def _check_kinds(shape: Shape, by_name: dict[str, Shape]):
+def _link_shape(shape: Shape, by_name: dict[str, Shape]) -> tuple[frozenset[str], bool]:
     """Node-only forms (those that hold a path or count edges) sit at
     nodes, src and dst at edges, each reference names a shape of its
-    position's kind, and no count is negative.  Each (subterm, kind) pair
-    is checked once."""
-    for c, ctx in kind_walk(shape.constraint, shape.kind, pre=True):
+    position's kind, and no count is negative: checked on each (subterm,
+    kind) pair once, in kind_walk's parents-first order.  Returns the names
+    the shape references and whether every subterm is a core form."""
+    references, core = set(), True
+    for c, ctx in kind_walk(shape.constraint, shape.kind)[0]:
+        cls = type(c)
+        _, operand_kind, holds_path, is_core, counted, _ = _FORMS[cls]
         # A form that moves its operands to one kind starts from the other;
         # a path runs between nodes.
-        if c.operand_kind == ctx or (
-            ctx == EDGE and _typed_fields(type(c), "PathExpr")
-        ):
+        if operand_kind == ctx or (holds_path and ctx == EDGE):
             where = "an edge" if ctx == EDGE else "a node"
             raise KindMismatch(
-                f"shape {shape.name!r}: {type(c).__name__} in {where} constraint"
+                f"shape {shape.name!r}: {cls.__name__} in {where} constraint"
             )
-        if isinstance(c, ShapeRef):
+        if cls is ShapeRef:
             ref = by_name.get(c.name)
             if ref is None:
                 raise UnknownShapeName(
@@ -724,22 +818,30 @@ def _check_kinds(shape: Shape, by_name: dict[str, Shape]):
                     f"shape {shape.name!r} references {ref.kind} shape {c.name!r} "
                     f"in a {ctx} position"
                 )
-        if vars(c).get("count", 0) < 0:
+            references.add(c.name)
+        elif counted and c.count < 0:
             raise ValueError(f"shape {shape.name!r}: negative count {c.count}")
+        core = core and is_core
+    return frozenset(references), core
 
 
 def link_shapes(shapes: Iterable[Shape] | ShapeSet) -> ShapeSet:
-    """Resolve shape references, check kinds, and record the reference graph."""
-    result = shapes if isinstance(shapes, ShapeSet) else ShapeSet(shapes)
-    by_name = {s.name: s for s in result}
+    """Resolve shape references, check kinds, and record the reference
+    graph and whether every constraint is in core forms."""
+    if isinstance(shapes, ShapeSet):
+        linked = ShapeSet.__new__(ShapeSet)
+        linked._shapes, linked._by_name = shapes._shapes, shapes._by_name
+    else:
+        linked = ShapeSet(shapes)
     references: dict[str, frozenset[str]] = {}
-    for s in result:
-        _check_kinds(s, by_name)
-        references[s.name] = constraint_references(s.constraint)
-    linked = ShapeSet(result.shapes)
+    sugar_free = True
+    for s in linked._shapes:
+        references[s.name], core = _link_shape(s, linked._by_name)
+        sugar_free = sugar_free and core
     linked._linked = True
     linked._references = references
     linked._cycle_count = _count_cyclic_components(references)
+    linked._sugar_free = sugar_free
     return linked
 
 

@@ -35,7 +35,6 @@ from .shapes import (
     TargetLabel,
     TargetOr,
     Top,
-    is_sugar_free,
     link_shapes,
     rewrite,
 )
@@ -133,11 +132,10 @@ def desugar_shapes(shapes) -> ShapeSet:
     """Targets then constraints rewritten to core forms, relinked; a linked
     set in core forms already comes back as it is."""
     # Each transform desugars its input, so a normalize run would otherwise
-    # relink the same core set once per step.
-    if isinstance(shapes, ShapeSet) and shapes.linked and all(
-        not isinstance(sh.target, (TargetAnd, TargetOr))
-        and is_sugar_free(sh.constraint)
-        for sh in shapes
+    # relink the same core set once per step.  Linking noted whether the
+    # constraints are sugar-free.
+    if isinstance(shapes, ShapeSet) and shapes.sugar_free and not any(
+        isinstance(sh.target, (TargetAnd, TargetOr)) for sh in shapes
     ):
         return shapes
     shapes = list(shapes)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 
 from .errors import NotNormalized, PathsPresent
@@ -278,14 +277,14 @@ def fold_operators(shapes: ShapeSet) -> tuple[ShapeSet, TransformTrace]:
         # shapes are built operands first.  `!!c` is c in Kleene logic and
         # cancels first, so a desugared `|` chain spends no shape on it.
         constraint = rewrite(sh.constraint, _cancel_double_negation)
-        walk = partial(kind_walk, constraint, sh.kind, stop=_is_normal)
         refs = {}
-        for c, kind in list(walk(pre=True))[1:]:
+        parents_first, operands_first = kind_walk(constraint, sh.kind, _is_normal)
+        for c, kind in parents_first[1:]:
             refs[id(c), kind] = ShapeRef(names.name("__f"))
             sources.append((refs[id(c), kind].name, sh.name))
-        *operands, _ = walk()
+        *operands, _ = operands_first
         fresh += [Shape(refs[id(c), kind].name, kind, _moved(c, kind, refs), Nothing())
-                  for (c, kind), _ in operands]
+                  for c, kind in operands]
         c = _moved(constraint, sh.kind, refs)
         rebuilt.append(Shape(sh.name, sh.kind, c, sh.target, span=sh.span))
     trace = TransformTrace(

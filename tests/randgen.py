@@ -292,7 +292,7 @@ def gen_instance(
         free = sum(
             len(g.nodes) if sh.kind == NODE else len(g.edges)
             for sh in built
-            if S.constraint_references(sh.constraint)
+            if shapes.references[sh.name]
         )
         if free > max_free:
             continue

@@ -260,6 +260,31 @@ def test_graph_facts_match_the_sorted_reference():
     assert interleaved > 50
 
 
+EDGE_IDS = ("5", "05", "005", "50", "050", "9", "09", "b", "Yo", "q r", "0x", "1")
+
+
+def test_edge_facts_match_the_sorted_reference():
+    # Several edges a source, with ids equal as numbers (sources, edges and
+    # targets) in every other graph.
+    rng = random.Random(2929)
+    for i in range(300):
+        node_ids, edge_ids = TIED_IDS, EDGE_IDS
+        if i % 2:
+            node_ids = tuple({asp._arg_key(x): x for x in TIED_IDS}.values())
+            edge_ids = tuple({asp._arg_key(x): x for x in EDGE_IDS}.values())
+        nodes = rng.sample(node_ids, rng.randint(1, len(node_ids)))
+        edges = rng.sample(edge_ids, rng.randint(0, len(edge_ids)))
+        g = build_graph(nodes, edges, endpoints={
+            e: (rng.choice(nodes[:3]), rng.choice(nodes)) for e in edges})
+        arg, tok = asp._arg_key, asp._id_token
+        expected = sorted(
+            ((arg(src), arg(e), arg(dst)), f"edge({tok(src)}, {tok(e)}, {tok(dst)}).\n")
+            for e in g.edges for src, dst in [g.endpoints(e)])
+        groups = {header.strip("\n% "): "".join(pieces)
+                  for header, *pieces in asp._fact_groups(g, link_shapes([]))}
+        assert groups.get("edges", "") == "".join(fact for _, fact in expected)
+
+
 def test_ids_and_labels_with_a_trailing_newline_quoted():
     g = build_graph(["7\n", "n\n"], labelings={"7\n": ["a\n"], "n\n": ["b"]})
     lines = fact_lines(export_asp(g, link_shapes([])))

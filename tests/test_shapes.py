@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from pgshapes import shapes as S
 from pgshapes.errors import KindMismatch, UnknownShapeName
 from pgshapes.graph import EDGE, NODE
+from pgshapes.printer import render_constraint
 from pgshapes.shapes import Shape, ShapeSet, Span, link_shapes
 from pgshapes.sugar import desugar_constraint
 from pgshapes.values import IntValue
@@ -55,7 +58,8 @@ def test_constraint_walks():
         S.QualPath(1, S.Seq(S.EdgeLabel("r"), S.EdgeLabel("q")), S.ShapeRef("s1")),
         S.Not(S.QualOutgoing(2, S.ShapeRef("e1"))),
     )
-    assert S.constraint_references(c) == {"s1", "e1"}
+    shapes = [node_shape("c", c), node_shape("s1", S.Top()), node_shape("e1", S.Top(), kind=EDGE)]
+    assert link_shapes(shapes).references["c"] == {"s1", "e1"}
     assert operator_count(c) == 4  # And, QualPath, Not, QualOutgoing
     paths = list(S.constraint_paths(c))
     assert paths == [S.Seq(S.EdgeLabel("r"), S.EdgeLabel("q"))]
@@ -64,10 +68,10 @@ def test_constraint_walks():
     assert not S.is_sugar_free(S.Not(S.AtMostKey(0, "k", S.AnyValue())))
 
 
-def test_iter_paths_covers_nested():
+def test_mentioned_names_cover_nested_paths():
     p = S.Alt(S.Star(S.EdgeLabel("a")), S.Inverse(S.EdgeLabel("b")))
-    names = [q.name for q in S.iter_paths(p) if isinstance(q, S.EdgeLabel)]
-    assert sorted(names) == ["a", "b"]
+    shape = node_shape("s", S.And(S.QualPath(1, p, S.HasLabel("A")), S.KeyCmp("eq", "k", "j")))
+    assert S.mentioned_names([shape]) == ({"a", "b", "A"}, {"k", "j"}, set())
 
 
 def test_shape_validation():
@@ -269,6 +273,24 @@ def test_fold_results_follow_the_operands():
     assert S.fold(path, text, "PathExpr") == "Seq(Inverse(EdgeLabel()), EdgeLabel())"
 
 
+def test_fold_drops_each_result_after_its_last_use():
+    # Each level of a left-deep chain renders its operand's text again, so
+    # a fold that kept every level would hold text quadratic in the chain
+    # (about 500 times the output here); one that drops each result once
+    # its parent has read it holds a few times the output.
+    c = S.HasLabel("l" * 100)
+    for i in range(1000):
+        c = S.And(c, S.HasLabel(f"l{i:099}"))
+    tracemalloc.start()
+    try:
+        text = render_constraint(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 100_000
+    assert peak < 10 * len(text)
+
+
 def test_conjuncts_see_through_double_negation():
     a, b, c = S.HasLabel("A"), S.HasLabel("B"), S.HasLabel("C")
     assert S.conjuncts(S.And(S.And(a, S.Not(S.Not(b))), c)) == [a, b, c]
@@ -307,3 +329,88 @@ def test_generated_shape_sets_always_link():
         g = gen_graph(rng)
         linked = link_shapes(gen_shapes(rng, g, sugar=True))
         assert linked.linked
+
+
+# ---------------------------------------------------------------------------
+# What linking returns, or the error it raises first, on seeded random shape
+# sets and on three mutations of each: a reference renamed to a shape that
+# does not exist, one shape's kind flipped, and one count made negative.
+# A fourth line applies all three at once, so it pins which error comes
+# first.  The mutations rebuild trees by their dataclass fields, apart from
+# the walks under test.
+
+LINK_SEEDS = range(200)
+LINK_DIGEST = "86f5a02f2dc1ac33c3a35570dc8c3fcfb07833c1845ca7884a30849daebdd95e"
+
+
+def subterms(c):
+    """c and every constraint below it, pre-order, by dataclass fields."""
+    out, todo = [], [c]
+    while todo:
+        c = todo.pop()
+        out.append(c)
+        todo.extend(reversed([getattr(c, f.name) for f in dataclasses.fields(c)
+                              if isinstance(getattr(c, f.name), S.Constraint)]))
+    return out
+
+
+def replaced(c, old, new):
+    """c with the subterm `old` (by identity) replaced by `new`."""
+    if c is old:
+        return new
+    changes = {f.name: replaced(getattr(c, f.name), old, new)
+               for f in dataclasses.fields(c) if isinstance(getattr(c, f.name), S.Constraint)}
+    return dataclasses.replace(c, **changes) if changes else c
+
+
+def mutated(rng, shapes, how):
+    """shapes with one seeded mutation, or None when none applies."""
+    spots = [(i, sub) for i, sh in enumerate(shapes) for sub in subterms(sh.constraint)]
+    if how == "kind":
+        i = rng.randrange(len(shapes))
+        sh = shapes[i]
+        spot, new = None, Shape(sh.name, EDGE if sh.kind == NODE else NODE,
+                                sh.constraint, sh.target)
+    else:
+        if how == "reference":
+            picks = [s for s in spots if isinstance(s[1], S.ShapeRef)] or spots
+        else:
+            picks = [s for s in spots if isinstance(vars(s[1]).get("count"), int)]
+        if not picks:
+            return None
+        i, spot = rng.choice(picks)
+        if how == "reference":
+            sub = S.ShapeRef("missing")
+        else:
+            sub = dataclasses.replace(spot, count=-1 - spot.count)
+        sh = shapes[i]
+        new = Shape(sh.name, sh.kind, replaced(sh.constraint, spot, sub), sh.target)
+    return shapes[:i] + [new] + shapes[i + 1:]
+
+
+def link_outcome(shapes) -> str:
+    if shapes is None:
+        return "none"
+    try:
+        linked = link_shapes(shapes)
+    except Exception as exc:  # the type and message are what is pinned
+        return f"{type(exc).__name__}: {exc}"
+    refs = sorted((name, sorted(names)) for name, names in linked.references.items())
+    return f"{refs} {linked.cycle_count}"
+
+
+def test_linking_is_pinned():
+    h = hashlib.sha256()
+    for seed in LINK_SEEDS:
+        rng = random.Random(f"link:{seed}")
+        g = gen_graph(rng)
+        shapes = gen_shapes(rng, g, max_shapes=4, sugar=seed % 2 == 0,
+                            compound_targets=seed % 3 == 0)
+        lines = [link_outcome(shapes)]
+        every = shapes
+        for how in ("reference", "kind", "count"):
+            lines.append(link_outcome(mutated(rng, shapes, how)))
+            every = mutated(rng, every, how) or every
+        lines.append(link_outcome(every))  # the first of several errors
+        h.update(f"seed {seed}\n{chr(10).join(lines)}\n".encode("utf-8"))
+    assert h.hexdigest() == LINK_DIGEST

@@ -12,12 +12,12 @@ from pgshapes.semantics import (
     eval_edge_constraint,
     eval_node_constraint,
 )
-from pgshapes.shapes import Shape, is_sugar_free
+from pgshapes.shapes import Shape, ShapeSet, is_sugar_free, link_shapes
 from pgshapes.sugar import desugar_constraint, desugar_shapes, desugar_targets, target_constraint
 from pgshapes.values import EQ, IntValue
 
 from oracle import FROM_TV, ref_eval
-from randgen import gen_constraint, gen_instance
+from randgen import gen_constraint, gen_graph, gen_instance, gen_shapes
 
 TOP = S.Top()
 P = S.EdgeLabel("r")
@@ -69,6 +69,26 @@ def test_desugar_idempotent():
         once = desugar_constraint(c)
         assert is_sugar_free(once)
         assert desugar_constraint(once) is once
+
+
+def test_linking_notes_whether_the_constraints_are_sugar_free():
+    rng = random.Random(4242)
+    kept = redone = 0
+    for _ in range(200):
+        built = gen_shapes(rng, gen_graph(rng), sugar=rng.random() < 0.5,
+                           compound_targets=rng.random() < 0.5)
+        linked = link_shapes(built)
+        assert linked.sugar_free == all(is_sugar_free(sh.constraint) for sh in built)
+        assert not ShapeSet(built).sugar_free  # noted only by linking
+        core = desugar_shapes(linked)
+        assert core.sugar_free and desugar_shapes(core) is core
+        # desugar_shapes passes a linked set through only when the note
+        # holds and no target is compound.
+        plain = not any(isinstance(sh.target, (S.TargetAnd, S.TargetOr)) for sh in built)
+        assert (desugar_shapes(linked) is linked) == (linked.sugar_free and plain)
+        kept += core is linked
+        redone += core is not linked
+    assert kept > 20 and redone > 20
 
 
 def test_desugar_preserves_meaning():
